@@ -15,7 +15,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::uint8_t kRingMagic[8] = {'U', 'L', 'P', 'R', 'I', 'N', 'G', '\n'};
+constexpr util::Magic kRingMagic = {'U', 'L', 'P', 'R', 'I', 'N', 'G', '\n'};
 constexpr std::uint32_t kRingVersion = 1;
 constexpr std::string_view kManifestHeader = "ulpsync-ring v1";
 
@@ -30,35 +30,19 @@ std::string entry_file_name(std::uint64_t cycle) {
 std::vector<std::uint8_t> serialize_entry(std::uint64_t identity,
                                           std::uint64_t cycle,
                                           const WarmState& state) {
-  util::WireWriter w;
-  for (const std::uint8_t byte : kRingMagic) w.u8(byte);
-  w.u32(kRingVersion);
-  w.u64(identity);
-  w.u64(cycle);
-  w.blob(serialize_warm_state(state));
-  w.u64(fnv1a64(w.bytes()));
-  return w.take();
+  return util::seal(kRingMagic, kRingVersion, [&](util::WireWriter& w) {
+    w.u64(identity);
+    w.u64(cycle);
+    w.blob(serialize_warm_state(state));
+  });
 }
 
 /// Parses and validates one entry image against the expected identity.
 /// Throws std::invalid_argument on any mismatch.
 RingEntry parse_entry(std::span<const std::uint8_t> bytes,
                       std::uint64_t identity) {
-  if (bytes.size() < sizeof(kRingMagic) + 8) {
-    throw std::invalid_argument("ring entry: truncated image");
-  }
-  const std::uint64_t stored_hash =
-      util::WireReader(bytes.subspan(bytes.size() - 8)).u64();
-  if (fnv1a64(bytes.first(bytes.size() - 8)) != stored_hash) {
-    throw std::invalid_argument("ring entry: content hash mismatch");
-  }
-  util::WireReader r(bytes.first(bytes.size() - 8));
-  for (const std::uint8_t byte : kRingMagic) {
-    if (r.u8() != byte) throw std::invalid_argument("ring entry: bad magic");
-  }
-  if (r.u32() != kRingVersion) {
-    throw std::invalid_argument("ring entry: unsupported version");
-  }
+  util::WireReader r =
+      util::unseal(bytes, kRingMagic, kRingVersion, "ring entry");
   if (r.u64() != identity) {
     throw std::invalid_argument("ring entry: identity mismatch");
   }
@@ -79,10 +63,6 @@ struct ParsedManifest {
   std::vector<Row> rows;  ///< oldest first
 };
 
-std::uint64_t parse_hex64(const std::string& text) {
-  return std::strtoull(text.c_str(), nullptr, 16);
-}
-
 /// Parses the ring manifest; nullopt when absent or malformed (a torn or
 /// foreign manifest means "no usable ring", never an error).
 std::optional<ParsedManifest> parse_manifest(const std::string& dir) {
@@ -98,7 +78,7 @@ std::optional<ParsedManifest> parse_manifest(const std::string& dir) {
     if (tag == "identity") {
       std::string hex;
       fields >> hex;
-      manifest.identity = parse_hex64(hex);
+      manifest.identity = std::strtoull(hex.c_str(), nullptr, 16);
     } else if (tag == "stride") {
       fields >> manifest.stride;
     } else if (tag == "entry") {
@@ -106,7 +86,7 @@ std::optional<ParsedManifest> parse_manifest(const std::string& dir) {
       std::string hex;
       fields >> row.cycle >> row.file >> hex;
       if (fields.fail() || row.file.empty()) return std::nullopt;
-      row.hash = parse_hex64(hex);
+      row.hash = std::strtoull(hex.c_str(), nullptr, 16);
       manifest.rows.push_back(std::move(row));
     } else if (!tag.empty()) {
       return std::nullopt;  // unknown directive: treat as foreign
@@ -116,15 +96,6 @@ std::optional<ParsedManifest> parse_manifest(const std::string& dir) {
 }
 
 }  // namespace
-
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes, std::uint64_t seed) {
-  std::uint64_t hash = seed;
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
 
 void write_file_atomic(const std::string& path,
                        std::span<const std::uint8_t> bytes) {
@@ -141,6 +112,11 @@ void write_file_atomic(const std::string& path,
     throw std::runtime_error("cannot rename " + tmp + " to " + path + ": " +
                              ec.message());
   }
+}
+
+void write_text_atomic(const std::string& path, std::string_view text) {
+  write_file_atomic(path, {reinterpret_cast<const std::uint8_t*>(text.data()),
+                           text.size()});
 }
 
 std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
@@ -217,18 +193,13 @@ RingWriter::RingWriter(std::string dir, std::uint64_t identity,
 void RingWriter::write_manifest() const {
   std::ostringstream out;
   out << kManifestHeader << '\n';
-  char hex[24];
-  std::snprintf(hex, sizeof(hex), "%016" PRIx64, identity_);
-  out << "identity " << hex << '\n';
+  out << "identity " << util::hex64(identity_) << '\n';
   out << "stride " << stride_ << '\n';
   for (const ManifestRow& row : entries_) {
-    std::snprintf(hex, sizeof(hex), "%016" PRIx64, row.hash);
-    out << "entry " << row.cycle << ' ' << row.file << ' ' << hex << '\n';
+    out << "entry " << row.cycle << ' ' << row.file << ' '
+        << util::hex64(row.hash) << '\n';
   }
-  const std::string text = out.str();
-  write_file_atomic(dir_ + "/MANIFEST",
-                    {reinterpret_cast<const std::uint8_t*>(text.data()),
-                     text.size()});
+  write_text_atomic(dir_ + "/MANIFEST", out.str());
 }
 
 void RingWriter::offer(sim::Platform& platform,

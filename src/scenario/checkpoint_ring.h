@@ -27,21 +27,24 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "scenario/engine.h"
+#include "util/wire.h"
 
 namespace ulpsync::scenario {
 
 /// FNV-1a 64-bit hash (the project-wide content-hash primitive).
-[[nodiscard]] std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
-                                    std::uint64_t seed = 14695981039346656037ULL);
+using util::fnv1a64;
 
 /// Writes `bytes` to `path` atomically: a sibling temporary file is written
 /// and renamed over the destination, so readers only ever observe complete
 /// images. Throws std::runtime_error on I/O failure.
 void write_file_atomic(const std::string& path,
                        std::span<const std::uint8_t> bytes);
+/// `write_file_atomic` of text.
+void write_text_atomic(const std::string& path, std::string_view text);
 /// Whole file as bytes. Throws std::runtime_error when unreadable.
 [[nodiscard]] std::vector<std::uint8_t> read_file_bytes(const std::string& path);
 

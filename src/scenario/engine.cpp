@@ -5,7 +5,6 @@
 #include <map>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "core/lockstep.h"
 #include "power/model.h"
@@ -14,6 +13,7 @@
 #include "scenario/checkpoint_ring.h"
 #include "scenario/replay.h"
 #include "sim/platform.h"
+#include "util/parallel.h"
 
 namespace ulpsync::scenario {
 
@@ -127,9 +127,7 @@ std::string warm_group_key(const RunSpec& spec) {
 
 // (See engine.h.)
 std::uint64_t ring_identity(const RunSpec& spec) {
-  const std::string key = warm_group_key(spec);
-  return fnv1a64({reinterpret_cast<const std::uint8_t*>(key.data()),
-                  key.size()});
+  return fnv1a64(warm_group_key(spec));
 }
 
 Engine::Engine(const Registry& registry, EngineOptions options)
@@ -256,11 +254,6 @@ SweepResult Engine::run_timed(const std::vector<RunSpec>& specs) const {
   result.perf.run_wall_seconds.assign(specs.size(), 0.0);
   if (specs.empty()) return result;
 
-  unsigned jobs = options_.jobs;
-  if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
-  jobs = static_cast<unsigned>(
-      std::min<std::size_t>(jobs, specs.size()));
-
   const Clock::time_point sweep_start = Clock::now();
   const bool budgeted = !options_.budget.unlimited();
   const Clock::time_point deadline = sweep_start + options_.budget.wall_limit;
@@ -307,51 +300,37 @@ SweepResult Engine::run_timed(const std::vector<RunSpec>& specs) const {
 
   std::vector<RunRecord>& records = result.records;
   std::vector<std::uint8_t> executed(specs.size(), 0);
-  std::atomic<std::size_t> next{0};
+  std::atomic<bool> stopped{false};
   std::size_t done = 0;
   std::mutex progress_mutex;
   std::exception_ptr callback_error;
 
-  auto worker = [&] {
-    for (;;) {
-      // A run that has started always finishes; the budget only stops new
-      // runs from being claimed.
-      if (budgeted && Clock::now() >= deadline) return;
-      const std::size_t index = next.fetch_add(1);
-      if (index >= specs.size()) return;
-      const Clock::time_point run_start = Clock::now();
-      records[index] = run_one_impl(
-          specs[index],
-          warm_of[index] != nullptr ? warm_of[index]
-                                    : specs[index].resume_from.get(),
-          /*ring_slot=*/index);
-      result.perf.run_wall_seconds[index] =
-          std::chrono::duration<double>(Clock::now() - run_start).count();
-      executed[index] = 1;
-      const std::lock_guard<std::mutex> lock(progress_mutex);
-      ++done;
-      if (options_.on_result) {
-        // A throwing progress callback must not escape a worker thread
-        // (std::terminate); remember it, stop scheduling, rethrow below.
-        try {
-          options_.on_result(records[index], done, specs.size());
-        } catch (...) {
-          if (!callback_error) callback_error = std::current_exception();
-          next.store(specs.size());
-          return;
-        }
+  util::parallel_for(specs.size(), options_.jobs, [&](std::size_t index) {
+    // A run that has started always finishes; the budget (or a throwing
+    // progress callback) only stops new runs from starting.
+    if (stopped || (budgeted && Clock::now() >= deadline)) return;
+    const Clock::time_point run_start = Clock::now();
+    records[index] = run_one_impl(
+        specs[index],
+        warm_of[index] != nullptr ? warm_of[index]
+                                  : specs[index].resume_from.get(),
+        /*ring_slot=*/index);
+    result.perf.run_wall_seconds[index] =
+        std::chrono::duration<double>(Clock::now() - run_start).count();
+    executed[index] = 1;
+    const std::lock_guard<std::mutex> lock(progress_mutex);
+    ++done;
+    if (options_.on_result) {
+      // A throwing progress callback must not escape a worker thread
+      // (std::terminate); remember it, stop scheduling, rethrow below.
+      try {
+        options_.on_result(records[index], done, specs.size());
+      } catch (...) {
+        if (!callback_error) callback_error = std::current_exception();
+        stopped = true;
       }
     }
-  };
-
-  if (jobs <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned i = 0; i < jobs; ++i) pool.emplace_back(worker);
-    for (auto& thread : pool) thread.join();
-  }
+  });
   if (callback_error) std::rethrow_exception(callback_error);
 
   for (std::size_t i = 0; i < specs.size(); ++i) {

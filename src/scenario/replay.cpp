@@ -1,8 +1,5 @@
 #include "scenario/replay.h"
 
-#include <array>
-#include <fstream>
-#include <iterator>
 #include <stdexcept>
 
 #include "core/lockstep.h"
@@ -17,41 +14,22 @@ namespace {
 
 // "ULPERUN\n" — the envelope's own magic; the embedded schedule carries
 // its own ("ULPEVT1\n") and both trailing hashes must verify.
-constexpr std::array<std::uint8_t, 8> kMagic = {'U', 'L', 'P', 'E',
-                                                'R', 'U', 'N', '\n'};
+constexpr util::Magic kMagic = {'U', 'L', 'P', 'E', 'R', 'U', 'N', '\n'};
 
 }  // namespace
 
 std::vector<std::uint8_t> RecordedRun::serialize() const {
-  util::WireWriter w;
-  for (const std::uint8_t byte : kMagic) w.u8(byte);
-  w.u32(kFormatVersion);
-  encode_run_spec(w, spec);
-  w.boolean(measure_lockstep);
-  w.blob(schedule.serialize());
-  w.str(csv_row);
-  w.u64(fnv1a64(w.bytes()));
-  return w.take();
+  return util::seal(kMagic, kFormatVersion, [&](util::WireWriter& w) {
+    encode_run_spec(w, spec);
+    w.boolean(measure_lockstep);
+    w.blob(schedule.serialize());
+    w.str(csv_row);
+  });
 }
 
 RecordedRun RecordedRun::deserialize(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kMagic.size() + 4 + 8)
-    throw std::invalid_argument("recorded run: truncated image");
-  const std::span<const std::uint8_t> payload = bytes.first(bytes.size() - 8);
-  {
-    util::WireReader tail(bytes.subspan(bytes.size() - 8));
-    if (tail.u64() != fnv1a64(payload))
-      throw std::invalid_argument(
-          "recorded run: trailing hash mismatch (corrupt image)");
-  }
-  util::WireReader r(payload);
-  for (const std::uint8_t byte : kMagic) {
-    if (r.u8() != byte) throw std::invalid_argument("recorded run: bad magic");
-  }
-  const std::uint32_t version = r.u32();
-  if (version != kFormatVersion)
-    throw std::invalid_argument("recorded run: unsupported version " +
-                                std::to_string(version));
+  util::WireReader r =
+      util::unseal(bytes, kMagic, kFormatVersion, "recorded run");
   RecordedRun run;
   run.spec = decode_run_spec(r);
   run.measure_lockstep = r.boolean();
@@ -63,21 +41,15 @@ RecordedRun RecordedRun::deserialize(std::span<const std::uint8_t> bytes) {
 }
 
 std::uint64_t RecordedRun::content_hash() const {
-  const std::vector<std::uint8_t> bytes = serialize();
-  return fnv1a64(bytes);
+  return fnv1a64(serialize());
 }
 
 void write_recorded_run_file(const std::string& path, const RecordedRun& run) {
-  const std::vector<std::uint8_t> bytes = run.serialize();
-  write_file_atomic(path, bytes);
+  write_file_atomic(path, run.serialize());
 }
 
 RecordedRun read_recorded_run_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read recorded run file " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  return RecordedRun::deserialize(bytes);
+  return RecordedRun::deserialize(read_file_bytes(path));
 }
 
 RecordOutcome record_one(const RunSpec& spec, const Registry& registry,

@@ -1,54 +1,27 @@
 #include "scenario/resilience.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cinttypes>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "scenario/checkpoint_ring.h"
 #include "scenario/transport.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/wire.h"
 
 namespace ulpsync::scenario {
 
-namespace fs = std::filesystem;
-
 namespace {
 
-constexpr std::uint8_t kCampaignMagic[8] = {'U', 'L', 'P', 'C', 'A',
-                                            'M', 'P', '\n'};
+constexpr util::Magic kCampaignMagic = {'U', 'L', 'P', 'C',
+                                        'A', 'M', 'P', '\n'};
 constexpr std::uint32_t kCampaignVersion = 1;
-constexpr std::string_view kCampaignManifestHeader =
-    "ulpsync-campaign-spool v1";
-
-std::string shard_name(unsigned id) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "shard-%04u", id);
-  return buffer;
-}
-
-std::string part_name(unsigned id) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "part-%04u", id);
-  return buffer;
-}
-
-std::string hex64(std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, value);
-  return buffer;
-}
 
 /// "-" for an unspecified (0) voltage, else a fixed 4-decimal rendering —
 /// locale-free, so campaign CSVs are byte-stable across hosts.
@@ -74,11 +47,6 @@ std::string csv_safe(std::string text) {
   return text;
 }
 
-std::uint64_t fnv_str(std::string_view text) {
-  return fnv1a64(
-      {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
-}
-
 /// splitmix64 finalizer — the counter hash behind rate-mode thinning.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -98,34 +66,6 @@ double candidate_uniform(std::uint64_t seed, std::uint64_t event,
   h = mix64(h + word);
   h = mix64(h + bit);
   return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-unsigned resolve_jobs(unsigned jobs, std::size_t work_items) {
-  if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
-  return static_cast<unsigned>(
-      std::min<std::size_t>(jobs, std::max<std::size_t>(work_items, 1)));
-}
-
-/// Runs `body(index)` for every index in [0, count) on `jobs` threads.
-template <typename Body>
-void parallel_for(std::size_t count, unsigned jobs, const Body& body) {
-  jobs = resolve_jobs(jobs, count);
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t index = next.fetch_add(1);
-      if (index >= count) return;
-      body(index);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  for (unsigned i = 0; i < jobs; ++i) pool.emplace_back(worker);
-  for (auto& thread : pool) thread.join();
 }
 
 }  // namespace
@@ -384,7 +324,7 @@ std::vector<CampaignFault> expand_campaign(const CampaignConfig& config,
       // voltage-independent inputs: the sampled fault set is identical at
       // every voltage, so across-voltage outcome differences can only
       // come from the rate model.
-      util::Rng rng(config.seed ^ fnv_str(error_model_name(model)));
+      util::Rng rng(config.seed ^ fnv1a64(error_model_name(model)));
       for (unsigned n = 0; n < config.count; ++n) {
         CampaignFault fault = sample_fault(config, schedule, program, pools,
                                            rng, model, num_cores);
@@ -619,15 +559,26 @@ std::string campaign_csv(const std::vector<FaultTrialRow>& rows) {
   return out;
 }
 
+namespace {
+
+/// `expand_campaign` over the recorded run's own program and core count.
+std::vector<CampaignFault> expand_recorded(const CampaignConfig& config,
+                                           const RecordedRun& run,
+                                           const Registry& registry) {
+  const auto workload = registry.make(run.spec.workload, run.spec.params);
+  return expand_campaign(config, run.schedule,
+                         workload->program(run.spec.with_synchronizer()),
+                         workload->num_cores());
+}
+
+}  // namespace
+
 std::vector<FaultTrialRow> run_campaign(const RecordedRun& run,
                                         const Registry& registry,
                                         const CampaignConfig& config,
                                         unsigned jobs) {
-  const auto workload = registry.make(run.spec.workload, run.spec.params);
-  const assembler::Program& program =
-      workload->program(run.spec.with_synchronizer());
   const std::vector<CampaignFault> faults =
-      expand_campaign(config, run.schedule, program, workload->num_cores());
+      expand_recorded(config, run, registry);
 
   sim::Snapshot clean_final;
   const sim::Snapshot* clean_ptr = nullptr;
@@ -637,7 +588,7 @@ std::vector<FaultTrialRow> run_campaign(const RecordedRun& run,
   }
 
   std::vector<FaultTrialRow> rows(faults.size());
-  parallel_for(faults.size(), jobs, [&](std::size_t index) {
+  util::parallel_for(faults.size(), jobs, [&](std::size_t index) {
     rows[index] =
         run_fault_trial(run, registry, faults[index], config, clean_ptr);
   });
@@ -760,104 +711,67 @@ CampaignConfig decode_campaign_config(util::WireReader& r) {
   return c;
 }
 
-struct CampaignManifest {
-  std::uint64_t fingerprint = 0;
-  std::size_t faults = 0;
-  struct Row {
+/// The campaign job kind (see `campaign_job`).
+class CampaignJob final : public SpoolJob {
+ public:
+  CampaignJob(SpoolTransport& transport, const SpoolManifest& manifest,
+              const Registry& registry)
+      : SpoolJob(manifest), registry_(registry) {
+    const std::string what = transport.describe();
+    if (!manifest.campaign) {
+      throw std::runtime_error(what + " is a sweep spool, not a campaign");
+    }
+    planned_ = parse_planned_campaign(transport.fetch_blob("campaign.bin"),
+                                      "campaign image from " + what);
+    if (planned_.fingerprint != manifest.fingerprint) {
+      throw std::runtime_error("campaign image in " + what +
+                               " does not match the spool manifest");
+    }
+    faults_ = expand_recorded(planned_.config, planned_.run, registry);
+    if (faults_.size() != manifest.specs) {
+      throw std::runtime_error(
+          "campaign in " + what + " expands to " +
+          std::to_string(faults_.size()) + " faults, manifest says " +
+          std::to_string(manifest.specs));
+    }
+    if (!planned_.config.localize) {
+      clean_final_ = clean_final_state(planned_.run, registry);
+    }
+  }
+
+  std::vector<std::uint64_t> claim(const ClaimedShard& claimed) override {
+    // The payload is "<fingerprint-hex> <id> <begin> <end>".
+    std::istringstream in(
+        std::string(claimed.payload.begin(), claimed.payload.end()));
+    std::string hex;
     unsigned id = 0;
     std::uint64_t begin = 0;
     std::uint64_t end = 0;
-  };
-  std::vector<Row> shards;
+    in >> hex >> id >> begin >> end;
+    if (in.fail() || id != claimed.id || end < begin || end > faults_.size() ||
+        std::strtoull(hex.c_str(), nullptr, 16) != manifest.fingerprint) {
+      throw std::runtime_error("range file of shard " +
+                               std::to_string(claimed.id) +
+                               " does not belong to this campaign spool");
+    }
+    std::vector<std::uint64_t> indices(end - begin);
+    std::iota(indices.begin(), indices.end(), begin);
+    return indices;
+  }
+
+  SpoolRow run(std::uint64_t index) override {
+    return {fault_row_csv(run_fault_trial(
+                planned_.run, registry_, faults_[index], planned_.config,
+                planned_.config.localize ? nullptr : &clean_final_)),
+            ""};
+  }
+
+ private:
+  const Registry& registry_;
+  PlannedCampaign planned_;
+  std::vector<CampaignFault> faults_;
+  sim::Snapshot clean_final_;
 };
-
-CampaignManifest parse_campaign_manifest_text(const std::string& text,
-                                              const std::string& what) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kCampaignManifestHeader) {
-    throw std::runtime_error("not a campaign spool: " + what);
-  }
-  CampaignManifest manifest;
-  while (std::getline(in, line)) {
-    std::istringstream fields(line);
-    std::string tag;
-    fields >> tag;
-    if (tag == "fingerprint") {
-      std::string hex;
-      fields >> hex;
-      manifest.fingerprint = std::strtoull(hex.c_str(), nullptr, 16);
-    } else if (tag == "faults") {
-      fields >> manifest.faults;
-    } else if (tag == "shards") {
-      continue;  // redundant with the shard rows; kept for readability
-    } else if (tag == "shard") {
-      CampaignManifest::Row row;
-      fields >> row.id >> row.begin >> row.end;
-      if (fields.fail() || row.end < row.begin) {
-        throw std::runtime_error("malformed shard row in campaign manifest: " +
-                                 line);
-      }
-      manifest.shards.push_back(row);
-    } else if (!tag.empty()) {
-      throw std::runtime_error("unknown campaign manifest directive: " + line);
-    }
-  }
-  if (manifest.shards.empty()) {
-    throw std::runtime_error("campaign manifest lists no shards in " + what);
-  }
-  return manifest;
-}
-
-CampaignManifest parse_campaign_manifest(const std::string& dir) {
-  std::ifstream in(dir + "/MANIFEST");
-  if (!in) {
-    throw std::runtime_error("no campaign spool manifest in " + dir);
-  }
-  const std::string text{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
-  return parse_campaign_manifest_text(text, dir);
-}
-
-/// Complete (newline-terminated) lines of a partial part file; a torn
-/// trailing line from a killed worker is dropped.
-std::vector<std::string> complete_lines(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::string text{std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>()};
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\n') {
-      lines.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return lines;
-}
-
-void write_text_atomic(const std::string& path, const std::string& text) {
-  write_file_atomic(path, {reinterpret_cast<const std::uint8_t*>(text.data()),
-                           text.size()});
-}
-
-/// Parses one range image ("<fingerprint-hex> <id> <begin> <end>") —
-/// claimed from disk or streamed over a transport alike.
-CampaignManifest::Row parse_range_text(const std::string& text,
-                                       const std::string& what,
-                                       std::uint64_t expect_fingerprint) {
-  std::istringstream in(text);
-  std::string hex;
-  CampaignManifest::Row row;
-  in >> hex >> row.id >> row.begin >> row.end;
-  if (in.fail() || row.end < row.begin ||
-      std::strtoull(hex.c_str(), nullptr, 16) != expect_fingerprint) {
-    throw std::runtime_error("range file " + what +
-                             " does not belong to this campaign spool");
-  }
-  return row;
-}
 
 }  // namespace
 
@@ -871,24 +785,8 @@ std::uint64_t campaign_fingerprint(const CampaignConfig& config,
 
 PlannedCampaign parse_planned_campaign(std::span<const std::uint8_t> bytes,
                                        const std::string& what) {
-  if (bytes.size() < sizeof(kCampaignMagic) + 8) {
-    throw std::invalid_argument(what + ": truncated");
-  }
-  const std::uint64_t stored_hash =
-      util::WireReader({bytes.data() + bytes.size() - 8, 8}).u64();
-  if (fnv1a64({bytes.data(), bytes.size() - 8}) != stored_hash) {
-    throw std::invalid_argument(what +
-                                ": content hash mismatch (corrupt spool?)");
-  }
-  util::WireReader r({bytes.data(), bytes.size() - 8});
-  for (const std::uint8_t byte : kCampaignMagic) {
-    if (r.u8() != byte) {
-      throw std::invalid_argument(what + ": bad magic");
-    }
-  }
-  if (r.u32() != kCampaignVersion) {
-    throw std::invalid_argument(what + ": unsupported version");
-  }
+  util::WireReader r =
+      util::unseal(bytes, kCampaignMagic, kCampaignVersion, what);
   PlannedCampaign planned;
   planned.fingerprint = r.u64();
   planned.config = decode_campaign_config(r);
@@ -901,250 +799,74 @@ PlannedCampaign parse_planned_campaign(std::span<const std::uint8_t> bytes,
   return planned;
 }
 
-PlannedCampaign load_planned_campaign(const std::string& dir) {
-  const std::string path = dir + "/campaign.bin";
-  const std::vector<std::uint8_t> bytes = read_file_bytes(path);
-  return parse_planned_campaign(bytes, "campaign image " + path);
-}
-
 CampaignPlanResult plan_campaign_spool(const std::string& dir,
                                        const RecordedRun& run,
                                        const CampaignConfig& config,
                                        const Registry& registry,
                                        const CampaignSpoolOptions& options) {
-  if (fs::exists(dir + "/MANIFEST")) {
-    throw std::runtime_error("spool " + dir +
-                             " is already planned; use a fresh directory");
-  }
-  const auto workload = registry.make(run.spec.workload, run.spec.params);
-  const assembler::Program& program =
-      workload->program(run.spec.with_synchronizer());
   const std::vector<CampaignFault> faults =
-      expand_campaign(config, run.schedule, program, workload->num_cores());
+      expand_recorded(config, run, registry);
   if (faults.empty()) {
     throw std::invalid_argument(
         "plan_campaign_spool: the campaign expands to no faults");
   }
-  for (const char* sub : {"/queue", "/claimed", "/done", "/parts"}) {
-    std::error_code ec;
-    fs::create_directories(dir + sub, ec);
-    if (ec) {
-      throw std::runtime_error("cannot create spool directory " + dir + sub +
-                               ": " + ec.message());
-    }
-  }
+  create_spool_dirs(dir);
 
-  const std::uint64_t fingerprint = campaign_fingerprint(config, run);
-  {
-    util::WireWriter w;
-    for (const std::uint8_t byte : kCampaignMagic) w.u8(byte);
-    w.u32(kCampaignVersion);
-    w.u64(fingerprint);
-    encode_campaign_config(w, config);
-    w.blob(run.serialize());
-    w.u64(fnv1a64(w.bytes()));
-    write_file_atomic(dir + "/campaign.bin", w.take());
-  }
+  SpoolManifest manifest;
+  manifest.campaign = true;
+  manifest.fingerprint = campaign_fingerprint(config, run);
+  manifest.specs = faults.size();
+  write_file_atomic(
+      dir + "/campaign.bin",
+      util::seal(kCampaignMagic, kCampaignVersion, [&](util::WireWriter& w) {
+        w.u64(manifest.fingerprint);
+        encode_campaign_config(w, config);
+        w.blob(run.serialize());
+      }));
 
   // Contiguous fault-index ranges, balanced to within one fault.
   const unsigned shard_count = static_cast<unsigned>(std::min<std::size_t>(
       std::max(1u, options.shards), faults.size()));
-  const std::uint64_t base = faults.size() / shard_count;
-  const std::uint64_t extra = faults.size() % shard_count;
-
-  std::ostringstream manifest;
-  manifest << kCampaignManifestHeader << '\n';
-  manifest << "fingerprint " << hex64(fingerprint) << '\n';
-  manifest << "faults " << faults.size() << '\n';
-  manifest << "shards " << shard_count << '\n';
+  const std::size_t base = faults.size() / shard_count;
+  const std::size_t extra = faults.size() % shard_count;
   std::uint64_t begin = 0;
   for (unsigned s = 0; s < shard_count; ++s) {
-    const std::uint64_t end = begin + base + (s < extra ? 1 : 0);
+    const std::size_t size = base + (s < extra ? 1 : 0);
     write_text_atomic(dir + "/queue/" + shard_name(s) + ".range",
-                      hex64(fingerprint) + " " + std::to_string(s) + " " +
-                          std::to_string(begin) + " " + std::to_string(end) +
-                          "\n");
-    manifest << "shard " << s << ' ' << begin << ' ' << end << '\n';
-    begin = end;
+                      util::hex64(manifest.fingerprint) + " " +
+                          std::to_string(s) + " " + std::to_string(begin) +
+                          " " + std::to_string(begin + size) + "\n");
+    manifest.shards.push_back({.id = s, .specs = size, .begin = begin});
+    begin += size;
   }
   // The manifest is written last: a spool without one is unplanned, never
   // half-planned.
-  write_text_atomic(dir + "/MANIFEST", manifest.str());
+  write_text_atomic(dir + "/MANIFEST", spool_manifest_text(manifest));
 
   CampaignPlanResult result;
   result.faults = faults.size();
   result.shards = shard_count;
-  result.fingerprint = fingerprint;
+  result.fingerprint = manifest.fingerprint;
   return result;
 }
 
-bool is_campaign_spool(const std::string& dir) {
-  std::ifstream in(dir + "/MANIFEST");
-  if (!in) return false;
-  std::string line;
-  return std::getline(in, line) && line == kCampaignManifestHeader;
+std::unique_ptr<SpoolJob> campaign_job(SpoolTransport& transport,
+                                       const SpoolManifest& manifest,
+                                       const Registry& registry) {
+  return std::make_unique<CampaignJob>(transport, manifest, registry);
 }
 
-bool is_campaign_manifest(const std::string& manifest_text) {
-  std::istringstream in(manifest_text);
-  std::string line;
-  return std::getline(in, line) && line == kCampaignManifestHeader;
-}
-
-CampaignWorkReport work_campaign_spool(const std::string& dir,
-                                       const Registry& registry,
-                                       const CampaignWorkOptions& options) {
+WorkReport work_campaign_spool(const std::string& dir,
+                               const Registry& registry,
+                               const CampaignWorkOptions& options) {
   FsTransport transport(dir);
-  return work_campaign_transport(transport, registry, options);
-}
-
-CampaignWorkReport work_campaign_transport(SpoolTransport& transport,
-                                           const Registry& registry,
-                                           const CampaignWorkOptions& options) {
-  const CampaignManifest manifest = parse_campaign_manifest_text(
-      transport.manifest_text(), transport.describe());
-  const std::string worker = options.worker_id.empty()
-                                 ? std::to_string(::getpid())
-                                 : options.worker_id;
-
-  if (options.resume) {
-    transport.adopt_orphans();
-  }
-
-  const PlannedCampaign planned =
-      parse_planned_campaign(transport.fetch_blob("campaign.bin"),
-                             "campaign image from " + transport.describe());
-  if (planned.fingerprint != manifest.fingerprint) {
-    throw std::runtime_error("campaign image in " + transport.describe() +
-                             " does not match the spool manifest");
-  }
-  const auto workload =
-      registry.make(planned.run.spec.workload, planned.run.spec.params);
-  const assembler::Program& program =
-      workload->program(planned.run.spec.with_synchronizer());
-  const std::vector<CampaignFault> faults = expand_campaign(
-      planned.config, planned.run.schedule, program, workload->num_cores());
-  if (faults.size() != manifest.faults) {
-    throw std::runtime_error("campaign in " + transport.describe() +
-                             " expands to " +
-                             std::to_string(faults.size()) +
-                             " faults, manifest says " +
-                             std::to_string(manifest.faults));
-  }
-  sim::Snapshot clean_final;
-  const sim::Snapshot* clean_ptr = nullptr;
-  if (!planned.config.localize) {
-    clean_final = clean_final_state(planned.run, registry);
-    clean_ptr = &clean_final;
-  }
-
-  CampaignWorkReport report;
-  while (options.max_shards == 0 ||
-         report.shards_completed < options.max_shards) {
-    const std::optional<ClaimedShard> claimed = transport.claim(worker);
-    if (!claimed) break;  // queue drained (or raced dry)
-    if (claimed->kind != "range") {
-      throw std::runtime_error("claimed shard " + std::to_string(claimed->id) +
-                               " is not a campaign range (mixed spool?)");
-    }
-
-    const std::string range_text(claimed->payload.begin(),
-                                 claimed->payload.end());
-    const CampaignManifest::Row range = parse_range_text(
-        range_text, "of shard " + std::to_string(claimed->id),
-        manifest.fingerprint);
-    if (range.end > faults.size()) {
-      throw std::runtime_error("range file of shard " +
-                               std::to_string(claimed->id) +
-                               " exceeds the campaign's fault count");
-    }
-    const std::size_t range_size =
-        static_cast<std::size_t>(range.end - range.begin);
-
-    std::vector<std::string> rows = claimed->rows;
-    if (rows.size() > range_size) {
-      throw std::runtime_error("partial part of shard " +
-                               std::to_string(range.id) +
-                               " has more rows than the shard has faults");
-    }
-    report.rows_reused += rows.size();
-
-    if (rows.size() < range_size) {
-      // Rows already present are skipped, not re-run: they are
-      // deterministic, so adopting them is byte-identical and a resumed
-      // spool never repeats finished work. Trials run in parallel blocks;
-      // rows stream back in index order, so a kill loses at most one
-      // in-flight block's unsent rows.
-      const unsigned jobs = resolve_jobs(options.jobs, range_size);
-      while (rows.size() < range_size) {
-        transport.heartbeat(range.id);  // blocks can outlast a quiet lease
-        const std::size_t block = std::min<std::size_t>(
-            range_size - rows.size(), std::max<std::size_t>(jobs, 1) * 4);
-        const std::uint64_t block_begin = range.begin + rows.size();
-        std::vector<std::string> block_rows(block);
-        parallel_for(block, jobs, [&](std::size_t k) {
-          block_rows[k] = fault_row_csv(
-              run_fault_trial(planned.run, registry, faults[block_begin + k],
-                              planned.config, clean_ptr));
-        });
-        for (const std::string& row : block_rows) {
-          transport.append_row(range.id, row);
-          rows.push_back(row);
-          report.trials_executed += 1;
-        }
-      }
-    }
-
-    std::string part_text;
-    for (const std::string& row : rows) part_text += row + '\n';
-    transport.complete(
-        range.id,
-        fnv1a64({reinterpret_cast<const std::uint8_t*>(part_text.data()),
-                 part_text.size()}));
-    report.shards_completed += 1;
-  }
-  return report;
+  CampaignJob job(transport, read_spool_manifest(transport), registry);
+  return drain_spool(transport, job, options.worker_id, options.resume,
+                     options.max_shards, options.jobs);
 }
 
 std::string merge_campaign_spool(const std::string& dir) {
-  FsTransport transport(dir);
-  return merge_campaign_transport(transport);
-}
-
-std::string merge_campaign_transport(SpoolTransport& transport) {
-  const CampaignManifest manifest = parse_campaign_manifest_text(
-      transport.manifest_text(), transport.describe());
-  std::vector<std::string> rows(manifest.faults);
-  std::vector<bool> filled(manifest.faults, false);
-  for (const CampaignManifest::Row& row : manifest.shards) {
-    const std::vector<std::string> lines =
-        split_complete_lines(transport.part_text(row.id));
-    if (lines.size() != row.end - row.begin) {
-      throw std::runtime_error(
-          "cannot merge: part of shard " + std::to_string(row.id) + " has " +
-          std::to_string(lines.size()) + " rows, manifest expects " +
-          std::to_string(row.end - row.begin));
-    }
-    for (std::size_t k = 0; k < lines.size(); ++k) {
-      const std::uint64_t index = row.begin + k;
-      if (index >= rows.size() || filled[index]) {
-        throw std::runtime_error(
-            "cannot merge: shard " + std::to_string(row.id) +
-            " covers an invalid or duplicate fault index");
-      }
-      rows[index] = lines[k];
-      filled[index] = true;
-    }
-  }
-  for (std::size_t i = 0; i < filled.size(); ++i) {
-    if (!filled[i]) {
-      throw std::runtime_error("cannot merge: fault " + std::to_string(i) +
-                               " is covered by no shard");
-    }
-  }
-  std::string out = campaign_csv_header() + "\n";
-  for (const std::string& row : rows) out += row + '\n';
-  return out;
+  return merge_spool(dir);
 }
 
 // --- shared campaign CLI vocabulary ------------------------------------------
@@ -1230,35 +952,6 @@ RecordedRun acquire_campaign_run(const util::CliArgs& args,
                              " (" + outcome.record.verify_error + ")");
   }
   return std::move(outcome.recorded);
-}
-
-SpoolStatus campaign_spool_status(const std::string& dir) {
-  const CampaignManifest manifest = parse_campaign_manifest(dir);
-  SpoolStatus status;
-  status.fingerprint = manifest.fingerprint;
-  status.specs = manifest.faults;
-  for (const CampaignManifest::Row& row : manifest.shards) {
-    ShardState shard;
-    shard.id = row.id;
-    shard.specs = static_cast<std::size_t>(row.end - row.begin);
-    const std::string name = shard_name(row.id);
-    if (fs::exists(dir + "/done/" + name + ".range")) {
-      shard.state = "done";
-    } else if (fs::exists(dir + "/claimed/" + name + ".range")) {
-      shard.state = "claimed";
-      std::ifstream owner(dir + "/claimed/" + name + ".owner");
-      std::getline(owner, shard.owner);
-    } else if (fs::exists(dir + "/queue/" + name + ".range")) {
-      shard.state = "queued";
-    } else {
-      shard.state = "lost";
-    }
-    shard.part_final = fs::exists(dir + "/parts/" + part_name(row.id) + ".csv");
-    shard.partial_rows =
-        complete_lines(dir + "/parts/" + part_name(row.id) + ".partial").size();
-    status.shards.push_back(std::move(shard));
-  }
-  return status;
 }
 
 }  // namespace ulpsync::scenario

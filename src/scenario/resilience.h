@@ -35,17 +35,17 @@
 ///
 ///  3. **Spool sharding** (`plan_campaign_spool` & friends). A campaign is
 ///     deterministic given its config and the recorded run, so a
-///     million-fault campaign shards by *fault-index range*: the plan
-///     writes one `campaign.bin` (config + recorded-run envelope, hashed)
-///     plus tiny range files that workers claim by atomic rename, exactly
-///     like the sweep spool (scenario/shard.h). Workers re-expand the
-///     fault list locally, append rows to `.partial` part files (complete
-///     rows of a SIGKILLed worker are adopted on `--resume`), and `merge`
-///     reassembles the campaign CSV **byte-identical** to a single-process
-///     `--jobs N` run. `sweep_shard work/merge/status` auto-detect
-///     campaign spools from the manifest header.
+///     million-fault campaign shards by *fault-index range*: the campaign
+///     kind of the indexed-job spool (scenario/spool.h). The plan writes
+///     one `campaign.bin` (config + recorded-run envelope, sealed) plus
+///     tiny range files as the shard payloads. Each worker re-expands the
+///     fault list once per drain, runs a claimed range's trials, and the
+///     shared merge reassembles the campaign CSV **byte-identical** to a
+///     single-process `--jobs N` run. `sweep_shard work/merge/status` read
+///     the spool's kind from the manifest header.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -277,14 +277,6 @@ CampaignPlanResult plan_campaign_spool(const std::string& dir,
                                        const Registry& registry,
                                        const CampaignSpoolOptions& options = {});
 
-/// True when `dir` holds a *campaign* spool manifest (vs a sweep spool or
-/// nothing) — how `sweep_shard` dispatches work/merge/status.
-[[nodiscard]] bool is_campaign_spool(const std::string& dir);
-
-/// The same dispatch over manifest text a transport served — works for
-/// spools that are not locally mounted.
-[[nodiscard]] bool is_campaign_manifest(const std::string& manifest_text);
-
 /// Knobs of `work_campaign_spool`.
 struct CampaignWorkOptions {
   /// Recorded in the claim's `.owner` file; defaults to the process id.
@@ -298,50 +290,40 @@ struct CampaignWorkOptions {
   std::size_t max_shards = 0;
 };
 
-/// What one `work_campaign_spool` call did.
-struct CampaignWorkReport {
-  std::size_t shards_completed = 0;
-  std::size_t trials_executed = 0;
-  std::size_t rows_reused = 0;  ///< rows adopted from partial part files
-};
+/// The campaign job kind over `transport` (see `SpoolJob`): fetches and
+/// validates `campaign.bin`, expands the fault list and replays the clean
+/// run once, then each row is one `run_fault_trial`. A claimed payload is
+/// a range file, "<fingerprint-hex> <id> <begin> <end>". Throws
+/// std::runtime_error when `manifest` is not a campaign spool's or the
+/// image does not match it, std::invalid_argument on a corrupt image.
+[[nodiscard]] std::unique_ptr<SpoolJob> campaign_job(
+    SpoolTransport& transport, const SpoolManifest& manifest,
+    const Registry& registry);
 
 /// Claims and executes fault-range shards until the queue is empty (or
-/// `max_shards`). Safe to call concurrently from any number of processes
-/// on the same spool; trial failures become "error" rows, exactly as in a
-/// single-process campaign. Throws std::runtime_error on a corrupt spool.
-CampaignWorkReport work_campaign_spool(const std::string& dir,
-                                       const Registry& registry,
-                                       const CampaignWorkOptions& options = {});
-/// The same drain over any `SpoolTransport` (scenario/transport.h) — the
-/// `dir` overload is this with the filesystem transport. Row bytes are
-/// identical over every transport.
-CampaignWorkReport work_campaign_transport(
-    SpoolTransport& transport, const Registry& registry,
-    const CampaignWorkOptions& options = {});
+/// `max_shards`) — `drain_spool` of the campaign job over the spool
+/// directory, `jobs` trials at a time. Safe to call concurrently from any
+/// number of processes on the same spool; trial failures become "error"
+/// rows, exactly as in a single-process campaign. Throws on a corrupt
+/// spool.
+WorkReport work_campaign_spool(const std::string& dir,
+                               const Registry& registry,
+                               const CampaignWorkOptions& options = {});
 
-/// Assembles the finished parts into the campaign CSV — byte-identical to
+/// `merge_spool` of a campaign spool: the campaign CSV, byte-identical to
 /// `campaign_csv(run_campaign(...))` of the same config and recording.
-/// Throws std::runtime_error when any shard's part is missing or
-/// inconsistent.
 [[nodiscard]] std::string merge_campaign_spool(const std::string& dir);
-[[nodiscard]] std::string merge_campaign_transport(SpoolTransport& transport);
 
-/// Campaign-spool progress (shares the sweep spool's status shape;
-/// `specs` counts faults).
-[[nodiscard]] SpoolStatus campaign_spool_status(const std::string& dir);
-
-/// Loads the planned campaign back from `<dir>/campaign.bin` (validated
-/// against its content hash). Exposed for tools and tests.
+/// A planned campaign as its spool's `campaign.bin` stores it.
 struct PlannedCampaign {
   CampaignConfig config;
   RecordedRun run;
   std::uint64_t fingerprint = 0;
 };
-[[nodiscard]] PlannedCampaign load_planned_campaign(const std::string& dir);
 
-/// The same parse over an in-memory `campaign.bin` image — what workers
-/// that fetched it over a transport validate with. `what` names the image
-/// in diagnostics.
+/// Parses and validates a `campaign.bin` image (against its content hash
+/// and fingerprint), read from disk or fetched over a transport alike.
+/// `what` names the image in diagnostics.
 [[nodiscard]] PlannedCampaign parse_planned_campaign(
     std::span<const std::uint8_t> bytes, const std::string& what);
 

@@ -1,14 +1,12 @@
 #include "scenario/shard.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -25,29 +23,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::uint8_t kBundleMagic[8] = {'U', 'L', 'P', 'S', 'P', 'O', 'L', '\n'};
+constexpr util::Magic kBundleMagic = {'U', 'L', 'P', 'S', 'P', 'O', 'L', '\n'};
 // Version 3 appended the optional `EnergyRequest` to the spec codec.
 constexpr std::uint32_t kBundleVersion = 3;
-constexpr std::string_view kManifestHeader = "ulpsync-spool v1";
 constexpr std::uint32_t kNoWarmRef = 0xFFFFFFFFu;
-
-std::string shard_name(unsigned id) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "shard-%04u", id);
-  return buffer;
-}
-
-std::string part_name(unsigned id) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "part-%04u", id);
-  return buffer;
-}
-
-std::string hex64(std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, value);
-  return buffer;
-}
 
 }  // namespace
 
@@ -168,103 +147,110 @@ struct BundlePlan {
 std::vector<std::uint8_t> serialize_bundle(const BundlePlan& plan,
                                            const std::vector<RunSpec>& specs,
                                            std::uint64_t fingerprint) {
-  util::WireWriter w;
-  for (const std::uint8_t byte : kBundleMagic) w.u8(byte);
-  w.u32(kBundleVersion);
-  w.u64(fingerprint);
-  w.u32(plan.id);
-  w.u32(static_cast<std::uint32_t>(plan.indices.size()));
-  for (std::size_t i = 0; i < plan.indices.size(); ++i) {
-    w.u64(plan.indices[i]);
-    w.u32(plan.warm_ref[i]);
-    encode_run_spec(w, specs[plan.indices[i]]);
-  }
-  w.u32(static_cast<std::uint32_t>(plan.warm_blobs.size()));
-  for (const auto& blob : plan.warm_blobs) w.blob(blob);
-  w.u64(fnv1a64(w.bytes()));
-  return w.take();
-}
-
-// --- spool manifest ----------------------------------------------------------
-
-/// The manifest text, or the "unplanned spool" diagnostic.
-std::string read_manifest_text(const std::string& dir) {
-  std::ifstream in(dir + "/MANIFEST", std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("no spool manifest in " + dir +
-                             " (run `sweep_shard plan` first?)");
-  }
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-SpoolManifest parse_spool_manifest(const std::string& dir) {
-  return parse_spool_manifest_text(read_manifest_text(dir), dir);
-}
-
-/// Complete (newline-terminated) lines of a partial part file; a torn
-/// trailing line from a killed worker is dropped.
-std::vector<std::string> complete_lines(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::string text{std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>()};
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\n') {
-      lines.push_back(text.substr(start, i - start));
-      start = i + 1;
+  return util::seal(kBundleMagic, kBundleVersion, [&](util::WireWriter& w) {
+    w.u64(fingerprint);
+    w.u32(plan.id);
+    w.u32(static_cast<std::uint32_t>(plan.indices.size()));
+    for (std::size_t i = 0; i < plan.indices.size(); ++i) {
+      w.u64(plan.indices[i]);
+      w.u32(plan.warm_ref[i]);
+      encode_run_spec(w, specs[plan.indices[i]]);
     }
-  }
-  return lines;
+    w.u32(static_cast<std::uint32_t>(plan.warm_blobs.size()));
+    for (const auto& blob : plan.warm_blobs) w.blob(blob);
+  });
 }
 
-void write_text_atomic(const std::string& path, const std::string& text) {
-  write_file_atomic(path, {reinterpret_cast<const std::uint8_t*>(text.data()),
-                           text.size()});
-}
+/// The sweep job kind (see `sweep_job`).
+class SweepJob final : public SpoolJob {
+ public:
+  SweepJob(SpoolTransport& transport, const SpoolManifest& manifest,
+           const Registry& registry, const WorkOptions& options)
+      : SpoolJob(manifest),
+        transport_(transport),
+        record_dir_(options.record_dir),
+        engine_(registry, engine_options(transport, options)) {
+    if (manifest.campaign) {
+      throw std::runtime_error(transport.describe() +
+                               " is a campaign spool, not a sweep spool");
+    }
+    if (!record_dir_.empty()) fs::create_directories(record_dir_);
+  }
+
+  std::vector<std::uint64_t> claim(const ClaimedShard& claimed) override {
+    bundle_ = parse_bundle_bytes(
+        claimed.payload, "shard bundle " + std::to_string(claimed.id) +
+                             " from " + transport_.describe());
+    // `run` finds a row by its index, so the indices must ascend strictly.
+    const auto& indices = bundle_.indices;
+    if (bundle_.fingerprint != manifest.fingerprint ||
+        bundle_.id != claimed.id ||
+        std::adjacent_find(indices.begin(), indices.end(),
+                           std::greater_equal<>()) != indices.end()) {
+      throw std::runtime_error("shard bundle " + std::to_string(claimed.id) +
+                               " does not belong to this spool");
+    }
+    return indices;
+  }
+
+  SpoolRow run(std::uint64_t index) override {
+    const std::size_t k = static_cast<std::size_t>(
+        std::lower_bound(bundle_.indices.begin(), bundle_.indices.end(),
+                         index) -
+        bundle_.indices.begin());
+    RunSpec spec = bundle_.specs[k];
+    SpoolRow row;
+    if (bundle_.warm_ref[k] >= 0) {
+      spec.resume_from =
+          bundle_.warm_states[static_cast<std::size_t>(bundle_.warm_ref[k])];
+      row.warm_resumed = true;
+    }
+    if (!record_dir_.empty()) {
+      // Recording forces the run cold and ring-less (bit-identical rows),
+      // so the .evt is the same artifact a scalar recording of this spec
+      // would produce; the global index names it.
+      spec.record_events_to =
+          record_dir_ + "/run-" + std::to_string(index) + ".evt";
+    }
+    const auto start = std::chrono::steady_clock::now();
+    const RunRecord record = engine_.run_one(spec, index);
+    const double wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+    row.csv = to_csv_row(record);
+    // Cost feedback for the next plan's scheduler; keyed on the bundle's
+    // spec (identical to the planner's), not the warm-resume copy.
+    row.cost = cost_line(bundle_.specs[k], record.cycles(), wall_seconds);
+    return row;
+  }
+
+ private:
+  static EngineOptions engine_options(SpoolTransport& transport,
+                                      const WorkOptions& options) {
+    EngineOptions engine_options;
+    if (options.ring_stride == 0) return engine_options;
+    // Checkpoint rings live next to the spool, so they need one: a remote
+    // transport has no shared directory to keep them in.
+    if (transport.local_dir().empty()) {
+      throw std::runtime_error(
+          "checkpoint rings need a filesystem spool "
+          "(drop --ring-stride when working over --connect)");
+    }
+    engine_options.checkpoint_ring = {.dir = transport.local_dir() + "/rings",
+                                      .stride = options.ring_stride,
+                                      .keep = options.ring_keep,
+                                      .resume = true};
+    return engine_options;
+  }
+
+  SpoolTransport& transport_;
+  std::string record_dir_;
+  Engine engine_;
+  ShardBundle bundle_;  ///< the last claim
+};
 
 }  // namespace
-
-SpoolManifest parse_spool_manifest_text(const std::string& text,
-                                        const std::string& what) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kManifestHeader) {
-    throw std::runtime_error("malformed spool manifest in " + what);
-  }
-  SpoolManifest manifest;
-  while (std::getline(in, line)) {
-    std::istringstream fields(line);
-    std::string tag;
-    fields >> tag;
-    if (tag == "fingerprint") {
-      std::string hex;
-      fields >> hex;
-      manifest.fingerprint = std::strtoull(hex.c_str(), nullptr, 16);
-    } else if (tag == "specs") {
-      fields >> manifest.specs;
-    } else if (tag == "shards") {
-      continue;  // redundant with the shard rows; kept for readability
-    } else if (tag == "shard") {
-      SpoolManifest::Row row;
-      std::string hex;
-      fields >> row.id >> row.specs >> hex;
-      if (fields.fail() || hex.empty()) {
-        throw std::runtime_error("malformed shard row in spool manifest: " +
-                                 line);
-      }
-      row.bundle_hash = std::strtoull(hex.c_str(), nullptr, 16);
-      manifest.shards.push_back(row);
-    } else if (!tag.empty()) {
-      throw std::runtime_error("unknown spool manifest directive: " + line);
-    }
-  }
-  if (manifest.shards.empty()) {
-    throw std::runtime_error("spool manifest lists no shards in " + what);
-  }
-  return manifest;
-}
 
 // --- cost model --------------------------------------------------------------
 
@@ -278,8 +264,8 @@ std::string cost_line(const RunSpec& spec, std::uint64_t cycles,
                       double wall_seconds) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.9e", wall_seconds);
-  return "cost " + hex64(spec_cost_key(spec)) + " " + spec.workload + " " +
-         std::to_string(cycles) + " " + buffer;
+  return "cost " + util::hex64(spec_cost_key(spec)) + " " + spec.workload +
+         " " + std::to_string(cycles) + " " + buffer;
 }
 
 void CostModel::add(std::uint64_t key, const std::string& workload,
@@ -372,18 +358,7 @@ PlanResult plan_spool(const std::string& dir, const std::vector<RunSpec>& specs,
   if (specs.empty()) {
     throw std::invalid_argument("plan_spool: empty spec list");
   }
-  if (fs::exists(dir + "/MANIFEST")) {
-    throw std::runtime_error("spool " + dir +
-                             " is already planned; use a fresh directory");
-  }
-  for (const char* sub : {"/queue", "/claimed", "/done", "/parts", "/rings"}) {
-    std::error_code ec;
-    fs::create_directories(dir + sub, ec);
-    if (ec) {
-      throw std::runtime_error("cannot create spool directory " + dir + sub +
-                               ": " + ec.message());
-    }
-  }
+  create_spool_dirs(dir);
 
   // Scheduling units: an identical-prefix group (the engine's warm-start
   // grouping rule) stays on one shard so its members share the shipped
@@ -511,55 +486,31 @@ PlanResult plan_spool(const std::string& dir, const std::vector<RunSpec>& specs,
     bundles = std::move(renumbered);
   }
 
-  const std::uint64_t fingerprint = spec_fingerprint(specs);
-  std::ostringstream manifest;
-  manifest << kManifestHeader << '\n';
-  manifest << "fingerprint " << hex64(fingerprint) << '\n';
-  manifest << "specs " << specs.size() << '\n';
-  manifest << "shards " << shard_count << '\n';
+  SpoolManifest manifest;
+  manifest.fingerprint = spec_fingerprint(specs);
+  manifest.specs = specs.size();
   for (const BundlePlan& bundle : bundles) {
-    const auto bytes = serialize_bundle(bundle, specs, fingerprint);
+    const auto bytes = serialize_bundle(bundle, specs, manifest.fingerprint);
     write_file_atomic(dir + "/queue/" + shard_name(bundle.id) + ".bundle",
                       bytes);
-    manifest << "shard " << bundle.id << ' ' << bundle.indices.size() << ' '
-             << hex64(fnv1a64(bytes)) << '\n';
+    manifest.shards.push_back(
+        {.id = bundle.id, .specs = bundle.indices.size(),
+         .bundle_hash = fnv1a64(bytes)});
   }
   // The manifest is written last: a spool without one is unplanned, never
   // half-planned.
-  write_text_atomic(dir + "/MANIFEST", manifest.str());
+  write_text_atomic(dir + "/MANIFEST", spool_manifest_text(manifest));
 
   result.specs = specs.size();
   result.shards = shard_count;
-  result.fingerprint = fingerprint;
+  result.fingerprint = manifest.fingerprint;
   return result;
-}
-
-ShardBundle load_bundle(const std::string& path, bool load_warm_states) {
-  const std::vector<std::uint8_t> bytes = read_file_bytes(path);
-  return parse_bundle_bytes(bytes, "shard bundle " + path, load_warm_states);
 }
 
 ShardBundle parse_bundle_bytes(std::span<const std::uint8_t> bytes,
                                const std::string& what,
                                bool load_warm_states) {
-  if (bytes.size() < sizeof(kBundleMagic) + 8) {
-    throw std::invalid_argument(what + ": truncated image");
-  }
-  const std::uint64_t stored_hash =
-      util::WireReader({bytes.data() + bytes.size() - 8, 8}).u64();
-  if (fnv1a64({bytes.data(), bytes.size() - 8}) != stored_hash) {
-    throw std::invalid_argument(what +
-                                ": content hash mismatch (corrupt spool?)");
-  }
-  util::WireReader r({bytes.data(), bytes.size() - 8});
-  for (const std::uint8_t byte : kBundleMagic) {
-    if (r.u8() != byte) {
-      throw std::invalid_argument(what + ": bad magic");
-    }
-  }
-  if (r.u32() != kBundleVersion) {
-    throw std::invalid_argument(what + ": unsupported version");
-  }
+  util::WireReader r = util::unseal(bytes, kBundleMagic, kBundleVersion, what);
   ShardBundle bundle;
   bundle.fingerprint = r.u64();
   bundle.id = r.u32();
@@ -588,189 +539,19 @@ ShardBundle parse_bundle_bytes(std::span<const std::uint8_t> bytes,
   return bundle;
 }
 
+std::unique_ptr<SpoolJob> sweep_job(SpoolTransport& transport,
+                                    const SpoolManifest& manifest,
+                                    const Registry& registry,
+                                    const WorkOptions& options) {
+  return std::make_unique<SweepJob>(transport, manifest, registry, options);
+}
+
 WorkReport work_spool(const std::string& dir, const Registry& registry,
                       const WorkOptions& options) {
   FsTransport transport(dir);
-  return work_spool_transport(transport, registry, options);
-}
-
-WorkReport work_spool_transport(SpoolTransport& transport,
-                                const Registry& registry,
-                                const WorkOptions& options) {
-  const SpoolManifest manifest =
-      parse_spool_manifest_text(transport.manifest_text(),
-                               transport.describe());
-  const std::string worker =
-      options.worker_id.empty() ? std::to_string(::getpid())
-                                : options.worker_id;
-
-  if (options.resume) transport.adopt_orphans();
-
-  if (!options.record_dir.empty()) fs::create_directories(options.record_dir);
-
-  EngineOptions engine_options;
-  if (options.ring_stride != 0) {
-    // Checkpoint rings live next to the spool, so they need one: a remote
-    // transport has no shared directory to keep them in.
-    if (transport.local_dir().empty()) {
-      throw std::runtime_error(
-          "checkpoint rings need a filesystem spool "
-          "(drop --ring-stride when working over --connect)");
-    }
-    engine_options.checkpoint_ring.dir = transport.local_dir() + "/rings";
-    engine_options.checkpoint_ring.stride = options.ring_stride;
-    engine_options.checkpoint_ring.keep = options.ring_keep;
-    engine_options.checkpoint_ring.resume = true;
-  }
-  const Engine engine(registry, engine_options);
-
-  WorkReport report;
-  while (options.max_shards == 0 ||
-         report.shards_completed < options.max_shards) {
-    const auto claimed = transport.claim(worker);
-    if (!claimed) break;  // queue drained (or raced dry)
-    if (claimed->kind != "bundle") {
-      throw std::runtime_error("shard " + std::to_string(claimed->id) +
-                               " is not a sweep bundle (campaign spool?)");
-    }
-
-    const ShardBundle bundle = parse_bundle_bytes(
-        claimed->payload,
-        "shard bundle " + std::to_string(claimed->id) + " from " +
-            transport.describe());
-    if (bundle.fingerprint != manifest.fingerprint) {
-      throw std::runtime_error("shard bundle " + std::to_string(bundle.id) +
-                               " does not belong to this spool");
-    }
-
-    std::vector<std::string> rows = claimed->rows;
-    if (rows.size() > bundle.specs.size()) {
-      throw std::runtime_error("partial part of shard " +
-                               std::to_string(bundle.id) +
-                               " has more rows than the shard has specs");
-    }
-    report.rows_reused += rows.size();
-
-    // Rows already present are skipped, not re-run: they are
-    // deterministic, so adopting them is byte-identical and a resumed
-    // spool never repeats finished work.
-    for (std::size_t k = rows.size(); k < bundle.specs.size(); ++k) {
-      transport.heartbeat(bundle.id);
-      RunSpec spec = bundle.specs[k];
-      if (bundle.warm_ref[k] >= 0) {
-        spec.resume_from = bundle.warm_states[
-            static_cast<std::size_t>(bundle.warm_ref[k])];
-        report.warm_resumed += 1;
-      }
-      if (!options.record_dir.empty()) {
-        // Recording forces the run cold and ring-less (bit-identical
-        // rows), so the .evt is the same artifact a scalar recording of
-        // this spec would produce; the global index names it.
-        spec.record_events_to = options.record_dir + "/run-" +
-                                std::to_string(bundle.indices[k]) + ".evt";
-      }
-      const auto start = std::chrono::steady_clock::now();
-      const RunRecord record = engine.run_one(spec, bundle.indices[k]);
-      const double wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      const std::string row = to_csv_row(record);
-      transport.append_row(bundle.id, row);
-      // Cost feedback for the next plan's scheduler; keyed on the
-      // bundle's spec (identical to the planner's), not the warm-resume
-      // copy.
-      transport.append_cost(
-          bundle.id, cost_line(bundle.specs[k], record.cycles(), wall_seconds));
-      rows.push_back(row);
-      report.runs_executed += 1;
-    }
-
-    std::string part_text;
-    for (const std::string& row : rows) part_text += row + '\n';
-    transport.complete(bundle.id, fnv1a64({reinterpret_cast<const std::uint8_t*>(
-                                               part_text.data()),
-                                           part_text.size()}));
-    report.shards_completed += 1;
-  }
-  return report;
-}
-
-std::string merge_spool(const std::string& dir) {
-  FsTransport transport(dir);
-  return merge_spool_transport(transport);
-}
-
-std::string merge_spool_transport(SpoolTransport& transport) {
-  const SpoolManifest manifest =
-      parse_spool_manifest_text(transport.manifest_text(),
-                               transport.describe());
-  std::vector<std::string> rows(manifest.specs);
-  std::vector<bool> filled(manifest.specs, false);
-  for (const SpoolManifest::Row& row : manifest.shards) {
-    const std::string part = transport.part_text(row.id);
-    const ShardBundle bundle = parse_bundle_bytes(
-        transport.fetch_blob(shard_name(row.id) + ".bundle"),
-        "shard bundle " + std::to_string(row.id) + " from " +
-            transport.describe(),
-        /*load_warm_states=*/false);
-    const std::vector<std::string> lines = split_complete_lines(part);
-    if (lines.size() != bundle.indices.size()) {
-      throw std::runtime_error(
-          "cannot merge: part of shard " + std::to_string(row.id) + " has " +
-          std::to_string(lines.size()) + " rows, bundle expects " +
-          std::to_string(bundle.indices.size()));
-    }
-    for (std::size_t k = 0; k < lines.size(); ++k) {
-      const std::uint64_t index = bundle.indices[k];
-      if (index >= rows.size() || filled[index]) {
-        throw std::runtime_error("cannot merge: shard " +
-                                 std::to_string(row.id) +
-                                 " covers an invalid or duplicate spec index");
-      }
-      rows[index] = lines[k];
-      filled[index] = true;
-    }
-  }
-  for (std::size_t i = 0; i < filled.size(); ++i) {
-    if (!filled[i]) {
-      throw std::runtime_error("cannot merge: spec " + std::to_string(i) +
-                               " is covered by no shard");
-    }
-  }
-  std::string out = csv_header() + '\n';
-  for (const std::string& row : rows) out += row + '\n';
-  return out;
-}
-
-SpoolStatus spool_status(const std::string& dir) {
-  const SpoolManifest manifest = parse_spool_manifest(dir);
-  SpoolStatus status;
-  status.fingerprint = manifest.fingerprint;
-  status.specs = manifest.specs;
-  for (const SpoolManifest::Row& row : manifest.shards) {
-    ShardState shard;
-    shard.id = row.id;
-    shard.specs = row.specs;
-    const std::string name = shard_name(row.id);
-    if (fs::exists(dir + "/done/" + name + ".bundle")) {
-      shard.state = "done";
-    } else if (fs::exists(dir + "/claimed/" + name + ".bundle")) {
-      shard.state = "claimed";
-      std::ifstream owner(dir + "/claimed/" + name + ".owner");
-      std::getline(owner, shard.owner);
-    } else if (fs::exists(dir + "/queue/" + name + ".bundle")) {
-      shard.state = "queued";
-    } else {
-      shard.state = "lost";
-    }
-    shard.part_final =
-        fs::exists(dir + "/parts/" + part_name(row.id) + ".csv");
-    shard.partial_rows =
-        complete_lines(dir + "/parts/" + part_name(row.id) + ".partial").size();
-    status.shards.push_back(std::move(shard));
-  }
-  return status;
+  SweepJob job(transport, read_spool_manifest(transport), registry, options);
+  return drain_spool(transport, job, options.worker_id, options.resume,
+                     options.max_shards, /*jobs=*/1);
 }
 
 }  // namespace ulpsync::scenario

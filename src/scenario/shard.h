@@ -1,38 +1,19 @@
 #pragma once
 
-/// Cross-process sharded sweeps: the on-disk *work spool*.
+/// Cross-process sharded sweeps: the *sweep* kind of the indexed-job spool
+/// (scenario/spool.h).
 ///
-/// A spool is a directory holding one planned sweep, split into
-/// self-contained shard bundles that independent worker processes claim
-/// and execute:
-///
-///     spool/
-///       MANIFEST                  spool manifest (version, fingerprint,
-///                                 shard table) — written last at plan time
-///       queue/shard-0002.bundle   unclaimed shard bundles
-///       claimed/shard-0002.bundle a worker claimed it (atomic rename)
-///       claimed/shard-0002.owner  informational: who claimed it
-///       done/shard-0002.bundle    shard finished, its part file is final
-///       parts/part-0002.partial   rows appended as the shard's runs finish
-///       parts/part-0002.csv       the shard's finished rows (atomic rename)
-///       rings/run-<index>/        per-run checkpoint rings (work with a
-///                                 ring stride; see checkpoint_ring.h)
-///
-/// A bundle carries its specs *with their global sweep indices* plus one
-/// serialized `WarmState` per identical-prefix group (`warm_group_key`)
-/// captured at plan time, so every worker — in any process, on any machine
-/// sharing the filesystem — resumes the group's shared prefix instead of
-/// re-simulating it. The planner keeps each group on one shard and
-/// balances shards by spec count; planning is fully deterministic.
-///
-/// Claiming is one atomic `rename(queue/X, claimed/X)`: exactly one worker
-/// wins, losers move to the next bundle, and no locks or daemons are
-/// involved. Workers append each finished run's CSV row to the shard's
-/// `.partial` file, so a SIGKILLed worker loses at most the run in flight;
-/// `work` with `resume` re-queues orphaned claims, reuses the complete
-/// rows of their partial files (rows are deterministic, so reuse is
-/// byte-identical), and continues interrupted long runs from their
-/// checkpoint rings. `merge` assembles the parts into one CSV that is
+/// A sweep spool's shards are self-contained bundles that carry their
+/// specs *with their global sweep indices* plus one serialized `WarmState`
+/// per identical-prefix group (`warm_group_key`) captured at plan time, so
+/// every worker — in any process, on any machine sharing the filesystem —
+/// resumes the group's shared prefix instead of re-simulating it. The
+/// planner keeps each group on one shard and balances shards by spec count
+/// (or by predicted seconds, given a cost model); planning is fully
+/// deterministic. Each row is one engine run; workers stream a `cost` line
+/// per run back into the spool, and with a ring stride interrupted long
+/// runs continue from their checkpoint rings under `rings/run-<index>/`.
+/// `merge_spool` assembles the parts into one CSV that is
 /// **byte-identical** to `to_csv` of a single-process sweep of the same
 /// specs, no matter how many workers ran, died, or resumed.
 
@@ -46,11 +27,10 @@
 #include "scenario/engine.h"
 #include "scenario/registry.h"
 #include "scenario/spec.h"
+#include "scenario/spool.h"
 #include "util/wire.h"
 
 namespace ulpsync::scenario {
-
-class SpoolTransport;  // scenario/transport.h
 
 // --- cost model --------------------------------------------------------------
 
@@ -167,65 +147,27 @@ struct WorkOptions {
   std::string record_dir;
 };
 
-/// What one `work_spool` call did.
-struct WorkReport {
-  std::size_t shards_completed = 0;
-  std::size_t runs_executed = 0;
-  std::size_t rows_reused = 0;    ///< rows adopted from partial part files
-  std::size_t warm_resumed = 0;   ///< runs resumed from shipped WarmStates
-};
+/// The sweep job kind over `transport` (see `SpoolJob`): each row is one
+/// `Engine::run_one` of its bundle's spec, resumed from the bundle's
+/// shipped WarmState when it has one, with a `cost` line per run. Throws
+/// std::runtime_error when `manifest` is not a sweep spool's, or when
+/// `options` asks for checkpoint rings on a transport without a local
+/// directory.
+[[nodiscard]] std::unique_ptr<SpoolJob> sweep_job(SpoolTransport& transport,
+                                                  const SpoolManifest& manifest,
+                                                  const Registry& registry,
+                                                  const WorkOptions& options);
 
 /// Claims and executes shards until the queue is empty (or `max_shards` is
-/// reached). Safe to call concurrently from any number of processes or
-/// threads on the same spool. Throws std::runtime_error on a corrupt
-/// spool or an I/O failure; individual run failures surface as "error"
-/// rows, exactly as in a single-process sweep. The `dir` overload works
-/// the directory through the filesystem transport; the transport overload
-/// works any `SpoolTransport` (a TCP coordinator included) with identical
-/// row bytes.
+/// reached) — `drain_spool` of the sweep job over the spool directory.
+/// Safe to call concurrently from any number of processes or threads on
+/// the same spool. Throws std::runtime_error on a corrupt spool or an I/O
+/// failure; individual run failures surface as "error" rows, exactly as
+/// in a single-process sweep.
 WorkReport work_spool(const std::string& dir, const Registry& registry,
                       const WorkOptions& options = {});
-WorkReport work_spool_transport(SpoolTransport& transport,
-                                const Registry& registry,
-                                const WorkOptions& options = {});
 
-/// Assembles the finished parts into the sweep's CSV — byte-identical to
-/// `to_csv` of a single-process run of the planned specs. Throws
-/// std::runtime_error when any shard's part is missing or inconsistent.
-[[nodiscard]] std::string merge_spool(const std::string& dir);
-/// The same merge through any transport (a TCP coordinator included).
-[[nodiscard]] std::string merge_spool_transport(SpoolTransport& transport);
-
-/// One shard's observable state, for `spool_status`.
-struct ShardState {
-  unsigned id = 0;
-  std::size_t specs = 0;
-  std::string state;            ///< "queued", "claimed", "done", or "lost"
-  std::string owner;            ///< contents of the `.owner` file, if any
-  bool part_final = false;      ///< the shard's `.csv` part exists
-  std::size_t partial_rows = 0; ///< complete rows in its `.partial` file
-};
-
-/// Spool-level progress summary.
-struct SpoolStatus {
-  std::uint64_t fingerprint = 0;
-  std::size_t specs = 0;
-  std::vector<ShardState> shards;
-
-  /// True when every shard's part file is final (`merge_spool` will work).
-  [[nodiscard]] bool complete() const {
-    for (const ShardState& shard : shards) {
-      if (!shard.part_final) return false;
-    }
-    return true;
-  }
-};
-
-/// Reads the manifest and the shard files' states. Throws
-/// std::runtime_error on a missing or malformed manifest.
-[[nodiscard]] SpoolStatus spool_status(const std::string& dir);
-
-/// One loaded shard bundle (exposed for tests and `status`; workers use
+/// One loaded shard bundle (exposed for tests and tools; workers use
 /// `work_spool`). `warm_ref[i]` indexes `warm_states`, or is negative when
 /// spec `i` runs cold.
 struct ShardBundle {
@@ -237,40 +179,16 @@ struct ShardBundle {
   std::vector<std::shared_ptr<const WarmState>> warm_states;
 };
 
-/// Parses and validates a bundle file (magic, version, trailing content
-/// hash). Throws std::invalid_argument on truncation or corruption and
-/// std::runtime_error when unreadable. `load_warm_states = false` skips
-/// deserializing the shipped snapshots (they can dwarf the spec table) —
-/// what `merge_spool`/`spool_status` use, since they only need indices;
-/// the content hash still validates the whole image either way.
-[[nodiscard]] ShardBundle load_bundle(const std::string& path,
-                                      bool load_warm_states = true);
-
-/// The same parse over an in-memory image — what transports that stream
-/// bundles over the wire (and `load_bundle`) validate with. `what` names
-/// the image in diagnostics.
+/// Parses and validates a bundle image (magic, version, trailing content
+/// hash), read from disk or streamed over a transport alike; `what` names
+/// the image in diagnostics. Throws std::invalid_argument on truncation or
+/// corruption. `load_warm_states = false` skips deserializing the shipped
+/// snapshots (they can dwarf the spec table) — what `merge_spool` uses,
+/// since it only needs indices; the content hash still validates the
+/// whole image either way.
 [[nodiscard]] ShardBundle parse_bundle_bytes(
     std::span<const std::uint8_t> bytes, const std::string& what,
     bool load_warm_states = true);
-
-/// The spool manifest, parsed. Exposed so transports can serve the
-/// manifest as text and workers can parse it wherever it came from.
-struct SpoolManifest {
-  std::uint64_t fingerprint = 0;
-  std::size_t specs = 0;
-  /// One shard-table line: id, spec count, bundle content hash.
-  struct Row {
-    unsigned id = 0;
-    std::size_t specs = 0;
-    std::uint64_t bundle_hash = 0;
-  };
-  std::vector<Row> shards;
-};
-
-/// Parses a sweep-spool manifest from its text. `what` names the spool in
-/// diagnostics. Throws std::runtime_error on a malformed manifest.
-[[nodiscard]] SpoolManifest parse_spool_manifest_text(const std::string& text,
-                                                      const std::string& what);
 
 /// Stable wire encoding of one RunSpec — the codec shard bundles store
 /// specs with, shared with the recorded-run envelope (scenario/replay.h).

@@ -6,7 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cinttypes>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -16,41 +16,13 @@
 #include <utility>
 
 #include "scenario/checkpoint_ring.h"
-#include "scenario/resilience.h"
+#include "util/wire.h"
 
 namespace ulpsync::scenario {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string shard_stem(unsigned id) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "shard-%04u", id);
-  return buffer;
-}
-
-std::string part_stem(unsigned id) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "part-%04u", id);
-  return buffer;
-}
-
-std::string hex64(std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, value);
-  return buffer;
-}
-
-std::uint64_t text_fnv(const std::string& text) {
-  return fnv1a64({reinterpret_cast<const std::uint8_t*>(text.data()),
-                  text.size()});
-}
-
-void write_text_atomic(const std::string& path, const std::string& text) {
-  write_file_atomic(path, {reinterpret_cast<const std::uint8_t*>(text.data()),
-                           text.size()});
-}
 
 /// Atomic claim: true when this caller renamed the file (and therefore
 /// owns it); false when another worker got there first.
@@ -64,6 +36,11 @@ std::string read_text_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return {};
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// `text` up to and including its last newline: its complete lines.
+std::string complete_prefix(const std::string& text) {
+  return text.substr(0, text.rfind('\n') + 1);
 }
 
 /// The shard claim extensions a spool can hold: sweep bundles and
@@ -88,6 +65,14 @@ std::vector<std::string> claimable_entries(const std::string& dir) {
 /// "shard-0007.bundle" -> 7.
 unsigned id_of_entry(const std::string& name) {
   return static_cast<unsigned>(std::strtoul(name.c_str() + 6, nullptr, 10));
+}
+
+/// The rest of a space-separated line, without its separating space.
+std::string rest_of_line(std::istringstream& fields) {
+  std::string rest;
+  std::getline(fields, rest);
+  if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
+  return rest;
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control bytes).
@@ -117,27 +102,14 @@ std::string fixed3(double value) {
 
 }  // namespace
 
-std::vector<std::string> split_complete_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\n') {
-      lines.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return lines;
-}
-
 // --- filesystem transport ----------------------------------------------------
 
 std::string FsTransport::manifest_text() {
-  std::ifstream in(dir_ + "/MANIFEST", std::ios::binary);
-  if (!in) {
+  if (!fs::exists(dir_ + "/MANIFEST")) {
     throw std::runtime_error("no spool manifest in " + dir_ +
                              " (run `sweep_shard plan` first?)");
   }
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  return read_text_file(dir_ + "/MANIFEST");
 }
 
 std::vector<std::uint8_t> FsTransport::fetch_blob(const std::string& name) {
@@ -168,14 +140,13 @@ std::optional<ClaimedShard> FsTransport::claim(const std::string& worker_id) {
     write_text_atomic(dir_ + "/claimed/" + stem + ".owner", worker_id + "\n");
     claimed.payload = read_file_bytes(dir_ + "/claimed/" + name);
     const std::string partial_path =
-        dir_ + "/parts/" + part_stem(claimed.id) + ".partial";
+        dir_ + "/parts/" + part_name(claimed.id) + ".partial";
     const std::string partial = read_text_file(partial_path);
-    claimed.rows = split_complete_lines(partial);
     // A killed worker may have left a torn trailing row in the partial;
     // truncate back to the adopted complete lines so fresh appends never
     // concatenate onto the fragment.
-    std::string adopted;
-    for (const std::string& row : claimed.rows) adopted += row + "\n";
+    const std::string adopted = complete_prefix(partial);
+    claimed.rows = split_complete_lines(adopted);
     if (adopted != partial) {
       if (adopted.empty()) {
         std::error_code ec;
@@ -194,7 +165,7 @@ void FsTransport::heartbeat(unsigned id) {
 }
 
 void FsTransport::append_row(unsigned id, const std::string& row) {
-  const std::string partial = dir_ + "/parts/" + part_stem(id) + ".partial";
+  const std::string partial = dir_ + "/parts/" + part_name(id) + ".partial";
   std::ofstream out(partial, std::ios::binary | std::ios::app);
   out << row << '\n' << std::flush;
   if (!out) throw std::runtime_error("cannot append to " + partial);
@@ -205,58 +176,54 @@ void FsTransport::append_cost(unsigned id, const std::string& line) {
   // uniform split, so I/O failures here are deliberately not fatal.
   std::error_code ec;
   fs::create_directories(dir_ + "/costs", ec);
-  std::ofstream out(dir_ + "/costs/" + part_stem(id) + ".cost",
+  std::ofstream out(dir_ + "/costs/" + part_name(id) + ".cost",
                     std::ios::binary | std::ios::app);
   out << line << '\n' << std::flush;
 }
 
 void FsTransport::complete(unsigned id, std::uint64_t part_hash) {
-  const std::string partial = dir_ + "/parts/" + part_stem(id) + ".partial";
-  const std::vector<std::string> rows =
-      split_complete_lines(read_text_file(partial));
-  std::string part_text;
-  for (const std::string& row : rows) part_text += row + '\n';
-  if (text_fnv(part_text) != part_hash) {
+  const std::string partial = dir_ + "/parts/" + part_name(id) + ".partial";
+  const std::string part_text = complete_prefix(read_text_file(partial));
+  if (util::fnv1a64(part_text) != part_hash) {
     throw std::runtime_error("part of shard " + std::to_string(id) +
                              " failed its content hash (truncated upload?)");
   }
-  write_text_atomic(dir_ + "/parts/" + part_stem(id) + ".csv", part_text);
+  write_text_atomic(dir_ + "/parts/" + part_name(id) + ".csv", part_text);
   std::error_code ec;
   fs::remove(partial, ec);
-  const std::string stem = shard_stem(id);
+  release(id);  // the part is final: the claim moves to done/
+}
+
+bool FsTransport::release(unsigned id) {
+  // A claim whose part is final belongs in done/ (a worker killed between
+  // the two renames never moved it). Anything else goes back to the
+  // queue; its partial rows stay for the next claimer to adopt, so a
+  // vanished worker costs at most the rows in flight.
+  const std::string stem = shard_name(id);
+  const bool final = fs::exists(dir_ + "/parts/" + part_name(id) + ".csv");
+  const std::string to = dir_ + (final ? "/done/" : "/queue/") + stem;
+  bool requeued = false;
   for (const char* ext : kClaimExtensions) {
     const std::string claimed = dir_ + "/claimed/" + stem + ext;
-    if (fs::exists(claimed)) {
-      try_rename(claimed, dir_ + "/done/" + stem + ext);
+    if (fs::exists(claimed) && try_rename(claimed, to + ext)) {
+      requeued = !final;
     }
   }
+  std::error_code ec;
   fs::remove(dir_ + "/claimed/" + stem + ".owner", ec);
+  return requeued;
 }
 
 std::size_t FsTransport::adopt_orphans() {
-  // Re-queue orphaned claims. A claim whose part became final just never
-  // got its bundle moved (killed between the two renames): finish the
-  // move. Anything else goes back to the queue; its partial rows are
-  // kept for reuse.
   std::size_t requeued = 0;
   for (const std::string& name : claimable_entries(dir_ + "/claimed")) {
-    const unsigned id = id_of_entry(name);
-    const std::string ext = fs::path(name).extension().string();
-    const std::string stem = name.substr(0, name.size() - ext.size());
-    const std::string claimed = dir_ + "/claimed/" + name;
-    std::error_code ec;
-    if (fs::exists(dir_ + "/parts/" + part_stem(id) + ".csv")) {
-      try_rename(claimed, dir_ + "/done/" + name);
-    } else if (try_rename(claimed, dir_ + "/queue/" + name)) {
-      requeued += 1;
-    }
-    fs::remove(dir_ + "/claimed/" + stem + ".owner", ec);
+    if (release(id_of_entry(name))) requeued += 1;
   }
   return requeued;
 }
 
 std::string FsTransport::part_text(unsigned id) {
-  const std::string part = dir_ + "/parts/" + part_stem(id) + ".csv";
+  const std::string part = dir_ + "/parts/" + part_name(id) + ".csv";
   if (!fs::exists(part)) {
     throw std::runtime_error("cannot merge: part of shard " +
                              std::to_string(id) + " is not finished (" + part +
@@ -266,13 +233,35 @@ std::string FsTransport::part_text(unsigned id) {
 }
 
 TransportStatus FsTransport::status() {
+  const SpoolManifest manifest = read_spool_manifest(*this);
   TransportStatus status;
-  status.campaign = is_campaign_spool(dir_);
-  status.spool =
-      status.campaign ? campaign_spool_status(dir_) : spool_status(dir_);
-  for (const ShardState& shard : status.spool.shards) {
+  status.campaign = manifest.campaign;
+  status.spool.fingerprint = manifest.fingerprint;
+  status.spool.specs = manifest.specs;
+  for (const SpoolManifest::Row& row : manifest.shards) {
+    ShardState shard;
+    shard.id = row.id;
+    shard.specs = row.specs;
+    const std::string stem = shard_name(row.id);
+    const std::string name = stem + "." + manifest.shard_kind();
+    if (fs::exists(dir_ + "/done/" + name)) {
+      shard.state = "done";
+    } else if (fs::exists(dir_ + "/claimed/" + name)) {
+      shard.state = "claimed";
+      std::ifstream owner(dir_ + "/claimed/" + stem + ".owner");
+      std::getline(owner, shard.owner);
+    } else if (fs::exists(dir_ + "/queue/" + name)) {
+      shard.state = "queued";
+    } else {
+      shard.state = "lost";
+    }
+    const std::string part = dir_ + "/parts/" + part_name(row.id);
+    shard.part_final = fs::exists(part + ".csv");
+    shard.partial_rows =
+        split_complete_lines(read_text_file(part + ".partial")).size();
     status.rows_done += shard.part_final ? shard.specs : shard.partial_rows;
     if (shard.state == "queued") status.queue_depth += 1;
+    status.spool.shards.push_back(std::move(shard));
   }
   return status;
 }
@@ -284,7 +273,8 @@ std::string status_json(const TransportStatus& status) {
   out << "{\n";
   out << "  \"kind\": \"" << (status.campaign ? "campaign" : "sweep")
       << "\",\n";
-  out << "  \"fingerprint\": \"" << hex64(status.spool.fingerprint) << "\",\n";
+  out << "  \"fingerprint\": \"" << util::hex64(status.spool.fingerprint)
+      << "\",\n";
   out << "  \"" << (status.campaign ? "faults" : "specs")
       << "\": " << status.spool.specs << ",\n";
   out << "  \"rows_done\": " << status.rows_done << ",\n";
@@ -326,7 +316,7 @@ std::string serialize_transport_status(const TransportStatus& status) {
   std::ostringstream out;
   out << "ulpsync-status v1\n";
   out << "campaign " << (status.campaign ? 1 : 0) << '\n';
-  out << "fingerprint " << hex64(status.spool.fingerprint) << '\n';
+  out << "fingerprint " << util::hex64(status.spool.fingerprint) << '\n';
   out << "specs " << status.spool.specs << '\n';
   out << "rows_done " << status.rows_done << '\n';
   out << "queue_depth " << status.queue_depth << '\n';
@@ -380,18 +370,12 @@ TransportStatus parse_transport_status(const std::string& text) {
       fields >> shard.id >> shard.specs >> part_final >> shard.partial_rows >>
           shard.state;
       shard.part_final = part_final != 0;
-      std::getline(fields, shard.owner);
-      if (!shard.owner.empty() && shard.owner.front() == ' ') {
-        shard.owner.erase(0, 1);
-      }
+      shard.owner = rest_of_line(fields);
       status.spool.shards.push_back(std::move(shard));
     } else if (tag == "worker") {
       WorkerRate worker;
       fields >> worker.rows >> worker.rows_per_second;
-      std::getline(fields, worker.worker);
-      if (!worker.worker.empty() && worker.worker.front() == ' ') {
-        worker.worker.erase(0, 1);
-      }
+      worker.worker = rest_of_line(fields);
       status.workers.push_back(std::move(worker));
     } else if (!tag.empty()) {
       throw std::runtime_error("malformed status reply line: " + line);
@@ -465,32 +449,25 @@ void TcpTransport::send_all(const std::string& text) {
   }
 }
 
-std::string TcpTransport::read_line() {
-  for (;;) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      return line;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      throw std::runtime_error("connection to " + describe_ + " closed");
-    }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+void TcpTransport::receive() {
+  char chunk[4096];
+  const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+  if (n <= 0) {
+    throw std::runtime_error("connection to " + describe_ + " closed");
   }
+  buffer_.append(chunk, static_cast<std::size_t>(n));
+}
+
+std::string TcpTransport::read_line() {
+  std::size_t newline;
+  while ((newline = buffer_.find('\n')) == std::string::npos) receive();
+  std::string line = buffer_.substr(0, newline);
+  buffer_.erase(0, newline + 1);
+  return line;
 }
 
 std::string TcpTransport::read_bytes(std::size_t count) {
-  while (buffer_.size() < count) {
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      throw std::runtime_error("connection to " + describe_ + " closed");
-    }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
-  }
+  while (buffer_.size() < count) receive();
   std::string bytes = buffer_.substr(0, count);
   buffer_.erase(0, count);
   return bytes;
@@ -505,22 +482,20 @@ std::string TcpTransport::request(const std::string& line) {
   return reply;
 }
 
-std::string TcpTransport::manifest_text() {
-  const std::string reply = request("MANIFEST");
+std::string TcpTransport::sized_request(const std::string& line) {
+  const std::string reply = request(line);
   std::size_t length = 0;
   if (std::sscanf(reply.c_str(), "OK %zu", &length) != 1) {
-    throw std::runtime_error("malformed MANIFEST reply from " + describe_);
+    throw std::runtime_error("malformed reply to " + line + " from " +
+                             describe_);
   }
   return read_bytes(length);
 }
 
+std::string TcpTransport::manifest_text() { return sized_request("MANIFEST"); }
+
 std::vector<std::uint8_t> TcpTransport::fetch_blob(const std::string& name) {
-  const std::string reply = request("BLOB " + name);
-  std::size_t length = 0;
-  if (std::sscanf(reply.c_str(), "OK %zu", &length) != 1) {
-    throw std::runtime_error("malformed BLOB reply from " + describe_);
-  }
-  const std::string bytes = read_bytes(length);
+  const std::string bytes = sized_request("BLOB " + name);
   return {bytes.begin(), bytes.end()};
 }
 
@@ -549,8 +524,8 @@ void TcpTransport::heartbeat(unsigned id) {
 void TcpTransport::append_row(unsigned id, const std::string& row) {
   // The per-row hash rejects a row truncated or mangled in flight before
   // it can reach the partial part.
-  request("ROW " + std::to_string(id) + " " + hex64(text_fnv(row)) + " " +
-          row);
+  request("ROW " + std::to_string(id) + " " +
+          util::hex64(util::fnv1a64(row)) + " " + row);
 }
 
 void TcpTransport::append_cost(unsigned id, const std::string& line) {
@@ -558,7 +533,7 @@ void TcpTransport::append_cost(unsigned id, const std::string& line) {
 }
 
 void TcpTransport::complete(unsigned id, std::uint64_t part_hash) {
-  request("DONE " + std::to_string(id) + " " + hex64(part_hash));
+  request("DONE " + std::to_string(id) + " " + util::hex64(part_hash));
 }
 
 std::size_t TcpTransport::adopt_orphans() {
@@ -571,21 +546,11 @@ std::size_t TcpTransport::adopt_orphans() {
 }
 
 std::string TcpTransport::part_text(unsigned id) {
-  const std::string reply = request("FINAL " + std::to_string(id));
-  std::size_t length = 0;
-  if (std::sscanf(reply.c_str(), "OK %zu", &length) != 1) {
-    throw std::runtime_error("malformed FINAL reply from " + describe_);
-  }
-  return read_bytes(length);
+  return sized_request("FINAL " + std::to_string(id));
 }
 
 TransportStatus TcpTransport::status() {
-  const std::string reply = request("STATUS");
-  std::size_t length = 0;
-  if (std::sscanf(reply.c_str(), "OK %zu", &length) != 1) {
-    throw std::runtime_error("malformed STATUS reply from " + describe_);
-  }
-  return parse_transport_status(read_bytes(length));
+  return parse_transport_status(sized_request("STATUS"));
 }
 
 // --- coordinator -------------------------------------------------------------
@@ -619,41 +584,67 @@ void SpoolServer::start() {
 }
 
 void SpoolServer::stop() {
-  if (listen_fd_ < 0 && !accept_thread_.joinable()) return;
+  if (!accept_thread_.joinable()) return;  // never started, or stopped
+  // Shut down, join, then close: the accept thread reads `listen_fd_`
+  // until it is joined, so the descriptor is released only after that.
   stopping_ = true;
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<int> fds;
-  std::vector<std::thread> threads;
+  ::shutdown(listen_fd_, SHUT_RDWR);  // wakes the blocked accept()
+  accept_thread_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+  std::map<int, Connection> connections;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    fds = conn_fds_;
-    threads = std::move(conn_threads_);
+    connections = std::move(connections_);
+    connections_.clear();
   }
-  for (const int fd : fds) ::shutdown(fd, SHUT_RDWR);
-  for (std::thread& thread : threads) {
-    if (thread.joinable()) thread.join();
+  // Every descriptor here is still open (see `reap`), so shutting one down
+  // can never hit a recycled fd.
+  for (const auto& [fd, connection] : connections) ::shutdown(fd, SHUT_RDWR);
+  for (auto& [fd, connection] : connections) {
+    connection.thread.join();
+    ::close(fd);
   }
 }
 
 void SpoolServer::accept_loop() {
   while (!stopping_) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    reap();
     if (fd < 0) {
       if (stopping_) break;
-      continue;  // transient accept failure (EINTR)
+      // EINTR retries at once; a persistent failure (EMFILE: out of
+      // descriptors) backs off instead of spinning.
+      if (errno != EINTR) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+      continue;
     }
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
       ::close(fd);
       break;
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
+    connections_[fd].thread = std::thread([this, fd] { serve_connection(fd); });
+  }
+}
+
+void SpoolServer::reap() {
+  std::vector<std::pair<int, std::thread>> finished;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      if (it->second.finished) {
+        finished.emplace_back(it->first, std::move(it->second.thread));
+        it = connections_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  for (auto& [fd, thread] : finished) {
+    thread.join();
+    ::close(fd);  // served descriptors close only after their join
   }
 }
 
@@ -677,7 +668,6 @@ void SpoolServer::serve_connection(int fd) {
       const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
       if (n <= 0) {
         release_connection(fd);
-        ::close(fd);
         return;
       }
       buffer.append(chunk, static_cast<std::size_t>(n));
@@ -695,7 +685,6 @@ void SpoolServer::serve_connection(int fd) {
     }
     if (!send_text(reply + "\n" + payload)) {
       release_connection(fd);
-      ::close(fd);
       return;
     }
   }
@@ -706,28 +695,23 @@ std::string SpoolServer::handle(int fd, const std::string& line,
   std::istringstream fields(line);
   std::string verb;
   fields >> verb;
-  const auto rest_of_line = [&fields]() {
-    std::string rest;
-    std::getline(fields, rest);
-    if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-    return rest;
-  };
   const auto now = std::chrono::steady_clock::now();
   const std::lock_guard<std::mutex> lock(mutex_);
-
-  if (verb == "MANIFEST") {
-    payload = fs_.manifest_text();
+  // Replies that carry bytes: `OK <len>`, the bytes following the line.
+  const auto sized = [&payload](std::string bytes) {
+    payload = std::move(bytes);
     return "OK " + std::to_string(payload.size());
-  }
+  };
+
+  if (verb == "MANIFEST") return sized(fs_.manifest_text());
   if (verb == "BLOB") {
     std::string name;
     fields >> name;
     const std::vector<std::uint8_t> bytes = fs_.fetch_blob(name);
-    payload.assign(bytes.begin(), bytes.end());
-    return "OK " + std::to_string(payload.size());
+    return sized({bytes.begin(), bytes.end()});
   }
   if (verb == "CLAIM") {
-    std::string worker = rest_of_line();
+    std::string worker = rest_of_line(fields);
     if (worker.empty()) worker = "anonymous";
     requeue_expired_locked();
     const auto claimed = fs_.claim(worker);
@@ -741,9 +725,13 @@ std::string SpoolServer::handle(int fd, const std::string& line,
            std::to_string(claimed->payload.size()) + " " +
            std::to_string(rows_text.size());
   }
-  if (verb == "ROW" || verb == "COST" || verb == "BEAT" || verb == "DONE") {
+  const auto shard_id = [&fields, &verb]() {
     unsigned id = 0;
-    fields >> id;
+    if (!(fields >> id)) throw std::runtime_error(verb + " needs a shard id");
+    return id;
+  };
+  if (verb == "ROW" || verb == "COST" || verb == "BEAT" || verb == "DONE") {
+    const unsigned id = shard_id();
     const auto lease = leases_.find(id);
     if (lease == leases_.end() || lease->second.conn_fd != fd) {
       // A vanished worker's lease was re-queued (and possibly re-claimed);
@@ -756,8 +744,8 @@ std::string SpoolServer::handle(int fd, const std::string& line,
     if (verb == "ROW") {
       std::string hex;
       fields >> hex;
-      const std::string row = rest_of_line();
-      if (text_fnv(row) != std::strtoull(hex.c_str(), nullptr, 16)) {
+      const std::string row = rest_of_line(fields);
+      if (util::fnv1a64(row) != std::strtoull(hex.c_str(), nullptr, 16)) {
         throw std::runtime_error("row for shard " + std::to_string(id) +
                                  " failed its content hash");
       }
@@ -769,7 +757,7 @@ std::string SpoolServer::handle(int fd, const std::string& line,
       return "OK";
     }
     if (verb == "COST") {
-      fs_.append_cost(id, rest_of_line());
+      fs_.append_cost(id, rest_of_line(fields));
       return "OK";
     }
     // DONE: the hash check inside complete() keeps the claim open on a
@@ -795,15 +783,9 @@ std::string SpoolServer::handle(int fd, const std::string& line,
     return "OK " + std::to_string(requeued);
   }
   if (verb == "STATUS") {
-    payload = serialize_transport_status(status_locked());
-    return "OK " + std::to_string(payload.size());
+    return sized(serialize_transport_status(status_locked()));
   }
-  if (verb == "FINAL") {
-    unsigned id = 0;
-    fields >> id;
-    payload = fs_.part_text(id);
-    return "OK " + std::to_string(payload.size());
-  }
+  if (verb == "FINAL") return sized(fs_.part_text(shard_id()));
   throw std::runtime_error("unknown request '" + verb + "'");
 }
 
@@ -819,20 +801,7 @@ void SpoolServer::requeue_expired_locked() {
 }
 
 void SpoolServer::requeue_locked(unsigned id) {
-  const std::string stem = shard_stem(id);
-  std::error_code ec;
-  for (const char* ext : kClaimExtensions) {
-    const std::string claimed = dir_ + "/claimed/" + stem + ext;
-    if (!fs::exists(claimed)) continue;
-    if (fs::exists(dir_ + "/parts/" + part_stem(id) + ".csv")) {
-      try_rename(claimed, dir_ + "/done/" + stem + ext);
-    } else {
-      // The partial part stays: the next claimer adopts its complete
-      // rows, so a vanished worker costs at most the run in flight.
-      try_rename(claimed, dir_ + "/queue/" + stem + ext);
-    }
-  }
-  fs::remove(dir_ + "/claimed/" + stem + ".owner", ec);
+  fs_.release(id);
   leases_.erase(id);
 }
 
@@ -843,8 +812,11 @@ void SpoolServer::release_connection(int fd) {
     if (lease.conn_fd == fd) held.push_back(id);
   }
   for (const unsigned id : held) requeue_locked(id);
-  conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
-                  conn_fds_.end());
+  // The thread is about to return; the accept loop (or stop()) joins it
+  // and closes the descriptor.
+  if (const auto it = connections_.find(fd); it != connections_.end()) {
+    it->second.finished = true;
+  }
 }
 
 TransportStatus SpoolServer::status() {

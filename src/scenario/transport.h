@@ -1,8 +1,8 @@
 #pragma once
 
 /// Pluggable spool transports: the claim/heartbeat/complete/adopt surface
-/// the sharded-sweep workers (scenario/shard.h) and campaign workers
-/// (scenario/resilience.h) drive, separated from where the spool lives.
+/// the spool's drain loop (scenario/spool.h) drives for sweeps and
+/// campaigns alike, separated from where the spool lives.
 ///
 /// Two implementations:
 ///
@@ -50,7 +50,7 @@
 #include <thread>
 #include <vector>
 
-#include "scenario/shard.h"
+#include "scenario/spool.h"
 
 namespace ulpsync::scenario {
 
@@ -133,11 +133,6 @@ class SpoolTransport {
   [[nodiscard]] virtual TransportStatus status() = 0;
 };
 
-/// Splits text into its complete (newline-terminated) lines; a torn
-/// trailing fragment is dropped — the spool's torn-row rule.
-[[nodiscard]] std::vector<std::string> split_complete_lines(
-    const std::string& text);
-
 /// The status schema as JSON — one machine-readable shape for both
 /// transports (`sweep_shard status --json` and the serve endpoint).
 [[nodiscard]] std::string status_json(const TransportStatus& status);
@@ -180,6 +175,9 @@ class FsTransport final : public SpoolTransport {
   void complete(unsigned id, std::uint64_t part_hash) override;
   /// Re-queues claimed shards whose part never became final.
   std::size_t adopt_orphans() override;
+  /// Releases shard `id`'s claim: to done/ when its part is final, else
+  /// back to the queue with its partial rows kept. True when re-queued.
+  bool release(unsigned id);
   /// Reads the final `.csv` part; throws when the shard is unfinished.
   [[nodiscard]] std::string part_text(unsigned id) override;
   /// Scans the directory (sweep or campaign spool alike).
@@ -232,6 +230,10 @@ class TcpTransport final : public SpoolTransport {
  private:
   /// Sends one request line, reads the reply line; throws on ERR.
   std::string request(const std::string& line);
+  /// `request` of a verb answered `OK <len>` plus `len` payload bytes.
+  std::string sized_request(const std::string& line);
+  /// Reads more bytes into `buffer_`; throws when the connection closed.
+  void receive();
   std::string read_line();
   std::string read_bytes(std::size_t count);
   void send_all(const std::string& text);
@@ -294,7 +296,16 @@ class SpoolServer {
     std::chrono::steady_clock::time_point last_row;
   };
 
+  /// One served connection. Its descriptor stays open until the thread is
+  /// joined, so no other connection can reuse the number meanwhile.
+  struct Connection {
+    std::thread thread;
+    bool finished = false;  ///< the thread is returning (set under mutex_)
+  };
+
   void accept_loop();
+  /// Joins finished connection threads and closes their descriptors.
+  void reap();
   void serve_connection(int fd);
   /// Handles one request line; returns the reply (ERR included). The
   /// `payload` out-param carries binary reply bytes appended after the
@@ -304,6 +315,7 @@ class SpoolServer {
   void requeue_expired_locked();
   /// Drops a lease back into the queue; caller holds `mutex_`.
   void requeue_locked(unsigned id);
+  /// Re-queues the connection's leases and marks its thread finished.
   void release_connection(int fd);
   TransportStatus status_locked();
 
@@ -316,8 +328,7 @@ class SpoolServer {
   std::mutex mutex_;  ///< guards the spool directory, leases, stats, conns
   std::map<unsigned, Lease> leases_;
   std::map<std::string, WorkerStats> stats_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  std::map<int, Connection> connections_;  ///< keyed by descriptor
   std::atomic<bool> stopping_{false};
 };
 

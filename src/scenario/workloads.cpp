@@ -879,12 +879,10 @@ class SleepGenWorkload final : public WindowedWorkloadBase {
   }
 
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> report(
-      const sim::Platform& platform) const override {
-    std::vector<std::pair<std::string, std::string>> out;
-    out.emplace_back("windows", std::to_string(windows_run_));
-    out.emplace_back("burst_cycles",
-                     std::to_string(platform.burst_cycles()));
-    return out;
+      const sim::Platform& /*platform*/) const override {
+    // Host fast-path statistics (Platform::burst_cycles) stay out of the
+    // record: they differ by execution mode, and the record must not.
+    return {{"windows", std::to_string(windows_run_)}};
   }
 
  protected:

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <sstream>
 
+#include "util/wire.h"
+
 namespace ulpsync::sim {
 
 bool is_straight_line(const isa::Instruction& instr) {
@@ -46,12 +48,13 @@ void DecodedImage::refresh_fingerprint() const {
   // identical values. The HALT filler outside [begin_, end_) is included
   // via the bounds themselves (out-of-program fetches trap before reading
   // the slot).
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::uint64_t hash = util::kFnvOffsetBasis;
   auto mix = [&hash](std::uint64_t value) {
+    std::uint8_t bytes[8];
     for (unsigned byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (byte * 8)) & 0xFF;
-      hash *= 0x100000001b3ULL;
+      bytes[byte] = static_cast<std::uint8_t>(value >> (byte * 8));
     }
+    hash = util::fnv1a64(bytes, hash);
   };
   mix(slots_);
   mix(begin_);

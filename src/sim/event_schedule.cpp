@@ -1,10 +1,6 @@
 #include "sim/event_schedule.h"
 
 #include <algorithm>
-#include <array>
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -16,20 +12,7 @@ namespace {
 
 // "ULPEVT1\n" — like the spool bundle magic, the version is also in the
 // magic so a hex dump identifies the format at a glance.
-constexpr std::array<std::uint8_t, 8> kMagic = {'U', 'L', 'P', 'E',
-                                                'V', 'T', '1', '\n'};
-
-// FNV-1a 64. sim cannot depend on the scenario layer's fnv1a64
-// (scenario/checkpoint_ring.h), so this keeps a private copy — the same
-// precedent as snapshot.cpp's content hash.
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
+constexpr util::Magic kMagic = {'U', 'L', 'P', 'E', 'V', 'T', '1', '\n'};
 
 void encode_result(util::WireWriter& w, const RunResult& result) {
   w.u8(static_cast<std::uint8_t>(result.status));
@@ -74,76 +57,48 @@ void deliver_event(Platform& platform, const ExternalEvent& event) {
   }
 }
 
-std::string hex64(std::uint64_t value) {
-  char buffer[19];
-  std::snprintf(buffer, sizeof buffer, "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> EventSchedule::serialize() const {
-  util::WireWriter w;
-  for (const std::uint8_t byte : kMagic) w.u8(byte);
-  w.u32(kFormatVersion);
-  w.u64(im_fingerprint);
-  w.u64(events.size());
-  for (const ExternalEvent& event : events) {
-    w.u8(static_cast<std::uint8_t>(event.kind));
-    w.u64(event.cycle);
-    switch (event.kind) {
-      case EventKind::kDmWrite:
-        w.u32(event.addr);
-        w.u16(event.word);
-        break;
-      case EventKind::kDmWriteBlock:
-        w.u32(event.addr);
-        w.u32(static_cast<std::uint32_t>(event.words.size()));
-        for (const std::uint16_t word : event.words) w.u16(word);
-        break;
-      case EventKind::kInterrupt:
-        w.u32(event.core);
-        break;
-      case EventKind::kInterruptAll:
-        break;
+  return util::seal(kMagic, kFormatVersion, [&](util::WireWriter& w) {
+    w.u64(im_fingerprint);
+    w.u64(events.size());
+    for (const ExternalEvent& event : events) {
+      w.u8(static_cast<std::uint8_t>(event.kind));
+      w.u64(event.cycle);
+      switch (event.kind) {
+        case EventKind::kDmWrite:
+          w.u32(event.addr);
+          w.u16(event.word);
+          break;
+        case EventKind::kDmWriteBlock:
+          w.u32(event.addr);
+          w.u32(static_cast<std::uint32_t>(event.words.size()));
+          for (const std::uint16_t word : event.words) w.u16(word);
+          break;
+        case EventKind::kInterrupt:
+          w.u32(event.core);
+          break;
+        case EventKind::kInterruptAll:
+          break;
+      }
     }
-  }
-  encode_result(w, final_result);
-  w.u64(final_state_hash);
-  w.u64(final_host_words.size());
-  for (const std::uint64_t word : final_host_words) w.u64(word);
-  w.u64(fnv1a64(w.bytes()));
-  return w.take();
+    encode_result(w, final_result);
+    w.u64(final_state_hash);
+    w.u64(final_host_words.size());
+    for (const std::uint64_t word : final_host_words) w.u64(word);
+  });
 }
 
 EventSchedule EventSchedule::deserialize(std::span<const std::uint8_t> bytes) {
-  // Verify the trailing hash over everything before it first: any
-  // corruption is then reported as corruption, not as a random field error.
-  if (bytes.size() < kMagic.size() + 4 + 8)
-    throw std::invalid_argument("event schedule: truncated image");
-  const std::span<const std::uint8_t> payload =
-      bytes.first(bytes.size() - 8);
-  util::WireReader tail(bytes.subspan(bytes.size() - 8));
-  if (tail.u64() != fnv1a64(payload))
-    throw std::invalid_argument(
-        "event schedule: trailing hash mismatch (corrupt image)");
-
-  util::WireReader r(payload);
-  for (const std::uint8_t byte : kMagic) {
-    if (r.u8() != byte)
-      throw std::invalid_argument("event schedule: bad magic");
-  }
-  const std::uint32_t version = r.u32();
-  if (version != kFormatVersion)
-    throw std::invalid_argument("event schedule: unsupported version " +
-                                std::to_string(version));
+  util::WireReader r =
+      util::unseal(bytes, kMagic, kFormatVersion, "event schedule");
   EventSchedule schedule;
   schedule.im_fingerprint = r.u64();
   const std::uint64_t count = r.u64();
   // Each event is at least 9 bytes on the wire; a count beyond that bound
   // can only come from corruption the hash failed to catch.
-  if (count > payload.size() / 9)
+  if (count > bytes.size() / 9)
     throw std::invalid_argument("event schedule: implausible event count");
   schedule.events.reserve(static_cast<std::size_t>(count));
   std::uint64_t last_cycle = 0;
@@ -183,7 +138,7 @@ EventSchedule EventSchedule::deserialize(std::span<const std::uint8_t> bytes) {
     throw std::invalid_argument("event schedule: final result before events");
   schedule.final_state_hash = r.u64();
   const std::uint64_t host_words = r.u64();
-  if (host_words > payload.size() / 8)
+  if (host_words > bytes.size() / 8)
     throw std::invalid_argument("event schedule: implausible host word count");
   schedule.final_host_words.resize(static_cast<std::size_t>(host_words));
   for (std::uint64_t i = 0; i < host_words; ++i)
@@ -194,8 +149,7 @@ EventSchedule EventSchedule::deserialize(std::span<const std::uint8_t> bytes) {
 }
 
 std::uint64_t EventSchedule::content_hash() const {
-  const std::vector<std::uint8_t> bytes = serialize();
-  return fnv1a64(bytes);
+  return util::fnv1a64(serialize());
 }
 
 std::uint64_t normalized_state_hash(const Snapshot& snapshot) {
@@ -272,8 +226,8 @@ ReplayOutcome ReplayDriver::replay(Platform& platform) const {
   const EventSchedule& schedule = *schedule_;
   if (platform.image_fingerprint() != schedule.im_fingerprint) {
     out.error = "image fingerprint mismatch: platform " +
-                hex64(platform.image_fingerprint()) + ", schedule " +
-                hex64(schedule.im_fingerprint);
+                util::hex64(platform.image_fingerprint()) + ", schedule " +
+                util::hex64(schedule.im_fingerprint);
     return out;
   }
 
@@ -549,26 +503,6 @@ ReplayDivergence find_first_divergence_replayed(ReplayCursor& clean,
     if (clean.settled() && faulty.settled()) break;  // nothing can change
   }
   return {};
-}
-
-// --- file I/O ----------------------------------------------------------------
-
-void write_event_schedule_file(const std::string& path,
-                               const EventSchedule& schedule) {
-  const std::vector<std::uint8_t> bytes = schedule.serialize();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out)
-    throw std::runtime_error("cannot write event schedule file " + path);
-}
-
-EventSchedule read_event_schedule_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read event schedule file " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  return EventSchedule::deserialize(bytes);
 }
 
 }  // namespace ulpsync::sim

@@ -286,11 +286,4 @@ struct ReplayDivergence {
     DivergenceScope scope = DivergenceScope::kCoreState,
     std::uint64_t stride = 1024);
 
-/// Writes `serialize()` to a file. Throws std::runtime_error on I/O error.
-void write_event_schedule_file(const std::string& path,
-                               const EventSchedule& schedule);
-/// Reads and parses a schedule file. Throws std::runtime_error on I/O
-/// error, std::invalid_argument on a malformed image.
-[[nodiscard]] EventSchedule read_event_schedule_file(const std::string& path);
-
 }  // namespace ulpsync::sim

@@ -7,71 +7,18 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/wire.h"
+
 namespace ulpsync::sim {
 
 namespace {
 
 constexpr std::uint8_t kMagic[8] = {'U', 'L', 'P', 'S', 'N', 'A', 'P', '\n'};
 
-/// Little-endian append-only byte sink of the wire format.
-class ByteWriter {
- public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u16(std::uint16_t v) {
-    u8(static_cast<std::uint8_t>(v));
-    u8(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v));
-    u16(static_cast<std::uint16_t>(v >> 16));
-  }
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v));
-    u32(static_cast<std::uint32_t>(v >> 32));
-  }
-  void boolean(bool v) { u8(v ? 1 : 0); }
+using util::WireReader;
+using util::WireWriter;
 
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
-
- private:
-  std::vector<std::uint8_t> bytes_;
-};
-
-/// Bounds-checked little-endian reader; throws std::invalid_argument on
-/// truncation so corrupted images can never read out of range.
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint8_t u8() {
-    if (pos_ >= bytes_.size()) throw std::invalid_argument("snapshot: truncated image");
-    return bytes_[pos_++];
-  }
-  std::uint16_t u16() {
-    const auto lo = u8();
-    return static_cast<std::uint16_t>(lo | (u8() << 8));
-  }
-  std::uint32_t u32() {
-    const auto lo = u16();
-    return lo | (static_cast<std::uint32_t>(u16()) << 16);
-  }
-  std::uint64_t u64() {
-    const auto lo = u32();
-    return lo | (static_cast<std::uint64_t>(u32()) << 32);
-  }
-  bool boolean() {
-    const auto v = u8();
-    if (v > 1) throw std::invalid_argument("snapshot: invalid boolean field");
-    return v != 0;
-  }
-  [[nodiscard]] bool at_end() const { return pos_ == bytes_.size(); }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-void write_config(ByteWriter& w, const PlatformConfig& config) {
+void write_config(WireWriter& w, const PlatformConfig& config) {
   w.u32(config.num_cores);
   w.u32(config.im_banks);
   w.u32(config.im_bank_slots);
@@ -92,7 +39,7 @@ void write_config(ByteWriter& w, const PlatformConfig& config) {
   w.boolean(config.fast_forward);
 }
 
-PlatformConfig read_config(ByteReader& r) {
+PlatformConfig read_config(WireReader& r) {
   PlatformConfig config;
   config.num_cores = r.u32();
   config.im_banks = r.u32();
@@ -133,7 +80,7 @@ unsigned per_core_wire_entries(const PlatformConfig& config) {
 /// historical format), 64 bits beyond.
 bool wide_masks(const PlatformConfig& config) { return config.num_cores > 16; }
 
-void write_core(ByteWriter& w, const CoreSnapshot& core) {
+void write_core(WireWriter& w, const CoreSnapshot& core) {
   for (std::uint16_t reg : core.arch.regs) w.u16(reg);
   w.boolean(core.arch.flags.z);
   w.boolean(core.arch.flags.n);
@@ -159,7 +106,7 @@ void write_core(ByteWriter& w, const CoreSnapshot& core) {
   w.u32(core.sync_next_pc);
 }
 
-CoreSnapshot read_core(ByteReader& r) {
+CoreSnapshot read_core(WireReader& r) {
   CoreSnapshot core;
   for (std::uint16_t& reg : core.arch.regs) reg = r.u16();
   core.arch.flags.z = r.boolean();
@@ -220,7 +167,7 @@ constexpr CounterField kCounterFields[] = {
     {"divergence_events", &EventCounters::divergence_events},
 };
 
-void write_counters(ByteWriter& w, const EventCounters& counters,
+void write_counters(WireWriter& w, const EventCounters& counters,
                     unsigned per_core_entries) {
   for (const CounterField& field : kCounterFields) w.u64(counters.*field.member);
   for (unsigned i = 0; i < per_core_entries; ++i) w.u64(counters.per_core_retired[i]);
@@ -228,7 +175,7 @@ void write_counters(ByteWriter& w, const EventCounters& counters,
   for (unsigned i = 0; i < per_core_entries; ++i) w.u64(counters.per_core_sleep[i]);
 }
 
-EventCounters read_counters(ByteReader& r, unsigned per_core_entries) {
+EventCounters read_counters(WireReader& r, unsigned per_core_entries) {
   EventCounters counters;
   for (const CounterField& field : kCounterFields) counters.*field.member = r.u64();
   for (unsigned i = 0; i < per_core_entries; ++i) counters.per_core_retired[i] = r.u64();
@@ -244,7 +191,7 @@ std::string core_status_name(CoreStatus status) {
 }  // namespace
 
 std::vector<std::uint8_t> Snapshot::serialize() const {
-  ByteWriter w;
+  WireWriter w;
   for (std::uint8_t byte : kMagic) w.u8(byte);
   w.u32(kFormatVersion);
   write_config(w, config);
@@ -307,7 +254,7 @@ std::vector<std::uint8_t> Snapshot::serialize() const {
 }
 
 Snapshot Snapshot::deserialize(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
+  WireReader r(bytes);
   for (std::uint8_t expected : kMagic) {
     if (r.u8() != expected)
       throw std::invalid_argument("snapshot: bad magic (not a snapshot image)");
@@ -412,13 +359,7 @@ Snapshot Snapshot::deserialize(std::span<const std::uint8_t> bytes) {
 }
 
 std::uint64_t Snapshot::content_hash() const {
-  const std::vector<std::uint8_t> bytes = serialize();
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+  return util::fnv1a64(serialize());
 }
 
 // --- Platform capture/restore ----------------------------------------------

@@ -1,19 +1,57 @@
 #pragma once
 
-/// Minimal explicit-little-endian wire primitives shared by the scenario
-/// layer's on-disk formats (checkpoint rings, sharded-sweep spools). The
-/// writer is append-only; the reader is bounds-checked and throws
-/// std::invalid_argument on truncation, so corrupted images can never read
-/// out of range. `sim/snapshot.cpp` keeps its own private copy — its wire
-/// format is frozen and golden-tested independently of this header.
+/// Minimal explicit-little-endian wire primitives shared by every binary
+/// format of the project: the snapshot image, and the *sealed* images —
+/// shard bundles, `campaign.bin`, recorded-run envelopes, event schedules
+/// and checkpoint-ring entries. The writer is append-only; the reader is
+/// bounds-checked and throws std::invalid_argument on truncation, so
+/// corrupted images can never read out of range.
+///
+/// A sealed image is an 8-byte magic, a u32 format version, the payload,
+/// and a trailing FNV-1a 64 of everything before it (`seal`/`unseal`).
+/// `fnv1a64` is the project-wide content hash and `hex64` its text form.
 
+#include <array>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ulpsync::util {
+
+/// The FNV-1a 64 offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a 64-bit hash. `seed` continues a running hash.
+[[nodiscard]] inline std::uint64_t fnv1a64(
+    std::span<const std::uint8_t> bytes,
+    std::uint64_t seed = kFnvOffsetBasis) {
+  std::uint64_t hash = seed;
+  for (const std::uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// The same hash over the bytes of `text`.
+[[nodiscard]] inline std::uint64_t fnv1a64(
+    std::string_view text, std::uint64_t seed = kFnvOffsetBasis) {
+  return fnv1a64({reinterpret_cast<const std::uint8_t*>(text.data()),
+                  text.size()},
+                 seed);
+}
+
+/// `value` as 16 lower-case hex digits (how hashes appear in text).
+[[nodiscard]] inline std::string hex64(std::uint64_t value) {
+  char buffer[24];
+  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, value);
+  return buffer;
+}
 
 /// Little-endian append-only byte sink.
 class WireWriter {
@@ -94,7 +132,6 @@ class WireReader {
     return out;
   }
 
-  [[nodiscard]] std::size_t position() const { return pos_; }
   [[nodiscard]] bool at_end() const { return pos_ == bytes_.size(); }
 
  private:
@@ -107,5 +144,51 @@ class WireReader {
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
 };
+
+/// The 8-byte magic that opens a sealed image.
+using Magic = std::array<std::uint8_t, 8>;
+
+/// Builds a sealed image: `magic`, the u32 `version`, whatever `payload`
+/// writes into the writer it is handed, then the trailing FNV-1a 64.
+template <typename Payload>
+[[nodiscard]] std::vector<std::uint8_t> seal(const Magic& magic,
+                                             std::uint32_t version,
+                                             const Payload& payload) {
+  WireWriter w;
+  for (const std::uint8_t byte : magic) w.u8(byte);
+  w.u32(version);
+  payload(w);
+  w.u64(fnv1a64(w.bytes()));
+  return w.take();
+}
+
+/// Checks a sealed image and returns a reader positioned at its payload
+/// (which ends where the trailing hash begins). The hash is verified
+/// first, so corruption is reported as corruption rather than as a random
+/// field error; then the magic and the version. Throws
+/// std::invalid_argument naming `what`.
+[[nodiscard]] inline WireReader unseal(std::span<const std::uint8_t> image,
+                                       const Magic& magic,
+                                       std::uint32_t version,
+                                       const std::string& what) {
+  if (image.size() < magic.size() + 4 + 8) {
+    throw std::invalid_argument(what + ": truncated image");
+  }
+  const std::span<const std::uint8_t> sealed = image.first(image.size() - 8);
+  if (WireReader(image.last(8)).u64() != fnv1a64(sealed)) {
+    throw std::invalid_argument(what +
+                                ": trailing hash mismatch (corrupt image)");
+  }
+  WireReader r(sealed);
+  for (const std::uint8_t byte : magic) {
+    if (r.u8() != byte) throw std::invalid_argument(what + ": bad magic");
+  }
+  const std::uint32_t found = r.u32();
+  if (found != version) {
+    throw std::invalid_argument(what + ": unsupported version " +
+                                std::to_string(found));
+  }
+  return r;
+}
 
 }  // namespace ulpsync::util

@@ -57,6 +57,15 @@ std::string scalar_csv(const std::vector<RunSpec>& specs) {
   return to_csv(engine.run(specs));
 }
 
+/// Batch records — leader and follower lanes alike — must match the scalar
+/// engine's byte for byte in every format: CSV and JSON.
+void expect_scalar_bytes(const std::vector<RunRecord>& records,
+                         const std::vector<RunSpec>& specs) {
+  const std::vector<RunRecord> scalar = Engine(Registry::builtins()).run(specs);
+  EXPECT_EQ(to_csv(records), to_csv(scalar));
+  EXPECT_EQ(to_json(records), to_json(scalar));
+}
+
 /// The scalar reference for snapshot comparisons: one cold platform driven
 /// by the workload's own host loop, prepared exactly like the engine does.
 sim::Snapshot scalar_final_snapshot(const RunSpec& spec) {
@@ -232,7 +241,7 @@ TEST(BatchEngine, SleepgenCohortIsByteIdenticalToScalar) {
   const std::vector<RunSpec> specs = cohort_specs("sleepgen", 6);
   const BatchEngine batch(Registry::builtins());
   const BatchResult result = batch.run(specs);
-  EXPECT_EQ(to_csv(result.records), scalar_csv(specs));
+  expect_scalar_bytes(result.records, specs);
   // sleepgen's kernel is straight-line per sample: every lane must ride the
   // batch to the end.
   EXPECT_EQ(result.stats.batched_runs, specs.size());
@@ -248,7 +257,7 @@ TEST(BatchEngine, UniformStreamingCohortIsByteIdenticalToScalar) {
   const std::vector<RunSpec> specs = cohort_specs("streaming.uniform", 6);
   const BatchEngine batch(Registry::builtins());
   const BatchResult result = batch.run(specs);
-  EXPECT_EQ(to_csv(result.records), scalar_csv(specs));
+  expect_scalar_bytes(result.records, specs);
   // The branchless monitor retires the same trace on every input.
   EXPECT_EQ(result.stats.batched_runs, specs.size());
   EXPECT_EQ(result.stats.diverged_lanes, 0u);
@@ -265,7 +274,7 @@ TEST(BatchEngine, ClassicStreamingFallsBackHonestlyAndByteIdentically) {
       "streaming", 4, 4, /*samples=*/250, DesignVariant::baseline());
   const BatchEngine batch(Registry::builtins());
   const BatchResult result = batch.run(specs);
-  EXPECT_EQ(to_csv(result.records), scalar_csv(specs));
+  expect_scalar_bytes(result.records, specs);
   EXPECT_GT(result.stats.diverged_lanes + result.stats.group_bails, 0u);
   for (const RunRecord& record : result.records) {
     EXPECT_TRUE(record.ok()) << record.verify_error;
@@ -289,7 +298,7 @@ TEST(BatchEngine, MixedSweepRoutesIneligibleSpecsThroughScalarEngine) {
 
   const BatchEngine batch(Registry::builtins());
   const BatchResult result = batch.run(specs);
-  EXPECT_EQ(to_csv(result.records), scalar_csv(specs));
+  expect_scalar_bytes(result.records, specs);
   EXPECT_EQ(result.stats.batched_runs, 3u);
   EXPECT_EQ(result.stats.scalar_runs, 2u);
 }

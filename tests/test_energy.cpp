@@ -24,6 +24,7 @@
 #include "scenario/registry.h"
 #include "scenario/replay.h"
 #include "scenario/shard.h"
+#include "util/wire.h"
 
 namespace ulpsync::scenario {
 namespace {
@@ -73,15 +74,6 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 // --- per-builtin execution-mode wall ----------------------------------------
 
 class EnergyExactness : public ::testing::TestWithParam<std::string> {};
@@ -94,7 +86,14 @@ TEST_P(EnergyExactness, ColumnsBitIdenticalAcrossEveryExecutionMode) {
   ASSERT_TRUE(reference.energy_report.feasible);
   ASSERT_GT(reference.energy_report.breakdown.total_mw(), 0.0);
   ASSERT_GT(reference.energy_report.energy_per_op_pj, 0.0);
+  // Every format is part of the wall: the JSON record (which carries the
+  // workload's report extras) as well as the CSV row.
   const std::string row = to_csv_row(reference);
+  const std::string json = to_json(reference);
+  const auto expect_same = [&](const RunRecord& record, const char* mode) {
+    EXPECT_EQ(to_csv_row(record), row) << GetParam() << " (" << mode << ")";
+    EXPECT_EQ(to_json(record), json) << GetParam() << " (" << mode << ")";
+  };
 
   {  // multi-threaded engine
     EngineOptions options;
@@ -102,20 +101,18 @@ TEST_P(EnergyExactness, ColumnsBitIdenticalAcrossEveryExecutionMode) {
     const Engine threaded(Registry::builtins(), options);
     const std::vector<RunSpec> specs(4, spec);
     for (const RunRecord& record : threaded.run(specs)) {
-      EXPECT_EQ(to_csv_row(record), row) << GetParam() << " (jobs 4)";
+      expect_same(record, "jobs 4");
     }
   }
   {  // idle fast-forward disabled
     RunSpec slow = spec;
     slow.fast_forward = false;
-    EXPECT_EQ(to_csv_row(scalar.run_one(slow)), row)
-        << GetParam() << " (fast_forward off)";
+    expect_same(scalar.run_one(slow), "fast_forward off");
   }
   {  // straight-line bursts disabled
     RunSpec slow = spec;
     slow.burst = false;
-    EXPECT_EQ(to_csv_row(scalar.run_one(slow)), row)
-        << GetParam() << " (burst off)";
+    expect_same(scalar.run_one(slow), "burst off");
   }
   {  // batched many-platform engine (falls back to scalar lanes honestly)
     const BatchEngine batch(Registry::builtins());
@@ -123,16 +120,17 @@ TEST_P(EnergyExactness, ColumnsBitIdenticalAcrossEveryExecutionMode) {
     const BatchResult result = batch.run(specs);
     ASSERT_EQ(result.records.size(), specs.size());
     for (const RunRecord& record : result.records) {
-      EXPECT_EQ(to_csv_row(record), row) << GetParam() << " (batch engine)";
+      expect_same(record, "batch engine");
     }
   }
   {  // recorded-run envelope replays the same energy report
     const RecordOutcome outcome = record_one(spec, Registry::builtins());
-    EXPECT_EQ(to_csv_row(outcome.record), row) << GetParam() << " (record)";
+    expect_same(outcome.record, "record");
     const ReplayReport report =
         replay_recorded_run(outcome.recorded, Registry::builtins());
     EXPECT_TRUE(report.bit_identical) << GetParam() << ": " << report.error;
     EXPECT_EQ(report.csv_row, row) << GetParam() << " (replay)";
+    expect_same(report.record, "replay");
   }
 }
 
@@ -226,7 +224,8 @@ TEST(DesignSearchGolden, CommittedFrontierHashesAreStable) {
     if (filename.rfind("frontier_", 0) != 0) continue;
     const std::string bytes =
         read_file(std::string(ULPSYNC_GOLDEN_DIR) + "/" + filename);
-    EXPECT_EQ(fnv1a64(bytes), std::stoull(hash_hex, nullptr, 16)) << filename;
+    EXPECT_EQ(util::fnv1a64(bytes), std::stoull(hash_hex, nullptr, 16))
+        << filename;
     ++checked;
   }
   EXPECT_EQ(checked, 2u) << "expected hash rows for both frontier fixtures";

@@ -12,23 +12,34 @@
 //    suite: round-trip identity, truncation rejection at every prefix,
 //    corruption fuzz without crashes, and trailing-hash verification —
 //    for both the raw sim::EventSchedule image and the scenario
-//    RecordedRun envelope that wraps it.
+//    RecordedRun envelope that wraps it;
+//  * spool parser fuzzing: the manifest of either kind, the bundle and
+//    range claim payloads, the transport status reply, and the sealed-image
+//    codec, each truncated at every length and randomly bit-flipped — every
+//    input parses or throws, never crashes.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "asm/assembler.h"
+#include "scenario/checkpoint_ring.h"
 #include "scenario/engine.h"
 #include "scenario/registry.h"
 #include "scenario/replay.h"
+#include "scenario/resilience.h"
+#include "scenario/shard.h"
+#include "scenario/spool.h"
+#include "scenario/transport.h"
 #include "sim/event_schedule.h"
 #include "sim/executor.h"
 #include "sim/platform.h"
 #include "sim/snapshot.h"
 #include "util/rng.h"
+#include "util/wire.h"
 
 namespace ulpsync {
 namespace {
@@ -632,6 +643,179 @@ TEST(EnergyRecordProperties, RequestNeverPerturbsSimulationColumns) {
   // And the warm-group identity ignores the request, so both specs share
   // one warm-up prefix in a grouped sweep.
   EXPECT_EQ(scenario::warm_group_key(plain), scenario::warm_group_key(requested));
+}
+
+// --- spool parser fuzzing ---------------------------------------------------
+
+/// Feeds `parse` every proper prefix of `input` and `flips` copies with one
+/// random bit flipped. Each must parse or throw std::runtime_error /
+/// std::invalid_argument — any other exception (or a crash) fails.
+template <typename Bytes, typename Parse>
+void fuzz_parser(const Bytes& input, std::uint64_t seed, int flips,
+                 const Parse& parse) {
+  const auto feed = [&](const Bytes& bytes, const std::string& what) {
+    try {
+      parse(bytes);
+    } catch (const std::runtime_error&) {
+    } catch (const std::invalid_argument&) {
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << what << ": unexpected exception: " << error.what();
+    }
+  };
+  for (std::size_t length = 0; length < input.size(); ++length) {
+    feed(Bytes(input.begin(), input.begin() + static_cast<long>(length)),
+         "prefix " + std::to_string(length));
+  }
+  util::Rng rng(seed);
+  for (int trial = 0; trial < flips; ++trial) {
+    Bytes corrupted = input;
+    const std::size_t at = rng.next_below(corrupted.size());
+    corrupted[at] = static_cast<typename Bytes::value_type>(
+        corrupted[at] ^ (1u << rng.next_below(8)));
+    feed(corrupted, "flip at " + std::to_string(at));
+  }
+}
+
+/// Recomputes a sealed image's trailing hash, so a fuzzed payload reaches
+/// the decoder behind the hash check.
+std::vector<std::uint8_t> resealed(std::vector<std::uint8_t> image) {
+  const std::uint64_t hash =
+      util::fnv1a64(std::span(image.data(), image.size() - 8));
+  for (unsigned byte = 0; byte < 8; ++byte) {
+    image[image.size() - 8 + byte] =
+        static_cast<std::uint8_t>(hash >> (byte * 8));
+  }
+  return image;
+}
+
+std::string spool_property_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/properties_" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+TEST(SpoolParserFuzz, ManifestOfEitherKind) {
+  scenario::SpoolManifest sweep;
+  sweep.fingerprint = 0x0123'4567'89AB'CDEFULL;
+  sweep.specs = 5;
+  sweep.shards = {{.id = 0, .specs = 3, .bundle_hash = 0xFEEDULL},
+                  {.id = 1, .specs = 2, .bundle_hash = 0xBEEFULL}};
+  scenario::SpoolManifest campaign = sweep;
+  campaign.campaign = true;
+  campaign.shards = {{.id = 0, .specs = 3, .begin = 0},
+                     {.id = 1, .specs = 2, .begin = 3}};
+  for (const scenario::SpoolManifest& manifest : {sweep, campaign}) {
+    const std::string text = scenario::spool_manifest_text(manifest);
+    const scenario::SpoolManifest parsed =
+        scenario::parse_spool_manifest_text(text, "fuzz");
+    EXPECT_EQ(parsed.campaign, manifest.campaign);
+    EXPECT_EQ(scenario::spool_manifest_text(parsed), text);  // round trip
+    fuzz_parser(text, 0x3A41, 400, [](const std::string& bytes) {
+      (void)scenario::parse_spool_manifest_text(bytes, "fuzz");
+    });
+  }
+}
+
+TEST(SpoolParserFuzz, BundleClaimPayload) {
+  const std::string dir = spool_property_dir("bundle");
+  scenario::RunSpec spec;
+  spec.workload = "sqrt32";
+  spec.params.samples = 8;
+  spec.energy = scenario::EnergyRequest{};
+  (void)scenario::plan_spool(dir, {spec, spec}, scenario::Registry::builtins(),
+                             {.shards = 1});
+  const std::vector<std::uint8_t> bundle =
+      scenario::read_file_bytes(dir + "/queue/shard-0000.bundle");
+  EXPECT_EQ(scenario::parse_bundle_bytes(bundle, "fuzz").indices.size(), 2u);
+  const auto parse = [](const std::vector<std::uint8_t>& bytes) {
+    (void)scenario::parse_bundle_bytes(bytes, "fuzz");
+  };
+  fuzz_parser(bundle, 0xB0B0, 300, parse);
+  // Behind the hash: the spec decoder sees the corrupted payload itself.
+  fuzz_parser(bundle, 0xB1B1, 300,
+              [&](const std::vector<std::uint8_t>& bytes) {
+                if (bytes.size() == bundle.size()) parse(resealed(bytes));
+              });
+}
+
+TEST(SpoolParserFuzz, RangeClaimPayload) {
+  const std::string dir = spool_property_dir("range");
+  const scenario::Registry& registry = scenario::Registry::builtins();
+  scenario::CampaignConfig config;
+  config.models = {scenario::ErrorModel::kDmSingle};
+  config.count = 3;
+  (void)scenario::plan_campaign_spool(dir, recorded_sleepgen(), config,
+                                      registry, {.shards = 1});
+  scenario::FsTransport transport(dir);
+  const auto job = scenario::campaign_job(
+      transport, scenario::read_spool_manifest(transport), registry);
+  scenario::ClaimedShard claimed;
+  claimed.kind = "range";
+  claimed.payload = scenario::read_file_bytes(dir + "/queue/shard-0000.range");
+  EXPECT_EQ(job->claim(claimed).size(), 3u);
+  fuzz_parser(claimed.payload, 0x7A7A, 400,
+              [&](const std::vector<std::uint8_t>& bytes) {
+                scenario::ClaimedShard fuzzed = claimed;
+                fuzzed.payload = bytes;
+                for (const std::uint64_t index : job->claim(fuzzed)) {
+                  EXPECT_LT(index, 3u);  // accepted ranges stay in bounds
+                }
+              });
+}
+
+TEST(SpoolParserFuzz, TransportStatusReply) {
+  scenario::TransportStatus status;
+  status.campaign = true;
+  status.spool.fingerprint = 0xABCDEFULL;
+  status.spool.specs = 7;
+  status.rows_done = 4;
+  status.queue_depth = 1;
+  status.eta_seconds = 2.5;
+  status.spool.shards = {{.id = 0, .specs = 4, .state = "done",
+                          .owner = "", .part_final = true},
+                         {.id = 1, .specs = 3, .state = "claimed",
+                          .owner = "worker one", .partial_rows = 1}};
+  status.workers = {{.worker = "worker one", .rows = 4,
+                     .rows_per_second = 1.5}};
+  const std::string text = scenario::serialize_transport_status(status);
+  const scenario::TransportStatus parsed =
+      scenario::parse_transport_status(text);
+  EXPECT_EQ(scenario::serialize_transport_status(parsed), text);
+  fuzz_parser(text, 0x5747, 400, [](const std::string& bytes) {
+    (void)scenario::parse_transport_status(bytes);
+  });
+}
+
+TEST(SpoolParserFuzz, SealUnsealRoundTripRejectsEveryCorruption) {
+  constexpr util::Magic kMagic = {'U', 'L', 'P', 'T', 'E', 'S', 'T', '\n'};
+  util::Rng rng(0x5EA1);
+  std::vector<std::uint8_t> payload(97);
+  for (std::uint8_t& byte : payload) {
+    byte = static_cast<std::uint8_t>(rng.next_below(256));
+  }
+  const std::vector<std::uint8_t> image =
+      util::seal(kMagic, 7, [&](util::WireWriter& w) { w.blob(payload); });
+  EXPECT_EQ(util::unseal(image, kMagic, 7, "fuzz").blob(), payload);
+  EXPECT_THROW((void)util::unseal(image, kMagic, 8, "fuzz"),
+               std::invalid_argument);
+  // A sealed image has no slack: every proper prefix and every single
+  // flipped bit is rejected, never silently accepted.
+  for (std::size_t length = 0; length < image.size(); ++length) {
+    EXPECT_THROW(
+        (void)util::unseal(std::span(image.data(), length), kMagic, 7, "fuzz"),
+        std::invalid_argument)
+        << "prefix " << length;
+  }
+  for (int trial = 0; trial < 400; ++trial) {
+    auto corrupted = image;
+    corrupted[rng.next_below(corrupted.size())] ^=
+        static_cast<std::uint8_t>(1u << rng.next_below(8));
+    EXPECT_THROW((void)util::unseal(corrupted, kMagic, 7, "fuzz"),
+                 std::invalid_argument);
+  }
+  fuzz_parser(image, 0x5EA2, 200, [&](const std::vector<std::uint8_t>& bytes) {
+    (void)util::unseal(bytes, kMagic, 7, "fuzz");
+  });
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "scenario/record.h"
 #include "scenario/registry.h"
 #include "scenario/resilience.h"
+#include "scenario/transport.h"
 
 namespace ulpsync::scenario {
 namespace {
@@ -416,22 +417,22 @@ TEST(CampaignSpool, ShardedMergeIsByteIdenticalToSingleProcess) {
       plan_campaign_spool(dir, run, config, registry, {.shards = 3});
   EXPECT_EQ(plan.faults, config.models.size() * config.count);
   EXPECT_EQ(plan.shards, 3u);
-  EXPECT_TRUE(is_campaign_spool(dir));
-  EXPECT_FALSE(is_campaign_spool(dir + "/queue"));
+  FsTransport transport(dir);
+  EXPECT_TRUE(read_spool_manifest(transport).campaign);
 
   // Two workers drain the queue (the first takes one shard, the second
   // the rest), as two cooperating processes would.
-  const CampaignWorkReport first = work_campaign_spool(
+  const WorkReport first = work_campaign_spool(
       dir, registry, {.worker_id = "worker-a", .jobs = 2, .max_shards = 1});
   EXPECT_EQ(first.shards_completed, 1u);
-  const CampaignWorkReport second =
+  const WorkReport second =
       work_campaign_spool(dir, registry, {.worker_id = "worker-b", .jobs = 2});
   EXPECT_EQ(first.shards_completed + second.shards_completed, 3u);
-  EXPECT_EQ(first.trials_executed + second.trials_executed, plan.faults);
+  EXPECT_EQ(first.runs_executed + second.runs_executed, plan.faults);
 
   EXPECT_EQ(merge_campaign_spool(dir), single);
 
-  const SpoolStatus status = campaign_spool_status(dir);
+  const SpoolStatus status = transport.status().spool;
   EXPECT_EQ(status.specs, plan.faults);
   for (const ShardState& shard : status.shards) {
     EXPECT_EQ(shard.state, "done");
@@ -472,12 +473,12 @@ TEST(CampaignSpool, ResumeAdoptsCompleteRowsOfAKilledWorker) {
   }
 
   // Without --resume the claimed shard is skipped and the merge fails.
-  const CampaignWorkReport stuck =
+  const WorkReport stuck =
       work_campaign_spool(dir, registry, {.worker_id = "worker-b", .jobs = 2});
   EXPECT_EQ(stuck.shards_completed, 1u);
   EXPECT_THROW((void)merge_campaign_spool(dir), std::runtime_error);
 
-  const CampaignWorkReport resumed = work_campaign_spool(
+  const WorkReport resumed = work_campaign_spool(
       dir, registry,
       {.worker_id = "worker-c", .resume = true, .jobs = 2});
   EXPECT_EQ(resumed.shards_completed, 1u);
@@ -496,7 +497,8 @@ TEST(CampaignSpool, PlannedCampaignRoundTripsAndCorruptionIsRejected) {
 
   const CampaignPlanResult plan =
       plan_campaign_spool(dir, run, config, registry, {.shards = 2});
-  const PlannedCampaign planned = load_planned_campaign(dir);
+  const PlannedCampaign planned = parse_planned_campaign(
+      read_file_bytes(dir + "/campaign.bin"), dir);
   EXPECT_EQ(planned.fingerprint, plan.fingerprint);
   EXPECT_EQ(planned.fingerprint, campaign_fingerprint(config, run));
   EXPECT_EQ(planned.config.models, config.models);
@@ -521,7 +523,9 @@ TEST(CampaignSpool, PlannedCampaignRoundTripsAndCorruptionIsRejected) {
     byte = static_cast<char>(byte ^ 0x40);
     bin.write(&byte, 1);
   }
-  EXPECT_THROW((void)load_planned_campaign(dir), std::invalid_argument);
+  EXPECT_THROW((void)parse_planned_campaign(
+                   read_file_bytes(dir + "/campaign.bin"), dir),
+               std::invalid_argument);
   EXPECT_THROW((void)work_campaign_spool(dir, registry, {}),
                std::invalid_argument);
 }

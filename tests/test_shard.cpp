@@ -17,6 +17,7 @@
 #include "scenario/record.h"
 #include "scenario/registry.h"
 #include "scenario/shard.h"
+#include "scenario/transport.h"
 
 namespace ulpsync::scenario {
 namespace {
@@ -95,7 +96,8 @@ TEST(Spool, PlanRoundTripsSpecsExactly) {
   std::vector<RunSpec> loaded(specs.size());
   std::size_t seen = 0;
   for (const auto& entry : fs::directory_iterator(dir + "/queue")) {
-    const ShardBundle bundle = load_bundle(entry.path().string());
+    const ShardBundle bundle =
+        parse_bundle_bytes(read_file_bytes(entry.path().string()), "bundle");
     EXPECT_EQ(bundle.fingerprint, plan.fingerprint);
     for (std::size_t k = 0; k < bundle.specs.size(); ++k) {
       ASSERT_LT(bundle.indices[k], loaded.size());
@@ -136,7 +138,7 @@ TEST(Spool, StatusTracksLifecycle) {
   const std::string dir = scratch_dir("status");
   (void)plan_spool(dir, small_sweep_specs(), Registry::builtins(),
                    {.shards = 2});
-  SpoolStatus status = spool_status(dir);
+  SpoolStatus status = FsTransport(dir).status().spool;
   EXPECT_EQ(status.specs, 4u);
   ASSERT_EQ(status.shards.size(), 2u);
   for (const ShardState& shard : status.shards) {
@@ -146,7 +148,7 @@ TEST(Spool, StatusTracksLifecycle) {
   EXPECT_FALSE(status.complete());
 
   (void)work_spool(dir, Registry::builtins());
-  status = spool_status(dir);
+  status = FsTransport(dir).status().spool;
   for (const ShardState& shard : status.shards) {
     EXPECT_EQ(shard.state, "done");
     EXPECT_TRUE(shard.part_final);
@@ -168,7 +170,9 @@ TEST(Spool, TruncatedBundleRejected) {
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(keep));
     out.close();
-    EXPECT_THROW((void)load_bundle(bundle), std::invalid_argument) << keep;
+    EXPECT_THROW((void)parse_bundle_bytes(read_file_bytes(bundle), bundle),
+                 std::invalid_argument)
+        << keep;
   }
 }
 
@@ -186,7 +190,9 @@ TEST(Spool, BitFlippedBundleRejected) {
     out.write(reinterpret_cast<const char*>(corrupt.data()),
               static_cast<std::streamsize>(corrupt.size()));
     out.close();
-    EXPECT_THROW((void)load_bundle(path), std::invalid_argument) << at;
+    EXPECT_THROW((void)parse_bundle_bytes(read_file_bytes(path), path),
+                 std::invalid_argument)
+        << at;
   }
 }
 
@@ -194,7 +200,7 @@ TEST(Spool, CorruptManifestRejected) {
   const std::string dir = scratch_dir("badmanifest");
   (void)plan_spool(dir, small_sweep_specs(), Registry::builtins(), {});
   std::ofstream(dir + "/MANIFEST", std::ios::trunc) << "not a spool\n";
-  EXPECT_THROW((void)spool_status(dir), std::runtime_error);
+  EXPECT_THROW((void)FsTransport(dir).status().spool, std::runtime_error);
   EXPECT_THROW((void)work_spool(dir, Registry::builtins()), std::runtime_error);
   EXPECT_THROW((void)merge_spool(dir), std::runtime_error);
 }
@@ -274,7 +280,7 @@ TEST(Spool, ShipsWarmStatesAndStaysByteIdentical) {
   // The whole group must have landed on one shard (that is what makes the
   // shipped state reusable by every member).
   std::size_t shards_with_specs = 0;
-  for (const ShardState& shard : spool_status(dir).shards) {
+  for (const ShardState& shard : FsTransport(dir).status().spool.shards) {
     if (shard.specs > 0) ++shards_with_specs;
   }
   EXPECT_EQ(shards_with_specs, 1u);

@@ -4,6 +4,9 @@
 // schema both transports render.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -21,6 +24,7 @@
 #include "scenario/resilience.h"
 #include "scenario/shard.h"
 #include "scenario/transport.h"
+#include "util/wire.h"
 
 namespace ulpsync::scenario {
 namespace {
@@ -257,6 +261,104 @@ TEST(Transport, TcpRejectsRowForUnleasedShard) {
   server.stop();
 }
 
+/// A bare protocol client: sends request lines verbatim, so tests can say
+/// what `TcpTransport` never would.
+class RawClient {
+ public:
+  explicit RawClient(int port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+  }
+  ~RawClient() { ::close(fd_); }
+  RawClient(const RawClient&) = delete;
+  RawClient& operator=(const RawClient&) = delete;
+
+  /// Sends `line` and returns the reply line.
+  std::string request(const std::string& line) {
+    const std::string framed = line + "\n";
+    EXPECT_EQ(::send(fd_, framed.data(), framed.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(framed.size()));
+    std::size_t newline;
+    while ((newline = buffer_.find('\n')) == std::string::npos) fill();
+    const std::string reply = buffer_.substr(0, newline);
+    buffer_.erase(0, newline + 1);
+    return reply;
+  }
+  /// Consumes `count` payload bytes that followed the last reply.
+  void skip(std::size_t count) {
+    while (buffer_.size() < count) fill();
+    buffer_.erase(0, count);
+  }
+
+ private:
+  void fill() {
+    char chunk[4096];
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (n <= 0) throw std::runtime_error("server closed the connection");
+    buffer_.append(chunk, static_cast<std::size_t>(n));
+  }
+
+  int fd_;
+  std::string buffer_;
+};
+
+TEST(Transport, MalformedRequestsGetErrAndTheSpoolStillMerges) {
+  const std::string dir = scratch_dir("malformed");
+  const std::vector<RunSpec> specs = small_sweep_specs();
+  const std::string expected = single_process_csv(specs);
+  plan_spool(dir, specs, Registry::builtins(), {.shards = 2});
+
+  SpoolServer server(dir);
+  server.start();
+  {
+    RawClient raw(server.port());
+    // Hold a lease, so row requests get as far as their own checks.
+    unsigned id = 0;
+    std::size_t payload = 0;
+    std::size_t rows = 0;
+    const std::string claim = raw.request("CLAIM raw");
+    ASSERT_EQ(std::sscanf(claim.c_str(), "OK %u bundle %zu %zu", &id, &payload,
+                          &rows),
+              3)
+        << claim;
+    raw.skip(payload + rows);
+    const std::string shard = std::to_string(id);
+    const std::string row = "complete-row";
+    for (const std::string& line :
+         {std::string("FROB ") + shard,                         // unknown verb
+          std::string("BEAT"),                                  // missing id
+          "ROW " + shard + " 0123456789abcdef " + row,          // bad row FNV
+          "ROW " + shard + " " + util::hex64(util::fnv1a64(row)) +
+              " complete-r",                                    // cut short
+          "ROW " + shard}) {                                    // truncated
+      EXPECT_EQ(raw.request(line).rfind("ERR ", 0), 0u) << line;
+    }
+    EXPECT_EQ(raw.request("BEAT " + shard), "OK");  // the lease survived
+  }  // the raw connection drops; its claim goes back to the queue
+
+  // The release runs on the connection's thread: wait for the re-queue.
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    if (server.status().queue_depth == 2) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server.status().queue_depth, 2u);
+  {
+    TcpTransport worker("127.0.0.1", server.port());
+    const auto job = sweep_job(worker, read_spool_manifest(worker),
+                               Registry::builtins(), {});
+    drain_spool(worker, *job, "after-garbage", /*resume=*/false,
+                /*max_shards=*/0, /*jobs=*/1);
+    EXPECT_EQ(merge_spool(worker), expected);
+  }
+  server.stop();
+  EXPECT_EQ(merge_spool(dir), expected);
+}
+
 // --- byte identity across transports ----------------------------------------
 
 TEST(Transport, TcpWorkersMergeByteIdenticalToSingleProcess) {
@@ -271,15 +373,16 @@ TEST(Transport, TcpWorkersMergeByteIdenticalToSingleProcess) {
   for (unsigned w = 0; w < 2; ++w) {
     pool.emplace_back([&, w] {
       TcpTransport transport("127.0.0.1", server.port());
-      WorkOptions options;
-      options.worker_id = "tcp-" + std::to_string(w);
-      work_spool_transport(transport, Registry::builtins(), options);
+      const auto job = sweep_job(transport, read_spool_manifest(transport),
+                                 Registry::builtins(), {});
+      drain_spool(transport, *job, "tcp-" + std::to_string(w),
+                  /*resume=*/false, /*max_shards=*/0, /*jobs=*/1);
     });
   }
   for (auto& worker : pool) worker.join();
 
   TcpTransport merger("127.0.0.1", server.port());
-  EXPECT_EQ(merge_spool_transport(merger), expected);
+  EXPECT_EQ(merge_spool(merger), expected);
   // The filesystem view of the same spool merges to the same bytes.
   EXPECT_EQ(merge_spool(dir), expected);
   server.stop();
@@ -308,14 +411,14 @@ TEST(Transport, CampaignOverTcpMatchesSingleProcess) {
   server.start();
   {
     TcpTransport worker("127.0.0.1", server.port());
-    CampaignWorkOptions options;
-    options.worker_id = "campaign-tcp";
-    options.jobs = 2;
-    work_campaign_transport(worker, Registry::builtins(), options);
+    const auto job = campaign_job(worker, read_spool_manifest(worker),
+                                  Registry::builtins());
+    drain_spool(worker, *job, "campaign-tcp", /*resume=*/false,
+                /*max_shards=*/0, /*jobs=*/2);
 
     TcpTransport merger("127.0.0.1", server.port());
-    EXPECT_TRUE(is_campaign_manifest(merger.manifest_text()));
-    EXPECT_EQ(merge_campaign_transport(merger), expected);
+    EXPECT_TRUE(read_spool_manifest(merger).campaign);
+    EXPECT_EQ(merge_spool(merger), expected);
   }
   EXPECT_EQ(merge_campaign_spool(dir), expected);
   server.stop();
@@ -409,10 +512,7 @@ TEST(CostModel, SkewedCostsResizeShardsAndMergeStaysIdentical) {
   EXPECT_EQ(costed_manifest.shards[1].specs, 3u);
 
   // Shard membership never touches merged bytes.
-  FsTransport worker(costed);
-  WorkOptions work_options;
-  work_options.worker_id = "cost-worker";
-  work_spool_transport(worker, Registry::builtins(), work_options);
+  work_spool(costed, Registry::builtins(), {.worker_id = "cost-worker"});
   EXPECT_EQ(merge_spool(costed), single_process_csv(specs));
 }
 
@@ -420,10 +520,7 @@ TEST(CostModel, WorkersFeedCostsBackThroughTheSpool) {
   const std::string dir = scratch_dir("cost_feedback");
   const std::vector<RunSpec> specs = small_sweep_specs();
   plan_spool(dir, specs, Registry::builtins(), {.shards = 2});
-  FsTransport transport(dir);
-  WorkOptions options;
-  options.worker_id = "feedback";
-  work_spool_transport(transport, Registry::builtins(), options);
+  work_spool(dir, Registry::builtins(), {.worker_id = "feedback"});
 
   const CostModel model = load_cost_model({dir});
   EXPECT_EQ(model.by_spec.size(), specs.size());

@@ -29,16 +29,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 
 #include "core/lockstep.h"
+#include "scenario/checkpoint_ring.h"
 #include "scenario/registry.h"
 #include "scenario/replay.h"
 #include "sim/platform.h"
 #include "sim/snapshot.h"
 #include "util/cli.h"
+#include "util/wire.h"
 
 namespace {
 
@@ -149,21 +150,6 @@ bool has_extension(const std::string& path, const std::string& ext) {
          path.compare(path.size() - ext.size(), ext.size(), ext) == 0;
 }
 
-/// Raw-byte FNV-1a 64 of a file — how text fixtures (the design-search
-/// frontier CSVs) are pinned; wire images hash their parsed content
-/// instead, which validates the image on the way.
-std::uint64_t raw_file_hash(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  char c;
-  while (in.get(c)) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 int cmd_hash(const util::CliArgs& args) {
   if (args.positional().size() < 2) {
     std::fprintf(stderr,
@@ -172,11 +158,14 @@ int cmd_hash(const util::CliArgs& args) {
   }
   for (std::size_t i = 1; i < args.positional().size(); ++i) {
     const std::string& path = args.positional()[i];
+    // Text fixtures (the design-search frontier CSVs) are pinned by their
+    // raw bytes; wire images hash their parsed content instead, which
+    // validates the image on the way.
     const std::uint64_t hash =
         has_extension(path, ".evt")
             ? scenario::read_recorded_run_file(path).content_hash()
             : has_extension(path, ".csv")
-                  ? raw_file_hash(path)
+                  ? util::fnv1a64(scenario::read_file_bytes(path))
                   : sim::read_snapshot_file(path).content_hash();
     std::printf("%016llx  %s\n", static_cast<unsigned long long>(hash),
                 path.c_str());

@@ -1,6 +1,6 @@
-// sweep_shard: cross-process sharded sweeps over a work spool
-// (scenario/shard.h), reachable through either spool transport
-// (scenario/transport.h):
+// sweep_shard: cross-process sharded sweeps and fault campaigns over the
+// indexed-job spool (scenario/spool.h), reachable through either spool
+// transport (scenario/transport.h):
 //
 //   --spool DIR          the on-disk spool, claims by atomic rename
 //   --connect HOST:PORT  a `sweep_shard serve` coordinator on another
@@ -16,8 +16,8 @@
 //       numbered heaviest-first, so workers claim the long poles first.
 //   sweep_shard plan   --campaign --spool DIR [campaign flags] [--shards K]
 //       Plans a *fault campaign* spool instead (scenario/resilience.h).
-//       work/merge/status auto-detect campaign spools from the manifest
-//       header — the same commands drive both kinds over both transports.
+//       work/merge/status read the spool's kind from its manifest header —
+//       the same commands drive both kinds over both transports.
 //   sweep_shard serve  --spool DIR [--port P] [--lease S]
 //       The TCP coordinator: owns DIR and leases its shards to --connect
 //       workers. Claims of vanished workers (dropped connection or a
@@ -29,7 +29,9 @@
 //                      [--max-shards M] [--record-events DIR] [--jobs N]
 //       Claims shards and executes them until the queue is empty. Run any
 //       number of workers concurrently. --resume re-queues orphaned
-//       claims of dead workers and reuses their finished rows.
+//       claims of dead workers and reuses their finished rows. --ring-*
+//       and --record-events apply to sweep spools, --jobs to campaign
+//       spools; passing one the spool's kind ignores is an error.
 //   sweep_shard merge  [--spool DIR | --connect H:P] --out FILE
 //       Assembles the parts into one CSV, byte-identical to a
 //       single-process `sweep_shard run` of the same matrix.
@@ -61,6 +63,7 @@
 #include "scenario/report.h"
 #include "scenario/resilience.h"
 #include "scenario/shard.h"
+#include "scenario/spool.h"
 #include "scenario/transport.h"
 #include "util/cli.h"
 
@@ -180,46 +183,52 @@ int cmd_work(const util::CliArgs& args) {
       {
           {"worker-id", "X", "recorded as the claim owner (default: pid)"},
           {"resume", "", "re-queue orphaned claims of dead workers first"},
-          {"ring-stride", "N", "checkpoint-ring stride in cycles (0 = off)"},
-          {"ring-keep", "K", "checkpoints kept per ring (default 4)"},
+          {"ring-stride", "N", "sweeps: checkpoint-ring stride (0 = off)"},
+          {"ring-keep", "K", "sweeps: checkpoints kept per ring (default 4)"},
           {"max-shards", "M", "stop after M shards (0 = drain)"},
-          {"record-events", "DIR", "record every run's event schedule to DIR"},
-          {"jobs", "N", "campaign spools: trial threads per shard"},
+          {"record-events", "DIR", "sweeps: record every run's schedule"},
+          {"jobs", "N", "campaigns: trial threads per shard"},
       }};
   table = with_flags(std::move(table), transport_flags());
   if (handle_help(table, args)) return 0;
 
   const std::unique_ptr<SpoolTransport> transport = transport_from_flags(args);
-  if (is_campaign_manifest(transport->manifest_text())) {
-    CampaignWorkOptions options;
-    options.worker_id = args.get("worker-id", "");
-    options.resume = args.has("resume");
-    options.jobs = cli::jobs_from_flags(args, 1);
-    options.max_shards =
-        static_cast<std::size_t>(args.get_int("max-shards", 0));
-    const CampaignWorkReport report =
-        work_campaign_transport(*transport, Registry::builtins(), options);
-    std::printf("worker done: %zu shard(s), %zu trial(s) executed, "
-                "%zu row(s) reused\n",
-                report.shards_completed, report.trials_executed,
-                report.rows_reused);
-    return 0;
+  const SpoolManifest manifest = read_spool_manifest(*transport);
+  // The kind decides which knobs apply; a knob the kind ignores is an
+  // error, never a silent no-op.
+  const std::vector<const char*> foreign =
+      manifest.campaign
+          ? std::vector<const char*>{"ring-stride", "ring-keep",
+                                     "record-events"}
+          : std::vector<const char*>{"jobs"};
+  for (const char* flag : foreign) {
+    if (args.has(flag)) {
+      throw std::runtime_error(std::string("--") + flag +
+                               " does not apply to a " +
+                               (manifest.campaign ? "campaign" : "sweep") +
+                               " spool");
+    }
   }
-  WorkOptions options;
-  options.worker_id = args.get("worker-id", "");
-  options.resume = args.has("resume");
-  options.ring_stride =
-      static_cast<std::uint64_t>(args.get_int("ring-stride", 0));
-  options.ring_keep = static_cast<unsigned>(args.get_int("ring-keep", 4));
-  options.max_shards =
-      static_cast<std::size_t>(args.get_int("max-shards", 0));
-  options.record_dir = args.get("record-events", "");
-  const WorkReport report =
-      work_spool_transport(*transport, Registry::builtins(), options);
-  std::printf("worker done: %zu shard(s), %zu run(s) executed, "
-              "%zu row(s) reused, %zu warm-resumed\n",
+  std::unique_ptr<SpoolJob> job;
+  if (manifest.campaign) {
+    job = campaign_job(*transport, manifest, Registry::builtins());
+  } else {
+    WorkOptions options;
+    options.ring_stride =
+        static_cast<std::uint64_t>(args.get_int("ring-stride", 0));
+    options.ring_keep = static_cast<unsigned>(args.get_int("ring-keep", 4));
+    options.record_dir = args.get("record-events", "");
+    job = sweep_job(*transport, manifest, Registry::builtins(), options);
+  }
+  const WorkReport report = drain_spool(
+      *transport, *job, args.get("worker-id", ""), args.has("resume"),
+      static_cast<std::size_t>(args.get_int("max-shards", 0)),
+      manifest.campaign ? cli::jobs_from_flags(args, 1) : 1);
+  std::printf("worker done: %zu shard(s), %zu %s executed, %zu row(s) "
+              "reused, %zu warm-resumed\n",
               report.shards_completed, report.runs_executed,
-              report.rows_reused, report.warm_resumed);
+              manifest.campaign ? "trial(s)" : "run(s)", report.rows_reused,
+              report.warm_resumed);
   return 0;
 }
 
@@ -235,9 +244,7 @@ int cmd_merge(const util::CliArgs& args) {
 
   const std::string out_path = cli::require_flag(args, "out");
   const std::unique_ptr<SpoolTransport> transport = transport_from_flags(args);
-  const std::string csv = is_campaign_manifest(transport->manifest_text())
-                              ? merge_campaign_transport(*transport)
-                              : merge_spool_transport(*transport);
+  const std::string csv = merge_spool(*transport);
   std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
   out << csv;
   if (!out) {
