@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "util/file.h"
 #include "util/wire.h"
 
 namespace ulpsync::scenario {
@@ -97,34 +98,6 @@ std::optional<ParsedManifest> parse_manifest(const std::string& dir) {
 
 }  // namespace
 
-void write_file_atomic(const std::string& path,
-                       std::span<const std::uint8_t> bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out) throw std::runtime_error("cannot write " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    throw std::runtime_error("cannot rename " + tmp + " to " + path + ": " +
-                             ec.message());
-  }
-}
-
-void write_text_atomic(const std::string& path, std::string_view text) {
-  write_file_atomic(path, {reinterpret_cast<const std::uint8_t*>(text.data()),
-                           text.size()});
-}
-
-std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
 std::vector<std::uint8_t> serialize_warm_state(const WarmState& state) {
   util::WireWriter w;
   w.u64(state.lockstep.observed_cycles);
@@ -159,7 +132,7 @@ std::optional<RingEntry> load_latest_ring_entry(const std::string& dir,
        ++row) {
     if (row->cycle > max_cycle) continue;
     try {
-      const auto bytes = read_file_bytes(dir + "/" + row->file);
+      const auto bytes = util::read_file_bytes(dir + "/" + row->file);
       if (fnv1a64(bytes) != row->hash) continue;
       return parse_entry(bytes, identity);
     } catch (const std::exception&) {
@@ -199,7 +172,7 @@ void RingWriter::write_manifest() const {
     out << "entry " << row.cycle << ' ' << row.file << ' '
         << util::hex64(row.hash) << '\n';
   }
-  write_text_atomic(dir_ + "/MANIFEST", out.str());
+  util::write_file_atomic(dir_ + "/MANIFEST", out.str());
 }
 
 void RingWriter::offer(sim::Platform& platform,
@@ -226,7 +199,7 @@ void RingWriter::offer(sim::Platform& platform,
   const std::vector<std::uint8_t> bytes =
       serialize_entry(identity_, cycle, state);
   const std::string file = entry_file_name(cycle);
-  write_file_atomic(dir_ + "/" + file, bytes);
+  util::write_file_atomic(dir_ + "/" + file, bytes);
 
   // Keep the manifest strictly increasing in cycle: a run resumed from an
   // older entry re-offers points an earlier execution already wrote (the

@@ -27,7 +27,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "scenario/engine.h"
@@ -37,16 +36,6 @@ namespace ulpsync::scenario {
 
 /// FNV-1a 64-bit hash (the project-wide content-hash primitive).
 using util::fnv1a64;
-
-/// Writes `bytes` to `path` atomically: a sibling temporary file is written
-/// and renamed over the destination, so readers only ever observe complete
-/// images. Throws std::runtime_error on I/O failure.
-void write_file_atomic(const std::string& path,
-                       std::span<const std::uint8_t> bytes);
-/// `write_file_atomic` of text.
-void write_text_atomic(const std::string& path, std::string_view text);
-/// Whole file as bytes. Throws std::runtime_error when unreadable.
-[[nodiscard]] std::vector<std::uint8_t> read_file_bytes(const std::string& path);
 
 /// Stable binary image of a `WarmState`: lockstep metrics followed by the
 /// snapshot's own wire format (`sim::Snapshot::serialize`).

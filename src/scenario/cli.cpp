@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "ecg/cohort.h"
 #include "scenario/matrix.h"
 
 namespace ulpsync::scenario::cli {
@@ -147,14 +148,6 @@ std::optional<EnergyRequest> energy_from_flags(const util::CliArgs& args) {
   return request;
 }
 
-CohortAxis cohort_from_flags(const util::CliArgs& args) {
-  CohortAxis axis;
-  axis.patients = static_cast<unsigned>(args.get_int("cohort", 0));
-  axis.params.seed = static_cast<std::uint64_t>(
-      args.get_int("cohort-seed", static_cast<long>(axis.params.seed)));
-  return axis;
-}
-
 unsigned jobs_from_flags(const util::CliArgs& args, unsigned fallback) {
   return static_cast<unsigned>(
       args.get_int("jobs", static_cast<long>(fallback)));
@@ -170,8 +163,13 @@ std::vector<RunSpec> matrix_specs_from_flags(const util::CliArgs& args) {
   matrix.max_cycles(
       static_cast<std::uint64_t>(args.get_int("max-cycles", 500'000'000)));
   if (const auto energy = energy_from_flags(args)) matrix.energy({*energy});
-  const CohortAxis cohort = cohort_from_flags(args);
-  if (cohort.patients != 0) matrix.cohort(cohort.patients, cohort.params);
+  const auto patients = static_cast<unsigned>(args.get_int("cohort", 0));
+  if (patients != 0) {
+    ecg::CohortParams population;
+    population.seed = static_cast<std::uint64_t>(
+        args.get_int("cohort-seed", static_cast<long>(population.seed)));
+    matrix.cohort(patients, population);
+  }
 
   std::vector<RunSpec> specs = matrix.expand();
   if (args.has("horizons")) {

@@ -2,17 +2,17 @@
 
 /// Shared command-line vocabulary of the scenario tools.
 ///
-/// `sweep_shard`, `warmstart_sweep`, `fault_campaign` and `design_search`
-/// all accept the same matrix / cohort / energy / jobs / record-events
-/// flags; this header is the one place their spelling, defaults, and
-/// error messages live. Tools declare a `FlagTable` per (sub)command: it
+/// `sweep_shard`, `fault_campaign` and `design_search` all accept the
+/// same matrix / cohort / energy / jobs / record-events flags; this header
+/// is the one place their spelling, defaults, and error messages live.
+/// Tools declare a `FlagTable` per (sub)command: it
 /// renders the `--help` text and rejects unknown flags with a one-line
 /// diagnostic instead of a usage dump, so a typo exits non-zero with
 /// exactly one line on stderr.
 ///
 /// Every parser throws `std::runtime_error` with a stable, tool-agnostic
 /// message ("malformed --samples entry 'abc'", "missing required --spool
-/// flag", ...), so the four tools report identical errors for identical
+/// flag", ...), so the tools report identical errors for identical
 /// mistakes.
 
 #include <cstdint>
@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "ecg/cohort.h"
 #include "scenario/spec.h"
 #include "util/cli.h"
 
@@ -77,14 +76,6 @@ struct FlagTable {
 /// `--energy-volt V`; nullopt when none of the three flags is present.
 [[nodiscard]] std::optional<EnergyRequest> energy_from_flags(
     const util::CliArgs& args);
-
-/// The `--cohort N` / `--cohort-seed S` axis; `patients == 0` = unset.
-struct CohortAxis {
-  unsigned patients = 0;
-  ecg::CohortParams params;
-};
-/// Parses the cohort axis from the shared flag vocabulary.
-[[nodiscard]] CohortAxis cohort_from_flags(const util::CliArgs& args);
 
 /// `--jobs N` (engine/trial threads; 0 = one per hardware core).
 [[nodiscard]] unsigned jobs_from_flags(const util::CliArgs& args,

@@ -138,7 +138,6 @@ SearchResult design_search(const Registry& registry,
     }
     const SweepResult sweep = engine.run_timed(specs);
     result.specs_executed += specs.size();
-    result.wall_seconds += sweep.perf.wall_seconds;
     result.warm_resumed += sweep.perf.warm_resumed;
 
     // Adopt this rung's metrics; drop failed and infeasible points.

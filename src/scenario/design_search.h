@@ -115,8 +115,6 @@ struct SearchResult {
   std::vector<RungStats> rungs;
   std::size_t candidates = 0;       ///< micro-architectures enumerated
   std::size_t specs_executed = 0;   ///< engine runs across all rungs
-  // Host-side timing (never affects the frontier):
-  double wall_seconds = 0.0;
   std::size_t warm_resumed = 0;     ///< runs resumed from a shared prefix
 };
 

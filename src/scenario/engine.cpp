@@ -1,6 +1,7 @@
 #include "scenario/engine.h"
 
 #include <atomic>
+#include <chrono>
 #include <exception>
 #include <map>
 #include <mutex>
@@ -255,8 +256,6 @@ SweepResult Engine::run_timed(const std::vector<RunSpec>& specs) const {
   if (specs.empty()) return result;
 
   const Clock::time_point sweep_start = Clock::now();
-  const bool budgeted = !options_.budget.unlimited();
-  const Clock::time_point deadline = sweep_start + options_.budget.wall_limit;
 
   // Warm-start prepass: group specs that share a deterministic warm-up
   // prefix (same `warm_key`, a set `checkpoint_at` below their budget) and
@@ -282,33 +281,25 @@ SweepResult Engine::run_timed(const std::vector<RunSpec>& specs) const {
     for (auto& [key, group] : warm_groups) {
       (void)key;
       if (group.members.size() < 2) continue;
-      if (budgeted && Clock::now() >= deadline) break;
       const RunSpec& leader = specs[group.members.front()];
-      const Clock::time_point warm_start = Clock::now();
       group.state = capture_warm_state(leader, *leader.checkpoint_at);
-      const double warm_wall =
-          std::chrono::duration<double>(Clock::now() - warm_start).count();
       if (!group.state) continue;  // members fall back to cold runs
       result.perf.warmups += 1;
-      result.perf.warmup_wall_seconds += warm_wall;
-      result.perf.warmup_saved_seconds +=
-          warm_wall * static_cast<double>(group.members.size() - 1);
       result.perf.warm_resumed += group.members.size();
       for (std::size_t i : group.members) warm_of[i] = group.state.get();
     }
   }
 
   std::vector<RunRecord>& records = result.records;
-  std::vector<std::uint8_t> executed(specs.size(), 0);
   std::atomic<bool> stopped{false};
   std::size_t done = 0;
   std::mutex progress_mutex;
   std::exception_ptr callback_error;
 
   util::parallel_for(specs.size(), options_.jobs, [&](std::size_t index) {
-    // A run that has started always finishes; the budget (or a throwing
-    // progress callback) only stops new runs from starting.
-    if (stopped || (budgeted && Clock::now() >= deadline)) return;
+    // A run that has started always finishes; a throwing progress
+    // callback only stops new runs from starting.
+    if (stopped) return;
     const Clock::time_point run_start = Clock::now();
     records[index] = run_one_impl(
         specs[index],
@@ -317,7 +308,6 @@ SweepResult Engine::run_timed(const std::vector<RunSpec>& specs) const {
         /*ring_slot=*/index);
     result.perf.run_wall_seconds[index] =
         std::chrono::duration<double>(Clock::now() - run_start).count();
-    executed[index] = 1;
     const std::lock_guard<std::mutex> lock(progress_mutex);
     ++done;
     if (options_.on_result) {
@@ -334,28 +324,17 @@ SweepResult Engine::run_timed(const std::vector<RunSpec>& specs) const {
   if (callback_error) std::rethrow_exception(callback_error);
 
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (executed[i]) {
-      result.perf.executed += 1;
-      // `sim_cycles` counts cycles actually simulated by this sweep: a
-      // resumed record's cycle count includes its warm prefix, which this
-      // sweep either simulated once per group (added below) or — for a
-      // caller-provided `resume_from` — not at all.
-      const WarmState* warm = warm_of[i] != nullptr
-                                  ? warm_of[i]
-                                  : specs[i].resume_from.get();
-      std::uint64_t simulated = records[i].cycles();
-      if (warm != nullptr) {
-        simulated -= std::min(simulated, warm->snapshot.cycle());
-      }
-      result.perf.sim_cycles += simulated;
-    } else {
-      // Never claimed (budget expired or callback abort): report the spec
-      // with an explicit skip status rather than an empty record.
-      records[i].spec = specs[i];
-      records[i].status = "skipped";
-      records[i].verify_error = "perf budget exhausted before this run started";
-      result.perf.skipped += 1;
+    // `sim_cycles` counts cycles actually simulated by this sweep: a
+    // resumed record's cycle count includes its warm prefix, which this
+    // sweep either simulated once per group (added below) or — for a
+    // caller-provided `resume_from` — not at all.
+    const WarmState* warm =
+        warm_of[i] != nullptr ? warm_of[i] : specs[i].resume_from.get();
+    std::uint64_t simulated = records[i].cycles();
+    if (warm != nullptr) {
+      simulated -= std::min(simulated, warm->snapshot.cycle());
     }
+    result.perf.sim_cycles += simulated;
   }
   for (const auto& [key, group] : warm_groups) {
     (void)key;

@@ -6,7 +6,6 @@
 /// makes the output — and anything serialized from it — identical whether
 /// the sweep ran serially or on N threads.
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -81,20 +80,6 @@ struct CheckpointRingOptions {
   [[nodiscard]] bool enabled() const { return !dir.empty() && stride != 0; }
 };
 
-/// Wall-clock budget for a sweep. With a budget set, runs that have not
-/// *started* when the budget expires are returned as records with status
-/// "skipped" (started runs always finish, so every executed record is
-/// complete and valid). A budgeted sweep's output therefore depends on
-/// host speed — leave the budget unlimited (the default) whenever
-/// byte-identical, reproducible output matters.
-struct PerfBudget {
-  /// Maximum wall time for the whole sweep; zero = unlimited.
-  std::chrono::milliseconds wall_limit{0};
-
-  /// True when no limit is set.
-  [[nodiscard]] bool unlimited() const { return wall_limit.count() == 0; }
-};
-
 /// Wall-clock measurements of one sweep (`Engine::run_timed`). Simulation
 /// results never depend on these; they only describe how fast the host
 /// produced them.
@@ -104,18 +89,11 @@ struct SweepPerf {
   /// prefix counts once (it was simulated once), even though every
   /// resumed record's own cycle count includes it.
   std::uint64_t sim_cycles = 0;
-  std::size_t executed = 0;       ///< runs that actually executed
-  std::size_t skipped = 0;        ///< runs skipped by an expired PerfBudget
-  /// Per-record wall time, aligned with the records (0 for skipped runs).
+  /// Per-record wall time, aligned with the records.
   std::vector<double> run_wall_seconds;
   // Warm-start accounting (see `RunSpec::checkpoint_at`):
   std::size_t warmups = 0;        ///< shared warm-up prefixes simulated
   std::size_t warm_resumed = 0;   ///< runs resumed from a shared warm state
-  double warmup_wall_seconds = 0.0;  ///< wall time spent in shared warm-ups
-  /// Estimated wall time saved by sharing: each warm-up's wall time times
-  /// the number of *additional* runs that reused it (they would each have
-  /// re-simulated the prefix in a cold sweep).
-  double warmup_saved_seconds = 0.0;
 
   /// Aggregate simulator throughput of the sweep.
   [[nodiscard]] double sim_cycles_per_second() const {
@@ -146,8 +124,6 @@ struct EngineOptions {
   /// are bit-identical either way; disable to measure the savings or to
   /// force cold runs.
   bool warm_start = true;
-  /// Wall-clock budget for the whole sweep; unlimited by default.
-  PerfBudget budget;
   /// Crash-resumable periodic checkpoints (see `CheckpointRingOptions`).
   /// Disabled by default; simulation results are bit-identical either way.
   CheckpointRingOptions checkpoint_ring;
@@ -183,9 +159,8 @@ class Engine {
     return run(matrix.expand());
   }
 
-  /// Like `run`, but also reports the sweep's wall-clock timing — total
-  /// and per-record — and honours `EngineOptions::budget`. This is the
-  /// entry point of the perf harness (`bench/perf_throughput`).
+  /// Like `run`, but also reports the sweep's wall-clock timing (total
+  /// and per-record) and its warm-start accounting.
   [[nodiscard]] SweepResult run_timed(const std::vector<RunSpec>& specs) const;
 
   /// Runs `spec`'s setup (program + inputs) and simulates to `cycle`,

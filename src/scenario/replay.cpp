@@ -6,6 +6,7 @@
 #include "scenario/checkpoint_ring.h"
 #include "scenario/record.h"
 #include "scenario/shard.h"
+#include "util/file.h"
 #include "util/wire.h"
 
 namespace ulpsync::scenario {
@@ -45,11 +46,11 @@ std::uint64_t RecordedRun::content_hash() const {
 }
 
 void write_recorded_run_file(const std::string& path, const RecordedRun& run) {
-  write_file_atomic(path, run.serialize());
+  util::write_file_atomic(path, run.serialize());
 }
 
 RecordedRun read_recorded_run_file(const std::string& path) {
-  return RecordedRun::deserialize(read_file_bytes(path));
+  return RecordedRun::deserialize(util::read_file_bytes(path));
 }
 
 RecordOutcome record_one(const RunSpec& spec, const Registry& registry,

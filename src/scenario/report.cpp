@@ -1,9 +1,10 @@
 #include "scenario/report.h"
 
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 #include <string>
+
+#include "util/file.h"
 
 namespace ulpsync::scenario {
 
@@ -77,35 +78,29 @@ EngineOptions engine_options_from(const util::CliArgs& args) {
 
 namespace {
 
-void write_or_complain(const std::string& path, const std::string& content,
-                       const char* what) {
-  std::ofstream file(path);
-  file << content;
-  file.flush();
-  if (file) {
-    std::printf("%s written to %s\n", what, path.c_str());
-  } else {
-    std::fprintf(stderr, "error: could not write %s to %s\n", what,
-                 path.c_str());
-  }
+// A failed write throws, so the program exits non-zero.
+void write_output(const std::string& path, const std::string& content,
+                  const char* what) {
+  util::write_file_atomic(path, content);
+  std::printf("%s written to %s\n", what, path.c_str());
 }
 
 }  // namespace
 
 void maybe_write_csv(const util::CliArgs& args, const util::Table& table) {
   if (!args.has("csv")) return;
-  write_or_complain(args.get("csv", "out.csv"), table.to_csv(), "CSV");
+  write_output(args.get("csv", "out.csv"), table.to_csv(), "CSV");
 }
 
 void maybe_write_records(const util::CliArgs& args,
                          const std::vector<RunRecord>& records) {
   if (args.has("records")) {
-    write_or_complain(args.get("records", "records.csv"), to_csv(records),
-                      "records CSV");
+    write_output(args.get("records", "records.csv"), to_csv(records),
+                 "records CSV");
   }
   if (args.has("json")) {
-    write_or_complain(args.get("json", "records.json"), to_json(records),
-                      "records JSON");
+    write_output(args.get("json", "records.json"), to_json(records),
+                 "records JSON");
   }
 }
 

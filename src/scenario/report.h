@@ -56,12 +56,13 @@ struct DesignPair {
 /// Engine options from the common flags: `--jobs N` (0 = all host cores).
 [[nodiscard]] EngineOptions engine_options_from(const util::CliArgs& args);
 
-/// Writes `table` to `--csv <path>` when the flag is present.
+/// Writes `table` to `--csv <path>` when the flag is present, atomically
+/// (`util::write_file_atomic`). Throws std::runtime_error when it fails.
 void maybe_write_csv(const util::CliArgs& args, const util::Table& table);
 
 /// Writes the full records to `--records <path>` (CSV) / `--json <path>`
 /// (JSON) when the corresponding flag is present. Distinct from the table's
-/// `--csv` so a driver can emit both.
+/// `--csv` so a program can emit both. Throws like `maybe_write_csv`.
 void maybe_write_records(const util::CliArgs& args,
                          const std::vector<RunRecord>& records);
 

@@ -11,6 +11,7 @@
 
 #include "scenario/checkpoint_ring.h"
 #include "scenario/transport.h"
+#include "util/file.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/wire.h"
@@ -816,7 +817,7 @@ CampaignPlanResult plan_campaign_spool(const std::string& dir,
   manifest.campaign = true;
   manifest.fingerprint = campaign_fingerprint(config, run);
   manifest.specs = faults.size();
-  write_file_atomic(
+  util::write_file_atomic(
       dir + "/campaign.bin",
       util::seal(kCampaignMagic, kCampaignVersion, [&](util::WireWriter& w) {
         w.u64(manifest.fingerprint);
@@ -832,16 +833,17 @@ CampaignPlanResult plan_campaign_spool(const std::string& dir,
   std::uint64_t begin = 0;
   for (unsigned s = 0; s < shard_count; ++s) {
     const std::size_t size = base + (s < extra ? 1 : 0);
-    write_text_atomic(dir + "/queue/" + shard_name(s) + ".range",
-                      util::hex64(manifest.fingerprint) + " " +
-                          std::to_string(s) + " " + std::to_string(begin) +
-                          " " + std::to_string(begin + size) + "\n");
+    util::write_file_atomic(dir + "/queue/" + shard_name(s) + ".range",
+                            util::hex64(manifest.fingerprint) + " " +
+                                std::to_string(s) + " " +
+                                std::to_string(begin) + " " +
+                                std::to_string(begin + size) + "\n");
     manifest.shards.push_back({.id = s, .specs = size, .begin = begin});
     begin += size;
   }
   // The manifest is written last: a spool without one is unplanned, never
   // half-planned.
-  write_text_atomic(dir + "/MANIFEST", spool_manifest_text(manifest));
+  util::write_file_atomic(dir + "/MANIFEST", spool_manifest_text(manifest));
 
   CampaignPlanResult result;
   result.faults = faults.size();

@@ -15,6 +15,7 @@
 #include "scenario/checkpoint_ring.h"
 #include "scenario/record.h"
 #include "scenario/transport.h"
+#include "util/file.h"
 #include "util/wire.h"
 
 namespace ulpsync::scenario {
@@ -491,15 +492,15 @@ PlanResult plan_spool(const std::string& dir, const std::vector<RunSpec>& specs,
   manifest.specs = specs.size();
   for (const BundlePlan& bundle : bundles) {
     const auto bytes = serialize_bundle(bundle, specs, manifest.fingerprint);
-    write_file_atomic(dir + "/queue/" + shard_name(bundle.id) + ".bundle",
-                      bytes);
+    util::write_file_atomic(
+        dir + "/queue/" + shard_name(bundle.id) + ".bundle", bytes);
     manifest.shards.push_back(
         {.id = bundle.id, .specs = bundle.indices.size(),
          .bundle_hash = fnv1a64(bytes)});
   }
   // The manifest is written last: a spool without one is unplanned, never
   // half-planned.
-  write_text_atomic(dir + "/MANIFEST", spool_manifest_text(manifest));
+  util::write_file_atomic(dir + "/MANIFEST", spool_manifest_text(manifest));
 
   result.specs = specs.size();
   result.shards = shard_count;

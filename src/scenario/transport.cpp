@@ -15,7 +15,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "scenario/checkpoint_ring.h"
+#include "util/file.h"
 #include "util/wire.h"
 
 namespace ulpsync::scenario {
@@ -113,13 +113,15 @@ std::string FsTransport::manifest_text() {
 }
 
 std::vector<std::uint8_t> FsTransport::fetch_blob(const std::string& name) {
-  if (name == "campaign.bin") return read_file_bytes(dir_ + "/campaign.bin");
+  if (name == "campaign.bin") {
+    return util::read_file_bytes(dir_ + "/campaign.bin");
+  }
   if (name.rfind("shard-", 0) == 0 && name.find('/') == std::string::npos) {
     // The shard's bundle, wherever it currently lives in the claim
     // lifecycle.
     for (const char* sub : {"/done/", "/claimed/", "/queue/"}) {
       const std::string path = dir_ + sub + name;
-      if (fs::exists(path)) return read_file_bytes(path);
+      if (fs::exists(path)) return util::read_file_bytes(path);
     }
     throw std::runtime_error("shard bundle " + name + " is missing from " +
                              dir_);
@@ -137,8 +139,9 @@ std::optional<ClaimedShard> FsTransport::claim(const std::string& worker_id) {
     const std::string ext = fs::path(name).extension().string();
     claimed.kind = ext.substr(1);
     const std::string stem = name.substr(0, name.size() - ext.size());
-    write_text_atomic(dir_ + "/claimed/" + stem + ".owner", worker_id + "\n");
-    claimed.payload = read_file_bytes(dir_ + "/claimed/" + name);
+    util::write_file_atomic(dir_ + "/claimed/" + stem + ".owner",
+                            worker_id + "\n");
+    claimed.payload = util::read_file_bytes(dir_ + "/claimed/" + name);
     const std::string partial_path =
         dir_ + "/parts/" + part_name(claimed.id) + ".partial";
     const std::string partial = read_text_file(partial_path);
@@ -152,7 +155,7 @@ std::optional<ClaimedShard> FsTransport::claim(const std::string& worker_id) {
         std::error_code ec;
         fs::remove(partial_path, ec);
       } else {
-        write_text_atomic(partial_path, adopted);
+        util::write_file_atomic(partial_path, adopted);
       }
     }
     return claimed;
@@ -188,7 +191,8 @@ void FsTransport::complete(unsigned id, std::uint64_t part_hash) {
     throw std::runtime_error("part of shard " + std::to_string(id) +
                              " failed its content hash (truncated upload?)");
   }
-  write_text_atomic(dir_ + "/parts/" + part_name(id) + ".csv", part_text);
+  util::write_file_atomic(dir_ + "/parts/" + part_name(id) + ".csv",
+                          part_text);
   std::error_code ec;
   fs::remove(partial, ec);
   release(id);  // the part is final: the claim moves to done/
@@ -661,9 +665,12 @@ void SpoolServer::serve_connection(int fd) {
     return true;
   };
   for (;;) {
-    // Frame one request line.
+    // Frame one request line, searching only the bytes not yet scanned.
+    std::size_t scanned = 0;
     std::size_t newline;
-    while ((newline = buffer.find('\n')) == std::string::npos) {
+    while ((newline = buffer.find('\n', scanned)) == std::string::npos &&
+           buffer.size() <= kMaxRequestLine) {
+      scanned = buffer.size();
       char chunk[4096];
       const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
       if (n <= 0) {
@@ -671,6 +678,15 @@ void SpoolServer::serve_connection(int fd) {
         return;
       }
       buffer.append(chunk, static_cast<std::size_t>(n));
+    }
+    if (newline > kMaxRequestLine) {
+      // Over-long (or never-ending) line: one ERR, then the peer sees the
+      // connection close. The descriptor itself is closed after the join.
+      send_text("ERR request line longer than " +
+                std::to_string(kMaxRequestLine) + " bytes\n");
+      ::shutdown(fd, SHUT_RDWR);
+      release_connection(fd);
+      return;
     }
     const std::string line = buffer.substr(0, newline);
     buffer.erase(0, newline + 1);

@@ -275,6 +275,11 @@ class SpoolServer {
   SpoolServer(const SpoolServer&) = delete;
   SpoolServer& operator=(const SpoolServer&) = delete;
 
+  /// Longest request line the server buffers. The longest legal request,
+  /// a ROW carrying one energy record, is about 1.4 KB; a connection whose
+  /// pending line grows past this gets one ERR reply and is closed.
+  static constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
+
   /// Binds, listens, and starts accepting; throws when the port is taken.
   void start();
   /// The bound port (valid after start()).

@@ -153,13 +153,7 @@ std::uint64_t EventSchedule::content_hash() const {
 }
 
 std::uint64_t normalized_state_hash(const Snapshot& snapshot) {
-  Snapshot copy = snapshot;
-  // Exactly the fields `snapshots_equal` excludes: host simulation knobs
-  // and their accounting are not simulated state.
-  copy.config.fast_forward = true;
-  copy.config.burst = true;
-  copy.fast_forwarded_cycles = 0;
-  return copy.content_hash();
+  return simulated_state(snapshot).content_hash();
 }
 
 // --- recording ---------------------------------------------------------------
@@ -422,10 +416,10 @@ namespace {
 bool replay_states_equal(const Snapshot& a, const Snapshot& b,
                          DivergenceScope scope) {
   if (scope == DivergenceScope::kCoreState) return snapshots_equal(a, b, scope);
-  Snapshot x = a;
-  Snapshot y = b;
+  Snapshot x = simulated_state(a);
+  Snapshot y = simulated_state(b);
   x.im_fingerprint = y.im_fingerprint = 0;
-  return snapshots_equal(x, y, scope);
+  return x == y;
 }
 
 std::string replay_states_diff(Snapshot a, Snapshot b) {
@@ -457,19 +451,14 @@ ReplayDivergence find_first_divergence_replayed(ReplayCursor& clean,
   Platform& b = faulty.platform();
   Snapshot last_a = a.save_snapshot();
   Snapshot last_b = b.save_snapshot();
-  {
-    // Comparable: same geometry/features (ignoring the host fast-forward
-    // and burst knobs) and the same start cycle. The image fingerprint is
-    // deliberately NOT required to match (IM faults).
-    PlatformConfig ca = last_a.config;
-    PlatformConfig cb = last_b.config;
-    ca.fast_forward = cb.fast_forward = true;
-    ca.burst = cb.burst = true;
-    if (!(ca == cb) || last_a.cycle() != last_b.cycle())
-      throw std::invalid_argument(
-          "find_first_divergence_replayed: platforms are not comparable "
-          "(different config or start cycle)");
-  }
+  // Comparable: same simulated configuration and the same start cycle.
+  // The image fingerprint is deliberately NOT required to match (IM
+  // faults).
+  if (!(simulated_config(last_a.config) == simulated_config(last_b.config)) ||
+      last_a.cycle() != last_b.cycle())
+    throw std::invalid_argument(
+        "find_first_divergence_replayed: platforms are not comparable "
+        "(different config or start cycle)");
   if (!replay_states_equal(last_a, last_b, scope))
     return make_divergence(std::move(last_a), std::move(last_b));
 

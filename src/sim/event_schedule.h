@@ -103,11 +103,9 @@ struct EventSchedule {
   friend bool operator==(const EventSchedule&, const EventSchedule&) = default;
 };
 
-/// Hash of a snapshot normalized to be invariant under host-side
-/// simulation knobs: the fast-forward/burst config bits are forced on and
-/// the fast-forwarded-cycle accounting is zeroed before hashing (exactly
-/// the fields `snapshots_equal` excludes). Two behaviorally identical runs
-/// — traced or not, fast-forwarded or not — hash equal.
+/// Content hash of `simulated_state(snapshot)`: invariant under host-side
+/// simulation knobs, exactly like `snapshots_equal`. Two behaviorally
+/// identical runs — traced or not, fast-forwarded or not — hash equal.
 [[nodiscard]] std::uint64_t normalized_state_hash(const Snapshot& snapshot);
 
 /// Records every external event delivered to a platform. Attach after

@@ -1,12 +1,11 @@
 #include "sim/snapshot.h"
 
 #include <algorithm>
-#include <fstream>
-#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "util/file.h"
 #include "util/wire.h"
 
 namespace ulpsync::sim {
@@ -436,13 +435,7 @@ Snapshot Platform::save_snapshot() const {
 }
 
 void Platform::restore_snapshot(const Snapshot& snapshot) {
-  // Config must match except for the host-side fast-forward/burst knobs
-  // (which never change results, only how the host reaches them).
-  PlatformConfig mine = config_;
-  PlatformConfig theirs = snapshot.config;
-  mine.fast_forward = theirs.fast_forward = true;
-  mine.burst = theirs.burst = true;
-  if (!(mine == theirs))
+  if (!(simulated_config(config_) == simulated_config(snapshot.config)))
     throw std::invalid_argument(
         "snapshot: platform configuration mismatch (snapshot was taken on a "
         "differently configured platform)");
@@ -514,17 +507,21 @@ void Platform::restore_snapshot(const Snapshot& snapshot) {
 
 // --- diffing and divergence bisection ---------------------------------------
 
+PlatformConfig simulated_config(PlatformConfig config) {
+  config.fast_forward = true;
+  config.burst = true;
+  return config;
+}
+
+Snapshot simulated_state(Snapshot snapshot) {
+  snapshot.config = simulated_config(snapshot.config);
+  snapshot.fast_forwarded_cycles = 0;
+  return snapshot;
+}
+
 bool snapshots_equal(const Snapshot& a, const Snapshot& b, DivergenceScope scope) {
   if (scope == DivergenceScope::kFullState) {
-    // The host-side fast-forward/burst knobs and their accounting are not
-    // simulated state: two runs that differ only there are behaviorally
-    // identical.
-    Snapshot x = a;
-    Snapshot y = b;
-    x.config.fast_forward = y.config.fast_forward = true;
-    x.config.burst = y.config.burst = true;
-    x.fast_forwarded_cycles = y.fast_forwarded_cycles = 0;
-    return x == y;
+    return simulated_state(a) == simulated_state(b);
   }
   return a.cores == b.cores && a.policy_groups == b.policy_groups &&
          a.active_policy_groups == b.active_policy_groups &&
@@ -628,16 +625,12 @@ DivergenceReport find_first_divergence(Platform& a, Platform& b,
   if (stride == 0) stride = 1;
   Snapshot last_a = a.save_snapshot();
   Snapshot last_b = b.save_snapshot();
-  {
-    PlatformConfig ca = last_a.config, cb = last_b.config;
-    ca.fast_forward = cb.fast_forward = true;
-    ca.burst = cb.burst = true;
-    if (!(ca == cb) || last_a.im_fingerprint != last_b.im_fingerprint ||
-        last_a.cycle() != last_b.cycle())
-      throw std::invalid_argument(
-          "find_first_divergence: platforms are not comparable (different "
-          "config, program, or start cycle)");
-  }
+  if (!(simulated_config(last_a.config) == simulated_config(last_b.config)) ||
+      last_a.im_fingerprint != last_b.im_fingerprint ||
+      last_a.cycle() != last_b.cycle())
+    throw std::invalid_argument(
+        "find_first_divergence: platforms are not comparable (different "
+        "config, program, or start cycle)");
   if (!snapshots_equal(last_a, last_b, scope)) {
     return {true, last_a.cycle(), diff_snapshots(last_a, last_b)};
   }
@@ -685,21 +678,11 @@ DivergenceReport find_first_divergence(Platform& a, Platform& b,
 // --- file I/O ----------------------------------------------------------------
 
 void write_snapshot_file(const std::string& path, const Snapshot& snapshot) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) throw std::runtime_error("snapshot: cannot open " + path + " for writing");
-  const std::vector<std::uint8_t> bytes = snapshot.serialize();
-  file.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-  if (!file) throw std::runtime_error("snapshot: write to " + path + " failed");
+  util::write_file_atomic(path, snapshot.serialize());
 }
 
 Snapshot read_snapshot_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("snapshot: cannot open " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(file)),
-                                  std::istreambuf_iterator<char>());
-  if (file.bad()) throw std::runtime_error("snapshot: read from " + path + " failed");
-  return Snapshot::deserialize(bytes);
+  return Snapshot::deserialize(util::read_file_bytes(path));
 }
 
 }  // namespace ulpsync::sim

@@ -129,6 +129,19 @@ struct Snapshot {
   friend bool operator==(const Snapshot&, const Snapshot&) = default;
 };
 
+/// `config` with its host-only knobs (`fast_forward`, `burst`) set to one
+/// fixed value. The knobs change how the host reaches a result, never the
+/// result, so two configurations simulate alike exactly when their
+/// projections are equal.
+[[nodiscard]] PlatformConfig simulated_config(PlatformConfig config);
+
+/// `snapshot` without its host-only state: `simulated_config` of its config
+/// and the fast-forwarded-cycle accounting zeroed. Snapshots of two
+/// behaviorally identical runs (traced or not, fast-forwarded or not) are
+/// equal after this; it is the one rule behind `snapshots_equal`,
+/// `normalized_state_hash` and both divergence bisections.
+[[nodiscard]] Snapshot simulated_state(Snapshot snapshot);
+
 /// Which state the divergence comparison looks at.
 enum class DivergenceScope : std::uint8_t {
   /// Everything `operator==` compares (cores, counters, sync, DM, ...).
@@ -139,10 +152,9 @@ enum class DivergenceScope : std::uint8_t {
   kCoreState,
 };
 
-/// True when `a` and `b` agree on the state selected by `scope`. The
-/// host-side fast-forward knob and its cycle accounting are excluded in
-/// both scopes — runs differing only in how the host simulated them are
-/// behaviorally identical.
+/// True when `a` and `b` agree on the state selected by `scope`. Host-only
+/// state (`simulated_state`) is excluded in both scopes — runs differing
+/// only in how the host simulated them are behaviorally identical.
 [[nodiscard]] bool snapshots_equal(const Snapshot& a, const Snapshot& b,
                                    DivergenceScope scope);
 
@@ -176,8 +188,9 @@ struct DivergenceReport {
     DivergenceScope scope = DivergenceScope::kFullState,
     std::uint64_t stride = 1024);
 
-/// Writes `snapshot.serialize()` to `path`. Throws std::runtime_error on an
-/// I/O failure.
+/// Writes `snapshot.serialize()` to `path` through `util::write_file_atomic`,
+/// so a killed writer never leaves a torn file. Throws std::runtime_error on
+/// an I/O failure.
 void write_snapshot_file(const std::string& path, const Snapshot& snapshot);
 /// Reads and deserializes a snapshot file. Throws std::runtime_error on an
 /// I/O failure and std::invalid_argument on a malformed image.

@@ -194,6 +194,23 @@ TEST(DesignSearchGolden, MrpfltrFrontierReproducesCommittedBytes) {
   EXPECT_TRUE(knee.candidate.design.features.hardware_synchronizer);
   EXPECT_EQ(knee.candidate.im_line_slots, 16u);
   EXPECT_GE(knee.mops, 16.0);
+
+  // The search's exact work counts: a change to the pruning schedule, the
+  // warm-start grouping or the frontier shape shows here even when the
+  // frontier bytes happen to survive it.
+  EXPECT_EQ(result.candidates, 12u);
+  EXPECT_EQ(result.specs_executed, 122u);
+  EXPECT_EQ(result.warm_resumed, 104u);
+  ASSERT_EQ(result.rungs.size(), 3u);
+  const std::uint64_t horizons[] = {8000, 32000, 500000000};
+  const std::size_t points_in[] = {72, 25, 25};
+  const std::size_t survivors[] = {25, 25, 21};
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(result.rungs[r].horizon, horizons[r]) << "rung " << r;
+    EXPECT_EQ(result.rungs[r].points_in, points_in[r]) << "rung " << r;
+    EXPECT_EQ(result.rungs[r].survivors, survivors[r]) << "rung " << r;
+  }
+  EXPECT_EQ(result.frontier.size(), 21u);
 }
 
 TEST(DesignSearchGolden, Sqrt32FrontierReproducesCommittedBytes) {

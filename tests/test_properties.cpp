@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "asm/assembler.h"
-#include "scenario/checkpoint_ring.h"
 #include "scenario/engine.h"
 #include "scenario/registry.h"
 #include "scenario/replay.h"
@@ -38,6 +37,7 @@
 #include "sim/executor.h"
 #include "sim/platform.h"
 #include "sim/snapshot.h"
+#include "util/file.h"
 #include "util/rng.h"
 #include "util/wire.h"
 
@@ -725,7 +725,7 @@ TEST(SpoolParserFuzz, BundleClaimPayload) {
   (void)scenario::plan_spool(dir, {spec, spec}, scenario::Registry::builtins(),
                              {.shards = 1});
   const std::vector<std::uint8_t> bundle =
-      scenario::read_file_bytes(dir + "/queue/shard-0000.bundle");
+      util::read_file_bytes(dir + "/queue/shard-0000.bundle");
   EXPECT_EQ(scenario::parse_bundle_bytes(bundle, "fuzz").indices.size(), 2u);
   const auto parse = [](const std::vector<std::uint8_t>& bytes) {
     (void)scenario::parse_bundle_bytes(bytes, "fuzz");
@@ -751,7 +751,7 @@ TEST(SpoolParserFuzz, RangeClaimPayload) {
       transport, scenario::read_spool_manifest(transport), registry);
   scenario::ClaimedShard claimed;
   claimed.kind = "range";
-  claimed.payload = scenario::read_file_bytes(dir + "/queue/shard-0000.range");
+  claimed.payload = util::read_file_bytes(dir + "/queue/shard-0000.range");
   EXPECT_EQ(job->claim(claimed).size(), 3u);
   fuzz_parser(claimed.payload, 0x7A7A, 400,
               [&](const std::vector<std::uint8_t>& bytes) {

@@ -22,6 +22,7 @@
 #include "scenario/registry.h"
 #include "scenario/resilience.h"
 #include "scenario/transport.h"
+#include "util/file.h"
 
 namespace ulpsync::scenario {
 namespace {
@@ -498,7 +499,7 @@ TEST(CampaignSpool, PlannedCampaignRoundTripsAndCorruptionIsRejected) {
   const CampaignPlanResult plan =
       plan_campaign_spool(dir, run, config, registry, {.shards = 2});
   const PlannedCampaign planned = parse_planned_campaign(
-      read_file_bytes(dir + "/campaign.bin"), dir);
+      util::read_file_bytes(dir + "/campaign.bin"), dir);
   EXPECT_EQ(planned.fingerprint, plan.fingerprint);
   EXPECT_EQ(planned.fingerprint, campaign_fingerprint(config, run));
   EXPECT_EQ(planned.config.models, config.models);
@@ -524,7 +525,7 @@ TEST(CampaignSpool, PlannedCampaignRoundTripsAndCorruptionIsRejected) {
     bin.write(&byte, 1);
   }
   EXPECT_THROW((void)parse_planned_campaign(
-                   read_file_bytes(dir + "/campaign.bin"), dir),
+                   util::read_file_bytes(dir + "/campaign.bin"), dir),
                std::invalid_argument);
   EXPECT_THROW((void)work_campaign_spool(dir, registry, {}),
                std::invalid_argument);

@@ -18,6 +18,7 @@
 #include "scenario/registry.h"
 #include "scenario/shard.h"
 #include "scenario/transport.h"
+#include "util/file.h"
 
 namespace ulpsync::scenario {
 namespace {
@@ -96,8 +97,8 @@ TEST(Spool, PlanRoundTripsSpecsExactly) {
   std::vector<RunSpec> loaded(specs.size());
   std::size_t seen = 0;
   for (const auto& entry : fs::directory_iterator(dir + "/queue")) {
-    const ShardBundle bundle =
-        parse_bundle_bytes(read_file_bytes(entry.path().string()), "bundle");
+    const ShardBundle bundle = parse_bundle_bytes(
+        util::read_file_bytes(entry.path().string()), "bundle");
     EXPECT_EQ(bundle.fingerprint, plan.fingerprint);
     for (std::size_t k = 0; k < bundle.specs.size(); ++k) {
       ASSERT_LT(bundle.indices[k], loaded.size());
@@ -128,8 +129,8 @@ TEST(Spool, PlanIsDeterministic) {
   (void)plan_spool(b, specs, Registry::builtins(), {.shards = 2});
   for (const auto& entry : fs::directory_iterator(a + "/queue")) {
     const std::string name = entry.path().filename().string();
-    EXPECT_EQ(read_file_bytes(a + "/queue/" + name),
-              read_file_bytes(b + "/queue/" + name))
+    EXPECT_EQ(util::read_file_bytes(a + "/queue/" + name),
+              util::read_file_bytes(b + "/queue/" + name))
         << name;
   }
 }
@@ -163,15 +164,16 @@ TEST(Spool, TruncatedBundleRejected) {
   (void)plan_spool(dir, small_sweep_specs(), Registry::builtins(),
                    {.shards = 1});
   const std::string bundle = dir + "/queue/shard-0000.bundle";
-  const auto bytes = read_file_bytes(bundle);
+  const auto bytes = util::read_file_bytes(bundle);
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{7}, bytes.size() / 2, bytes.size() - 1}) {
     std::ofstream out(bundle, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(keep));
     out.close();
-    EXPECT_THROW((void)parse_bundle_bytes(read_file_bytes(bundle), bundle),
-                 std::invalid_argument)
+    EXPECT_THROW(
+        (void)parse_bundle_bytes(util::read_file_bytes(bundle), bundle),
+        std::invalid_argument)
         << keep;
   }
 }
@@ -181,7 +183,7 @@ TEST(Spool, BitFlippedBundleRejected) {
   (void)plan_spool(dir, small_sweep_specs(), Registry::builtins(),
                    {.shards = 1});
   const std::string path = dir + "/queue/shard-0000.bundle";
-  auto bytes = read_file_bytes(path);
+  auto bytes = util::read_file_bytes(path);
   for (const std::size_t at :
        {std::size_t{3}, bytes.size() / 3, bytes.size() - 9}) {
     auto corrupt = bytes;
@@ -190,7 +192,7 @@ TEST(Spool, BitFlippedBundleRejected) {
     out.write(reinterpret_cast<const char*>(corrupt.data()),
               static_cast<std::streamsize>(corrupt.size()));
     out.close();
-    EXPECT_THROW((void)parse_bundle_bytes(read_file_bytes(path), path),
+    EXPECT_THROW((void)parse_bundle_bytes(util::read_file_bytes(path), path),
                  std::invalid_argument)
         << at;
   }
@@ -395,7 +397,7 @@ TEST(CheckpointRing, CorruptNewestEntryFallsBackBitExact) {
   }
   ASSERT_FALSE(entries.empty());
   std::sort(entries.begin(), entries.end());
-  auto bytes = read_file_bytes(entries.back());
+  auto bytes = util::read_file_bytes(entries.back());
   bytes[bytes.size() / 2] ^= 0x01;
   std::ofstream out(entries.back(), std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +25,8 @@
 #include "scenario/resilience.h"
 #include "scenario/shard.h"
 #include "scenario/transport.h"
+#include "util/file.h"
+#include "util/rng.h"
 #include "util/wire.h"
 
 namespace ulpsync::scenario {
@@ -273,21 +276,46 @@ class RawClient {
     EXPECT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
                         sizeof(addr)),
               0);
+    // A server that never answers fails the test instead of hanging it.
+    const timeval timeout{30, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   }
   ~RawClient() { ::close(fd_); }
   RawClient(const RawClient&) = delete;
   RawClient& operator=(const RawClient&) = delete;
 
-  /// Sends `line` and returns the reply line.
-  std::string request(const std::string& line) {
-    const std::string framed = line + "\n";
-    EXPECT_EQ(::send(fd_, framed.data(), framed.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(framed.size()));
+  /// Sends `bytes` verbatim; false when the server is gone.
+  bool send_raw(const std::string& bytes) {
+    for (std::size_t sent = 0; sent < bytes.size();) {
+      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      sent += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+  /// The next reply line.
+  std::string read_line() {
     std::size_t newline;
     while ((newline = buffer_.find('\n')) == std::string::npos) fill();
     const std::string reply = buffer_.substr(0, newline);
     buffer_.erase(0, newline + 1);
     return reply;
+  }
+  /// Sends `line` and returns the reply line.
+  std::string request(const std::string& line) {
+    EXPECT_TRUE(send_raw(line + "\n"));
+    return read_line();
+  }
+  /// True when the server closed the connection with nothing left unread.
+  bool closed() {
+    char byte = 0;
+    return buffer_.empty() && ::recv(fd_, &byte, 1, 0) == 0;
+  }
+  /// Makes the destructor reset the connection instead of closing it.
+  void reset_on_close() {
+    const linger abort{1, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &abort, sizeof(abort));
   }
   /// Consumes `count` payload bytes that followed the last reply.
   void skip(std::size_t count) {
@@ -299,7 +327,10 @@ class RawClient {
   void fill() {
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) throw std::runtime_error("server closed the connection");
+    if (n <= 0) {
+      throw std::runtime_error("no reply: the server closed the connection "
+                               "or went silent");
+    }
     buffer_.append(chunk, static_cast<std::size_t>(n));
   }
 
@@ -352,6 +383,103 @@ TEST(Transport, MalformedRequestsGetErrAndTheSpoolStillMerges) {
     const auto job = sweep_job(worker, read_spool_manifest(worker),
                                Registry::builtins(), {});
     drain_spool(worker, *job, "after-garbage", /*resume=*/false,
+                /*max_shards=*/0, /*jobs=*/1);
+    EXPECT_EQ(merge_spool(worker), expected);
+  }
+  server.stop();
+  EXPECT_EQ(merge_spool(dir), expected);
+}
+
+TEST(Transport, RandomByteStreamsNeitherCrashNorWedgeTheServer) {
+  const std::string dir = scratch_dir("fuzz");
+  const std::vector<RunSpec> specs = small_sweep_specs();
+  const std::string expected = single_process_csv(specs);
+  plan_spool(dir, specs, Registry::builtins(), {.shards = 2});
+  const std::string manifest_reply =
+      "OK " + std::to_string(FsTransport(dir).manifest_text().size());
+
+  SpoolServer server(dir);
+  server.start();
+  // Whatever the last client sent, a fresh connection is still served.
+  const auto still_serving = [&] {
+    RawClient probe(server.port());
+    EXPECT_EQ(probe.request("MANIFEST"), manifest_reply);
+  };
+
+  // A request line at the bound is served; one byte more gets exactly one
+  // ERR and the connection closes, whether or not a newline (and another
+  // request) follows.
+  const std::string longest =
+      "MANIFEST" + std::string(SpoolServer::kMaxRequestLine - 8, ' ');
+  {
+    RawClient raw(server.port());
+    EXPECT_EQ(raw.request(longest), manifest_reply);
+  }
+  for (const std::string tail : {" ", " \nMANIFEST\n"}) {
+    RawClient raw(server.port());
+    ASSERT_TRUE(raw.send_raw(longest + tail));
+    EXPECT_EQ(raw.read_line().rfind("ERR ", 0), 0u);
+    EXPECT_TRUE(raw.closed());
+  }
+  still_serving();
+
+  util::Rng rng(2024);
+  const auto noise = [&rng](std::size_t length) {
+    std::string bytes(length, '\0');
+    for (char& byte : bytes) {
+      const std::uint64_t draw = rng.next_below(32);
+      if (draw == 0) {
+        byte = '\n';
+      } else if (draw > 1) {  // 1 keeps the NUL
+        byte = static_cast<char>(rng.next_below(256));
+      }
+    }
+    return bytes;
+  };
+  const char* const verbs[] = {"MANIFEST", "BLOB", "CLAIM", "ROW",    "COST",
+                               "BEAT",     "DONE", "ADOPT", "STATUS", "FINAL"};
+  for (int stream = 0; stream < 48; ++stream) {
+    RawClient raw(server.port());
+    if (stream % 2 == 0) {
+      // Random bytes with embedded NULs and newlines: one ERR per line.
+      const std::string bytes = noise(1 + rng.next_below(8192)) + "\n";
+      ASSERT_TRUE(raw.send_raw(bytes));
+      const auto lines = std::count(bytes.begin(), bytes.end(), '\n');
+      for (std::ptrdiff_t line = 0; line < lines; ++line) {
+        ASSERT_EQ(raw.read_line().rfind("ERR ", 0), 0u) << "stream " << stream;
+      }
+      EXPECT_EQ(raw.request("MANIFEST"), manifest_reply);
+    } else {
+      // Known verbs with random operands (claims included), cut off at a
+      // random byte by an abrupt close; every other one resets instead.
+      std::string bytes;
+      for (std::uint64_t line = 1 + rng.next_below(16); line > 0; --line) {
+        bytes += verbs[rng.next_below(std::size(verbs))];
+        for (std::uint64_t field = rng.next_below(4); field > 0; --field) {
+          bytes += ' ' + std::to_string(rng.next_below(4)) +
+                   noise(rng.next_below(24));
+        }
+        bytes += '\n';
+      }
+      bytes.resize(rng.next_below(bytes.size() + 1));
+      if (stream % 4 == 1) raw.reset_on_close();
+      (void)raw.send_raw(bytes);
+    }
+  }
+  still_serving();
+
+  // Every claim the garbage took goes back to the queue once its
+  // connection's thread has let go; then a normal worker drains it.
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    if (server.status().queue_depth == 2) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server.status().queue_depth, 2u);
+  {
+    TcpTransport worker("127.0.0.1", server.port());
+    const auto job = sweep_job(worker, read_spool_manifest(worker),
+                               Registry::builtins(), {});
+    drain_spool(worker, *job, "after-fuzz", /*resume=*/false,
                 /*max_shards=*/0, /*jobs=*/1);
     EXPECT_EQ(merge_spool(worker), expected);
   }
@@ -470,8 +598,8 @@ TEST(CostModel, EmptyModelKeepsThePlanByteIdentical) {
   options.shards = 3;
   options.costs = CostModel{};  // explicit empty model
   plan_spool(costed, specs, Registry::builtins(), options);
-  EXPECT_EQ(read_file_bytes(plain + "/MANIFEST"),
-            read_file_bytes(costed + "/MANIFEST"));
+  EXPECT_EQ(util::read_file_bytes(plain + "/MANIFEST"),
+            util::read_file_bytes(costed + "/MANIFEST"));
 }
 
 TEST(CostModel, SkewedCostsResizeShardsAndMergeStaysIdentical) {
@@ -495,13 +623,13 @@ TEST(CostModel, SkewedCostsResizeShardsAndMergeStaysIdentical) {
 
   const auto plain_manifest = parse_spool_manifest_text(
       std::string(reinterpret_cast<const char*>(
-                      read_file_bytes(plain + "/MANIFEST").data()),
-                  read_file_bytes(plain + "/MANIFEST").size()),
+                      util::read_file_bytes(plain + "/MANIFEST").data()),
+                  util::read_file_bytes(plain + "/MANIFEST").size()),
       "plain");
   const auto costed_manifest = parse_spool_manifest_text(
       std::string(reinterpret_cast<const char*>(
-                      read_file_bytes(costed + "/MANIFEST").data()),
-                  read_file_bytes(costed + "/MANIFEST").size()),
+                      util::read_file_bytes(costed + "/MANIFEST").data()),
+                  util::read_file_bytes(costed + "/MANIFEST").size()),
       "costed");
   ASSERT_EQ(plain_manifest.shards.size(), 2u);
   ASSERT_EQ(costed_manifest.shards.size(), 2u);

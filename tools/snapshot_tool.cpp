@@ -33,12 +33,12 @@
 #include <string>
 
 #include "core/lockstep.h"
-#include "scenario/checkpoint_ring.h"
 #include "scenario/registry.h"
 #include "scenario/replay.h"
 #include "sim/platform.h"
 #include "sim/snapshot.h"
 #include "util/cli.h"
+#include "util/file.h"
 #include "util/wire.h"
 
 namespace {
@@ -165,7 +165,7 @@ int cmd_hash(const util::CliArgs& args) {
         has_extension(path, ".evt")
             ? scenario::read_recorded_run_file(path).content_hash()
             : has_extension(path, ".csv")
-                  ? util::fnv1a64(scenario::read_file_bytes(path))
+                  ? util::fnv1a64(util::read_file_bytes(path))
                   : sim::read_snapshot_file(path).content_hash();
     std::printf("%016llx  %s\n", static_cast<unsigned long long>(hash),
                 path.c_str());

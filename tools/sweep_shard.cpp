@@ -51,7 +51,6 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -66,6 +65,7 @@
 #include "scenario/spool.h"
 #include "scenario/transport.h"
 #include "util/cli.h"
+#include "util/file.h"
 
 namespace {
 
@@ -244,13 +244,7 @@ int cmd_merge(const util::CliArgs& args) {
 
   const std::string out_path = cli::require_flag(args, "out");
   const std::unique_ptr<SpoolTransport> transport = transport_from_flags(args);
-  const std::string csv = merge_spool(*transport);
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  out << csv;
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
+  util::write_file_atomic(out_path, merge_spool(*transport));
   std::printf("merged %s -> %s\n", transport->describe().c_str(),
               out_path.c_str());
   return 0;
@@ -322,12 +316,10 @@ int cmd_serve(const util::CliArgs& args) {
   options.lease_seconds = args.get_double("lease", 300.0);
   SpoolServer server(spool, options);
   server.start();
-  {
-    // Ephemeral ports are the CI-friendly default; the PORT file is how
-    // sibling processes discover what was actually bound.
-    std::ofstream port_file(spool + "/PORT", std::ios::trunc);
-    port_file << server.port() << '\n';
-  }
+  // Ephemeral ports are the CI-friendly default; the PORT file is how
+  // sibling processes discover what was actually bound.
+  util::write_file_atomic(spool + "/PORT",
+                          std::to_string(server.port()) + "\n");
   std::printf("serving %s on port %d (lease %.0fs)\n", spool.c_str(),
               server.port(), options.lease_seconds);
   std::fflush(stdout);
@@ -382,12 +374,7 @@ int cmd_run(const util::CliArgs& args) {
     const Engine engine(Registry::builtins(), options);
     records = engine.run(specs);
   }
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  out << to_csv(records);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
+  util::write_file_atomic(out_path, to_csv(records));
   std::printf("ran %zu spec(s) -> %s\n", records.size(), out_path.c_str());
   return 0;
 }
