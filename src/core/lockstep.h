@@ -8,10 +8,11 @@
 ///
 /// The analyzer registers its metrics block as the platform's lockstep
 /// sink (`sim::Platform::set_lockstep_sink`): the platform accumulates the
-/// per-cycle observations itself — O(active cores) per naive tick and
-/// batch-updated across fast-forward/burst regions — so measuring lockstep
-/// no longer suppresses the host-side fast paths the way a per-cycle
-/// observer would. The accumulated values are bit-identical either way.
+/// per-cycle observations itself — O(active cores) per naive tick, O(1)
+/// per region-executor cycle and batched across straight-line steps — so
+/// measuring lockstep no longer suppresses the host-side region executor
+/// the way a per-cycle observer would. The accumulated values are
+/// bit-identical either way.
 
 #include "core/lockstep_metrics.h"
 #include "sim/platform.h"

@@ -4,14 +4,14 @@
 /// them so `sim::Platform` can maintain them natively.
 ///
 /// Historically the `core::LockstepAnalyzer` observed the platform through
-/// the per-cycle observer hook, which suppressed every host-side fast path
-/// (idle fast-forward, straight-line bursts) for the whole run. The metrics
-/// are batch-updatable, though: across any stretch of cycles in which no
-/// core changes status or diverges, each cycle contributes the same
-/// histogram bin. The platform therefore accepts a `LockstepMetrics` sink
-/// (`sim::Platform::set_lockstep_sink`) and updates it O(active) per naive
-/// tick and O(1) per fast-forwarded or burst-executed region — the values
-/// are bit-identical to the per-cycle observer's.
+/// the per-cycle observer hook, which suppressed the host-side fast paths
+/// for the whole run. The metrics are batch-updatable, though: across any
+/// stretch of cycles in which no core changes status or diverges, each
+/// cycle contributes the same histogram bin. The platform therefore
+/// accepts a `LockstepMetrics` sink (`sim::Platform::set_lockstep_sink`)
+/// and updates it O(active) per naive tick and O(1) per region-executor
+/// cycle or straight-line step — the values are bit-identical to the
+/// per-cycle observer's.
 
 #include <array>
 #include <cstdint>

@@ -45,7 +45,7 @@ struct OperatingPoint {
 /// engine derives when a `RunSpec` carries an energy request; every field
 /// is a pure function of the run's exact event counters and the requested
 /// point, so reports are bit-identical across every execution mode that
-/// keeps the counters bit-identical (fast-forward, bursts, the batch
+/// keeps the counters bit-identical (the region executor, the batch
 /// engine, sharded workers, replay).
 struct EnergyReport {
   /// False when the requested point is unreachable (the clock exceeds the

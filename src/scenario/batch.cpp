@@ -51,8 +51,7 @@ std::string batch_group_key(const RunSpec& spec) {
       << (spec.arbitration ? static_cast<int>(*spec.arbitration) : -1) << '|'
       << (spec.im_line_slots ? static_cast<long>(*spec.im_line_slots) : -1)
       << '|' << (spec.fast_forward ? static_cast<int>(*spec.fast_forward) : -1)
-      << '|' << (spec.burst ? static_cast<int>(*spec.burst) : -1) << '|'
-      << spec.max_cycles;
+      << '|' << spec.max_cycles;
   return key.str();
 }
 

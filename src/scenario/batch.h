@@ -26,7 +26,7 @@
 ///
 /// Records are byte-identical to the scalar engine's in every case — the
 /// batch engine is purely a host-side throughput optimization, exactly like
-/// idle fast-forward or burst execution inside one platform.
+/// the region executor inside one platform.
 
 #include <cstdint>
 #include <optional>

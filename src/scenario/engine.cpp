@@ -40,7 +40,6 @@ sim::PlatformConfig resolved_config(const RunSpec& spec,
   if (spec.arbitration) config.arbitration = *spec.arbitration;
   if (spec.im_line_slots) config.im_line_slots = *spec.im_line_slots;
   if (spec.fast_forward) config.fast_forward = *spec.fast_forward;
-  if (spec.burst) config.burst = *spec.burst;
   return config;
 }
 
@@ -117,7 +116,6 @@ std::string warm_group_key(const RunSpec& spec) {
       << (spec.arbitration ? static_cast<int>(*spec.arbitration) : -1) << '|'
       << (spec.im_line_slots ? static_cast<long>(*spec.im_line_slots) : -1)
       << '|' << (spec.fast_forward ? static_cast<int>(*spec.fast_forward) : -1)
-      << '|' << (spec.burst ? static_cast<int>(*spec.burst) : -1)
       << '|' << spec.checkpoint_at.value_or(0);
   // `spec.energy` is deliberately excluded: the energy request only shapes
   // the derived report columns, never the simulation, so specs differing

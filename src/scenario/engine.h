@@ -116,8 +116,8 @@ struct EngineOptions {
   unsigned jobs = 1;
   /// Attach a LockstepAnalyzer to every run. The analyzer registers as the
   /// platform's lockstep sink (not a per-cycle observer), so the host-side
-  /// fast paths — idle fast-forward, straight-line bursts — stay active;
-  /// metric values are bit-identical either way.
+  /// region executor stays active; metric values are bit-identical either
+  /// way.
   bool measure_lockstep = true;
   /// Honour `RunSpec::checkpoint_at` grouping: simulate each shared warm-up
   /// prefix once and resume the group members from its snapshot. Results

@@ -26,7 +26,11 @@ namespace {
 
 constexpr util::Magic kBundleMagic = {'U', 'L', 'P', 'S', 'P', 'O', 'L', '\n'};
 // Version 3 appended the optional `EnergyRequest` to the spec codec.
-constexpr std::uint32_t kBundleVersion = 3;
+// Version 4 retired the optional `burst` knob after `fast_forward`: its
+// slot stays on the wire, always absent, so the recorded-run envelope that
+// shares the codec keeps its bytes, and a spec that still sets it is
+// refused.
+constexpr std::uint32_t kBundleVersion = 4;
 constexpr std::uint32_t kNoWarmRef = 0xFFFFFFFFu;
 
 }  // namespace
@@ -71,8 +75,7 @@ void encode_run_spec(util::WireWriter& w, const RunSpec& spec) {
   if (spec.im_line_slots) w.u32(*spec.im_line_slots);
   w.boolean(spec.fast_forward.has_value());
   if (spec.fast_forward) w.boolean(*spec.fast_forward);
-  w.boolean(spec.burst.has_value());
-  if (spec.burst) w.boolean(*spec.burst);
+  w.boolean(false);  // the retired `burst` knob: always absent
   w.u64(spec.max_cycles);
   w.boolean(spec.checkpoint_at.has_value());
   if (spec.checkpoint_at) w.u64(*spec.checkpoint_at);
@@ -117,7 +120,8 @@ RunSpec decode_run_spec(util::WireReader& r) {
   }
   if (r.boolean()) spec.im_line_slots = r.u32();
   if (r.boolean()) spec.fast_forward = r.boolean();
-  if (r.boolean()) spec.burst = r.boolean();
+  if (r.boolean())
+    throw std::invalid_argument("run spec: sets the retired burst knob");
   spec.max_cycles = r.u64();
   if (r.boolean()) spec.checkpoint_at = r.u64();
   if (r.boolean()) {

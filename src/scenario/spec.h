@@ -89,16 +89,11 @@ struct RunSpec {
   /// Per-record energy report request (see `EnergyRequest`); unset keeps
   /// the record's power columns empty.
   std::optional<EnergyRequest> energy;
-  /// Host-simulation override of `sim::PlatformConfig::fast_forward` (idle
-  /// fast-forward; results are bit-identical either way, so this only
+  /// Host-simulation override of `sim::PlatformConfig::fast_forward` (the
+  /// region executor; results are bit-identical either way, so this only
   /// matters to equivalence tests and the perf harness). Unset keeps the
   /// platform default (on). Not serialized with the record.
   std::optional<bool> fast_forward;
-  /// Host-simulation override of `sim::PlatformConfig::burst`
-  /// (straight-line burst execution and the slim fetch-regime path;
-  /// results are bit-identical either way). Unset keeps the platform
-  /// default (on). Not serialized with the record.
-  std::optional<bool> burst;
   std::uint64_t max_cycles = 500'000'000;
   /// End of the deterministic warm-up prefix (in cycles). When several
   /// specs of one sweep share the same simulation up to this cycle (same

@@ -757,10 +757,10 @@ class StreamingWorkload final : public WindowedWorkloadBase {
 // 8-core ceiling (run it with DesignVariant::xbar_only). Each core owns a
 // private DM bank; per acquisition window the host deposits ECG-generator
 // samples, wakes every core by interrupt, and each core runs a
-// burst-friendly straight-line feature chain over its window — the cores
-// stay in natural lockstep (uniform control flow), exercising the
-// platform's broadcast fetch, burst execution and O(active) scheduling at
-// 16/32/64 cores — then publishes a checksum and goes back to sleep.
+// straight-line feature chain over its window — the cores stay in natural
+// lockstep (uniform control flow), exercising the platform's broadcast
+// fetch, straight-line steps and O(active) scheduling at 16/32/64 cores —
+// then publishes a checksum and goes back to sleep.
 
 constexpr unsigned kSleepGenWindow = 128;    ///< samples per window
 constexpr unsigned kSleepGenBankWords = 512; ///< smaller banks: 64 cores fit

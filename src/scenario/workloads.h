@@ -18,8 +18,8 @@
 ///  * "sleepgen" (+ fixed-width aliases "sleepgen16/32/64") — the
 ///    wide-platform duty-cycled scaling workload: core count from
 ///    `params.num_channels` up to 64, one private DM bank per core, a
-///    straight-line per-sample feature chain that exercises burst
-///    execution. Use a synchronizer-less design (DesignVariant::xbar_only)
+///    straight-line per-sample feature chain that exercises the region
+///    executor's straight-line steps. Use a synchronizer-less design (DesignVariant::xbar_only)
 ///    above 8 cores.
 
 #include <functional>

@@ -93,19 +93,13 @@ struct PlatformConfig {
   /// first check-out point. Setting 0 models an idealized common release.
   unsigned start_stagger_cycles = 3;
   /// Host-side simulation speed (not a modeled hardware feature): lets
-  /// `Platform::run` jump the clock over provably event-free idle regions
-  /// (all cores sleeping/halted or inside a deterministic bubble/wake-up
-  /// ramp) while batch-updating the counters. Results are bit-identical to
-  /// the cycle-by-cycle loop; disable only to cross-check that equivalence.
+  /// `Platform::run` hand the fetch regime (synchronizer idle, every active
+  /// core Ready) to its region executor, which runs arbitrated cycles
+  /// without the generic phase machinery and retires whole conflict-free
+  /// straight-line runs in one step. Results are bit-identical to the
+  /// cycle-by-cycle loop; `false` forces that naive loop, to cross-check
+  /// the equivalence. Snapshots restore into either setting.
   bool fast_forward = true;
-  /// Host-side simulation speed (not a modeled hardware feature): lets
-  /// `Platform::run` retire whole straight-line runs of branch-free,
-  /// memory-free, sync-free instructions in one step when the fetching
-  /// cores provably cannot conflict (one shared PC, or pairwise-disjoint IM
-  /// banks) and no per-cycle observer is attached. Bit-identical to the
-  /// naive loop, like `fast_forward`; disable only to cross-check. Not part
-  /// of the snapshot wire format (snapshots restore into either setting).
-  bool burst = true;
 
   friend bool operator==(const PlatformConfig&, const PlatformConfig&) = default;
 

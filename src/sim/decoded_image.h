@@ -29,10 +29,10 @@
 
 namespace ulpsync::sim {
 
-/// True for instructions the burst fast path may retire without the full
-/// per-cycle machinery: register-only operations that always advance to
-/// pc+1 and can never trap, redirect, sleep, halt, or touch data memory /
-/// the synchronizer. Branches are excluded even when not taken (whether
+/// True for instructions the region executor's straight-line step may
+/// retire in batches, without the full per-cycle machinery: register-only
+/// operations that always advance to pc+1 and can never trap, redirect,
+/// sleep, halt, or touch data memory / the synchronizer. Branches are excluded even when not taken (whether
 /// they redirect depends on runtime flags); CSR accesses qualify only when
 /// their operands are statically trap-free.
 [[nodiscard]] bool is_straight_line(const isa::Instruction& instr);
@@ -84,8 +84,9 @@ class DecodedImage {
   /// Length of the maximal straight-line run starting at `pc`: the number
   /// of consecutive in-program slots from `pc` on whose instructions all
   /// satisfy `is_straight_line` (0 when `pc`'s own instruction does not).
-  /// Precomputed per load; saturates at 65535. The burst fast path retires
-  /// whole runs in one step. Unchecked; `pc` must be in-program.
+  /// Precomputed per load; saturates at 65535. The region executor's
+  /// straight-line step retires whole runs at once. Unchecked; `pc` must
+  /// be in-program.
   [[nodiscard]] std::uint32_t straight_run(std::uint32_t pc) const {
     return run_table_[pc - begin_];
   }
@@ -94,9 +95,9 @@ class DecodedImage {
   /// change the core's scheduling state beyond a (possibly conflicting)
   /// data-memory access: straight-line instructions, all control flow, and
   /// plain loads/stores. Everything such an instruction does is covered by
-  /// the platform's slim fetch-regime path (`execute` yields kAdvance,
-  /// kMemLoad or kMemStore — never trap/sync/sleep/halt). Precomputed per
-  /// load. Unchecked; `pc` must be in-program.
+  /// the arbitrated cycles of the platform's region executor (`execute`
+  /// yields kAdvance, kMemLoad or kMemStore — never trap/sync/sleep/halt).
+  /// Precomputed per load. Unchecked; `pc` must be in-program.
   [[nodiscard]] bool region_safe(std::uint32_t pc) const {
     return safe_table_[pc - begin_] != 0;
   }

@@ -342,6 +342,52 @@ void Platform::phase_sync_writeback() {
   }
 }
 
+template <typename CoreAt>
+unsigned Platform::conflict_winner(unsigned count, CoreAt core_at) const {
+  unsigned winner = 0;
+  if (config_.arbitration == ArbitrationPolicy::kOldestFirst) {
+    for (unsigned k = 1; k < count; ++k) {
+      if (cores_[core_at(k)].stall_age > cores_[core_at(winner)].stall_age)
+        winner = k;
+    }
+  } else if (config_.arbitration == ArbitrationPolicy::kRoundRobin) {
+    const unsigned rr_base = rr_pointer_;  // kept normalized < num_cores
+    auto rr_rank = [&](unsigned core) {
+      return core >= rr_base ? core - rr_base
+                             : core + config_.num_cores - rr_base;
+    };
+    for (unsigned k = 1; k < count; ++k) {
+      if (rr_rank(core_at(k)) < rr_rank(core_at(winner))) winner = k;
+    }
+  }
+  return winner;
+}
+
+void Platform::count_fetch_cycle(unsigned fetchers, bool same_pc,
+                                 unsigned eligible) {
+  if (fetchers > 0) counters_.fetch_cycles += 1;
+  const bool lockstep = fetchers >= 2 && same_pc && fetchers == eligible;
+  if (lockstep) counters_.lockstep_cycles += 1;
+  if (was_lockstep_ && !lockstep && fetchers >= 2)
+    counters_.divergence_events += 1;
+  // Zero or one fetcher is trivially in lockstep.
+  was_lockstep_ = lockstep || fetchers < 2;
+}
+
+void Platform::settle_cycle() {
+  // Aggregate sleep from the population count (per-core attribution is
+  // lazy, see flush_sleep_accounting), per-core activity from the touched
+  // list — O(clocked cores), not O(num_cores).
+  counters_.core_sleep_cycles +=
+      status_counts_[static_cast<unsigned>(CoreStatus::kSleeping)];
+  for (const unsigned i : touched_cores_) {
+    active_this_cycle_[i] = 0;
+    counters_.core_active_cycles += 1;
+    counters_.per_core_active[i] += 1;
+  }
+  touched_cores_.clear();
+}
+
 // Phase 2+3: I-Xbar arbitration and execution of the served instructions.
 void Platform::phase_fetch_and_execute() {
   fetch_winners_.clear();
@@ -391,13 +437,7 @@ void Platform::phase_fetch_and_execute() {
     ++p;
   }
 
-  if (total_fetchers > 0) counters_.fetch_cycles += 1;
-  const bool lockstep =
-      total_fetchers >= 2 && all_same_pc && total_fetchers == eligible;
-  if (lockstep) counters_.lockstep_cycles += 1;
-  if (was_lockstep_ && !lockstep && total_fetchers >= 2)
-    counters_.divergence_events += 1;
-  was_lockstep_ = lockstep || total_fetchers < 2;
+  count_fetch_cycle(total_fetchers, all_same_pc, eligible);
 
   // Group requests by bank into the shared (bank, core) arbitration order.
   stable_sort_by_bank(fetch_requests_.data(), fetch_requests_.size(),
@@ -413,27 +453,12 @@ void Platform::phase_fetch_and_execute() {
                                                  end - begin);
     begin = end;
 
-    // Choose the winning address. Fixed priority (the paper's "served in
-    // sequence"): the lowest-indexed requester; oldest-first for ablation.
-    // With broadcasting, every requester of that address is served by the
-    // single bank read.
-    const FetchRequest* winner = &fetchers.front();
-    if (config_.arbitration == ArbitrationPolicy::kOldestFirst) {
-      for (const FetchRequest& f : fetchers) {
-        if (cores_[f.core].stall_age > cores_[winner->core].stall_age)
-          winner = &f;
-      }
-    } else if (config_.arbitration == ArbitrationPolicy::kRoundRobin) {
-      const unsigned rr_base = rr_pointer_;  // kept normalized < num_cores
-      auto rr_rank = [&](unsigned core) {
-        return core >= rr_base ? core - rr_base
-                               : core + config_.num_cores - rr_base;
-      };
-      for (const FetchRequest& f : fetchers) {
-        if (rr_rank(f.core) < rr_rank(winner->core)) winner = &f;
-      }
-    }
-    const std::uint32_t win_pc = winner->pc;
+    // Choose the winning address. With broadcasting, every requester of
+    // that address is served by the single bank read.
+    const unsigned winner =
+        conflict_winner(static_cast<unsigned>(fetchers.size()),
+                        [&](unsigned k) { return fetchers[k].core; });
+    const std::uint32_t win_pc = fetchers[winner].pc;
 
     // Broadcast eligibility: with per-core PC comparators any same-address
     // subset shares the read; the baseline broadcasts only when the whole
@@ -747,22 +772,8 @@ void Platform::phase_dxbar() {
 
     // Plain conflict service: grant the highest-priority requester together
     // with any same-address load peers.
-    unsigned winner = requesters.front();
-    if (config_.arbitration == ArbitrationPolicy::kOldestFirst) {
-      for (unsigned core_index : requesters) {
-        if (cores_[core_index].stall_age > cores_[winner].stall_age)
-          winner = core_index;
-      }
-    } else if (config_.arbitration == ArbitrationPolicy::kRoundRobin) {
-      const unsigned rr_base = rr_pointer_;  // kept normalized < num_cores
-      auto rr_rank = [&](unsigned core) {
-        return core >= rr_base ? core - rr_base
-                               : core + config_.num_cores - rr_base;
-      };
-      for (unsigned core_index : requesters) {
-        if (rr_rank(core_index) < rr_rank(winner)) winner = core_index;
-      }
-    }
+    const unsigned winner = requesters[conflict_winner(
+        run.count, [&](unsigned k) { return requesters[k]; })];
     const std::uint32_t win_addr = cores_[winner].mem_addr;
     const bool win_store = cores_[winner].mem_is_store;
     counters_.dm_bank_accesses += 1;
@@ -810,92 +821,15 @@ void Platform::tick() {
   phase_fetch_and_execute();
   phase_sync_submit();
   phase_dxbar();
-
-  // Cycle-level accounting: aggregate sleep from the population count
-  // (per-core attribution is lazy, see flush_sleep_accounting), per-core
-  // activity from the touched list — O(clocked cores), not O(num_cores).
-  counters_.core_sleep_cycles +=
-      status_counts_[static_cast<unsigned>(CoreStatus::kSleeping)];
-  for (const unsigned i : touched_cores_) {
-    active_this_cycle_[i] = 0;
-    counters_.core_active_cycles += 1;
-    counters_.per_core_active[i] += 1;
-  }
-  touched_cores_.clear();
-
+  settle_cycle();
   observe_lockstep_tick();
   in_tick_ = false;
   if (observer_) observer_(*this);
 }
 
-std::uint64_t Platform::try_fast_forward(std::uint64_t max_skip) {
-  if (max_skip == 0) return 0;
-  if (synchronizer_.busy()) return 0;
-
-  // Eligibility: every core must be in a state whose next cycles are
-  // provably event-free — halted/trapped/sleeping cores don't change at
-  // all (and are not on the active list), and a Ready core inside its
-  // branch bubble or wake-up ramp only counts the bubble/ramp down. Any
-  // other state (a pending DM access, a sync request, a Ready core about
-  // to fetch) needs the full phase logic.
-  std::uint64_t skip = max_skip;
-  for (const unsigned i : active_cores_) {
-    const CoreRuntime& c = cores_[i];
-    if (c.status != CoreStatus::kReady) return 0;
-    const std::uint64_t idle =
-        static_cast<std::uint64_t>(c.bubble_cycles) + c.ramp_cycles;
-    if (idle == 0) return 0;  // fetches next cycle
-    skip = std::min(skip, idle);
-  }
-  // With no active core at all the platform is finished or deadlocked;
-  // run()'s exit logic owns that case.
-  if (active_cores_.empty()) return 0;
-
-  // The per-cycle lockstep observation is constant across the skipped
-  // region (statuses and PCs don't change): batch it before mutating.
-  if (lockstep_sink_ != nullptr) {
-    DistinctPcProbe probe;
-    for (const unsigned i : active_cores_) probe.add(cores_[i].arch.pc);
-    const auto ready = static_cast<unsigned>(active_cores_.size());
-    accumulate_lockstep(skip, ready, ready, probe.count());
-  }
-
-  // Batch-apply exactly what `skip` naive ticks would have done: per tick a
-  // Ready core first counts its bubble down (clocked, branch-bubble
-  // accounting), then its ramp (gated, wake-up-ramp accounting); sleeping
-  // cores accrue sleep cycles (aggregate now, per-core attribution lazily);
-  // nothing else changes.
-  counters_.cycles += skip;
-  rr_pointer_ = static_cast<unsigned>((rr_pointer_ + skip) % config_.num_cores);
-  counters_.core_sleep_cycles +=
-      skip * status_counts_[static_cast<unsigned>(CoreStatus::kSleeping)];
-  for (const unsigned i : active_cores_) {
-    CoreRuntime& c = cores_[i];
-    const auto bubble_part =
-        static_cast<unsigned>(std::min<std::uint64_t>(c.bubble_cycles, skip));
-    c.bubble_cycles -= bubble_part;
-    counters_.core_branch_bubble_cycles += bubble_part;
-    counters_.core_active_cycles += bubble_part;
-    counters_.per_core_active[i] += bubble_part;
-    const auto ramp_part = static_cast<unsigned>(
-        std::min<std::uint64_t>(c.ramp_cycles, skip - bubble_part));
-    c.ramp_cycles -= ramp_part;
-    counters_.core_wakeup_ramp_cycles += ramp_part;
-  }
-  // Every skipped cycle had zero fetchers, which the lockstep tracker
-  // records as "trivially in lockstep".
-  was_lockstep_ = true;
-  fast_forwarded_cycles_ += skip;
-  return skip;
-}
-
-std::uint64_t Platform::try_burst(std::uint64_t max_skip) {
+std::uint64_t Platform::straight_step(std::uint64_t max_cycles) {
   const unsigned cpi = config_.base_cpi;
-  if (max_skip < cpi) return 0;
-  if (synchronizer_.busy() || active_policy_groups_ != 0) return 0;
-  const unsigned ready_count =
-      status_counts_[static_cast<unsigned>(CoreStatus::kReady)];
-  if (ready_count == 0 || ready_count != active_cores_.size()) return 0;
+  if (max_cycles < cpi) return 0;
 
   // Every active core must be exactly at a fetch boundary (no bubble/ramp
   // countdown, no stall-age carry-over that naive arbitration would reset)
@@ -910,14 +844,13 @@ std::uint64_t Platform::try_burst(std::uint64_t max_skip) {
     if (run == 0) return 0;
     min_run = std::min(min_run, run);
   }
-  std::uint64_t limit = std::min<std::uint64_t>(min_run, max_skip / cpi);
-  if (limit == 0) return 0;
+  const std::uint64_t limit = std::min<std::uint64_t>(min_run, max_cycles / cpi);
 
   // Group the fetchers by PC. Cores sharing a PC broadcast off one bank
   // read and advance together; distinct PCs must stay on pairwise-distinct
-  // IM banks for the whole burst (checked per step below) so no fetch ever
-  // loses arbitration.
-  const unsigned num_fetchers = ready_count;
+  // IM banks for the whole step (checked per instruction below) so no
+  // fetch ever loses arbitration.
+  const auto num_fetchers = static_cast<unsigned>(active_cores_.size());
   std::array<std::uint32_t, EventCounters::kMaxCores> group_pc;
   std::array<std::uint16_t, EventCounters::kMaxCores> group_size{};
   unsigned num_groups = 0;
@@ -932,16 +865,16 @@ std::uint64_t Platform::try_burst(std::uint64_t max_skip) {
   for (unsigned g = 0; g < num_groups; ++g)
     broadcast_groups += (group_size[g] > 1);
   // Without fetch broadcasting a shared-PC group serves one core per cycle
-  // (the rest stall and fall out of phase) — full machinery required.
+  // (the rest stall and fall out of phase) — arbitrated cycles required.
   if (broadcast_groups > 0 && !config_.im_fetch_broadcast) return 0;
 
   const bool lockstep = num_fetchers >= 2 && num_groups == 1;
   const bool entered_in_lockstep = was_lockstep_;
 
-  // The tight loop: per step, prove this cycle's fetches conflict-free,
-  // then execute one straight-line instruction on every core. (The bank
-  // check hashes banks into a 64-bit set; a modulo collision only ends the
-  // burst early — never a missed real conflict.)
+  // The tight loop: per instruction, prove this cycle's fetches
+  // conflict-free, then execute one straight-line instruction on every
+  // core. (The bank check hashes banks into a 64-bit set; a modulo
+  // collision only ends the step early — never a missed real conflict.)
   std::uint64_t steps = 0;
   while (steps < limit) {
     if (num_groups > 1) {
@@ -990,9 +923,9 @@ std::uint64_t Platform::try_burst(std::uint64_t max_skip) {
   } else if (num_fetchers >= 2) {
     // Diverged fetchers: every fetch cycle observes non-lockstep. With
     // cpi > 1 the bubble cycles between fetches reset the tracker (zero
-    // fetchers is "trivially in lockstep"), so every step but the first
-    // counts a divergence event; the first counts one only when the burst
-    // entered in lockstep.
+    // fetchers is "trivially in lockstep"), so every instruction but the
+    // first counts a divergence event; the first counts one only when the
+    // step entered in lockstep.
     if (cpi > 1) {
       counters_.divergence_events += steps - 1 + (entered_in_lockstep ? 1 : 0);
       was_lockstep_ = true;
@@ -1004,33 +937,26 @@ std::uint64_t Platform::try_burst(std::uint64_t max_skip) {
     was_lockstep_ = true;  // a single fetcher is trivially in lockstep
   }
   // End-of-tick lockstep observations: all cores Ready at constant distinct
-  // PC count throughout the burst.
+  // PC count throughout the step.
   accumulate_lockstep(cycles, num_fetchers, num_fetchers,
                       std::min(num_groups, 8u));
   burst_cycles_ += cycles;
-  // The burst's bubble cycles are exactly the cycles idle fast-forward
-  // would otherwise have skipped one batch per instruction (every active
-  // core is inside its bubble simultaneously); credit them there when
-  // fast-forward is enabled so its accounting — which snapshots serialize —
-  // stays identical with bursts on or off.
-  if (config_.fast_forward && cpi > 1)
-    fast_forwarded_cycles_ += steps * (cpi - 1);
+  fast_forwarded_cycles_ += steps * (cpi - 1);  // the fetcherless bubbles
   return cycles;
 }
 
-std::uint64_t Platform::try_fetch_region(std::uint64_t max_cycles) {
-  if (max_cycles == 0) return 0;
-  if (synchronizer_.busy() || active_policy_groups_ != 0) return 0;
-  if (active_cores_.empty() ||
+std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
+  if (synchronizer_.busy() || active_policy_groups_ != 0 ||
+      active_cores_.empty() ||
       status_counts_[static_cast<unsigned>(CoreStatus::kReady)] !=
           active_cores_.size())
     return 0;
 
-  // Slim executor for the pure fetch regime. No core's status survives a
-  // cycle changed here: fetch-ready cores execute only region-safe
-  // instructions (ALU/control flow retire in place; plain loads/stores are
-  // served the same cycle when conflict-free), the rest count their
-  // bubbles/ramps down, sleepers sleep.
+  // No core's status survives a cycle changed here: fetch-ready cores
+  // execute only region-safe instructions (ALU/control flow retire in
+  // place; plain loads/stores are served the same cycle when
+  // conflict-free), the rest count their bubbles/ramps down, sleepers
+  // sleep.
   //
   // Instead of re-scanning and re-sorting all cores every cycle, the fetch
   // candidates live in a (bank, core)-sorted list maintained incrementally:
@@ -1039,9 +965,10 @@ std::uint64_t Platform::try_fetch_region(std::uint64_t max_cycles) {
   // collection order), and a PC whose slot is not region-safe "poisons"
   // the region with a deadline — the cycle at which that core would fetch
   // again — so every executed cycle is known safe in advance and a bail
-  // never leaves half-applied state.
+  // never leaves half-applied state. The idle list keeps its entry order,
+  // so cores that expire together (a lockstep group) re-enter the fetch
+  // list in (bank, core) order at O(1) each.
   const unsigned cpi_pad = config_.base_cpi - 1;
-  const unsigned num_cores = config_.num_cores;
   const bool observing = lockstep_sink_ != nullptr;
 
   std::array<std::uint8_t, EventCounters::kMaxCores> fetch_list;  // sorted
@@ -1084,10 +1011,10 @@ std::uint64_t Platform::try_fetch_region(std::uint64_t max_cycles) {
     return false;
   };
 
-  // Distinct-PC refcounts over all active cores, maintained across the
-  // region at every PC change (one or two per cycle in the serialized
-  // regime) so the per-cycle lockstep observation is O(1) instead of a
-  // dedup pass. Only used when a sink is attached.
+  // Distinct-PC refcounts over all active cores, maintained at every PC
+  // change (one or two per cycle in the serialized regime) so the
+  // per-cycle lockstep observation is O(1) instead of a dedup pass. Only
+  // used when a sink is attached.
   std::array<std::uint32_t, EventCounters::kMaxCores> ref_pc;
   std::array<std::uint8_t, EventCounters::kMaxCores> ref_count;
   unsigned num_ref = 0;
@@ -1120,69 +1047,81 @@ std::uint64_t Platform::try_fetch_region(std::uint64_t max_cycles) {
     }
   };
 
-  // Entry build from the authoritative core state.
-  for (const unsigned i : active_cores_) {
-    const CoreRuntime& c = cores_[i];
-    const std::uint64_t idle =
-        static_cast<std::uint64_t>(c.bubble_cycles) + c.ramp_cycles;
-    if (observing) pc_ref_add(c.arch.pc);
-    if (idle == 0) {
-      if (!im_.in_program(c.arch.pc) || !im_.region_safe(c.arch.pc))
-        return 0;  // would fetch an unsafe slot right now: naive tick's job
-      pc_cache[i] = c.arch.pc;
-      bank_cache[i] = static_cast<std::uint16_t>(im_.bank_of(c.arch.pc));
-      fetch_insert(i);
-    } else {
-      idle_list[num_idle++] = static_cast<std::uint8_t>(i);
-      (void)revalidate(i, c.arch.pc, idle);
+  // Builds the lists from the authoritative core state, on entry and after
+  // a straight-line step. False when a core about to fetch sits on a slot
+  // only the naive tick handles.
+  auto build = [&] {
+    nf = 0;
+    num_idle = 0;
+    num_ref = 0;
+    poison_deadline = ~0ull;
+    for (const unsigned i : active_cores_) {
+      const CoreRuntime& c = cores_[i];
+      const std::uint64_t idle =
+          static_cast<std::uint64_t>(c.bubble_cycles) + c.ramp_cycles;
+      if (observing) pc_ref_add(c.arch.pc);
+      if (idle == 0) {
+        if (!revalidate(i, c.arch.pc, 0)) return false;
+        fetch_insert(i);
+      } else {
+        idle_list[num_idle++] = static_cast<std::uint8_t>(i);
+        (void)revalidate(i, c.arch.pc, idle);
+      }
     }
-  }
+    return true;
+  };
 
-  while (done < max_cycles && done < poison_deadline && nf > 0) {
+  bool entry = true;
+  while (done < max_cycles) {
+    // A straight-line step needs every active core at a fetch boundary:
+    // possible on entry and whenever the idle list has drained. The lists
+    // are built on entry and rebuilt after a step.
+    if (entry || num_idle == 0) {
+      const std::uint64_t stepped = straight_step(max_cycles - done);
+      done += stepped;
+      if ((entry || stepped != 0) && (done == max_cycles || !build())) break;
+      entry = false;
+    }
+    if (done >= poison_deadline) break;
+
+    // One arbitrated cycle; with an empty fetch list it only counts the
+    // idle cores down.
     const unsigned eligible = static_cast<unsigned>(active_cores_.size());
-
-    // --- the cycle is committed from here on ---
+    const unsigned fetchers = nf;
     counters_.cycles += 1;
     ++done;
-    if (++rr_pointer_ >= num_cores) rr_pointer_ = 0;
+    if (++rr_pointer_ >= config_.num_cores) rr_pointer_ = 0;
 
     // Idle actives count their bubble (clocked) or ramp (gated) down.
     // Expired cores fetch from the NEXT cycle on; their insertion is
     // deferred below so this cycle's arbitration sees the list unchanged.
     unsigned num_expired = 0;
-    for (unsigned k = 0; k < num_idle;) {
+    unsigned still_idle = 0;
+    for (unsigned k = 0; k < num_idle; ++k) {
       const unsigned i = idle_list[k];
       CoreRuntime& c = cores_[i];
-      std::uint64_t remaining;
       if (c.bubble_cycles > 0) {
         c.bubble_cycles -= 1;
         counters_.core_branch_bubble_cycles += 1;
         counters_.core_active_cycles += 1;
         counters_.per_core_active[i] += 1;
-        remaining = static_cast<std::uint64_t>(c.bubble_cycles) + c.ramp_cycles;
       } else {
         c.ramp_cycles -= 1;
         counters_.core_wakeup_ramp_cycles += 1;
-        remaining = c.ramp_cycles;
       }
-      if (remaining == 0) {
-        idle_list[k] = idle_list[--num_idle];
+      if (c.bubble_cycles + c.ramp_cycles == 0) {
         expired[num_expired++] = static_cast<std::uint8_t>(i);
       } else {
-        ++k;
+        idle_list[still_idle++] = static_cast<std::uint8_t>(i);
       }
     }
+    num_idle = still_idle;
 
-    counters_.fetch_cycles += 1;
     bool all_same_pc = true;
-    for (unsigned k = 1; k < nf; ++k)
+    for (unsigned k = 1; k < fetchers; ++k)
       all_same_pc =
           all_same_pc && pc_cache[fetch_list[k]] == pc_cache[fetch_list[0]];
-    const bool lockstep = nf >= 2 && all_same_pc && nf == eligible;
-    if (lockstep) counters_.lockstep_cycles += 1;
-    if (was_lockstep_ && !lockstep && nf >= 2)
-      counters_.divergence_events += 1;
-    was_lockstep_ = lockstep || nf < 2;
+    count_fetch_cycle(fetchers, all_same_pc, eligible);
 
     // Per-bank arbitration, service and execution — the same decisions as
     // phase_fetch_and_execute, with the execute-action switch reduced to
@@ -1200,22 +1139,10 @@ std::uint64_t Platform::try_fetch_region(std::uint64_t max_cycles) {
       while (seg_end < nf && bank_cache[fetch_list[seg_end]] == seg_bank)
         ++seg_end;
 
-      unsigned winner = seg;
-      if (config_.arbitration == ArbitrationPolicy::kOldestFirst) {
-        for (unsigned k = seg + 1; k < seg_end; ++k) {
-          if (cores_[fetch_list[k]].stall_age >
-              cores_[fetch_list[winner]].stall_age)
-            winner = k;
-        }
-      } else if (config_.arbitration == ArbitrationPolicy::kRoundRobin) {
-        const unsigned rr_base = rr_pointer_;
-        auto rr_rank = [&](unsigned core) {
-          return core >= rr_base ? core - rr_base : core + num_cores - rr_base;
-        };
-        for (unsigned k = seg + 1; k < seg_end; ++k) {
-          if (rr_rank(fetch_list[k]) < rr_rank(fetch_list[winner])) winner = k;
-        }
-      }
+      const unsigned winner =
+          seg + conflict_winner(seg_end - seg, [&](unsigned k) {
+            return fetch_list[seg + k];
+          });
       const std::uint32_t win_pc = pc_cache[fetch_list[winner]];
 
       bool group_uniform = true;
@@ -1346,16 +1273,14 @@ std::uint64_t Platform::try_fetch_region(std::uint64_t max_cycles) {
     for (unsigned k = 0; k < num_reinsert; ++k) fetch_insert(reinsert[k]);
     for (unsigned k = 0; k < num_expired; ++k) fetch_insert(expired[k]);
 
-    // End-of-cycle accounting, as in tick(). (The touched list holds only
-    // this cycle's memory cores; every other activity was added directly.)
-    counters_.core_sleep_cycles +=
-        status_counts_[static_cast<unsigned>(CoreStatus::kSleeping)];
-    for (const unsigned i : touched_cores_) {
-      active_this_cycle_[i] = 0;
-      counters_.core_active_cycles += 1;
-      counters_.per_core_active[i] += 1;
+    // (The touched list holds only this cycle's memory cores; every other
+    // activity was added directly.)
+    settle_cycle();
+    if (fetchers == 0) {
+      fast_forwarded_cycles_ += 1;
+    } else {
+      fetch_region_cycles_ += 1;
     }
-    touched_cores_.clear();
 
     // Regime check: an unresolved DM conflict (kMemWait/kPolicyHold
     // survivors), a trap, or a D-Xbar fallback ends the region; the
@@ -1374,18 +1299,15 @@ std::uint64_t Platform::try_fetch_region(std::uint64_t max_cycles) {
       accumulate_lockstep(1, n, n, num_ref);
     }
   }
-  fetch_region_cycles_ += done;
   return done;
 }
 
 RunResult Platform::run(std::uint64_t max_cycles) {
   RunResult result;
-  // Hoisted out of the loop: observers suppress both fast paths (they must
-  // see every cycle), and neither the observer nor the config can change
-  // while run() is on the stack.
-  const bool allow_fast_forward =
-      config_.fast_forward && observer_ == nullptr;
-  const bool allow_burst = config_.burst && observer_ == nullptr;
+  // Hoisted out of the loop: an observer suppresses the region executor
+  // (it must see every cycle), and neither the observer nor the config can
+  // change while run() is on the stack.
+  const bool allow_region = config_.fast_forward && observer_ == nullptr;
   const std::uint32_t halted_index =
       static_cast<unsigned>(CoreStatus::kHalted);
   const std::uint32_t trapped_index =
@@ -1419,10 +1341,8 @@ RunResult Platform::run(std::uint64_t max_cycles) {
       result.cycles = counters_.cycles;
       return result;
     }
-    const std::uint64_t remaining = max_cycles - counters_.cycles;
-    if (allow_burst && try_burst(remaining) != 0) continue;
-    if (allow_burst && try_fetch_region(remaining) != 0) continue;
-    if (allow_fast_forward && try_fast_forward(remaining) != 0) continue;
+    if (allow_region && run_region(max_cycles - counters_.cycles) != 0)
+      continue;
     tick();
   }
   result.status = RunResult::Status::kMaxCycles;

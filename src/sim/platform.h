@@ -32,26 +32,21 @@
 ///
 /// Hot path (docs/ARCHITECTURE.md has the full story):
 ///  * Instruction memory is predecoded into a `DecodedImage` at load time,
-///    including a per-slot straight-line run-length table.
+///    including per-slot straight-line run-length and region-safety tables.
 ///  * The scheduler is incremental: per-`CoreStatus` population counts and
 ///    a sorted compact list of active (non-halted, non-trapped,
 ///    non-sleeping) cores are maintained at every status transition, so
 ///    `run()`'s exit logic is O(1) and each phase of `tick()` walks only
 ///    the cores that can participate.
-///  * `run()` fast-forwards through idle regions — stretches where every
-///    core is sleeping, halted, or inside a deterministic bubble/wake-up
-///    ramp — by jumping the clock in one step while batch-updating the
-///    event counters.
-///  * `run()` burst-executes straight-line regions: when every active core
-///    is fetch-ready and the fetchers provably cannot conflict (one shared
-///    PC, or pairwise-disjoint IM banks), whole runs of branch-free,
-///    memory-free, sync-free instructions retire in a tight loop with
-///    batch counter updates.
-/// Both fast paths are exact: counters, final state, lockstep metrics and
-/// `RunResult` are bit-identical to the naive cycle-by-cycle loop. They
-/// disable themselves while a per-cycle observer (trace/VCD) is attached,
-/// and can be turned off with `PlatformConfig::fast_forward` /
-/// `PlatformConfig::burst`.
+///  * `run()` hands the fetch regime — synchronizer idle, no D-Xbar policy
+///    group, every active core Ready — to one region executor. It runs
+///    whole arbitrated cycles without the generic phase machinery, and when
+///    every active core sits at a fetch boundary on a conflict-free
+///    straight-line run it retires whole runs in one batched step.
+/// The executor is exact: counters, final state, lockstep metrics and
+/// `RunResult` are bit-identical to the naive cycle-by-cycle loop. It
+/// disables itself while a per-cycle observer (trace/VCD) is attached, and
+/// `PlatformConfig::fast_forward = false` turns it off.
 
 #include <array>
 #include <cstddef>
@@ -227,22 +222,20 @@ class Platform {
     return status_counts_[static_cast<unsigned>(CoreStatus::kHalted)] ==
            cores_.size();
   }
-  /// Cycles skipped by idle fast-forward since the last `reset` (a subset
-  /// of `counters().cycles`; 0 when fast-forward is disabled or an observer
-  /// is attached).
+  /// Cycles the region executor ran in which no core fetched — idle
+  /// bubble/ramp cycles and the bubbles of straight-line steps — since the
+  /// last `reset` (a subset of `counters().cycles`; 0 when the executor is
+  /// off or an observer is attached). Snapshots carry it.
   [[nodiscard]] std::uint64_t fast_forwarded_cycles() const {
     return fast_forwarded_cycles_;
   }
-  /// Cycles retired through the straight-line burst path since the last
-  /// `reset` or `restore_snapshot` (a subset of `counters().cycles`; 0
-  /// when bursts are disabled or an observer is attached). A burst folds
-  /// in the bubble cycles idle fast-forward would otherwise have skipped;
-  /// with fast-forward enabled those cycles are also credited to
-  /// `fast_forwarded_cycles()` so its historical accounting is unchanged.
+  /// Cycles the region executor retired in straight-line steps since the
+  /// last `reset` or `restore_snapshot` (a subset of `counters().cycles`;
+  /// their bubble cycles also count in `fast_forwarded_cycles()`).
   [[nodiscard]] std::uint64_t burst_cycles() const { return burst_cycles_; }
-  /// Cycles executed through the slim fetch-regime path since the last
-  /// `reset` or `restore_snapshot` (a subset of `counters().cycles`,
-  /// disjoint from both fast-forward and burst accounting).
+  /// Arbitrated cycles with at least one fetcher that the region executor
+  /// ran since the last `reset` or `restore_snapshot` (a subset of
+  /// `counters().cycles`, disjoint from the other two counters).
   [[nodiscard]] std::uint64_t fetch_region_cycles() const {
     return fetch_region_cycles_;
   }
@@ -260,8 +253,8 @@ class Platform {
   }
 
   /// Per-cycle observer invoked at the end of every tick (tracing, tests).
-  /// While an observer is attached, idle fast-forward and burst execution
-  /// are suppressed so the observer sees every cycle.
+  /// While an observer is attached, the region executor is suppressed so
+  /// the observer sees every cycle.
   void set_observer(std::function<void(const Platform&)> observer) {
     observer_ = std::move(observer);
   }
@@ -280,8 +273,8 @@ class Platform {
   }
 
   /// Attaches a lockstep-metrics sink the platform keeps up to date —
-  /// O(active cores) per naive tick and batch-updated across fast-forward
-  /// and burst regions, bit-identical to a per-cycle observer's
+  /// O(active cores) per naive tick, O(1) per executor cycle and batched
+  /// across straight-line steps, bit-identical to a per-cycle observer's
   /// accumulation (which the sink, unlike an observer, does not suppress).
   /// Pass nullptr to detach; the sink must outlive every subsequent tick.
   void set_lockstep_sink(core::LockstepMetrics* sink) {
@@ -292,7 +285,7 @@ class Platform {
 
   /// Captures the complete simulation state between ticks. Resuming a
   /// restored snapshot is bit-identical to never having stopped (counters,
-  /// traces, VCD, fast-forward behavior). Defined in snapshot.cpp.
+  /// traces, VCD, region-executor behavior). Defined in snapshot.cpp.
   [[nodiscard]] Snapshot save_snapshot() const;
   /// Restores state captured by `save_snapshot`. The platform must have the
   /// same configuration (ignoring the host-side `fast_forward` knob) and
@@ -412,35 +405,41 @@ class Platform {
   void phase_sync_submit();
   void phase_dxbar();
 
-  /// Idle fast-forward: when the next `max_skip` cycles are provably
-  /// event-free (every core halted, trapped, sleeping, or inside a
-  /// deterministic bubble/ramp; synchronizer idle; no observer), jumps the
-  /// clock by up to `max_skip` cycles in one step, batch-updating the
-  /// counters exactly as the skipped ticks would have. Returns the number
-  /// of cycles skipped (0 = not eligible). Eligibility and the batch
-  /// update walk only the active-core list.
-  std::uint64_t try_fast_forward(std::uint64_t max_skip);
+  // Rules `tick()` and the region executor share, one definition each.
 
-  /// Straight-line burst: when every active core is fetch-ready (no
-  /// bubble/ramp/stall carry-over), the synchronizer and D-Xbar are idle,
-  /// and the distinct fetch PCs hit pairwise-distinct IM banks (a shared
-  /// PC broadcasts and trivially qualifies), retires up to
-  /// `max_skip / base_cpi` straight-line instructions per core in a tight
-  /// loop, batch-updating counters and lockstep metrics exactly as the
-  /// naive ticks would have. Returns the cycles consumed (0 = not
-  /// eligible). Suppressed by observers and `PlatformConfig::burst`.
-  std::uint64_t try_burst(std::uint64_t max_skip);
+  /// The crossbar conflict rule for one bank: which of `count` requesters,
+  /// in (bank, core) order with `core_at(k)` the k-th one's core, is
+  /// served. Fixed priority (the paper's "served in sequence"): the first,
+  /// i.e. the lowest index. Oldest-first: the longest-waiting (the first
+  /// on ties). Round-robin: the first core at or after the pointer.
+  /// Returns the winner's position.
+  template <typename CoreAt>
+  [[nodiscard]] unsigned conflict_winner(unsigned count, CoreAt core_at) const;
+  /// The fetch-cycle lockstep/divergence update: `fetchers` cores fetched,
+  /// all at one PC when `same_pc`, out of `eligible` active cores.
+  void count_fetch_cycle(unsigned fetchers, bool same_pc, unsigned eligible);
+  /// End-of-cycle settlement: aggregate sleep from the population count,
+  /// per-core activity from the touched list.
+  void settle_cycle();
 
-  /// Slim executor for the pure fetch regime — the dominant state of
-  /// diverged kernels, where every active core is Ready (no DM access,
-  /// sync request or policy hold in flight) and every fetch-ready core
-  /// sits on an advance-safe instruction (ALU or control flow). Executes
-  /// whole cycles with exact I-Xbar arbitration, conflict serialization
-  /// and counter/metric updates, but none of the generic phase machinery.
-  /// Hands idle-only cycles to try_fast_forward (keeping its accounting
-  /// identical) and bails to the naive tick on anything else. Returns the
-  /// cycles consumed. Suppressed with bursts (observers / config).
-  std::uint64_t try_fetch_region(std::uint64_t max_cycles);
+  /// The region executor. Entered when the synchronizer is idle, no policy
+  /// group is in flight and every active core is Ready; runs until that
+  /// regime breaks, a core is about to fetch a slot that is not
+  /// `region_safe` (sync, sleep, halt, a CSR access that may trap, or out
+  /// of program: `tick()` handles those), or `max_cycles` elapse. Each
+  /// iteration is a straight-line step when one applies, else one
+  /// arbitrated cycle with exact I-Xbar arbitration and inline service of
+  /// bank-disjoint loads/stores (a cycle with no fetcher counts bubbles
+  /// and ramps down). Returns the cycles consumed (0 = not eligible).
+  std::uint64_t run_region(std::uint64_t max_cycles);
+  /// The executor's straight-line step: when every active core is at a
+  /// fetch boundary with zero stall age on a straight-line run, and the
+  /// distinct fetch PCs hit pairwise-distinct IM banks (a shared PC
+  /// broadcasts and trivially qualifies), retires up to
+  /// `max_cycles / base_cpi` instructions per core in a tight loop and
+  /// batch-updates counters and lockstep metrics exactly as the naive
+  /// ticks would have. Returns the cycles consumed (0 = not eligible).
+  std::uint64_t straight_step(std::uint64_t max_cycles);
 
   PlatformConfig config_;
   DecodedImage im_;
@@ -458,7 +457,7 @@ class Platform {
   std::optional<RunResult> pending_stop_;
   bool was_lockstep_ = true;
   /// Round-robin arbitration pointer, kept normalized to [0, num_cores) at
-  /// every update so batched advances (fast-forward/burst) can never drift
+  /// every update so batched straight-line steps can never drift
   /// semantically from the per-tick increment. Snapshots store the
   /// equivalent raw accumulator (== cycles mod 2^32) for wire-format
   /// stability.

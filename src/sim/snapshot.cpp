@@ -60,9 +60,7 @@ PlatformConfig read_config(WireReader& r) {
     throw std::invalid_argument("snapshot: invalid arbitration policy");
   config.arbitration = static_cast<ArbitrationPolicy>(arbitration);
   config.start_stagger_cycles = r.u32();
-  config.fast_forward = r.boolean();
-  // (The burst knob is host-side only and not serialized: the wire format
-  // predates it and snapshots restore into either setting.)
+  config.fast_forward = r.boolean();  // the host-side region-executor knob
   const std::string error = config.validate();
   if (!error.empty()) throw std::invalid_argument("snapshot: " + error);
   return config;
@@ -509,7 +507,6 @@ void Platform::restore_snapshot(const Snapshot& snapshot) {
 
 PlatformConfig simulated_config(PlatformConfig config) {
   config.fast_forward = true;
-  config.burst = true;
   return config;
 }
 

@@ -129,8 +129,8 @@ struct Snapshot {
   friend bool operator==(const Snapshot&, const Snapshot&) = default;
 };
 
-/// `config` with its host-only knobs (`fast_forward`, `burst`) set to one
-/// fixed value. The knobs change how the host reaches a result, never the
+/// `config` with its host-only knob (`fast_forward`) set to one fixed
+/// value. The knob changes how the host reaches a result, never the
 /// result, so two configurations simulate alike exactly when their
 /// projections are equal.
 [[nodiscard]] PlatformConfig simulated_config(PlatformConfig config);

@@ -31,8 +31,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "asm/assembler.h"
 #include "core/instrument.h"
@@ -171,9 +173,9 @@ class ProgramGenerator {
   void emit_straight_chain() {
     // A long straight-line ALU run (4..20 instructions, no branches, no
     // memory): inside diamonds and loops these runs start at diverged PCs,
-    // so they exercise the burst path's disjoint-bank case and the slim
-    // fetch-regime executor's conflict serialization — interleaved with
-    // the IM-bank-conflicting fetch patterns the divergent control flow
+    // so they exercise the straight-line step's disjoint-bank case and the
+    // region executor's conflict serialization — interleaved with the
+    // IM-bank-conflicting fetch patterns the divergent control flow
     // creates.
     const unsigned length = 4 + static_cast<unsigned>(rng_.next_below(17));
     for (unsigned i = 0; i < length; ++i) {
@@ -497,17 +499,16 @@ TEST(DivergenceBisection, CoreScopeReportsWhenTheFaultReachesACore) {
                                     sim::DivergenceScope::kCoreState));
 }
 
-TEST(DivergenceBisection, GeneratedProgramBurstModesAreBitIdentical) {
-  // Straight-line bursts and the slim fetch-regime path must never change
-  // any state, at any cycle, on any control-flow shape. (tick() is the
-  // bisector's stepper, so this pins the run()-level fast paths by
-  // re-simulating and comparing full snapshots.)
-  for (const int seed : {3, 11, 23}) {
+TEST(DivergenceBisection, GeneratedProgramFastForwardModesAreBitIdentical) {
+  // The region executor must never change any state, at any cycle, on any
+  // control-flow shape. (tick() is the bisector's stepper and never enters
+  // the executor, so this drives both platforms through run() and compares
+  // full snapshots instead.)
+  for (const int seed : {3, 7, 11, 23}) {
     ProgramGenerator generator(static_cast<std::uint64_t>(seed));
     const auto program = compile(generator.generate());
     auto config_on = sim::PlatformConfig::with_synchronizer();
     auto config_off = config_on;
-    config_off.burst = false;
     config_off.fast_forward = false;
     sim::Platform a(config_on);
     sim::Platform b(config_off);
@@ -515,8 +516,8 @@ TEST(DivergenceBisection, GeneratedProgramBurstModesAreBitIdentical) {
     b.load_program(program);
     preload_inputs(a, static_cast<std::uint64_t>(seed));
     preload_inputs(b, static_cast<std::uint64_t>(seed));
-    // Drive both through run() (where the fast paths live) in interleaved
-    // windows, comparing the full snapshot at every boundary.
+    // Drive both through run() in interleaved windows, comparing the full
+    // snapshot at every boundary.
     for (int window = 0; window < 40; ++window) {
       const std::uint64_t target = a.counters().cycles + 1000;
       const auto ra = a.run(target);
@@ -533,6 +534,117 @@ TEST(DivergenceBisection, GeneratedProgramBurstModesAreBitIdentical) {
         break;  // halted or trapped — both equally, per the asserts above
       }
     }
+  }
+}
+
+// --- region executor vs naive loop across configuration axes ----------------
+
+/// One point of the configuration space the region executor branches on.
+/// Points with more than 8 cores run without the synchronizer (which
+/// supports at most 8); the others run the auto-instrumented program on
+/// the synchronized design, so sync traffic breaks the fetch regime too.
+struct AxisPoint {
+  unsigned cores;
+  sim::ArbitrationPolicy arbitration;
+  unsigned base_cpi;
+  unsigned branch_taken_penalty;
+  unsigned wakeup_penalty;
+  bool im_fetch_broadcast;
+  bool dm_read_broadcast;
+};
+
+std::string describe(const AxisPoint& p) {
+  std::ostringstream out;
+  out << p.cores << " cores, arbitration " << static_cast<int>(p.arbitration)
+      << ", cpi " << p.base_cpi << ", branch penalty "
+      << p.branch_taken_penalty << ", wakeup penalty " << p.wakeup_penalty
+      << ", im broadcast " << p.im_fetch_broadcast << ", dm broadcast "
+      << p.dm_read_broadcast;
+  return out.str();
+}
+
+TEST(RegionExecutorAxes, GeneratedProgramsMatchNaiveLoopAtEveryWindow) {
+  using sim::ArbitrationPolicy;
+  constexpr auto kFixed = ArbitrationPolicy::kFixedPriority;
+  constexpr auto kOldest = ArbitrationPolicy::kOldestFirst;
+  constexpr auto kRr = ArbitrationPolicy::kRoundRobin;
+  // Every value of every axis appears at least once.
+  const AxisPoint points[] = {
+      {3, kFixed, 1, 0, 0, true, true},     {3, kOldest, 2, 2, 2, false, true},
+      {3, kRr, 3, 0, 2, true, false},       {8, kFixed, 2, 2, 0, true, false},
+      {8, kOldest, 3, 0, 0, false, false},  {8, kRr, 1, 2, 2, true, true},
+      {8, kOldest, 1, 0, 2, true, true},    {16, kOldest, 1, 0, 2, true, true},
+      {16, kRr, 2, 2, 0, false, true},      {64, kFixed, 3, 0, 2, true, false},
+      {64, kRr, 1, 0, 0, true, true},
+  };
+  // Per point: cycles its seeds ran in arbitrated and straight-line steps.
+  std::vector<std::uint64_t> arbitrated(std::size(points));
+  std::vector<std::uint64_t> straight(std::size(points));
+  for (std::size_t k = 0; k < 3 * std::size(points); ++k) {
+    const AxisPoint& point = points[k % std::size(points)];
+    const std::uint64_t seed = 100 + k;
+    ProgramGenerator generator(seed);
+    assembler::Program program = compile(generator.generate());
+    const bool with_sync = point.cores <= 8;
+    if (with_sync) {
+      auto instrumented =
+          core::auto_instrument(program, core::InstrumentOptions{});
+      ASSERT_TRUE(instrumented.ok()) << instrumented.error;
+      program = std::move(instrumented.program);
+    }
+    auto config = with_sync ? sim::PlatformConfig::with_synchronizer()
+                            : sim::PlatformConfig::without_synchronizer();
+    config.num_cores = point.cores;
+    // Cores past 8 get "private" banks past the generator's layout: the
+    // shared RMW bank first, then (16-bit addresses) other cores' banks.
+    // 32 banks cover the whole address space, so nothing traps, and the
+    // sharing is as deterministic as the rest of the run.
+    if (!with_sync) config.dm_banks = 32;
+    config.arbitration = point.arbitration;
+    config.base_cpi = point.base_cpi;
+    config.branch_taken_penalty = point.branch_taken_penalty;
+    config.wakeup_penalty = point.wakeup_penalty;
+    config.im_fetch_broadcast = point.im_fetch_broadcast;
+    config.dm_read_broadcast = point.dm_read_broadcast;
+
+    auto naive_config = config;
+    naive_config.fast_forward = false;
+    sim::Platform fast(config);
+    sim::Platform naive(naive_config);
+    fast.load_program(program);
+    naive.load_program(program);
+    preload_inputs(fast, seed);
+    preload_inputs(naive, seed);
+    // Odd-sized windows end inside straight-line steps and idle stretches.
+    sim::RunResult result;
+    for (int window = 0; window < 400; ++window) {
+      const std::uint64_t target = fast.counters().cycles + 613;
+      result = fast.run(target);
+      ASSERT_EQ(result, naive.run(target))
+          << describe(point) << ", seed " << seed << ", window " << window;
+      ASSERT_TRUE(sim::snapshots_equal(fast.save_snapshot(),
+                                       naive.save_snapshot(),
+                                       sim::DivergenceScope::kFullState))
+          << describe(point) << ", seed " << seed << ", window " << window
+          << "\n"
+          << sim::diff_snapshots(fast.save_snapshot(), naive.save_snapshot());
+      if (result.status == sim::RunResult::Status::kAllAsleep) {
+        fast.interrupt_all();
+        naive.interrupt_all();
+      } else if (result.status != sim::RunResult::Status::kMaxCycles) {
+        break;
+      }
+    }
+    EXPECT_TRUE(result.ok()) << describe(point) << ": " << result.to_string();
+    arbitrated[k % std::size(points)] += fast.fetch_region_cycles();
+    straight[k % std::size(points)] += fast.burst_cycles();
+  }
+  // The executor served every point (straight-line steps need fetch
+  // broadcast unless diverged cores happen onto disjoint banks).
+  for (std::size_t k = 0; k < std::size(points); ++k) {
+    EXPECT_GT(arbitrated[k], 0u) << describe(points[k]);
+    if (points[k].im_fetch_broadcast)
+      EXPECT_GT(straight[k], 0u) << describe(points[k]);
   }
 }
 
@@ -599,7 +711,6 @@ TEST(DivergenceBisection, RoundRobinPointerIsModularAcrossSnapshots) {
   // fast paths on vs the naive loop, across sleep/wake windows.
   auto config_naive = config;
   config_naive.fast_forward = false;
-  config_naive.burst = false;
   sim::Platform c(config);
   sim::Platform d(config_naive);
   c.load_program(program);
@@ -612,26 +723,6 @@ TEST(DivergenceBisection, RoundRobinPointerIsModularAcrossSnapshots) {
   EXPECT_TRUE(sim::snapshots_equal(c.save_snapshot(), d.save_snapshot(),
                                    sim::DivergenceScope::kFullState))
       << sim::diff_snapshots(c.save_snapshot(), d.save_snapshot());
-}
-
-TEST(DivergenceBisection, GeneratedProgramFastForwardModesAreBitIdentical) {
-  // The bisector doubles as a regression harness for host-side
-  // optimizations: a generated program simulated with fast-forward on and
-  // off must never diverge in any state, at any cycle.
-  ProgramGenerator generator(7);
-  const auto program = compile(generator.generate());
-  auto config_on = sim::PlatformConfig::with_synchronizer();
-  auto config_off = config_on;
-  config_off.fast_forward = false;
-  sim::Platform a(config_on);
-  sim::Platform b(config_off);
-  a.load_program(program);
-  b.load_program(program);
-  preload_inputs(a, 7);
-  preload_inputs(b, 7);
-  const auto report = sim::find_first_divergence(a, b, 50'000);
-  EXPECT_FALSE(report.diverged)
-      << "cycle " << report.first_divergent_cycle << "\n" << report.delta;
 }
 
 }  // namespace

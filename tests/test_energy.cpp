@@ -1,9 +1,9 @@
 // Energy-exactness differential wall. The per-record energy report is a
 // pure function of `EventCounters` / `SynchronizerStats`, which every host
-// fast path (idle fast-forward, straight-line bursts, the batch engine,
-// sharded spools, recorded replays) keeps bit-exact — so the serialized
-// energy columns must be byte-identical no matter which execution mode
-// produced the record. This suite pins that for every builtin workload,
+// fast path (the region executor, the batch engine, sharded spools,
+// recorded replays) keeps bit-exact — so the serialized energy columns
+// must be byte-identical no matter which execution mode produced the
+// record. This suite pins that for every builtin workload,
 // and pins the design-space search against its committed golden frontiers
 // (tests/golden/frontier_*.csv).
 
@@ -104,15 +104,10 @@ TEST_P(EnergyExactness, ColumnsBitIdenticalAcrossEveryExecutionMode) {
       expect_same(record, "jobs 4");
     }
   }
-  {  // idle fast-forward disabled
+  {  // region executor disabled: the naive cycle-by-cycle loop
     RunSpec slow = spec;
     slow.fast_forward = false;
     expect_same(scalar.run_one(slow), "fast_forward off");
-  }
-  {  // straight-line bursts disabled
-    RunSpec slow = spec;
-    slow.burst = false;
-    expect_same(scalar.run_one(slow), "burst off");
   }
   {  // batched many-platform engine (falls back to scalar lanes honestly)
     const BatchEngine batch(Registry::builtins());

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "asm/assembler.h"
 #include "core/lockstep.h"
 #include "sim/platform.h"
+#include "sim/snapshot.h"
 
 namespace ulpsync::sim {
 namespace {
@@ -133,6 +135,154 @@ TEST(PlatformTiming, DifferentAddressSameBankSerializes) {
   for (unsigned c = 0; c < 8; ++c) EXPECT_EQ(platform.dm_read(0x800 + c), c);
   EXPECT_GE(platform.counters().dm_bank_accesses, 8u);
   EXPECT_GT(platform.counters().dm_conflict_cycles, 0u);
+}
+
+// --- which core a conflicting bank serves -----------------------------------
+//
+// Three cores request three distinct addresses of one bank every cycle.
+// The served core — the one whose retire count moves — must follow the
+// arbitration policy cycle by cycle, whether the cycle runs in tick() or
+// in run()'s region executor. A fast-vs-naive comparison cannot see a bug
+// in this rule, because both share it.
+
+constexpr unsigned kBlockLength = 48;  // outlasts the asserted window
+
+// Each core jumps (in lockstep, so without conflicts) to its own straight
+// block; block-mapped IM puts all three in bank 0, so from then on the
+// three fetch distinct PCs of one bank every cycle.
+std::string im_conflict_kernel() {
+  std::string source = R"(
+      csrr r1, #0
+      movi r5, )" + std::to_string(kBlockLength + 1) + R"(
+      mul  r5, r5, r1
+      movi r6, block0
+      add  r5, r5, r6
+      jr   r5
+  block0:
+  )";
+  for (unsigned block = 0; block < 3; ++block) {
+    for (unsigned k = 0; k < kBlockLength; ++k) source += "      addi r2, r2, 1\n";
+    source += "      halt\n";
+  }
+  return source;
+}
+constexpr std::uint32_t kImPreamble = 6;  // slots before block0
+
+// Each core loads its own word of DM bank 1 over and over: one requester
+// per core at the D-Xbar every cycle (with base CPI 1 the served core
+// fetches its next load in the very next cycle).
+std::string dm_conflict_kernel() {
+  std::string source = R"(
+      csrr r1, #0
+      movi r4, 2048
+      add  r4, r4, r1
+  )";
+  for (unsigned k = 0; k < kBlockLength; ++k) source += "      ldx  r3, [r4+r0]\n";
+  return source + "      halt\n";
+}
+constexpr std::uint32_t kDmPreamble = 3;  // slots before the first load
+
+// The policy's pick among the three requesters, given the state before the
+// cycle.
+unsigned expected_winner(ArbitrationPolicy policy, const Snapshot& before) {
+  constexpr unsigned n = 3;
+  unsigned winner = 0;
+  for (unsigned c = 1; c < n; ++c) {
+    switch (policy) {
+      case ArbitrationPolicy::kFixedPriority:
+        break;  // the lowest index
+      case ArbitrationPolicy::kOldestFirst:  // ties keep the lower index
+        if (before.cores[c].stall_age > before.cores[winner].stall_age)
+          winner = c;
+        break;
+      case ArbitrationPolicy::kRoundRobin: {  // first at or after the pointer
+        const auto pointer =
+            static_cast<unsigned>((before.counters.cycles + 1) % n);
+        if ((c + n - pointer) % n < (winner + n - pointer) % n) winner = c;
+        break;
+      }
+    }
+  }
+  return winner;
+}
+
+void expect_policy_serves(ArbitrationPolicy policy, const std::string& kernel,
+                          std::uint32_t preamble, bool via_run) {
+  auto config = bare_config(false);  // baseline: no D-Xbar policy groups
+  config.num_cores = 3;
+  config.base_cpi = 1;
+  config.im_line_slots = 0;
+  config.arbitration = policy;
+  Platform platform(config);
+  const auto program = compile(kernel);
+  platform.load_program(program);
+  auto step = [&] {
+    if (via_run) {
+      EXPECT_EQ(platform.run(platform.counters().cycles + 1).status,
+                RunResult::Status::kMaxCycles);
+    } else {
+      platform.tick();
+    }
+  };
+  // The shared preamble runs in lockstep, free of conflicts.
+  for (unsigned guard = 0; guard < 2 * preamble; ++guard) {
+    bool past = true;
+    for (unsigned c = 0; c < 3; ++c)
+      past = past && platform.core_pc(c) >= program.origin + preamble;
+    if (past) break;
+    step();
+  }
+  std::array<unsigned, 3> wins{};
+  for (unsigned cycle = 0; cycle < 40; ++cycle) {
+    const Snapshot before = platform.save_snapshot();
+    const unsigned expected = expected_winner(policy, before);
+    step();
+    for (unsigned c = 0; c < 3; ++c) {
+      const bool served = platform.counters().per_core_retired[c] !=
+                          before.counters.per_core_retired[c];
+      ASSERT_EQ(served, c == expected)
+          << "core " << c << " at cycle " << before.counters.cycles
+          << (via_run ? " (run)" : " (tick)");
+    }
+    wins[expected] += 1;
+  }
+  if (via_run) EXPECT_GT(platform.fetch_region_cycles(), 0u);
+  // The window exercises the policy: fixed priority starves cores 1-2,
+  // the other two policies rotate through all three.
+  for (unsigned c = 0; c < 3; ++c) {
+    if (policy == ArbitrationPolicy::kFixedPriority) {
+      EXPECT_EQ(wins[c] > 0, c == 0);
+    } else {
+      EXPECT_GT(wins[c], 0u);
+    }
+  }
+}
+
+TEST(PlatformArbitration, FixedPriorityServesLowestIndex) {
+  for (const bool via_run : {false, true}) {
+    expect_policy_serves(ArbitrationPolicy::kFixedPriority,
+                         im_conflict_kernel(), kImPreamble, via_run);
+    expect_policy_serves(ArbitrationPolicy::kFixedPriority,
+                         dm_conflict_kernel(), kDmPreamble, via_run);
+  }
+}
+
+TEST(PlatformArbitration, OldestFirstServesLongestWaiting) {
+  for (const bool via_run : {false, true}) {
+    expect_policy_serves(ArbitrationPolicy::kOldestFirst, im_conflict_kernel(),
+                         kImPreamble, via_run);
+    expect_policy_serves(ArbitrationPolicy::kOldestFirst, dm_conflict_kernel(),
+                         kDmPreamble, via_run);
+  }
+}
+
+TEST(PlatformArbitration, RoundRobinServesFirstAtOrAfterPointer) {
+  for (const bool via_run : {false, true}) {
+    expect_policy_serves(ArbitrationPolicy::kRoundRobin, im_conflict_kernel(),
+                         kImPreamble, via_run);
+    expect_policy_serves(ArbitrationPolicy::kRoundRobin, dm_conflict_kernel(),
+                         kDmPreamble, via_run);
+  }
 }
 
 TEST(PlatformPolicy, DxbarPolicyKeepsConflictingCoresInLockstep) {

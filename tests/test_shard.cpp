@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "scenario/shard.h"
 #include "scenario/transport.h"
 #include "util/file.h"
+#include "util/wire.h"
 
 namespace ulpsync::scenario {
 namespace {
@@ -82,7 +84,6 @@ TEST(Spool, PlanRoundTripsSpecsExactly) {
   specs[0].arbitration = sim::ArbitrationPolicy::kRoundRobin;
   specs[0].im_line_slots = 2;
   specs[1].fast_forward = false;
-  specs[1].burst = false;
   specs[2].checkpoint_at = 1000;
   specs[2].max_cycles = 12345;
   specs[3].params.per_core_threshold_delta = {1, -2, 3, -4, 5, -6, 7, -8};
@@ -114,7 +115,6 @@ TEST(Spool, PlanRoundTripsSpecsExactly) {
   EXPECT_EQ(loaded[0].arbitration, sim::ArbitrationPolicy::kRoundRobin);
   EXPECT_EQ(loaded[0].im_line_slots, 2u);
   EXPECT_EQ(loaded[1].fast_forward, false);
-  EXPECT_EQ(loaded[1].burst, false);
   EXPECT_EQ(loaded[2].checkpoint_at, 1000u);
   EXPECT_EQ(loaded[2].max_cycles, 12345u);
   EXPECT_EQ(loaded[3].params.per_core_threshold_delta[7], -8);
@@ -196,6 +196,55 @@ TEST(Spool, BitFlippedBundleRejected) {
                  std::invalid_argument)
         << at;
   }
+}
+
+TEST(Spool, FormerSpecCodecVersionRejected) {
+  // Version 4 retired the `burst` knob: a well-sealed bundle planned by a
+  // version-3 build must fail loudly instead of being worked.
+  const std::string dir = scratch_dir("oldversion");
+  (void)plan_spool(dir, small_sweep_specs(), Registry::builtins(),
+                   {.shards = 1});
+  auto bytes = util::read_file_bytes(dir + "/queue/shard-0000.bundle");
+  ASSERT_NO_THROW((void)parse_bundle_bytes(bytes, "bundle"));
+  // Layout: 8-byte magic, u32 LE version, payload, u64 LE FNV of the rest.
+  ASSERT_EQ(bytes[8], 4u);
+  bytes[8] = 3;
+  const std::size_t body = bytes.size() - 8;
+  const std::uint64_t hash =
+      util::fnv1a64(std::span<const std::uint8_t>(bytes.data(), body));
+  for (unsigned k = 0; k < 8; ++k)
+    bytes[body + k] = static_cast<std::uint8_t>(hash >> (8 * k));
+  try {
+    (void)parse_bundle_bytes(bytes, "bundle");
+    ADD_FAILURE() << "a version-3 bundle parsed";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("unsupported version 3"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(Spool, SpecSettingTheRetiredBurstKnobRejected) {
+  // The retired knob keeps its slot on the wire, always absent (the
+  // recorded-run envelope shares the codec); a spec image that still sets
+  // it is refused instead of being misread.
+  RunSpec spec;
+  spec.workload = "mrpfltr";
+  util::WireWriter w;
+  encode_run_spec(w, spec);
+  std::vector<std::uint8_t> bytes = w.take();
+  {
+    util::WireReader r(bytes);
+    EXPECT_EQ(decode_run_spec(r).workload, "mrpfltr");
+  }
+  // Tail without a checkpoint or energy request: slot, u64 max_cycles, two
+  // absent optionals.
+  const std::size_t slot = bytes.size() - 11;
+  ASSERT_EQ(bytes[slot], 0u);
+  bytes[slot] = 1;
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(slot) + 1, 0);
+  util::WireReader r(bytes);
+  EXPECT_THROW((void)decode_run_spec(r), std::invalid_argument);
 }
 
 TEST(Spool, CorruptManifestRejected) {

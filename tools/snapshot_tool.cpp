@@ -5,7 +5,8 @@
 //                 [--samples N] [--design synchronized|baseline] [--no-ff]
 //       Runs a builtin workload to cycle N and writes the snapshot. This is
 //       also how the committed golden snapshots under tests/golden/ are
-//       regenerated after an intentional simulator change.
+//       regenerated after an intentional simulator change. --no-ff runs
+//       the naive cycle-by-cycle loop instead of the region executor.
 //   snapshot_tool dump <file.snap>
 //       Prints a human-readable summary: config, cycle, per-core state,
 //       counter totals, DM occupancy, content hash.
