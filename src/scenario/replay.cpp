@@ -108,8 +108,8 @@ ReplayReport replay_recorded_run(const RecordedRun& run,
     core::LockstepAnalyzer analyzer;
     if (run.measure_lockstep) analyzer.attach(*rig.platform);
 
-    const sim::ReplayDriver driver(run.schedule);
-    const sim::ReplayOutcome outcome = driver.replay(*rig.platform);
+    const sim::ReplayOutcome outcome =
+        sim::replay_schedule(*rig.platform, run.schedule);
     if (!outcome.error.empty()) {
       report.error = outcome.error;
       return report;

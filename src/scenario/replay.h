@@ -11,12 +11,13 @@
 /// file is a versioned little-endian image with a trailing FNV-1a hash.
 ///
 /// `replay_recorded_run` rebuilds the workload and platform from the spec,
-/// replays the schedule through `sim::ReplayDriver`, re-adopts the
-/// recorded host-loop words, reassembles a `RunRecord` exactly as the
-/// engine would, and compares its CSV row byte-for-byte against the
-/// recorded one. `record_one` is the canonical recording routine the
-/// engine's record path delegates to — also usable directly by tools that
-/// want the envelope in memory (tools/fault_campaign).
+/// replays the schedule exactly (`sim::replay_schedule`, a fault-free
+/// `sim::ReplayCursor`), re-adopts the recorded host-loop words,
+/// reassembles a `RunRecord` exactly as the engine would, and compares its
+/// CSV row byte-for-byte against the recorded one. `record_one` is the
+/// canonical recording routine the engine's record path delegates to —
+/// also usable directly by tools that want the envelope in memory
+/// (tools/fault_campaign).
 
 #include <memory>
 #include <span>

@@ -57,6 +57,19 @@ void deliver_event(Platform& platform, const ExternalEvent& event) {
   }
 }
 
+// Replay delivers each event on its exact cycle, so an event recorded
+// behind an earlier one could never be delivered and would block every
+// later event.
+void check_ordered(const std::vector<ExternalEvent>& events) {
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    if (events[i].cycle < events[i - 1].cycle)
+      throw std::invalid_argument(
+          "event schedule not ordered: event at cycle " +
+          std::to_string(events[i].cycle) + " recorded after cycle " +
+          std::to_string(events[i - 1].cycle));
+  }
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> EventSchedule::serialize() const {
@@ -101,7 +114,6 @@ EventSchedule EventSchedule::deserialize(std::span<const std::uint8_t> bytes) {
   if (count > bytes.size() / 9)
     throw std::invalid_argument("event schedule: implausible event count");
   schedule.events.reserve(static_cast<std::size_t>(count));
-  std::uint64_t last_cycle = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     ExternalEvent event;
     const std::uint8_t kind = r.u8();
@@ -109,9 +121,6 @@ EventSchedule EventSchedule::deserialize(std::span<const std::uint8_t> bytes) {
       throw std::invalid_argument("event schedule: invalid event kind");
     event.kind = static_cast<EventKind>(kind);
     event.cycle = r.u64();
-    if (event.cycle < last_cycle)
-      throw std::invalid_argument("event schedule: event cycles not ordered");
-    last_cycle = event.cycle;
     switch (event.kind) {
       case EventKind::kDmWrite:
         event.addr = r.u32();
@@ -132,6 +141,7 @@ EventSchedule EventSchedule::deserialize(std::span<const std::uint8_t> bytes) {
     }
     schedule.events.push_back(std::move(event));
   }
+  check_ordered(schedule.events);
   schedule.final_result = decode_result(r);
   if (!schedule.events.empty() &&
       schedule.final_result.cycles < schedule.events.back().cycle)
@@ -213,93 +223,15 @@ EventSchedule EventRecorder::finish(const RunResult& result,
   return out;
 }
 
-// --- exact replay ------------------------------------------------------------
-
-ReplayOutcome ReplayDriver::replay(Platform& platform) const {
-  ReplayOutcome out;
-  const EventSchedule& schedule = *schedule_;
-  if (platform.image_fingerprint() != schedule.im_fingerprint) {
-    out.error = "image fingerprint mismatch: platform " +
-                util::hex64(platform.image_fingerprint()) + ", schedule " +
-                util::hex64(schedule.im_fingerprint);
-    return out;
-  }
-
-  std::size_t i = 0;
-  while (i < schedule.events.size()) {
-    const std::uint64_t target = schedule.events[i].cycle;
-    const std::uint64_t now = platform.counters().cycles;
-    if (target < now) {
-      out.error = "replay overshot event at cycle " + std::to_string(target) +
-                  " (platform already at " + std::to_string(now) + ")";
-      return out;
-    }
-    if (target > now) {
-      // Exact because stopping and continuing a run is bit-identical to
-      // one uninterrupted run, and the recorded cycle is a run-stop cycle
-      // of the original (the clock never advances while all cores sleep).
-      const RunResult slice = platform.run(target);
-      if (platform.counters().cycles != target) {
-        out.error = "replay diverged from schedule: " + slice.to_string() +
-                    " before the event recorded at cycle " +
-                    std::to_string(target);
-        return out;
-      }
-    }
-    for (; i < schedule.events.size() && schedule.events[i].cycle == target;
-         ++i) {
-      deliver_event(platform, schedule.events[i]);
-    }
-  }
-
-  const std::uint64_t end = schedule.final_result.cycles;
-  if (platform.counters().cycles < end) {
-    out.result = platform.run(end);
-    if (out.result.status == RunResult::Status::kMaxCycles &&
-        out.result.cycles == end &&
-        schedule.final_result.status != RunResult::Status::kMaxCycles) {
-      // The replay's budget *is* the recorded stop cycle, so a run that
-      // halts or falls asleep exactly there reports the exhausted bound
-      // instead of the stop reason the original saw under its larger
-      // budget. Adopt the recorded result; the final-state hash below
-      // still guards the actual state (core statuses included).
-      out.result = schedule.final_result;
-    }
-  } else {
-    // Already at the recorded end cycle (the last events did not restart
-    // anything); the final-state hash below still guards the state.
-    out.result = schedule.final_result;
-  }
-  if (!(out.result == schedule.final_result)) {
-    out.error = "replay final result mismatch: got " + out.result.to_string() +
-                ", recorded " + schedule.final_result.to_string();
-  }
-  out.final_state_matches =
-      normalized_state_hash(platform.save_snapshot()) ==
-      schedule.final_state_hash;
-  if (out.error.empty() && !out.final_state_matches)
-    out.error = "replay final state hash mismatch";
-  return out;
-}
-
-// --- fault-injecting cursor --------------------------------------------------
+// --- replay cursor -----------------------------------------------------------
 
 ReplayCursor::ReplayCursor(Platform& platform, const EventSchedule& schedule,
                            std::span<const FaultAction> faults)
     : platform_(&platform),
       schedule_(&schedule),
       faults_(faults.begin(), faults.end()) {
+  check_ordered(schedule.events);
   seek(platform.counters().cycles);
-}
-
-void ReplayCursor::apply_wake_fault(const FaultAction& fault,
-                                    const ExternalEvent& event) {
-  if (fault.kind != FaultAction::Kind::kDelayWake) return;
-  const std::pair<std::uint64_t, unsigned> wake{event.cycle + fault.delay,
-                                                fault.core};
-  pending_wakes_.insert(
-      std::upper_bound(pending_wakes_.begin(), pending_wakes_.end(), wake),
-      wake);
 }
 
 void ReplayCursor::deliver_due() {
@@ -307,7 +239,8 @@ void ReplayCursor::deliver_due() {
   // 1. Recorded events due now, with wake faults rewriting the targeted
   //    interrupt: a broadcast becomes per-core wake-ups minus the faulted
   //    core (equivalent by construction — interrupt_all is per-core wakes
-  //    in the same cycle), a single wake-up is suppressed.
+  //    in the same cycle), a single wake-up is suppressed, and a delayed
+  //    one is re-scheduled.
   for (; next_event_ < schedule_->events.size() &&
          schedule_->events[next_event_].cycle == now;
        ++next_event_) {
@@ -315,7 +248,6 @@ void ReplayCursor::deliver_due() {
     const bool is_wake = event.kind == EventKind::kInterrupt ||
                          event.kind == EventKind::kInterruptAll;
     std::uint64_t suppressed = 0;  // one bit per faulted core
-    bool any = false;
     if (is_wake) {
       for (const FaultAction& fault : faults_) {
         if (fault.kind == FaultAction::Kind::kDmFlip ||
@@ -324,11 +256,16 @@ void ReplayCursor::deliver_due() {
         if (event.kind == EventKind::kInterrupt && event.core != fault.core)
           continue;
         suppressed |= std::uint64_t{1} << fault.core;
-        any = true;
-        apply_wake_fault(fault, event);
+        if (fault.kind != FaultAction::Kind::kDelayWake) continue;
+        const std::pair<std::uint64_t, unsigned> wake{
+            event.cycle + fault.delay, fault.core};
+        pending_wakes_.insert(
+            std::upper_bound(pending_wakes_.begin(), pending_wakes_.end(),
+                             wake),
+            wake);
       }
     }
-    if (!any) {
+    if (suppressed == 0) {
       deliver_event(*platform_, event);
     } else if (event.kind == EventKind::kInterruptAll) {
       for (unsigned core = 0; core < platform_->config().num_cores; ++core) {
@@ -367,6 +304,23 @@ void ReplayCursor::deliver_due() {
 void ReplayCursor::advance_to(std::uint64_t target) {
   while (cycle() < target) {
     deliver_due();
+    // Run to the next cycle anything external is due: the next event, DM
+    // flip or delayed wake-up, or the target. Nothing external happens in
+    // between, and stopping and resuming run() is bit-identical to one run.
+    std::uint64_t stop = target;
+    if (next_event_ < schedule_->events.size())
+      stop = std::min(stop, schedule_->events[next_event_].cycle);
+    if (!pending_wakes_.empty())
+      stop = std::min(stop, pending_wakes_.front().first);
+    for (const FaultAction& fault : faults_) {
+      if (fault.kind == FaultAction::Kind::kDmFlip && fault.cycle > cycle())
+        stop = std::min(stop, fault.cycle);
+    }
+    const RunResult slice = platform_->run(stop);
+    if (cycle() == stop) continue;
+    // run() cannot advance: every core is halted, trapped or asleep, or a
+    // trap has ended the run. tick() still clocks the cycle.
+    if (!first_short_) first_short_ = ShortSlice{stop, slice};
     platform_->tick();
   }
 }
@@ -404,6 +358,52 @@ bool ReplayCursor::settled() const {
       return false;
   }
   return true;
+}
+
+// --- exact replay ------------------------------------------------------------
+
+ReplayOutcome replay_schedule(Platform& platform,
+                              const EventSchedule& schedule) {
+  ReplayOutcome out;
+  if (platform.image_fingerprint() != schedule.im_fingerprint) {
+    out.error = "image fingerprint mismatch: platform " +
+                util::hex64(platform.image_fingerprint()) + ", schedule " +
+                util::hex64(schedule.im_fingerprint);
+    return out;
+  }
+  const std::uint64_t end = schedule.final_result.cycles;
+  try {
+    ReplayCursor cursor(platform, schedule, {});
+    cursor.advance_to(end);
+    const std::optional<ReplayCursor::ShortSlice>& stall = cursor.first_short_;
+    if (stall && stall->bound < end) {
+      out.error = "replay diverged from schedule: " +
+                  stall->result.to_string() +
+                  " before the event recorded at cycle " +
+                  std::to_string(stall->bound);
+      return out;
+    }
+    // The recording delivered the events due at `end` itself before it
+    // stopped; advance_to leaves them to the cycle after.
+    cursor.deliver_due();
+    // A final slice that ends on its bound reports the exhausted bound,
+    // not the stop reason the original saw under its larger budget: adopt
+    // the recorded result. The final-state hash below still guards the
+    // actual state (core statuses included).
+    out.result = stall ? stall->result : schedule.final_result;
+  } catch (const std::invalid_argument& error) {
+    out.error = error.what();
+    return out;
+  }
+  if (!(out.result == schedule.final_result))
+    out.error = "replay final result mismatch: got " + out.result.to_string() +
+                ", recorded " + schedule.final_result.to_string();
+  out.final_state_matches =
+      normalized_state_hash(platform.save_snapshot()) ==
+      schedule.final_state_hash;
+  if (out.error.empty() && !out.final_state_matches)
+    out.error = "replay final state hash mismatch";
+  return out;
 }
 
 // --- replay-aware divergence bisection ---------------------------------------

@@ -12,20 +12,27 @@
 /// trailing hash, like snapshots (sim/snapshot.h) and shard bundles
 /// (scenario/shard.h).
 ///
-/// `ReplayDriver` re-delivers a schedule into a freshly prepared platform
-/// (same config, same program, inputs NOT loaded — the schedule carries
-/// them) and asserts the run reproduces bit-exactly: every `run()` slice
-/// must stop at the recorded event cycles, the final result must match,
-/// and the normalized final-state hash must match. This works because
-/// stopping and continuing a platform run is bit-identical to one
-/// uninterrupted run, and because the clock never advances while every
-/// core sleeps — so recorded delivery cycles are exact replay targets.
+/// Replay, exact or fault-injecting, is one stepper: `ReplayCursor`. It
+/// re-delivers a schedule into a freshly prepared platform (same config,
+/// same program, inputs NOT loaded — the schedule carries them) in
+/// `Platform::run` slices. At cycle C it delivers what is due at C, then
+/// runs to the earliest of the next recorded event, the next injected DM
+/// flip, the next delayed wake-up and the caller's target. When `run()`
+/// stops short of that bound (every core halted, trapped or asleep, or a
+/// trap has ended the run), one `tick()` clocks the next cycle. This is
+/// bit-identical to ticking every cycle for two reasons: stopping and
+/// resuming a run is bit-identical to one uninterrupted run, and nothing
+/// external happens strictly between two due cycles. Because the clock
+/// never advances while every core sleeps, the recorded delivery cycles
+/// are exact replay targets.
 ///
-/// On top of exact replay, `ReplayCursor` steps a platform through a
-/// schedule tick by tick while optionally applying injected faults
-/// (`FaultAction`: DM bit flips, delayed or dropped wake-ups), and
+/// `replay_schedule` is exact replay: a fault-free cursor run to the
+/// recorded end, asserting the run reproduces bit-exactly — every slice
+/// must reach its recorded event cycle, the final result must match, and
+/// the normalized final-state hash must match. Fault trials give the
+/// cursor `FaultAction`s (DM bit flips, delayed or dropped wake-ups), and
 /// `find_first_divergence_replayed` grows `find_first_divergence` into a
-/// fault-localization bisector: clean and faulted replays advance in
+/// fault-localization bisector: clean and faulted cursors advance in
 /// lockstep with snapshot checkpoints every `stride` cycles, and on
 /// mismatch the last equal checkpoint pair is restored and single-stepped
 /// to the first divergent cycle. Image fingerprints are excluded from the
@@ -33,6 +40,7 @@
 /// construction) localize to their first *architectural* effect.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -140,37 +148,20 @@ class EventRecorder final : public EventSink {
   EventSchedule schedule_;
 };
 
-/// Outcome of `ReplayDriver::replay`.
+/// Outcome of `replay_schedule`.
 struct ReplayOutcome {
   /// The reconstructed final result (valid when `error` is empty).
   RunResult result;
   /// True when the replayed final state hashed identical to the recording.
   bool final_state_matches = false;
-  /// Empty on a faithful replay; otherwise the first mismatch (an event
-  /// cycle the replay could not reach, a final-result difference, or a
-  /// final-state hash mismatch).
+  /// Empty on a faithful replay; otherwise the first mismatch (an image
+  /// fingerprint mismatch, an unordered schedule, an event cycle the
+  /// replay could not reach, a final-result difference, or a final-state
+  /// hash mismatch).
   std::string error;
 
   /// True when the replay reproduced the recording bit-exactly.
   [[nodiscard]] bool ok() const { return error.empty() && final_state_matches; }
-};
-
-/// Exact replay: re-delivers a recorded schedule into a freshly prepared
-/// platform at the recorded cycles via `Platform::run` slices, then runs to
-/// the recorded end and checks the outcome. The platform must have the
-/// same program loaded (verified by image fingerprint) and inputs NOT
-/// loaded — the schedule carries them.
-class ReplayDriver {
- public:
-  /// The schedule must outlive the driver.
-  explicit ReplayDriver(const EventSchedule& schedule) : schedule_(&schedule) {}
-
-  /// Replays the schedule to its recorded end cycle. Never throws on
-  /// divergence — mismatches are reported in the outcome.
-  [[nodiscard]] ReplayOutcome replay(Platform& platform) const;
-
- private:
-  const EventSchedule* schedule_;
 };
 
 /// One injected fault for campaign replays (see `ReplayCursor`).
@@ -212,17 +203,22 @@ struct FaultAction {
   }
 };
 
-/// Steps one platform through a recorded schedule tick by tick, delivering
-/// each event at its recorded cycle and applying injected faults — the
-/// single-platform half of `find_first_divergence_replayed`. Events and
-/// faults due at cycle C are delivered when the cursor leaves C (before
-/// the tick out of C), so a checkpoint taken at C excludes them; `seek`
-/// re-arms indices and pending delayed wake-ups consistently after a
-/// snapshot restore.
+/// Steps one platform through a recorded schedule in `Platform::run`
+/// slices (the slice rule and why it is exact are in the file comment),
+/// delivering each event at its recorded cycle and applying injected
+/// faults. Exact replay, fault trials and both sides of
+/// `find_first_divergence_replayed` all step through it. Events and faults
+/// due at cycle C are delivered when the cursor leaves C (before the slice
+/// out of C), so a checkpoint taken at C excludes them; `seek` re-arms
+/// indices and pending delayed wake-ups consistently after a snapshot
+/// restore.
 class ReplayCursor {
  public:
   /// `platform` must have the (possibly fault-corrupted) program loaded
-  /// and no inputs; both references must outlive the cursor.
+  /// and no inputs; both references must outlive the cursor. Throws
+  /// std::invalid_argument, naming the cycle, when the schedule's event
+  /// cycles are not ordered: an event behind the clock could never be
+  /// delivered.
   ReplayCursor(Platform& platform, const EventSchedule& schedule,
                std::span<const FaultAction> faults);
 
@@ -242,11 +238,19 @@ class ReplayCursor {
   [[nodiscard]] bool settled() const;
 
  private:
+  /// Exact replay is a fault-free cursor plus checks on its first short
+  /// slice; it also delivers the events due at the recorded end.
+  friend ReplayOutcome replay_schedule(Platform& platform,
+                                       const EventSchedule& schedule);
+
+  /// A `run()` slice that stopped short of its bound.
+  struct ShortSlice {
+    std::uint64_t bound = 0;  ///< the cycle the slice was to reach
+    RunResult result;         ///< what `run()` returned
+  };
+
   /// Delivers every event and fault due at the current cycle.
   void deliver_due();
-  /// True when `faults_[f]` suppresses delivery of the wake-up event at
-  /// `event_index` to `core` (drop, or delay re-scheduling it).
-  void apply_wake_fault(const FaultAction& fault, const ExternalEvent& event);
 
   Platform* platform_;
   const EventSchedule* schedule_;
@@ -255,7 +259,19 @@ class ReplayCursor {
   /// Delayed wake-ups re-scheduled by kDelayWake faults: (cycle, core),
   /// kept sorted by cycle.
   std::vector<std::pair<std::uint64_t, unsigned>> pending_wakes_;
+  /// The first slice since construction that stopped short of its bound:
+  /// a faithful exact replay has none before the recorded end.
+  std::optional<ShortSlice> first_short_;
 };
+
+/// Exact replay: runs a fault-free `ReplayCursor` to the recorded end
+/// cycle, delivers the events recorded at that cycle itself, and checks
+/// the outcome. The platform must have the same program loaded (verified
+/// by image fingerprint) and inputs NOT loaded — the schedule carries
+/// them. Never throws on divergence or on an unordered schedule —
+/// mismatches are reported in the outcome.
+[[nodiscard]] ReplayOutcome replay_schedule(Platform& platform,
+                                            const EventSchedule& schedule);
 
 /// Result of `find_first_divergence_replayed`.
 struct ReplayDivergence {

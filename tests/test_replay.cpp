@@ -36,6 +36,7 @@
 #include "sim/snapshot.h"
 #include "sim/trace.h"
 #include "sim/vcd.h"
+#include "util/rng.h"
 
 namespace ulpsync {
 namespace {
@@ -90,6 +91,22 @@ std::string param_name(const ::testing::TestParamInfo<std::string>& info) {
   return name;
 }
 
+/// Drives `workload` on `platform` (program loaded, inputs not) under an
+/// attached recorder, the way `record_one` records, and returns the
+/// sealed schedule.
+sim::EventSchedule record_drive(sim::Platform& platform,
+                                const scenario::Workload& workload,
+                                const RunSpec& spec) {
+  sim::EventRecorder recorder;
+  recorder.attach(platform);
+  workload.load_inputs(platform);
+  const sim::RunResult result = workload.drive(platform, spec.max_cycles);
+  std::vector<std::uint64_t> host_words;
+  if (const scenario::WindowedDrive* windowed = workload.windowed_drive())
+    host_words = windowed->host_words();
+  return recorder.finish(result, host_words);
+}
+
 // --- record -> replay differential, every builtin ---------------------------
 
 class ReplayDifferential : public ::testing::TestWithParam<std::string> {};
@@ -114,30 +131,48 @@ TEST_P(ReplayDifferential, FinalSnapshotBytesAndCountersReplayBitIdentical) {
   // Original run, recorded.
   sim::Platform original(scenario::resolved_config(spec, *workload));
   original.load_program(workload->program(spec.with_synchronizer()));
-  sim::EventRecorder recorder;
-  recorder.attach(original);
-  workload->load_inputs(original);
-  const sim::RunResult result = workload->drive(original, spec.max_cycles);
-  std::vector<std::uint64_t> host_words;
-  if (const scenario::WindowedDrive* windowed = workload->windowed_drive())
-    host_words = windowed->host_words();
-  const sim::EventSchedule schedule = recorder.finish(result, host_words);
+  const sim::EventSchedule schedule = record_drive(original, *workload, spec);
   const sim::Snapshot original_final = original.save_snapshot();
 
   // Replay into a fresh platform; no inputs loaded — the schedule carries
   // them.
   sim::Platform replayed(scenario::resolved_config(spec, *workload));
   replayed.load_program(workload->program(spec.with_synchronizer()));
-  const sim::ReplayDriver driver(schedule);
-  const sim::ReplayOutcome outcome = driver.replay(replayed);
+  const sim::ReplayOutcome outcome = sim::replay_schedule(replayed, schedule);
   ASSERT_TRUE(outcome.ok()) << GetParam() << ": " << outcome.error;
-  EXPECT_EQ(outcome.result, result) << GetParam();
+  EXPECT_EQ(outcome.result, schedule.final_result) << GetParam();
 
   const sim::Snapshot replayed_final = replayed.save_snapshot();
   EXPECT_EQ(replayed_final.counters, original_final.counters) << GetParam();
   EXPECT_EQ(replayed_final.serialize(), original_final.serialize())
       << GetParam() << ": "
       << sim::diff_snapshots(original_final, replayed_final);
+}
+
+TEST_P(ReplayDifferential, CleanCursorServesTheDrivesFastPaths) {
+  // Campaign trials step through ReplayCursor, so it must run the region
+  // executor wherever the recording drive did: the cycles each fast path
+  // served match exactly.
+  const RunSpec spec = spec_for(GetParam(), 64);
+  const auto workload =
+      Registry::builtins().make(spec.workload, spec.params);
+  sim::Platform original(scenario::resolved_config(spec, *workload));
+  original.load_program(workload->program(spec.with_synchronizer()));
+  const sim::EventSchedule schedule = record_drive(original, *workload, spec);
+
+  sim::Platform replayed(scenario::resolved_config(spec, *workload));
+  replayed.load_program(workload->program(spec.with_synchronizer()));
+  sim::ReplayCursor cursor(replayed, schedule, {});
+  cursor.advance_to(schedule.final_result.cycles);
+  EXPECT_GT(original.fetch_region_cycles() + original.burst_cycles() +
+                original.fast_forwarded_cycles(),
+            0u)
+      << GetParam();
+  EXPECT_EQ(replayed.fetch_region_cycles(), original.fetch_region_cycles())
+      << GetParam();
+  EXPECT_EQ(replayed.burst_cycles(), original.burst_cycles()) << GetParam();
+  EXPECT_EQ(replayed.fast_forwarded_cycles(), original.fast_forwarded_cycles())
+      << GetParam();
 }
 
 TEST_P(ReplayDifferential, TraceAndVcdOfReplayMatchOriginal) {
@@ -157,18 +192,11 @@ TEST_P(ReplayDifferential, TraceAndVcdOfReplayMatchOriginal) {
     sim::VcdWriter vcd(vcd_out);
     vcd.attach(platform);  // VCD samples through the platform observer
     if (replay) {
-      const sim::ReplayDriver driver(schedule);
-      const sim::ReplayOutcome outcome = driver.replay(platform);
+      const sim::ReplayOutcome outcome =
+          sim::replay_schedule(platform, schedule);
       EXPECT_TRUE(outcome.ok()) << GetParam() << ": " << outcome.error;
     } else {
-      sim::EventRecorder recorder;
-      recorder.attach(platform);
-      workload->load_inputs(platform);
-      const sim::RunResult result = workload->drive(platform, spec.max_cycles);
-      std::vector<std::uint64_t> host_words;
-      if (const scenario::WindowedDrive* windowed = workload->windowed_drive())
-        host_words = windowed->host_words();
-      schedule = recorder.finish(result, host_words);
+      schedule = record_drive(platform, *workload, spec);
     }
     vcd.finish();
     return vcd_out.str();
@@ -184,8 +212,8 @@ TEST_P(ReplayDifferential, TraceAndVcdOfReplayMatchOriginal) {
     sim::TimelineTracer tracer;
     tracer.attach(platform);
     if (replay) {
-      const sim::ReplayDriver driver(schedule);
-      const sim::ReplayOutcome outcome = driver.replay(platform);
+      const sim::ReplayOutcome outcome =
+          sim::replay_schedule(platform, schedule);
       EXPECT_TRUE(outcome.ok()) << GetParam() << ": " << outcome.error;
     } else {
       workload->load_inputs(platform);
@@ -516,6 +544,11 @@ TEST(FaultBisection, ImBitFlipLocalizesOrRejectsAsUndecodable) {
                          << undecodable << " undecodable flips scanned)";
 }
 
+bool is_wake(const sim::ExternalEvent& event) {
+  return event.kind == sim::EventKind::kInterrupt ||
+         event.kind == sim::EventKind::kInterruptAll;
+}
+
 /// First recorded wake-up event of the sleepgen schedule, with a concrete
 /// target core for the fault.
 std::pair<std::size_t, unsigned> first_wake_event(const RecordedRun& run) {
@@ -589,6 +622,255 @@ TEST(FaultBisection, DroppedWakeupLocalizesAndNeverRecovers) {
     }
   }
   EXPECT_TRUE(status_differs) << divergence.delta;
+}
+
+// --- slice stepping against per-cycle stepping -------------------------------
+
+/// Final simulated state of a replay of `run` under `faults`. By default
+/// the cursor reaches the recorded end in one `advance_to`: `run()` slices
+/// through the region executor. The per-cycle reference turns the fast
+/// paths off (`RunSpec::fast_forward`) and advances one cycle per call. A
+/// non-empty `image` replaces the loaded program (an IM-corrupted rig).
+sim::Snapshot stepped_final_state(
+    RecordedRun run, const std::vector<sim::FaultAction>& faults,
+    bool per_cycle, const std::vector<std::uint32_t>& image = {}) {
+  if (per_cycle) run.spec.fast_forward = false;
+  ReplayRig rig = scenario::make_replay_rig(run, Registry::builtins());
+  if (!image.empty()) {
+    rig.platform->load_image(
+        rig.workload->program(run.spec.with_synchronizer()).origin, image);
+  }
+  sim::ReplayCursor cursor(*rig.platform, run.schedule, faults);
+  const std::uint64_t end = run.schedule.final_result.cycles;
+  if (!per_cycle) cursor.advance_to(end);
+  while (cursor.cycle() < end) cursor.advance_to(cursor.cycle() + 1);
+  return sim::simulated_state(rig.platform->save_snapshot());
+}
+
+/// One sampled fault and the slice bound it exercises.
+struct BoundFault {
+  std::string bound;
+  sim::FaultAction action;
+};
+
+/// A seeded sample of faults that bound a slice by themselves: DM flips
+/// 1, 7 and 60 cycles after a deposit (off every recorded event cycle),
+/// as a single bit, a multi-bit mask and a 3-word span; wake-ups delayed
+/// by 1, 3 and 200 cycles while the other cores run; dropped wake-ups.
+std::vector<BoundFault> slice_bound_faults(const RecordedRun& run) {
+  const sim::EventSchedule& schedule = run.schedule;
+  std::vector<std::size_t> deposits;
+  std::vector<std::size_t> wakes;
+  for (std::size_t i = 0; i < schedule.events.size(); ++i)
+    (is_wake(schedule.events[i]) ? wakes : deposits).push_back(i);
+  util::Rng rng(15);
+  std::vector<BoundFault> faults;
+  // (mask, span): a single bit, a multi-bit mask, a 3-word span.
+  const std::pair<std::uint16_t, std::uint32_t> patterns[] = {
+      {0, 1}, {0x0ff0, 1}, {0, 3}};
+  for (const std::uint64_t after : {1u, 7u, 60u}) {
+    for (const auto& [mask, span] : patterns) {
+      for (int n = 0; n < 3; ++n) {
+        const sim::ExternalEvent& deposit =
+            schedule.events[deposits[rng.next_below(deposits.size())]];
+        BoundFault fault{after == 1 ? "dm flip at deposit + 1"
+                                    : "dm flip later after a deposit",
+                         {}};
+        fault.action.kind = sim::FaultAction::Kind::kDmFlip;
+        fault.action.cycle = deposit.cycle + after;
+        fault.action.addr =
+            deposit.addr + static_cast<std::uint32_t>(rng.next_below(
+                               std::max<std::size_t>(deposit.words.size(), 1)));
+        fault.action.bit = static_cast<unsigned>(rng.next_below(16));
+        fault.action.mask = mask;
+        fault.action.span = span;
+        faults.push_back(fault);
+      }
+    }
+  }
+  const unsigned cores = Registry::builtins()
+                             .make(run.spec.workload, run.spec.params)
+                             ->num_cores();
+  auto wake_fault = [&](const char* bound, sim::FaultAction::Kind kind,
+                        std::uint64_t delay) {
+    const std::size_t index = wakes[rng.next_below(wakes.size())];
+    const sim::ExternalEvent& event = schedule.events[index];
+    BoundFault fault{bound, {}};
+    fault.action.kind = kind;
+    fault.action.event_index = index;
+    fault.action.core = event.kind == sim::EventKind::kInterrupt
+                            ? event.core
+                            : static_cast<unsigned>(rng.next_below(cores));
+    fault.action.delay = delay;
+    return fault;
+  };
+  for (int n = 0; n < 3; ++n) {
+    for (const std::uint64_t delay : {1u, 3u, 200u}) {
+      faults.push_back(wake_fault("delayed wake-up",
+                                  sim::FaultAction::Kind::kDelayWake, delay));
+    }
+    faults.push_back(
+        wake_fault("dropped wake-up", sim::FaultAction::Kind::kDropWake, 0));
+  }
+  return faults;
+}
+
+TEST(SliceStepping, MatchesPerCycleSteppingUnderSampledFaults) {
+  const RecordedRun& run = sleepgen_recording();
+  const sim::Snapshot clean = stepped_final_state(run, {}, false);
+  const sim::Snapshot clean_reference = stepped_final_state(run, {}, true);
+  EXPECT_TRUE(clean == clean_reference)
+      << sim::diff_snapshots(clean_reference, clean);
+  EXPECT_EQ(sim::normalized_state_hash(clean), run.schedule.final_state_hash);
+
+  // A lost fault only shows when the fault changes the outcome, so every
+  // bound the sample exercises must have unmasked faults.
+  std::map<std::string, unsigned> unmasked;
+  for (const BoundFault& fault : slice_bound_faults(run)) {
+    const std::vector<sim::FaultAction> faults{fault.action};
+    const sim::Snapshot sliced = stepped_final_state(run, faults, false);
+    const sim::Snapshot reference = stepped_final_state(run, faults, true);
+    EXPECT_TRUE(sliced == reference)
+        << fault.bound << " (cycle " << fault.action.cycle << ", addr "
+        << fault.action.addr << ", event " << fault.action.event_index
+        << ", core " << fault.action.core << ", delay " << fault.action.delay
+        << "): " << sim::diff_snapshots(reference, sliced);
+    unmasked[fault.bound] += sliced == clean ? 0 : 1;
+  }
+  for (const char* bound :
+       {"dm flip at deposit + 1", "dm flip later after a deposit",
+        "delayed wake-up", "dropped wake-up"}) {
+    EXPECT_GT(unmasked[bound], 0u) << "no " << bound << " changed the outcome";
+  }
+
+  // An IM-corrupted rig: the first decodable flip from a seeded position.
+  const auto workload =
+      Registry::builtins().make(run.spec.workload, run.spec.params);
+  const std::vector<std::uint32_t>& image =
+      workload->program(run.spec.with_synchronizer()).image;
+  util::Rng rng(15);
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    std::vector<std::uint32_t> corrupted = image;
+    corrupted[rng.next_below(image.size())] ^= std::uint32_t{1}
+                                               << rng.next_below(32);
+    sim::Snapshot sliced;
+    try {
+      sliced = stepped_final_state(run, {}, false, corrupted);
+    } catch (const std::invalid_argument&) {
+      continue;  // undecodable: try the next flip
+    }
+    const sim::Snapshot reference =
+        stepped_final_state(run, {}, true, corrupted);
+    EXPECT_TRUE(sliced == reference)
+        << sim::diff_snapshots(reference, sliced);
+    return;
+  }
+  ADD_FAILURE() << "no decodable IM flip in 64 attempts";
+}
+
+// --- exact replay error paths ------------------------------------------------
+
+/// `replay_recorded_run`'s error on a tampered in-memory copy of the
+/// sleepgen recording (`deserialize` would reject some of these copies;
+/// in-memory schedules reach the replay unchecked).
+template <typename Tamper>
+std::string tampered_replay_error(Tamper tamper) {
+  RecordedRun run = sleepgen_recording();
+  tamper(run.schedule);
+  const ReplayReport report =
+      scenario::replay_recorded_run(run, Registry::builtins());
+  EXPECT_FALSE(report.bit_identical);
+  return report.error;
+}
+
+bool contains(const std::string& text, const std::string& part) {
+  return text.find(part) != std::string::npos;
+}
+
+TEST(ExactReplayErrors, LateInterruptStallsBeforeItsRecordedCycle) {
+  const std::size_t index = first_wake_event(sleepgen_recording()).first;
+  ASSERT_LT(index, sleepgen_recording().schedule.events.size());
+  const std::uint64_t late =
+      sleepgen_recording().schedule.events[index].cycle + 1;
+  // Every core sleeps until the interrupt, so the replay cannot reach the
+  // postponed delivery cycle.
+  const std::string error = tampered_replay_error([&](sim::EventSchedule& s) {
+    for (std::size_t i = index; i < s.events.size(); ++i) ++s.events[i].cycle;
+  });
+  EXPECT_TRUE(
+      contains(error, "replay diverged from schedule: all cores asleep"))
+      << error;
+  EXPECT_TRUE(contains(error, "before the event recorded at cycle " +
+                                  std::to_string(late)))
+      << error;
+}
+
+TEST(ExactReplayErrors, DroppedLastWakeupMissesTheFinalResult) {
+  const sim::EventSchedule& schedule = sleepgen_recording().schedule;
+  std::size_t last = schedule.events.size();
+  for (std::size_t i = 0; i < schedule.events.size(); ++i) {
+    if (is_wake(schedule.events[i])) last = i;
+  }
+  ASSERT_LT(last, schedule.events.size());
+  const std::string error = tampered_replay_error([&](sim::EventSchedule& s) {
+    s.events.erase(s.events.begin() + static_cast<std::ptrdiff_t>(last));
+  });
+  EXPECT_TRUE(contains(error, "replay final result mismatch")) << error;
+}
+
+TEST(ExactReplayErrors, ShortEndOrFlippedHashMissesTheFinalState) {
+  EXPECT_TRUE(contains(tampered_replay_error([](sim::EventSchedule& s) {
+                         --s.final_result.cycles;
+                       }),
+                       "replay final state hash mismatch"));
+  EXPECT_TRUE(contains(tampered_replay_error([](sim::EventSchedule& s) {
+                         s.final_state_hash ^= 1;
+                       }),
+                       "replay final state hash mismatch"));
+}
+
+/// An interrupt moved one cycle early behind a deposit recorded at its
+/// own cycle: the schedule's cycles are no longer ordered.
+std::pair<sim::EventSchedule, std::uint64_t> early_interrupt_schedule() {
+  sim::EventSchedule schedule = sleepgen_recording().schedule;
+  for (std::size_t i = 1; i < schedule.events.size(); ++i) {
+    sim::ExternalEvent& event = schedule.events[i];
+    const sim::ExternalEvent& before = schedule.events[i - 1];
+    if (is_wake(event) && !is_wake(before) && before.cycle == event.cycle &&
+        event.cycle > 0) {
+      --event.cycle;
+      return {std::move(schedule), event.cycle};
+    }
+  }
+  ADD_FAILURE() << "sleepgen schedule has no interrupt behind a deposit";
+  return {std::move(schedule), 0};
+}
+
+TEST(ExactReplayErrors, EarlyInterruptBehindADepositIsReported) {
+  const std::pair<sim::EventSchedule, std::uint64_t> early =
+      early_interrupt_schedule();
+  const std::string error = tampered_replay_error(
+      [&](sim::EventSchedule& s) { s = early.first; });
+  EXPECT_TRUE(contains(error, "event at cycle " + std::to_string(early.second)))
+      << error;
+}
+
+TEST(ExactReplayErrors, CursorRejectsAnUnorderedSchedule) {
+  // The cursor delivers an event only on its exact cycle; one recorded
+  // behind the clock would silently block every later event.
+  const auto [schedule, early] = early_interrupt_schedule();
+  ReplayRig rig =
+      scenario::make_replay_rig(sleepgen_recording(), Registry::builtins());
+  std::string error;
+  try {
+    sim::ReplayCursor cursor(*rig.platform, schedule, {});
+  } catch (const std::invalid_argument& rejected) {
+    error = rejected.what();
+  }
+  EXPECT_TRUE(contains(error, "event at cycle " + std::to_string(early)))
+      << "cursor error: '" << error << "'";
+  // Exact replay reports the same error instead of throwing.
+  EXPECT_EQ(sim::replay_schedule(*rig.platform, schedule).error, error);
 }
 
 }  // namespace

@@ -375,32 +375,47 @@ std::map<std::string, std::uint64_t> load_golden_hashes() {
   return hashes;
 }
 
-TEST(GoldenCampaign, CommittedCsvAndHashPinTheOutcomes) {
-  // The committed campaign over the committed sleepgen schedule: any
-  // change to expansion order, trial classification, or CSV rendering
-  // shows up as a byte diff here. Regenerate with:
-  //   fault_campaign --evt tests/golden/sleepgen.evt \
-  //     --faults dm,dm-multi,dm-burst,dm-row,im,wake-delay,wake-drop \
-  //     --count 2 --seed 7 --out tests/golden/campaign_sleepgen.csv
-  // (then update hashes.txt). The config avoids the rate model on
-  // purpose: its threshold test runs through libm's exp(), which is not
-  // bit-contracted across hosts; the golden stays integer-only.
+/// Runs `config` over the committed sleepgen schedule and checks the CSV
+/// byte-for-byte against the committed golden `name` and its hashes.txt
+/// row. The recipes that regenerate the goldens are in
+/// tests/golden/README.md.
+void expect_golden_campaign(const CampaignConfig& config,
+                            const std::string& name) {
   const RecordedRun run =
       read_recorded_run_file(ULPSYNC_GOLDEN_DIR "/sleepgen.evt");
   const std::string csv =
-      campaign_csv(run_campaign(run, Registry::builtins(), small_config(), 2));
+      campaign_csv(run_campaign(run, Registry::builtins(), config, 2));
 
-  std::ifstream in(ULPSYNC_GOLDEN_DIR "/campaign_sleepgen.csv",
+  std::ifstream in(std::string(ULPSYNC_GOLDEN_DIR) + "/" + name,
                    std::ios::binary);
-  ASSERT_TRUE(in.is_open()) << "missing golden campaign_sleepgen.csv";
+  ASSERT_TRUE(in.is_open()) << "missing golden " << name;
   const std::string committed{std::istreambuf_iterator<char>(in),
                               std::istreambuf_iterator<char>()};
   EXPECT_EQ(csv, committed);
 
   const auto hashes = load_golden_hashes();
-  const auto it = hashes.find("campaign_sleepgen.csv");
-  ASSERT_NE(it, hashes.end()) << "campaign_sleepgen.csv not in hashes.txt";
+  const auto it = hashes.find(name);
+  ASSERT_NE(it, hashes.end()) << name << " not in hashes.txt";
   EXPECT_EQ(hash_text(csv), it->second);
+}
+
+TEST(GoldenCampaign, CommittedCsvAndHashPinTheOutcomes) {
+  // The committed campaign over the committed sleepgen schedule: any
+  // change to expansion order, trial classification, or CSV rendering
+  // shows up as a byte diff here. The config avoids the rate model on
+  // purpose: its threshold test runs through libm's exp(), which is not
+  // bit-contracted across hosts; the golden stays integer-only.
+  expect_golden_campaign(small_config(), "campaign_sleepgen.csv");
+}
+
+TEST(GoldenCampaign, CommittedLocalizeCsvPinsTheBisector) {
+  // The same faults in localize mode: the bisector's stride steps, its
+  // single-step replay and the first divergent cycle it reports are all
+  // pinned, down to the snapshot delta in the detail column.
+  CampaignConfig config = small_config();
+  config.localize = true;
+  config.stride = 256;
+  expect_golden_campaign(config, "campaign_sleepgen_localize.csv");
 }
 
 // --- campaign spool ----------------------------------------------------------
