@@ -1,7 +1,7 @@
 // Duty-cycled streaming monitor: the deployment mode the paper's platform
 // is built for. The "streaming" workload (built into the registry) owns the
-// host loop — its drive() hook feeds one acquisition window per wake-up and
-// wakes the cores by external interrupt — so a two-spec Matrix compares
+// host loop — its windowed drive feeds one acquisition window per wake-up
+// and wakes the cores by external interrupt — so a two-spec Matrix compares
 // both designs' busy/sleep duty cycle, and the host projects battery life.
 //
 // Kernel per window: detrend the channel by its window mean, then count

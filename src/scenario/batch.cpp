@@ -1,7 +1,7 @@
 #include "scenario/batch.h"
 
+#include <algorithm>
 #include <map>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -18,6 +18,13 @@ namespace ulpsync::scenario {
 
 namespace {
 
+/// Upper bound on lanes per group. Large cohorts split into several groups
+/// (each with its own leader platform): this caps a group's working set —
+/// lane data memories plus the compiled window stream — near the
+/// last-level cache, where the follower pass earns its keep, and bounds
+/// the blast radius of a group-level bail.
+constexpr std::size_t kMaxLanes = 128;
+
 /// True when the program contains synchronizer ops. The lane emulator has
 /// no synchronizer model (it would need the full RMW timing state), so such
 /// programs run scalar — they would bail out of every window anyway.
@@ -32,27 +39,14 @@ bool uses_synchronizer_ops(const assembler::Program& program) {
 
 }  // namespace
 
-// (See batch.h.) The fields of `warm_group_key` minus everything derived
-// from the input generator (that is what varies per lane) and minus the
-// warm-start axis, plus `max_cycles` (group members must hit budget stops
-// at the same cycle for the leader's timing to stand in for them).
+// (See batch.h.) Group members must hit budget stops at the same cycle
+// for the leader's timing to stand in for them, so `max_cycles` stays in.
 std::string batch_group_key(const RunSpec& spec) {
-  std::ostringstream key;
-  key.precision(17);
-  const WorkloadParams& p = spec.params;
-  key << spec.workload << '|' << p.num_channels << '|' << p.samples << '|'
-      << p.l1_half << '|' << p.l2_half << '|' << p.scale_small << '|'
-      << p.scale_large << '|' << p.threshold << '|' << p.refractory << '|';
-  for (std::int16_t delta : p.per_core_threshold_delta) key << delta << ',';
-  key << '|' << spec.design.label << '|'
-      << spec.design.features.hardware_synchronizer
-      << spec.design.features.dxbar_pc_policy
-      << spec.design.features.ixbar_partial_broadcast << '|'
-      << (spec.arbitration ? static_cast<int>(*spec.arbitration) : -1) << '|'
-      << (spec.im_line_slots ? static_cast<long>(*spec.im_line_slots) : -1)
-      << '|' << (spec.fast_forward ? static_cast<int>(*spec.fast_forward) : -1)
-      << '|' << spec.max_cycles;
-  return key.str();
+  RunSpec lanes = spec;
+  lanes.params.generator = {};
+  lanes.checkpoint_at.reset();
+  lanes.energy.reset();
+  return run_spec_bytes(lanes);
 }
 
 /// One worker task: either a lane group to batch or a single spec to run
@@ -68,10 +62,9 @@ struct BatchEngine::Group {
 BatchEngine::BatchEngine(const Registry& registry, BatchOptions options)
     : registry_(&registry),
       options_(std::move(options)),
-      scalar_(registry,
-              EngineOptions{.jobs = 1,
-                            .measure_lockstep = options_.measure_lockstep,
-                            .checkpoint_ring = options_.checkpoint_ring}) {}
+      scalar_(registry, EngineOptions{.jobs = 1,
+                                      .checkpoint_ring =
+                                          options_.checkpoint_ring}) {}
 
 BatchResult BatchEngine::run(const std::vector<RunSpec>& specs) const {
   BatchResult result;
@@ -116,8 +109,7 @@ BatchResult BatchEngine::run(const std::vector<RunSpec>& specs) const {
       }
       eligible = !it->second;
     }
-    if (eligible && options_.checkpoint_ring.enabled() &&
-        options_.checkpoint_ring.resume) {
+    if (eligible && options_.checkpoint_ring.enabled()) {
       // A lane with a ring entry resumes mid-run, not at the group's shared
       // cold boundary — the scalar ring path handles it bit-exactly.
       if (load_latest_ring_entry(
@@ -137,13 +129,10 @@ BatchResult BatchEngine::run(const std::vector<RunSpec>& specs) const {
       tasks.push_back(std::move(single));
     }
   }
-  const std::size_t max_lanes = options_.max_lanes_per_group == 0
-                                    ? std::numeric_limits<std::size_t>::max()
-                                    : options_.max_lanes_per_group;
   for (auto& [key, group] : groups) {
     (void)key;
-    for (std::size_t at = 0; at < group.members.size(); at += max_lanes) {
-      const std::size_t end = std::min(at + max_lanes, group.members.size());
+    for (std::size_t at = 0; at < group.members.size(); at += kMaxLanes) {
+      const std::size_t end = std::min(at + kMaxLanes, group.members.size());
       Group chunk;
       chunk.batched = true;
       chunk.members.assign(group.members.begin() + at,
@@ -214,7 +203,7 @@ void BatchEngine::run_group(const std::vector<RunSpec>& specs,
     platform.load_program(leader_workload.program(leader_spec.with_synchronizer()));
     leader_workload.load_inputs(platform);
     core::LockstepAnalyzer analyzer;
-    if (options_.measure_lockstep) analyzer.attach(platform);
+    analyzer.attach(platform);
 
     const CheckpointRingOptions& ring = options_.checkpoint_ring;
     for (unsigned l = 0; l < n; ++l) {
@@ -226,8 +215,7 @@ void BatchEngine::run_group(const std::vector<RunSpec>& specs,
         lane.writer = std::make_unique<RingWriter>(
             ring_run_dir(ring.dir, lane.spec_index),
             ring_identity(specs[lane.spec_index]), ring.stride, ring.keep,
-            /*start_cycle=*/0,
-            options_.measure_lockstep ? &analyzer : nullptr);
+            /*start_cycle=*/0, &analyzer);
       }
     }
 
@@ -302,7 +290,7 @@ void BatchEngine::run_group(const std::vector<RunSpec>& specs,
       const RunSpec& spec = specs[lane.spec_index];
       sim::Platform& p = scratch_platform();
       core::LockstepAnalyzer a;
-      if (options_.measure_lockstep) a.attach(p);
+      a.attach(p);
       p.restore_snapshot(lane_state.materialize(l, lane_template));
       a.restore(boundary_metrics);
       const sim::RunResult r = drive_windowed(*lane.drive, p, max_cycles,

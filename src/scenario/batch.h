@@ -42,22 +42,20 @@
 
 namespace ulpsync::scenario {
 
-/// Grouping key of the batch engine: specs with equal keys run the same
+/// Grouping key of the batch engine: the spec codec's bytes
+/// (`run_spec_bytes`) with the input generator at its default and
+/// `checkpoint_at` and `energy` cleared. Specs with equal keys run the same
 /// program on the same platform configuration for the same budget and may
 /// share a lane group (they differ only in generator-derived input data,
 /// which is exactly what `WindowedDrive::deposit` varies per lane).
 [[nodiscard]] std::string batch_group_key(const RunSpec& spec);
 
 /// Host-side execution knobs of a batched sweep; simulation results never
-/// depend on them (except `measure_lockstep`, exactly as in the scalar
-/// engine).
+/// depend on them.
 struct BatchOptions {
   /// Worker threads (lane groups are distributed over them); 0 picks the
   /// hardware concurrency.
   unsigned jobs = 1;
-  /// Attach a LockstepAnalyzer to every group leader (matched followers
-  /// share its metrics — their cycle-level behavior is identical).
-  bool measure_lockstep = true;
   /// Crash-resumable periodic checkpoints, same semantics and on-disk
   /// layout as the scalar engine's (`CheckpointRingOptions`): every lane
   /// keeps its own ring under `run-<spec index>/`, so a batched soak can be
@@ -69,12 +67,6 @@ struct BatchOptions {
   /// one: batched lanes and in-batch scalar fallbacks). The differential
   /// suite uses these to prove byte-identity against scalar runs.
   bool keep_final_snapshots = false;
-  /// Upper bound on lanes per group. Large cohorts split into several
-  /// groups (each with its own leader platform): this caps a group's
-  /// working set — lane data memories plus the compiled window stream —
-  /// near the last-level cache, where the follower pass earns its keep,
-  /// and bounds the blast radius of a group-level bail. 0 = unlimited.
-  unsigned max_lanes_per_group = 128;
 };
 
 /// What the batch engine did with a sweep — fallbacks are expected and

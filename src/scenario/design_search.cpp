@@ -136,15 +136,17 @@ SearchResult design_search(const Registry& registry,
                                options.clocks_mhz[point.clock], horizon,
                                checkpoint));
     }
-    const SweepResult sweep = engine.run_timed(specs);
+    const std::vector<RunRecord> records = engine.run(specs);
     result.specs_executed += specs.size();
-    result.warm_resumed += sweep.perf.warm_resumed;
+    for (const auto& group : engine.warm_groups(specs)) {
+      result.warm_resumed += group.size();
+    }
 
     // Adopt this rung's metrics; drop failed and infeasible points.
     std::vector<Point> evaluated;
     evaluated.reserve(live.size());
     for (std::size_t i = 0; i < live.size(); ++i) {
-      const RunRecord& record = sweep.records[i];
+      const RunRecord& record = records[i];
       if (record.status == "error" || !record.energy_report.feasible) continue;
       Point point = live[i];
       point.f_mhz = record.energy_report.f_mhz;

@@ -1,11 +1,9 @@
 #include "scenario/engine.h"
 
-#include <atomic>
-#include <chrono>
 #include <exception>
 #include <map>
-#include <mutex>
-#include <sstream>
+#include <optional>
+#include <span>
 
 #include "core/lockstep.h"
 #include "power/model.h"
@@ -91,37 +89,12 @@ void finish_record(RunRecord& record, const Workload& workload,
   record.extra = workload.report(platform);
 }
 
-// (See engine.h.) Two specs with equal keys run bit-identically up to
-// their common `checkpoint_at` cycle, so they can share one warm-up
-// snapshot. Everything that influences the simulation is included;
-// `max_cycles` (the fan-out axis) is not.
+// (See engine.h.)
 std::string warm_group_key(const RunSpec& spec) {
-  std::ostringstream key;
-  key.precision(17);
-  const WorkloadParams& p = spec.params;
-  key << spec.workload << '|' << p.num_channels << '|' << p.samples << '|'
-      << p.l1_half << '|' << p.l2_half << '|' << p.scale_small << '|'
-      << p.scale_large << '|' << p.threshold << '|' << p.refractory << '|';
-  for (std::int16_t delta : p.per_core_threshold_delta) key << delta << ',';
-  key << '|' << p.generator.sample_rate_hz << '|' << p.generator.heart_rate_bpm
-      << '|' << p.generator.rr_jitter_fraction << '|'
-      << p.generator.amplitude_lsb << '|' << p.generator.baseline_wander_lsb
-      << '|' << p.generator.baseline_wander_hz << '|' << p.generator.noise_lsb
-      << '|' << p.generator.artifact_rate_hz << '|' << p.generator.artifact_lsb
-      << '|' << p.generator.dropout_rate_hz << '|' << p.generator.dropout_s
-      << '|' << p.generator.seed << '|' << spec.design.label << '|'
-      << spec.design.features.hardware_synchronizer
-      << spec.design.features.dxbar_pc_policy
-      << spec.design.features.ixbar_partial_broadcast << '|'
-      << (spec.arbitration ? static_cast<int>(*spec.arbitration) : -1) << '|'
-      << (spec.im_line_slots ? static_cast<long>(*spec.im_line_slots) : -1)
-      << '|' << (spec.fast_forward ? static_cast<int>(*spec.fast_forward) : -1)
-      << '|' << spec.checkpoint_at.value_or(0);
-  // `spec.energy` is deliberately excluded: the energy request only shapes
-  // the derived report columns, never the simulation, so specs differing
-  // only in their operating point share one warm-up prefix — the sharing
-  // the design-search driver is built around.
-  return key.str();
+  RunSpec prefix = spec;
+  prefix.max_cycles = 0;
+  prefix.energy.reset();
+  return run_spec_bytes(prefix);
 }
 
 // (See engine.h.)
@@ -136,20 +109,51 @@ RunRecord Engine::run_one(const RunSpec& spec, std::uint64_t ring_slot) const {
   return run_one_impl(spec, spec.resume_from.get(), ring_slot);
 }
 
+std::vector<std::vector<std::size_t>> Engine::warm_groups(
+    const std::vector<RunSpec>& specs) const {
+  // std::map keeps the grouping deterministic for any caller.
+  std::map<std::string, std::vector<std::size_t>> by_key;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const RunSpec& spec = specs[i];
+    if (!spec.checkpoint_at || *spec.checkpoint_at == 0 ||
+        *spec.checkpoint_at >= spec.max_cycles || spec.resume_from ||
+        !spec.record_events_to.empty()) {
+      continue;
+    }
+    by_key[warm_group_key(spec)].push_back(i);
+  }
+  std::vector<std::vector<std::size_t>> groups;
+  for (auto& [key, members] : by_key) {
+    (void)key;
+    if (members.size() < 2) continue;  // sharing is the whole point
+    const RunSpec& leader = specs[members.front()];
+    try {
+      if (registry_->make(leader.workload, leader.params)->windowed_drive() !=
+          nullptr) {
+        continue;
+      }
+    } catch (...) {
+      continue;  // the members' cold runs report the failure
+    }
+    groups.push_back(std::move(members));
+  }
+  return groups;
+}
+
 std::shared_ptr<const WarmState> Engine::capture_warm_state(
     const RunSpec& spec, std::uint64_t cycle) const {
   try {
     const auto workload = registry_->make(spec.workload, spec.params);
-    if (!workload->warm_startable()) return nullptr;
+    if (workload->windowed_drive() != nullptr) return nullptr;
 
     sim::Platform platform(resolved_config(spec, *workload));
     platform.load_program(workload->program(spec.with_synchronizer()));
     workload->load_inputs(platform);
 
     core::LockstepAnalyzer analyzer;
-    if (options_.measure_lockstep) analyzer.attach(platform);
+    analyzer.attach(platform);
 
-    // A warm-startable workload drives with the default `platform.run`, so
+    // Without a windowed drive a workload drives with `platform.run`, so
     // running the prefix directly reproduces the cold run's first `cycle`
     // cycles exactly (an early stop — all halted/asleep — is resumable
     // too: the continuation re-derives the same final status).
@@ -175,8 +179,7 @@ RunRecord Engine::run_one_impl(const RunSpec& spec, const WarmState* warm,
       // Recording path: delegate to the canonical cold recorder and write
       // the envelope. Warm states, rings and batch lanes are bit-identical
       // host optimizations, so the record is the same either way.
-      RecordOutcome outcome =
-          record_one(spec, *registry_, options_.measure_lockstep);
+      RecordOutcome outcome = record_one(spec, *registry_);
       write_recorded_run_file(spec.record_events_to, outcome.recorded);
       return outcome.record;
     }
@@ -188,44 +191,34 @@ RunRecord Engine::run_one_impl(const RunSpec& spec, const WarmState* warm,
     workload->load_inputs(platform);
 
     core::LockstepAnalyzer analyzer;
-    if (options_.measure_lockstep) analyzer.attach(platform);
+    analyzer.attach(platform);
 
+    // Resume from the newest valid ring entry when the ring has one, else
+    // from the warm state; restoring either is bit-exact. A mismatched
+    // snapshot throws and surfaces as an "error" record.
     const CheckpointRingOptions& ring = options_.checkpoint_ring;
-    sim::RunResult result;
-    if (ring.enabled() && workload->checkpointable()) {
-      // Checkpoint-ring path: resume from the newest valid ring entry when
-      // asked (it is never older than a warm state it supersedes in
-      // usefulness, and restoring either is bit-exact), then drive with
-      // periodic ring offers.
-      const std::uint64_t identity = ring_identity(spec);
-      const std::string dir = ring_run_dir(ring.dir, ring_slot);
-      std::optional<RingEntry> entry;
-      if (ring.resume) {
-        entry = load_latest_ring_entry(dir, identity, spec.max_cycles);
-      }
-      std::vector<std::uint64_t> resume_words;
-      if (entry) {
-        platform.restore_snapshot(entry->state.snapshot);
-        analyzer.restore(entry->state.lockstep);
-        resume_words = entry->state.snapshot.host_words;
-      } else if (warm != nullptr) {
-        platform.restore_snapshot(warm->snapshot);
-        analyzer.restore(warm->lockstep);
-      }
-      RingWriter writer(dir, identity, ring.stride, ring.keep,
-                        platform.counters().cycles,
-                        options_.measure_lockstep ? &analyzer : nullptr);
-      result = workload->drive(platform, spec.max_cycles, writer, resume_words);
-    } else {
-      if (warm != nullptr) {
-        // Resume from the shared warm-up: platform state from the snapshot,
-        // analyzer state from the metrics captured alongside it. A
-        // mismatched snapshot throws and surfaces as an "error" record.
-        platform.restore_snapshot(warm->snapshot);
-        analyzer.restore(warm->lockstep);
-      }
-      result = workload->drive(platform, spec.max_cycles);
+    std::string ring_dir;
+    std::uint64_t identity = 0;
+    std::optional<RingEntry> entry;
+    if (ring.enabled()) {
+      ring_dir = ring_run_dir(ring.dir, ring_slot);
+      identity = ring_identity(spec);
+      entry = load_latest_ring_entry(ring_dir, identity, spec.max_cycles);
     }
+    const WarmState* resume = entry ? &entry->state : warm;
+    std::span<const std::uint64_t> host_words;
+    if (resume != nullptr) {
+      platform.restore_snapshot(resume->snapshot);
+      analyzer.restore(resume->lockstep);
+      host_words = resume->snapshot.host_words;
+    }
+    std::optional<RingWriter> writer;
+    if (ring.enabled()) {
+      writer.emplace(ring_dir, identity, ring.stride, ring.keep,
+                     platform.counters().cycles, &analyzer);
+    }
+    const sim::RunResult result = workload->drive(
+        platform, spec.max_cycles, writer ? &*writer : nullptr, host_words);
 
     finish_record(record, *workload, platform, result,
                   analyzer.metrics().lockstep_fraction());
@@ -242,105 +235,24 @@ RunRecord Engine::run_one_impl(const RunSpec& spec, const WarmState* warm,
 }
 
 std::vector<RunRecord> Engine::run(const std::vector<RunSpec>& specs) const {
-  return run_timed(specs).records;
-}
-
-SweepResult Engine::run_timed(const std::vector<RunSpec>& specs) const {
-  using Clock = std::chrono::steady_clock;
-
-  SweepResult result;
-  result.records.resize(specs.size());
-  result.perf.run_wall_seconds.assign(specs.size(), 0.0);
-  if (specs.empty()) return result;
-
-  const Clock::time_point sweep_start = Clock::now();
-
-  // Warm-start prepass: group specs that share a deterministic warm-up
-  // prefix (same `warm_key`, a set `checkpoint_at` below their budget) and
-  // simulate each prefix once. Groups of one run cold — sharing is the
-  // whole point. The map is ordered, so grouping and capture order are
-  // deterministic and records stay byte-identical for any `jobs`.
-  struct WarmGroup {
-    std::vector<std::size_t> members;
-    std::shared_ptr<const WarmState> state;
-  };
-  std::map<std::string, WarmGroup> warm_groups;
+  // Warm-start prepass: simulate each group's shared prefix once, in group
+  // order, before the pool starts; the states outlive every run.
+  std::vector<std::shared_ptr<const WarmState>> states;
   std::vector<const WarmState*> warm_of(specs.size(), nullptr);
-  if (options_.warm_start) {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const RunSpec& spec = specs[i];
-      if (!spec.checkpoint_at || spec.resume_from) continue;
-      // Recording specs run cold (see run_one_impl) — don't warm them up.
-      if (!spec.record_events_to.empty()) continue;
-      if (*spec.checkpoint_at == 0 || *spec.checkpoint_at >= spec.max_cycles)
-        continue;
-      warm_groups[warm_group_key(spec)].members.push_back(i);
-    }
-    for (auto& [key, group] : warm_groups) {
-      (void)key;
-      if (group.members.size() < 2) continue;
-      const RunSpec& leader = specs[group.members.front()];
-      group.state = capture_warm_state(leader, *leader.checkpoint_at);
-      if (!group.state) continue;  // members fall back to cold runs
-      result.perf.warmups += 1;
-      result.perf.warm_resumed += group.members.size();
-      for (std::size_t i : group.members) warm_of[i] = group.state.get();
-    }
+  for (const std::vector<std::size_t>& group : warm_groups(specs)) {
+    const RunSpec& leader = specs[group.front()];
+    states.push_back(capture_warm_state(leader, *leader.checkpoint_at));
+    for (const std::size_t i : group) warm_of[i] = states.back().get();
   }
 
-  std::vector<RunRecord>& records = result.records;
-  std::atomic<bool> stopped{false};
-  std::size_t done = 0;
-  std::mutex progress_mutex;
-  std::exception_ptr callback_error;
-
+  std::vector<RunRecord> records(specs.size());
   util::parallel_for(specs.size(), options_.jobs, [&](std::size_t index) {
-    // A run that has started always finishes; a throwing progress
-    // callback only stops new runs from starting.
-    if (stopped) return;
-    const Clock::time_point run_start = Clock::now();
-    records[index] = run_one_impl(
-        specs[index],
-        warm_of[index] != nullptr ? warm_of[index]
-                                  : specs[index].resume_from.get(),
-        /*ring_slot=*/index);
-    result.perf.run_wall_seconds[index] =
-        std::chrono::duration<double>(Clock::now() - run_start).count();
-    const std::lock_guard<std::mutex> lock(progress_mutex);
-    ++done;
-    if (options_.on_result) {
-      // A throwing progress callback must not escape a worker thread
-      // (std::terminate); remember it, stop scheduling, rethrow below.
-      try {
-        options_.on_result(records[index], done, specs.size());
-      } catch (...) {
-        if (!callback_error) callback_error = std::current_exception();
-        stopped = true;
-      }
-    }
+    const WarmState* warm = warm_of[index] != nullptr
+                                ? warm_of[index]
+                                : specs[index].resume_from.get();
+    records[index] = run_one_impl(specs[index], warm, /*ring_slot=*/index);
   });
-  if (callback_error) std::rethrow_exception(callback_error);
-
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    // `sim_cycles` counts cycles actually simulated by this sweep: a
-    // resumed record's cycle count includes its warm prefix, which this
-    // sweep either simulated once per group (added below) or — for a
-    // caller-provided `resume_from` — not at all.
-    const WarmState* warm =
-        warm_of[i] != nullptr ? warm_of[i] : specs[i].resume_from.get();
-    std::uint64_t simulated = records[i].cycles();
-    if (warm != nullptr) {
-      simulated -= std::min(simulated, warm->snapshot.cycle());
-    }
-    result.perf.sim_cycles += simulated;
-  }
-  for (const auto& [key, group] : warm_groups) {
-    (void)key;
-    if (group.state) result.perf.sim_cycles += group.state->snapshot.cycle();
-  }
-  result.perf.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - sweep_start).count();
-  return result;
+  return records;
 }
 
 }  // namespace ulpsync::scenario

@@ -1,5 +1,7 @@
 #include "scenario/record.h"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -443,8 +445,14 @@ class JsonParser {
           case 't': out += '\t'; break;
           case 'u': {
             if (at_ + 4 > text_.size()) fail("bad \\u escape");
-            const unsigned code = static_cast<unsigned>(std::strtoul(
-                std::string(text_.substr(at_, 4)).c_str(), nullptr, 16));
+            const std::string hex(text_.substr(at_, 4));
+            if (!std::all_of(hex.begin(), hex.end(), [](unsigned char c) {
+                  return std::isxdigit(c) != 0;
+                })) {
+              fail("bad \\u escape");
+            }
+            const auto code =
+                static_cast<unsigned>(std::strtoul(hex.c_str(), nullptr, 16));
             at_ += 4;
             // Our writer only emits \u escapes for control characters;
             // reject anything wider instead of silently truncating it.

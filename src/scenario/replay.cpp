@@ -5,7 +5,6 @@
 #include "core/lockstep.h"
 #include "scenario/checkpoint_ring.h"
 #include "scenario/record.h"
-#include "scenario/shard.h"
 #include "util/file.h"
 #include "util/wire.h"
 
@@ -53,8 +52,7 @@ RecordedRun read_recorded_run_file(const std::string& path) {
   return RecordedRun::deserialize(util::read_file_bytes(path));
 }
 
-RecordOutcome record_one(const RunSpec& spec, const Registry& registry,
-                         bool measure_lockstep) {
+RecordOutcome record_one(const RunSpec& spec, const Registry& registry) {
   const auto workload = registry.make(spec.workload, spec.params);
 
   sim::Platform platform(resolved_config(spec, *workload));
@@ -68,7 +66,7 @@ RecordOutcome record_one(const RunSpec& spec, const Registry& registry,
   workload->load_inputs(platform);
 
   core::LockstepAnalyzer analyzer;
-  if (measure_lockstep) analyzer.attach(platform);
+  analyzer.attach(platform);
 
   const sim::RunResult result = workload->drive(platform, spec.max_cycles);
 
@@ -82,7 +80,6 @@ RecordOutcome record_one(const RunSpec& spec, const Registry& registry,
                 analyzer.metrics().lockstep_fraction());
   outcome.recorded.spec = spec;
   outcome.recorded.spec.record_events_to.clear();
-  outcome.recorded.measure_lockstep = measure_lockstep;
   outcome.recorded.schedule = recorder.finish(result, host_words);
   outcome.recorded.csv_row = to_csv_row(outcome.record);
   return outcome;

@@ -40,7 +40,9 @@ struct RecordedRun {
 
   RunSpec spec;
   /// Whether the recording ran with a lockstep analyzer attached (the
-  /// replay must match to reproduce `lockstep_fraction`).
+  /// replay must match to reproduce `lockstep_fraction`). `record_one`
+  /// always attaches one; the byte stays on the wire so existing envelopes
+  /// keep their bytes.
   bool measure_lockstep = true;
   sim::EventSchedule schedule;
   /// `to_csv_row` of the original record — the byte-exact replay target.
@@ -79,8 +81,7 @@ struct RecordOutcome {
 /// Throws on host-side failures (unknown workload, assembly errors); the
 /// engine maps those to "error" records as usual.
 [[nodiscard]] RecordOutcome record_one(const RunSpec& spec,
-                                       const Registry& registry,
-                                       bool measure_lockstep = true);
+                                       const Registry& registry);
 
 /// The workload + freshly prepared platform a recorded run replays onto:
 /// configuration resolved from the spec, program loaded, inputs NOT

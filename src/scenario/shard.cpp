@@ -1,13 +1,11 @@
 #include "scenario/shard.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -32,113 +30,6 @@ constexpr util::Magic kBundleMagic = {'U', 'L', 'P', 'S', 'P', 'O', 'L', '\n'};
 // refused.
 constexpr std::uint32_t kBundleVersion = 4;
 constexpr std::uint32_t kNoWarmRef = 0xFFFFFFFFu;
-
-}  // namespace
-
-// --- RunSpec wire encoding ---------------------------------------------------
-// Everything that influences a run is serialized, including the
-// host-simulation overrides and `checkpoint_at` that RunRecord
-// serialization deliberately drops — a shard bundle must reproduce the
-// spec exactly, not just label it. Public (shard.h): the recorded-run
-// envelope (scenario/replay.h) stores specs with the same codec.
-
-void encode_run_spec(util::WireWriter& w, const RunSpec& spec) {
-  w.str(spec.workload);
-  const WorkloadParams& p = spec.params;
-  w.u32(p.num_channels);
-  w.u32(p.samples);
-  w.u32(p.l1_half);
-  w.u32(p.l2_half);
-  w.u32(p.scale_small);
-  w.u32(p.scale_large);
-  w.u16(static_cast<std::uint16_t>(p.threshold));
-  w.u32(p.refractory);
-  for (const std::int16_t delta : p.per_core_threshold_delta) {
-    w.u16(static_cast<std::uint16_t>(delta));
-  }
-  const auto& g = p.generator;
-  for (const double value :
-       {g.sample_rate_hz, g.heart_rate_bpm, g.rr_jitter_fraction,
-        g.amplitude_lsb, g.baseline_wander_lsb, g.baseline_wander_hz,
-        g.noise_lsb, g.artifact_rate_hz, g.artifact_lsb, g.dropout_rate_hz,
-        g.dropout_s}) {
-    w.u64(std::bit_cast<std::uint64_t>(value));
-  }
-  w.u64(g.seed);
-  w.str(spec.design.label);
-  w.boolean(spec.design.features.hardware_synchronizer);
-  w.boolean(spec.design.features.dxbar_pc_policy);
-  w.boolean(spec.design.features.ixbar_partial_broadcast);
-  w.boolean(spec.arbitration.has_value());
-  if (spec.arbitration) w.u8(static_cast<std::uint8_t>(*spec.arbitration));
-  w.boolean(spec.im_line_slots.has_value());
-  if (spec.im_line_slots) w.u32(*spec.im_line_slots);
-  w.boolean(spec.fast_forward.has_value());
-  if (spec.fast_forward) w.boolean(*spec.fast_forward);
-  w.boolean(false);  // the retired `burst` knob: always absent
-  w.u64(spec.max_cycles);
-  w.boolean(spec.checkpoint_at.has_value());
-  if (spec.checkpoint_at) w.u64(*spec.checkpoint_at);
-  w.boolean(spec.energy.has_value());
-  if (spec.energy) {
-    w.u8(static_cast<std::uint8_t>(spec.energy->params));
-    w.u64(std::bit_cast<std::uint64_t>(spec.energy->f_mhz));
-    w.u64(std::bit_cast<std::uint64_t>(spec.energy->voltage));
-  }
-}
-
-RunSpec decode_run_spec(util::WireReader& r) {
-  RunSpec spec;
-  spec.workload = r.str();
-  WorkloadParams& p = spec.params;
-  p.num_channels = r.u32();
-  p.samples = r.u32();
-  p.l1_half = r.u32();
-  p.l2_half = r.u32();
-  p.scale_small = r.u32();
-  p.scale_large = r.u32();
-  p.threshold = static_cast<std::int16_t>(r.u16());
-  p.refractory = r.u32();
-  for (std::int16_t& delta : p.per_core_threshold_delta) {
-    delta = static_cast<std::int16_t>(r.u16());
-  }
-  auto& g = p.generator;
-  for (double* value :
-       {&g.sample_rate_hz, &g.heart_rate_bpm, &g.rr_jitter_fraction,
-        &g.amplitude_lsb, &g.baseline_wander_lsb, &g.baseline_wander_hz,
-        &g.noise_lsb, &g.artifact_rate_hz, &g.artifact_lsb,
-        &g.dropout_rate_hz, &g.dropout_s}) {
-    *value = std::bit_cast<double>(r.u64());
-  }
-  g.seed = r.u64();
-  spec.design.label = r.str();
-  spec.design.features.hardware_synchronizer = r.boolean();
-  spec.design.features.dxbar_pc_policy = r.boolean();
-  spec.design.features.ixbar_partial_broadcast = r.boolean();
-  if (r.boolean()) {
-    spec.arbitration = static_cast<sim::ArbitrationPolicy>(r.u8());
-  }
-  if (r.boolean()) spec.im_line_slots = r.u32();
-  if (r.boolean()) spec.fast_forward = r.boolean();
-  if (r.boolean())
-    throw std::invalid_argument("run spec: sets the retired burst knob");
-  spec.max_cycles = r.u64();
-  if (r.boolean()) spec.checkpoint_at = r.u64();
-  if (r.boolean()) {
-    EnergyRequest request;
-    const std::uint8_t params = r.u8();
-    if (params > static_cast<std::uint8_t>(EnergyRequest::Params::kSynchronized)) {
-      throw std::invalid_argument("run spec: bad energy params variant");
-    }
-    request.params = static_cast<EnergyRequest::Params>(params);
-    request.f_mhz = std::bit_cast<double>(r.u64());
-    request.voltage = std::bit_cast<double>(r.u64());
-    spec.energy = request;
-  }
-  return spec;
-}
-
-namespace {
 
 // --- bundle --------------------------------------------------------------- --
 
@@ -244,8 +135,7 @@ class SweepJob final : public SpoolJob {
     }
     engine_options.checkpoint_ring = {.dir = transport.local_dir() + "/rings",
                                       .stride = options.ring_stride,
-                                      .keep = options.ring_keep,
-                                      .resume = true};
+                                      .keep = options.ring_keep};
     return engine_options;
   }
 
@@ -260,9 +150,7 @@ class SweepJob final : public SpoolJob {
 // --- cost model --------------------------------------------------------------
 
 std::uint64_t spec_cost_key(const RunSpec& spec) {
-  util::WireWriter w;
-  encode_run_spec(w, spec);
-  return fnv1a64(w.bytes());
+  return fnv1a64(run_spec_bytes(spec));
 }
 
 std::string cost_line(const RunSpec& spec, std::uint64_t cycles,
@@ -365,26 +253,17 @@ PlanResult plan_spool(const std::string& dir, const std::vector<RunSpec>& specs,
   }
   create_spool_dirs(dir);
 
-  // Scheduling units: an identical-prefix group (the engine's warm-start
-  // grouping rule) stays on one shard so its members share the shipped
-  // WarmState; everything else is a singleton. std::map keeps grouping
-  // deterministic.
-  std::map<std::string, std::vector<std::size_t>> grouped;
-  std::vector<std::vector<std::size_t>> units;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const RunSpec& spec = specs[i];
-    const bool groupable = spec.checkpoint_at && !spec.resume_from &&
-                           *spec.checkpoint_at != 0 &&
-                           *spec.checkpoint_at < spec.max_cycles;
-    if (groupable) {
-      grouped[warm_group_key(spec)].push_back(i);
-    } else {
-      units.push_back({i});
-    }
+  // Scheduling units: each warm group (the engine's rule) stays on one
+  // shard so its members share the shipped WarmState; every other spec is
+  // a singleton.
+  const Engine engine(registry);
+  std::vector<std::vector<std::size_t>> units = engine.warm_groups(specs);
+  std::vector<bool> grouped(specs.size(), false);
+  for (const auto& unit : units) {
+    for (const std::size_t index : unit) grouped[index] = true;
   }
-  for (auto& [key, members] : grouped) {
-    (void)key;
-    units.push_back(std::move(members));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (!grouped[i]) units.push_back({i});
   }
   std::sort(units.begin(), units.end(),
             [](const auto& a, const auto& b) { return a.front() < b.front(); });
@@ -432,15 +311,13 @@ PlanResult plan_spool(const std::string& dir, const std::vector<RunSpec>& specs,
     weight[best] += unit_weight[u];
   }
 
-  // Capture one WarmState per multi-member unit and attach it to the
-  // unit's shard. Capture runs under default engine options, matching the
-  // workers' (lockstep metrics are part of the state).
+  // Capture one WarmState per warm group (the multi-member units) and
+  // attach it to the group's shard.
   PlanResult result;
-  const Engine engine(registry);
   for (std::size_t u = 0; u < units.size(); ++u) {
     BundlePlan& bundle = bundles[shard_of_unit[u]];
     std::uint32_t ref = kNoWarmRef;
-    if (options.ship_warm_states && units[u].size() >= 2) {
+    if (units[u].size() >= 2) {
       const RunSpec& leader = specs[units[u].front()];
       if (const auto state =
               engine.capture_warm_state(leader, *leader.checkpoint_at)) {

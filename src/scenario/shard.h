@@ -5,7 +5,7 @@
 ///
 /// A sweep spool's shards are self-contained bundles that carry their
 /// specs *with their global sweep indices* plus one serialized `WarmState`
-/// per identical-prefix group (`warm_group_key`) captured at plan time, so
+/// per warm group (`Engine::warm_groups`) captured at plan time, so
 /// every worker — in any process, on any machine sharing the filesystem —
 /// resumes the group's shared prefix instead of re-simulating it. The
 /// planner keeps each group on one shard and balances shards by spec count
@@ -90,10 +90,6 @@ bool absorb_cost_line(CostModel& model, const std::string& line);
 /// Knobs of `plan_spool`.
 struct SpoolOptions {
   unsigned shards = 4;
-  /// Capture one WarmState per identical-prefix group (two or more specs
-  /// sharing a `checkpoint_at` prefix) at plan time and ship it in the
-  /// group's bundle. Capture failures degrade to cold runs, never errors.
-  bool ship_warm_states = true;
   /// Cost feedback from earlier runs (`load_cost_model`). Empty keeps the
   /// original count-balanced split; otherwise units are placed
   /// longest-processing-time-first onto the least-loaded shard by
@@ -112,9 +108,12 @@ struct PlanResult {
 };
 
 /// Serializes the sweep into a spool at `dir` (created; must be empty of
-/// spool files). Deterministic: the same specs and options produce the
-/// same bundles byte for byte. Throws std::runtime_error on I/O failure
-/// and std::invalid_argument on an empty spec list.
+/// spool files). Each of `Engine::warm_groups(specs)` stays on one shard
+/// and ships the WarmState captured at its `checkpoint_at`; a failed
+/// capture ships none and the group runs cold. Deterministic: the same
+/// specs and options produce the same bundles byte for byte. Throws
+/// std::runtime_error on I/O failure and std::invalid_argument on an empty
+/// spec list.
 PlanResult plan_spool(const std::string& dir, const std::vector<RunSpec>& specs,
                       const Registry& registry, const SpoolOptions& options = {});
 
@@ -189,16 +188,5 @@ struct ShardBundle {
 [[nodiscard]] ShardBundle parse_bundle_bytes(
     std::span<const std::uint8_t> bytes, const std::string& what,
     bool load_warm_states = true);
-
-/// Stable wire encoding of one RunSpec — the codec shard bundles store
-/// specs with, shared with the recorded-run envelope (scenario/replay.h).
-/// Serializes the execution-relevant fields (workload, params, design,
-/// platform overrides, budgets) plus the energy request (it shapes the
-/// record's CSV bytes); host-side plumbing (`resume_from`,
-/// `record_events_to`, the cohort tag) is deliberately not on the wire.
-void encode_run_spec(util::WireWriter& w, const RunSpec& spec);
-/// Decodes `encode_run_spec` output. Throws std::invalid_argument on
-/// truncation or out-of-range fields.
-[[nodiscard]] RunSpec decode_run_spec(util::WireReader& r);
 
 }  // namespace ulpsync::scenario

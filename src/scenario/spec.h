@@ -14,6 +14,11 @@
 #include "scenario/workload.h"
 #include "sim/config.h"
 
+namespace ulpsync::util {
+class WireReader;  // util/wire.h
+class WireWriter;
+}  // namespace ulpsync::util
+
 namespace ulpsync::scenario {
 
 struct WarmState;  // scenario/engine.h
@@ -96,11 +101,11 @@ struct RunSpec {
   std::optional<bool> fast_forward;
   std::uint64_t max_cycles = 500'000'000;
   /// End of the deterministic warm-up prefix (in cycles). When several
-  /// specs of one sweep share the same simulation up to this cycle (same
-  /// workload, params, design and platform overrides), the engine runs the
-  /// warm-up once, snapshots it, and resumes every member from the saved
-  /// state — results stay bit-identical to cold runs. Unset = no sharing.
-  /// Not serialized with the record.
+  /// specs of one sweep share the same simulation up to this cycle (one of
+  /// `Engine::warm_groups`), the engine runs the warm-up once, snapshots
+  /// it, and resumes every member from the saved state — results stay
+  /// bit-identical to cold runs. Unset = no sharing. Not serialized with
+  /// the record.
   std::optional<std::uint64_t> checkpoint_at;
   /// Explicit warm state to resume from (overrides `checkpoint_at`
   /// grouping). The state must have been captured on an identically
@@ -122,5 +127,20 @@ struct RunSpec {
     return design.features.hardware_synchronizer;
   }
 };
+
+/// Stable wire encoding of one RunSpec — the codec shard bundles and the
+/// recorded-run envelope (scenario/replay.h) store specs with, and the
+/// identity the warm-group, batch-group and cost keys derive from.
+/// Serializes the execution-relevant fields (workload, params, design,
+/// platform overrides, budgets) plus the energy request (it shapes the
+/// record's CSV bytes); host-side plumbing (`resume_from`,
+/// `record_events_to`, the cohort tag) is deliberately not on the wire.
+void encode_run_spec(util::WireWriter& w, const RunSpec& spec);
+/// Decodes `encode_run_spec` output. Throws std::invalid_argument on
+/// truncation or out-of-range fields.
+[[nodiscard]] RunSpec decode_run_spec(util::WireReader& r);
+/// `encode_run_spec`'s bytes as a string: a spec identity usable as a map
+/// key.
+[[nodiscard]] std::string run_spec_bytes(const RunSpec& spec);
 
 }  // namespace ulpsync::scenario

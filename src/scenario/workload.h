@@ -10,7 +10,6 @@
 /// interface and register in a `scenario::Registry` under a name, which is
 /// what `RunSpec`s refer to.
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -50,8 +49,8 @@ class CheckpointSink {
   [[nodiscard]] virtual std::uint64_t next_due() const = 0;
 
   /// Offers the platform's current state as a checkpoint. `host_words`
-  /// must let the workload's checkpointed `drive` resume from exactly this
-  /// point (empty for drives that keep no host state).
+  /// must let `Workload::drive` resume from exactly this point (empty for
+  /// drives that keep no host state).
   virtual void offer(sim::Platform& platform,
                      const std::vector<std::uint64_t>& host_words) = 0;
 };
@@ -188,59 +187,26 @@ class Workload {
     return counters.retired_ops - sync_stats.checkins - sync_stats.checkouts;
   }
 
-  /// Executes the workload on a loaded platform. The default runs until all
-  /// cores halt (or the budget is exhausted); interactive workloads — e.g.
-  /// the duty-cycled streaming monitor, which feeds acquisition windows and
-  /// wakes the cores by interrupt — override this with their own host loop.
-  virtual sim::RunResult drive(sim::Platform& platform,
-                               std::uint64_t max_cycles) const {
-    return platform.run(max_cycles);
-  }
-
-  /// True when the whole simulation state lives in the platform, so the
-  /// engine may snapshot a warm-up prefix and resume it (see
-  /// `RunSpec::checkpoint_at`). Workloads whose `drive()` keeps host-side
-  /// state across the run (e.g. the streaming monitor's window loop) must
-  /// return false — a platform snapshot cannot capture that state.
-  [[nodiscard]] virtual bool warm_startable() const { return true; }
-
-  /// True when the checkpointed `drive` overload below is trustworthy for
-  /// this workload: it offers host-consistent checkpoints and can resume
-  /// from the saved host words with bit-exact results. Defaults to
-  /// `warm_startable()` — a platform-complete workload is sliceable as-is.
-  /// Workloads with a custom host loop must override this *together with*
-  /// the checkpointed drive (the streaming monitor does), or leave it
-  /// false, in which case the engine runs them without a ring.
-  [[nodiscard]] virtual bool checkpointable() const { return warm_startable(); }
-
-  /// Checkpoint-cooperating variant of `drive` (see `CheckpointSink`).
-  /// When `resume_host_words` is non-empty the platform has already been
-  /// restored from a checkpoint and the words are the ones the drive
-  /// offered alongside it — continue from there instead of starting over.
-  /// The default implementation drives `platform.run` in slices bounded by
-  /// `sink.next_due()`, which is exact for any workload using the default
-  /// `drive` (stopping and continuing a platform run is bit-identical to
-  /// one uninterrupted run) and keeps no host words.
-  virtual sim::RunResult drive(sim::Platform& platform,
-                               std::uint64_t max_cycles, CheckpointSink& sink,
-                               std::span<const std::uint64_t> resume_host_words)
-      const {
-    (void)resume_host_words;  // the default drive keeps no host state
-    for (;;) {
-      const std::uint64_t stop = std::min(
-          max_cycles,
-          std::max(platform.counters().cycles + 1, sink.next_due()));
-      const sim::RunResult result = platform.run(stop);
-      if (result.status != sim::RunResult::Status::kMaxCycles) return result;
-      if (platform.counters().cycles >= max_cycles) return result;
-      sink.offer(platform, {});
-    }
-  }
+  /// Executes the workload on a loaded platform: `drive_windowed` over
+  /// `windowed_drive()` when the workload has one, else `platform.run`
+  /// until all cores halt (or the budget is exhausted). With a `sink`, the
+  /// drive offers host-consistent checkpoints (see `CheckpointSink`): a
+  /// windowed drive at every completed window, `platform.run` in slices
+  /// bounded by `sink->next_due()` — stopping and continuing a platform run
+  /// is bit-identical to one uninterrupted run. Non-empty
+  /// `resume_host_words` mean the platform was restored from a checkpoint
+  /// and the words are the ones offered alongside it: a windowed drive
+  /// adopts its two words and continues from that window boundary.
+  sim::RunResult drive(sim::Platform& platform, std::uint64_t max_cycles,
+                       CheckpointSink* sink = nullptr,
+                       std::span<const std::uint64_t> resume_host_words = {})
+      const;
 
   /// Structural view of this workload's host loop when it is a duty-cycled
-  /// window loop (see `WindowedDrive`); null for every other drive shape.
-  /// Non-null is what makes a workload eligible for the batch engine
-  /// (scenario/batch.h).
+  /// window loop (see `WindowedDrive`); null when the whole run is one
+  /// `platform.run`. Non-null is what makes a workload eligible for the
+  /// batch engine (scenario/batch.h) and ineligible for shared warm-up
+  /// prefixes (`Engine::warm_groups`).
   [[nodiscard]] virtual const WindowedDrive* windowed_drive() const {
     return nullptr;
   }

@@ -433,38 +433,8 @@ class WindowedWorkloadBase : public Workload, public WindowedDrive {
   }
   void load_inputs(sim::Platform& platform) const override { (void)platform; }
 
-  /// The window loop keeps host-side state (deposited windows, busy-cycle
-  /// accounting) that a platform snapshot cannot capture...
-  [[nodiscard]] bool warm_startable() const override { return false; }
-  /// ... but that state is exactly the two host words carried by the
-  /// WindowedDrive contract, so these workloads are ring-checkpointable.
-  [[nodiscard]] bool checkpointable() const override { return true; }
-
   [[nodiscard]] const WindowedDrive* windowed_drive() const override {
     return this;
-  }
-
-  sim::RunResult drive(sim::Platform& platform,
-                       std::uint64_t max_cycles) const override {
-    return drive_windowed(*this, platform, max_cycles);
-  }
-
-  /// Checkpoint-cooperating drive: offers the platform to the ring after
-  /// each completed window — every core is asleep there, so the snapshot
-  /// plus the host words is the run's complete state — and resumes
-  /// mid-soak from those words.
-  sim::RunResult drive(sim::Platform& platform, std::uint64_t max_cycles,
-                       CheckpointSink& sink,
-                       std::span<const std::uint64_t> resume_host_words)
-      const override {
-    std::optional<unsigned> resume;
-    if (resume_host_words.size() == 2) {
-      // The platform was restored from a window-boundary checkpoint: all
-      // cores asleep, `resume_host_words[0]` windows already processed.
-      adopt_host_words(resume_host_words);
-      resume = windows_run_;
-    }
-    return drive_windowed(*this, platform, max_cycles, resume, &sink);
   }
 
   // WindowedDrive:
@@ -936,6 +906,31 @@ sim::RunResult drive_windowed(const WindowedDrive& drive,
     }
   }
   return result;
+}
+
+// (See workload.h.)
+sim::RunResult Workload::drive(
+    sim::Platform& platform, std::uint64_t max_cycles, CheckpointSink* sink,
+    std::span<const std::uint64_t> resume_host_words) const {
+  if (const WindowedDrive* windowed = windowed_drive()) {
+    std::optional<unsigned> resume;
+    if (resume_host_words.size() == 2) {
+      // Restored at a window boundary: all cores asleep,
+      // `resume_host_words[0]` windows already processed.
+      windowed->adopt_host_words(resume_host_words);
+      resume = static_cast<unsigned>(resume_host_words[0]);
+    }
+    return drive_windowed(*windowed, platform, max_cycles, resume, sink);
+  }
+  if (sink == nullptr) return platform.run(max_cycles);
+  for (;;) {
+    const std::uint64_t stop = std::min(
+        max_cycles, std::max(platform.counters().cycles + 1, sink->next_due()));
+    const sim::RunResult result = platform.run(stop);
+    if (result.status != sim::RunResult::Status::kMaxCycles) return result;
+    if (platform.counters().cycles >= max_cycles) return result;
+    sink->offer(platform, {});
+  }
 }
 
 unsigned count_sync_points(const assembler::Program& program) {

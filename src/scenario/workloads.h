@@ -13,8 +13,8 @@
 ///  * "bandcount", "bandcount.auto" — the custom-kernel example: amplitude
 ///    band histogram (a data-dependent branch cascade), hand- and
 ///    auto-instrumented;
-///  * "streaming" — the duty-cycled window monitor; overrides `drive()` to
-///    feed acquisition windows and wake the cores by external interrupt;
+///  * "streaming" — the duty-cycled window monitor; its `windowed_drive()`
+///    feeds acquisition windows and wakes the cores by external interrupt;
 ///  * "sleepgen" (+ fixed-width aliases "sleepgen16/32/64") — the
 ///    wide-platform duty-cycled scaling workload: core count from
 ///    `params.num_channels` up to 64, one private DM bank per core, a

@@ -1,6 +1,8 @@
 #include "util/cli.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <stdexcept>
 #include <string_view>
 
 namespace ulpsync::util {
@@ -34,9 +36,33 @@ std::string CliArgs::get(const std::string& name,
   return it == flags_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// Parses all of `text` with `parse` (a strtol/strtod-style function);
+/// throws "malformed --<name> value '<text>'" when any of it is left over
+/// or the value is out of range.
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& text,
+                 const Parse& parse) {
+  char* end = nullptr;
+  errno = 0;
+  const auto value = parse(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
+    std::string message = "malformed --";
+    message.append(name).append(" value '").append(text).append("'");
+    throw std::runtime_error(message);
+  }
+  return value;
+}
+
+}  // namespace
+
 long CliArgs::get_int(const std::string& name, long fallback) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::strtol(it->second.c_str(), nullptr, 0);
+  if (it == flags_.end()) return fallback;
+  return parse_whole(name, it->second, [](const char* text, char** end) {
+    return std::strtol(text, end, 0);
+  });
 }
 
 std::vector<std::string> CliArgs::names() const {
@@ -50,7 +76,10 @@ std::vector<std::string> CliArgs::names() const {
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == flags_.end()) return fallback;
+  return parse_whole(name, it->second, [](const char* text, char** end) {
+    return std::strtod(text, end);
+  });
 }
 
 }  // namespace ulpsync::util

@@ -17,7 +17,12 @@ class CliArgs {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
+  /// The flag's value as an integer (base prefixes such as `0x` apply);
+  /// `fallback` when unset. Throws std::runtime_error "malformed --<name>
+  /// value '<text>'" unless the whole value parses and is in range.
   [[nodiscard]] long get_int(const std::string& name, long fallback) const;
+  /// The flag's value as a double; `fallback` when unset. Throws like
+  /// `get_int`.
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] const std::vector<std::string>& positional() const {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -188,19 +190,54 @@ TEST(CohortMatrix, AxisExpandsDeterministically) {
 }
 
 TEST(CohortMatrix, GroupKeySharesCohortSeparatesConfigs) {
-  std::vector<RunSpec> specs = cohort_specs("sleepgen", 3);
+  const std::vector<RunSpec> specs = cohort_specs("sleepgen", 3);
+  // Patients differ only in generator-derived input data: one lane group,
+  // but each patient simulates its own prefix.
   EXPECT_EQ(batch_group_key(specs[0]), batch_group_key(specs[1]));
   EXPECT_EQ(batch_group_key(specs[0]), batch_group_key(specs[2]));
+  EXPECT_NE(warm_group_key(specs[0]), warm_group_key(specs[1]));
 
-  RunSpec other = specs[0];
-  other.max_cycles = specs[0].max_cycles / 2;
-  EXPECT_NE(batch_group_key(specs[0]), batch_group_key(other));
-  other = specs[0];
-  other.design = DesignVariant::baseline();
-  EXPECT_NE(batch_group_key(specs[0]), batch_group_key(other));
-  other = specs[0];
-  other.params.samples += 128;
-  EXPECT_NE(batch_group_key(specs[0]), batch_group_key(other));
+  using Edit = std::function<void(RunSpec&)>;
+  const RunSpec& base = specs[0];
+  const auto edited = [&base](const Edit& edit) {
+    RunSpec spec = base;
+    edit(spec);
+    return spec;
+  };
+
+  // Both keys ignore the energy request and the host-side plumbing.
+  for (const Edit& edit : std::vector<Edit>{
+           [](RunSpec& s) {
+             s.energy = EnergyRequest{EnergyRequest::Params::kBaseline, 25.0,
+                                      0.9};
+           },
+           [](RunSpec& s) { s.cohort.reset(); },
+           [](RunSpec& s) { s.record_events_to = "elsewhere.evt"; },
+           [](RunSpec& s) { s.resume_from = std::make_shared<WarmState>(); }}) {
+    const RunSpec other = edited(edit);
+    EXPECT_EQ(batch_group_key(base), batch_group_key(other));
+    EXPECT_EQ(warm_group_key(base), warm_group_key(other));
+  }
+  // The batch key ignores the warm-up axis, the warm key the budget.
+  RunSpec other = edited([](RunSpec& s) { s.checkpoint_at = 1000; });
+  EXPECT_EQ(batch_group_key(base), batch_group_key(other));
+  EXPECT_NE(warm_group_key(base), warm_group_key(other));
+  other = edited([](RunSpec& s) { s.max_cycles /= 2; });
+  EXPECT_NE(batch_group_key(base), batch_group_key(other));
+  EXPECT_EQ(warm_group_key(base), warm_group_key(other));
+
+  // Neither key ignores what shapes the simulation.
+  for (const Edit& edit : std::vector<Edit>{
+           [](RunSpec& s) { s.design = DesignVariant::baseline(); },
+           [](RunSpec& s) { s.params.samples += 128; },
+           [](RunSpec& s) {
+             s.arbitration = sim::ArbitrationPolicy::kRoundRobin;
+           },
+           [](RunSpec& s) { s.fast_forward = false; }}) {
+    other = edited(edit);
+    EXPECT_NE(batch_group_key(base), batch_group_key(other));
+    EXPECT_NE(warm_group_key(base), warm_group_key(other));
+  }
 }
 
 // --- lane-group primitives --------------------------------------------------
@@ -446,7 +483,6 @@ TEST(BatchEngine, MidRunRingResumeOfBatchedSoakIsByteExact) {
   // Second pass, full budget, resuming from the rings: lanes with ring
   // entries continue scalar from their checkpoints — and the final records
   // are byte-identical to an uninterrupted scalar sweep.
-  options.checkpoint_ring.resume = true;
   const BatchEngine second(Registry::builtins(), options);
   const BatchResult resumed = second.run(specs);
   EXPECT_EQ(to_csv(resumed.records), reference);

@@ -16,17 +16,26 @@
 //  * spool parser fuzzing: the manifest of either kind, the bundle and
 //    range claim payloads, the transport status reply, and the sealed-image
 //    codec, each truncated at every length and randomly bit-flipped — every
-//    input parses or throws, never crashes.
+//    input parses or throws, never crashes;
+//  * the same fuzzing over the record CSV/JSON parsers (parse or
+//    std::invalid_argument), the planner's cost lines (refused, or a
+//    finite non-negative wall time) and a checkpoint ring's manifest and
+//    newest entry (nothing, or an entry the ring wrote).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "asm/assembler.h"
+#include "scenario/checkpoint_ring.h"
 #include "scenario/engine.h"
+#include "scenario/record.h"
 #include "scenario/registry.h"
 #include "scenario/replay.h"
 #include "scenario/resilience.h"
@@ -647,21 +656,11 @@ TEST(EnergyRecordProperties, RequestNeverPerturbsSimulationColumns) {
 
 // --- spool parser fuzzing ---------------------------------------------------
 
-/// Feeds `parse` every proper prefix of `input` and `flips` copies with one
-/// random bit flipped. Each must parse or throw std::runtime_error /
-/// std::invalid_argument — any other exception (or a crash) fails.
-template <typename Bytes, typename Parse>
-void fuzz_parser(const Bytes& input, std::uint64_t seed, int flips,
-                 const Parse& parse) {
-  const auto feed = [&](const Bytes& bytes, const std::string& what) {
-    try {
-      parse(bytes);
-    } catch (const std::runtime_error&) {
-    } catch (const std::invalid_argument&) {
-    } catch (const std::exception& error) {
-      ADD_FAILURE() << what << ": unexpected exception: " << error.what();
-    }
-  };
+/// Calls `feed(bytes, what)` with every proper prefix of `input` and with
+/// `flips` copies that have one seeded random bit flipped.
+template <typename Bytes, typename Feed>
+void for_each_mutant(const Bytes& input, std::uint64_t seed, int flips,
+                     const Feed& feed) {
   for (std::size_t length = 0; length < input.size(); ++length) {
     feed(Bytes(input.begin(), input.begin() + static_cast<long>(length)),
          "prefix " + std::to_string(length));
@@ -674,6 +673,25 @@ void fuzz_parser(const Bytes& input, std::uint64_t seed, int flips,
         corrupted[at] ^ (1u << rng.next_below(8)));
     feed(corrupted, "flip at " + std::to_string(at));
   }
+}
+
+/// Feeds `parse` every mutant of `input` (see `for_each_mutant`). Each must
+/// parse or throw std::runtime_error / std::invalid_argument — any other
+/// exception (or a crash) fails.
+template <typename Bytes, typename Parse>
+void fuzz_parser(const Bytes& input, std::uint64_t seed, int flips,
+                 const Parse& parse) {
+  for_each_mutant(input, seed, flips,
+                  [&](const Bytes& bytes, const std::string& what) {
+                    try {
+                      parse(bytes);
+                    } catch (const std::runtime_error&) {
+                    } catch (const std::invalid_argument&) {
+                    } catch (const std::exception& error) {
+                      ADD_FAILURE() << what << ": unexpected exception: "
+                                    << error.what();
+                    }
+                  });
 }
 
 /// Recomputes a sealed image's trailing hash, so a fuzzed payload reaches
@@ -816,6 +834,152 @@ TEST(SpoolParserFuzz, SealUnsealRoundTripRejectsEveryCorruption) {
   fuzz_parser(image, 0x5EA2, 200, [&](const std::vector<std::uint8_t>& bytes) {
     (void)util::unseal(bytes, kMagic, 7, "fuzz");
   });
+}
+
+// --- record, cost and ring parser fuzzing -----------------------------------
+
+TEST(ParserFuzz, RecordCsvAndJson) {
+  // Real records of a halting kernel (with an energy report, so every
+  // column is populated) and of the windowed monitor (report extras).
+  std::vector<scenario::RunSpec> specs(2);
+  specs[0].workload = "sqrt32";
+  specs[0].params.samples = 16;
+  specs[0].energy = scenario::EnergyRequest{};
+  specs[1].workload = "streaming";
+  specs[1].params.samples = 250;
+  const auto records =
+      scenario::Engine(scenario::Registry::builtins()).run(specs);
+  const std::string csv = scenario::to_csv(records);
+  const std::string json = scenario::to_json(records);
+  ASSERT_EQ(scenario::to_csv(scenario::records_from_csv(csv)), csv);
+  ASSERT_EQ(scenario::to_json(scenario::records_from_json(json)), json);
+
+  // Either a parse or std::invalid_argument; anything else fails.
+  const auto strict = [](const char* format, const auto& parse) {
+    return [format, &parse](const std::string& bytes,
+                            const std::string& what) {
+      try {
+        (void)parse(bytes);
+      } catch (const std::invalid_argument&) {
+      } catch (const std::exception& error) {
+        ADD_FAILURE() << format << " " << what
+                      << ": unexpected exception: " << error.what();
+      }
+    };
+  };
+  const auto from_csv = [](const std::string& bytes) {
+    return scenario::records_from_csv(bytes);
+  };
+  const auto from_json = [](const std::string& bytes) {
+    return scenario::records_from_json(bytes);
+  };
+  for_each_mutant(csv, 0xC5F0, 600, strict("csv", from_csv));
+  for_each_mutant(json, 0x750F, 600, strict("json", from_json));
+}
+
+TEST(ParserFuzz, CostLine) {
+  scenario::RunSpec spec;
+  spec.workload = "sqrt32";
+  const std::string line = scenario::cost_line(spec, 123'456, 0.0421);
+  scenario::CostModel model;
+  ASSERT_TRUE(scenario::absorb_cost_line(model, line));
+  for (const char* wall : {"inf", "nan", "-1", "1e999"}) {
+    scenario::CostModel rejected;
+    EXPECT_FALSE(scenario::absorb_cost_line(
+        rejected, line.substr(0, line.rfind(' ') + 1) + wall))
+        << wall;
+    EXPECT_TRUE(rejected.empty()) << wall;
+  }
+  // A malformed line is refused and changes nothing; an absorbed one
+  // folds a finite, non-negative wall time.
+  for_each_mutant(line, 0xC057, 600, [](const std::string& bytes,
+                                        const std::string& what) {
+    scenario::CostModel fuzzed;
+    if (!scenario::absorb_cost_line(fuzzed, bytes)) {
+      EXPECT_TRUE(fuzzed.empty()) << what;
+      return;
+    }
+    ASSERT_EQ(fuzzed.by_spec.size(), 1u) << what;
+    const double wall = fuzzed.by_spec.begin()->second.wall_seconds;
+    EXPECT_TRUE(std::isfinite(wall) && wall >= 0.0) << what << ": " << wall;
+  });
+}
+
+TEST(ParserFuzz, CheckpointRing) {
+  // A real ring: a five-window streaming run offers an entry per window.
+  const std::string dir = spool_property_dir("ring");
+  scenario::RunSpec spec;
+  spec.workload = "streaming";
+  spec.params.samples = 625;
+  scenario::EngineOptions options;
+  options.checkpoint_ring = {.dir = dir, .stride = 1000, .keep = 3};
+  ASSERT_TRUE(scenario::Engine(scenario::Registry::builtins(), options)
+                  .run_one(spec)
+                  .ok());
+  const std::string run_dir = scenario::ring_run_dir(dir, 0);
+  const std::uint64_t identity = scenario::ring_identity(spec);
+
+  // Every entry the ring holds, by cycle: the only answers the loader may
+  // give once its files are mutated.
+  const std::vector<std::uint8_t> manifest =
+      util::read_file_bytes(run_dir + "/MANIFEST");
+  std::map<std::uint64_t, std::vector<std::uint8_t>> written;
+  std::string newest_file;
+  {
+    std::istringstream lines(std::string(manifest.begin(), manifest.end()));
+    std::string tag, file, hash;
+    std::uint64_t cycle = 0;
+    while (lines >> tag) {
+      if (tag != "entry") {
+        lines >> file;  // identity or stride value
+        continue;
+      }
+      lines >> cycle >> file >> hash;
+      const auto entry =
+          scenario::load_latest_ring_entry(run_dir, identity, cycle);
+      ASSERT_TRUE(entry.has_value()) << cycle;
+      ASSERT_EQ(entry->cycle, cycle);
+      written[cycle] = scenario::serialize_warm_state(entry->state);
+      newest_file = run_dir + "/" + file;
+    }
+  }
+  ASSERT_GE(written.size(), 2u);
+  const std::vector<std::uint8_t> newest = util::read_file_bytes(newest_file);
+
+  const auto load_from = [&](const std::string& path,
+                             const std::vector<std::uint8_t>& bytes,
+                             const std::string& what) {
+    util::write_file_atomic(path, bytes);
+    const auto entry =
+        scenario::load_latest_ring_entry(run_dir, identity, spec.max_cycles);
+    if (!entry) return;
+    const auto it = written.find(entry->cycle);
+    ASSERT_NE(it, written.end()) << what << ": cycle " << entry->cycle;
+    EXPECT_EQ(scenario::serialize_warm_state(entry->state), it->second)
+        << what;
+  };
+  for_each_mutant(manifest, 0x41A6, 600,
+                  [&](const std::vector<std::uint8_t>& bytes,
+                      const std::string& what) {
+                    load_from(run_dir + "/MANIFEST", bytes,
+                              "manifest " + what);
+                  });
+  util::write_file_atomic(run_dir + "/MANIFEST", manifest);
+  // The newest entry is large, so its prefixes are a seeded sample.
+  util::Rng rng(0x41A7);
+  for (int trial = 0; trial < 64; ++trial) {
+    const std::size_t length = rng.next_below(newest.size());
+    load_from(newest_file,
+              std::vector<std::uint8_t>(newest.begin(),
+                                        newest.begin() +
+                                            static_cast<long>(length)),
+              "entry prefix " + std::to_string(length));
+    std::vector<std::uint8_t> flipped = newest;
+    const std::size_t at = rng.next_below(flipped.size());
+    flipped[at] = static_cast<std::uint8_t>(flipped[at] ^
+                                            (1u << rng.next_below(8)));
+    load_from(newest_file, flipped, "entry flip at " + std::to_string(at));
+  }
 }
 
 }  // namespace

@@ -228,37 +228,6 @@ TEST(Engine, ParallelRunIsIdenticalToSerial) {
   EXPECT_EQ(to_json(serial), to_json(parallel));
 }
 
-TEST(Engine, ProgressCallbackCountsEveryRun) {
-  Matrix matrix;
-  matrix.workload("clip8").base_params(small_params());
-  std::size_t calls = 0;
-  std::size_t last_done = 0;
-  EngineOptions options;
-  options.jobs = 2;
-  options.on_result = [&](const RunRecord&, std::size_t done,
-                          std::size_t total) {
-    ++calls;
-    last_done = done;
-    EXPECT_EQ(total, 2u);
-  };
-  const auto records = Engine(Registry::builtins(), options).run(matrix);
-  EXPECT_EQ(records.size(), 2u);
-  EXPECT_EQ(calls, 2u);
-  EXPECT_EQ(last_done, 2u);
-}
-
-TEST(Engine, ThrowingProgressCallbackIsRethrownNotTerminate) {
-  Matrix matrix;
-  matrix.workload("clip8").base_params(small_params());
-  EngineOptions options;
-  options.jobs = 2;
-  options.on_result = [](const RunRecord&, std::size_t, std::size_t) {
-    throw std::runtime_error("callback failed");
-  };
-  EXPECT_THROW((void)Engine(Registry::builtins(), options).run(matrix),
-               std::runtime_error);
-}
-
 TEST(Engine, FeatureTogglesReachThePlatform) {
   // The ablation path: a variant with the synchronizer but without the
   // enhanced D-Xbar policy must not record policy holds.
@@ -408,6 +377,13 @@ TEST(Record, MalformedInputThrows) {
   // truncate.
   EXPECT_THROW((void)record_from_json("{\"workload\": \"\\u0394x\"}"),
                std::invalid_argument);
+  // A \u escape takes exactly four hex digits.
+  EXPECT_THROW((void)record_from_json(R"({"workload": "clip\u00zz8"})"),
+               std::invalid_argument);
+  EXPECT_THROW((void)record_from_json(R"({"workload": "clip\u 0418"})"),
+               std::invalid_argument);
+  EXPECT_EQ(record_from_json(R"({"workload": "clip\u0038"})").spec.workload,
+            "clip8");
 }
 
 // --- report helpers ---------------------------------------------------------
@@ -421,33 +397,6 @@ TEST(Report, FindPairAndSpeedup) {
   EXPECT_THROW((void)find_pair(records, "mrpdln"), std::runtime_error);
   const auto breakdown = breakdown_at_mops(*pair.synced, 8.0);
   EXPECT_GT(breakdown.total_mw(), 0.0);
-}
-
-// --- timed sweeps -----------------------------------------------------------
-
-TEST(EngineTimed, ReportsPerRunTimingAndTotals) {
-  Engine engine(Registry::builtins());
-  const auto sweep = engine.run_timed(
-      Matrix().workload("sqrt32").base_params(small_params()));
-  require_ok(sweep.records);
-  EXPECT_EQ(sweep.records.size(), 2u);  // both designs
-  EXPECT_EQ(sweep.perf.run_wall_seconds.size(), 2u);
-  std::uint64_t cycles = 0;
-  for (const auto& record : sweep.records) cycles += record.cycles();
-  EXPECT_EQ(sweep.perf.sim_cycles, cycles);
-  EXPECT_GT(sweep.perf.wall_seconds, 0.0);
-  for (const double seconds : sweep.perf.run_wall_seconds)
-    EXPECT_GT(seconds, 0.0);
-  EXPECT_GT(sweep.perf.sim_cycles_per_second(), 0.0);
-}
-
-TEST(EngineTimed, RunAndRunTimedRecordsAgree) {
-  const Matrix matrix = Matrix().workload("clip8").base_params(small_params());
-  Engine engine(Registry::builtins());
-  const auto plain = engine.run(matrix);
-  const auto timed = engine.run_timed(matrix);
-  ASSERT_EQ(plain.size(), timed.records.size());
-  EXPECT_EQ(to_csv(plain), to_csv(timed.records));
 }
 
 }  // namespace

@@ -337,6 +337,38 @@ TEST(Spool, ShipsWarmStatesAndStaysByteIdentical) {
   EXPECT_EQ(shards_with_specs, 1u);
 }
 
+TEST(Spool, PlannerShipsOneStatePerEngineWarmGroup) {
+  // A horizon fan-out over a halting kernel and the windowed monitor: the
+  // planner ships a state for exactly the groups the engine forms (one per
+  // mrpfltr design), none for streaming, and the merge stays
+  // byte-identical.
+  std::vector<RunSpec> specs;
+  for (const char* workload : {"mrpfltr", "streaming"}) {
+    for (const bool synced : {false, true}) {
+      for (const std::uint64_t horizon : {30'000u, 60'000u, 200'000u}) {
+        RunSpec spec;
+        spec.workload = workload;
+        spec.params.samples = 48;
+        spec.design = synced ? DesignVariant::synchronized()
+                             : DesignVariant::baseline();
+        spec.checkpoint_at = 20'000;
+        spec.max_cycles = horizon;
+        specs.push_back(std::move(spec));
+      }
+    }
+  }
+  const auto groups = Engine(Registry::builtins()).warm_groups(specs);
+  EXPECT_EQ(groups.size(), 2u);
+
+  const std::string dir = scratch_dir("horizons");
+  const PlanResult plan =
+      plan_spool(dir, specs, Registry::builtins(), {.shards = 3});
+  EXPECT_EQ(plan.warm_states, groups.size());
+  const WorkReport report = work_spool(dir, Registry::builtins());
+  EXPECT_EQ(report.warm_resumed, 6u);  // the mrpfltr specs
+  EXPECT_EQ(merge_spool(dir), single_process_csv(specs));
+}
+
 TEST(Spool, ResumeReusesPartialRowsByteIdentically) {
   const std::vector<RunSpec> specs = small_sweep_specs();
   const std::string dir = scratch_dir("partial");
@@ -372,10 +404,10 @@ RunSpec streaming_spec(unsigned samples) {
   return spec;
 }
 
-Engine ring_engine(const std::string& dir, std::uint64_t stride, unsigned keep,
-                   bool resume) {
+Engine ring_engine(const std::string& dir, std::uint64_t stride,
+                   unsigned keep) {
   EngineOptions options;
-  options.checkpoint_ring = {dir, stride, keep, resume};
+  options.checkpoint_ring = {dir, stride, keep};
   return Engine(Registry::builtins(), options);
 }
 
@@ -386,7 +418,7 @@ TEST(CheckpointRing, StreamingRunWithRingIsByteIdentical) {
 
   const std::string dir = scratch_dir("ring_ident");
   const std::string ringed =
-      to_csv_row(ring_engine(dir, 2000, 3, false).run_one(spec));
+      to_csv_row(ring_engine(dir, 2000, 3).run_one(spec));
   EXPECT_EQ(ringed, straight);
   EXPECT_TRUE(fs::exists(ring_run_dir(dir, 0) + "/MANIFEST"));
 }
@@ -394,7 +426,7 @@ TEST(CheckpointRing, StreamingRunWithRingIsByteIdentical) {
 TEST(CheckpointRing, PruningBoundsTheRing) {
   const RunSpec spec = streaming_spec(1250);  // 10 windows, many offers
   const std::string dir = scratch_dir("ring_prune");
-  (void)ring_engine(dir, 1000, 2, false).run_one(spec);
+  (void)ring_engine(dir, 1000, 2).run_one(spec);
   std::size_t entries = 0;
   for (const auto& entry : fs::directory_iterator(ring_run_dir(dir, 0))) {
     if (entry.path().extension() == ".ring") ++entries;
@@ -415,10 +447,10 @@ TEST(CheckpointRing, StreamingCrashResumeIsBitExact) {
   const std::string dir = scratch_dir("ring_resume");
   RunSpec truncated = full;
   truncated.max_cycles = straight.cycles() / 2;
-  const RunRecord half = ring_engine(dir, 1500, 4, false).run_one(truncated);
+  const RunRecord half = ring_engine(dir, 1500, 4).run_one(truncated);
   EXPECT_EQ(half.status, "max-cycles");
 
-  const RunRecord resumed = ring_engine(dir, 1500, 4, true).run_one(full);
+  const RunRecord resumed = ring_engine(dir, 1500, 4).run_one(full);
   EXPECT_EQ(to_csv_row(resumed), to_csv_row(straight));
   // The resumed run really did restore mid-soak (its ring was extended
   // past the crash point, which a cold rerun would also do — so assert on
@@ -434,7 +466,7 @@ TEST(CheckpointRing, CorruptNewestEntryFallsBackBitExact) {
   const std::string dir = scratch_dir("ring_corrupt");
   RunSpec truncated = full;
   truncated.max_cycles = straight.cycles() / 2;
-  (void)ring_engine(dir, 1500, 4, false).run_one(truncated);
+  (void)ring_engine(dir, 1500, 4).run_one(truncated);
 
   // Corrupt the newest entry; resume must fall back to an older one (or a
   // cold start) and still produce the straight-run bytes.
@@ -453,7 +485,7 @@ TEST(CheckpointRing, CorruptNewestEntryFallsBackBitExact) {
             static_cast<std::streamsize>(bytes.size()));
   out.close();
 
-  const RunRecord resumed = ring_engine(dir, 1500, 4, true).run_one(full);
+  const RunRecord resumed = ring_engine(dir, 1500, 4).run_one(full);
   EXPECT_EQ(to_csv_row(resumed), to_csv_row(straight));
 }
 
@@ -470,10 +502,10 @@ TEST(CheckpointRing, DefaultDriveCrashResumeIsBitExact) {
   const std::string dir = scratch_dir("ring_default");
   RunSpec truncated = full;
   truncated.max_cycles = straight.cycles() / 2;
-  const RunRecord half = ring_engine(dir, 3000, 3, false).run_one(truncated);
+  const RunRecord half = ring_engine(dir, 3000, 3).run_one(truncated);
   EXPECT_EQ(half.status, "max-cycles");
 
-  const RunRecord resumed = ring_engine(dir, 3000, 3, true).run_one(full);
+  const RunRecord resumed = ring_engine(dir, 3000, 3).run_one(full);
   EXPECT_EQ(to_csv_row(resumed), to_csv_row(straight));
 }
 

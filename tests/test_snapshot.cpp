@@ -313,30 +313,26 @@ std::vector<RunSpec> horizon_fanout(const std::string& workload,
   return specs;
 }
 
+/// The same specs with `checkpoint_at` cleared: the cold reference.
+std::vector<RunSpec> without_checkpoints(std::vector<RunSpec> specs) {
+  for (RunSpec& spec : specs) spec.checkpoint_at.reset();
+  return specs;
+}
+
 TEST(EngineWarmStart, WarmSweepRecordsByteIdenticalToColdSweep) {
   const auto specs = horizon_fanout("mrpfltr", kGoldenCycle, 4);
+  const Engine engine(Registry::builtins());
+  const auto groups = engine.warm_groups(specs);
+  ASSERT_EQ(groups.size(), 1u);  // one shared warm-up for the whole fan-out
+  EXPECT_EQ(groups.front().size(), specs.size());
 
-  EngineOptions cold_options;
-  cold_options.warm_start = false;
-  const Engine cold_engine(Registry::builtins(), cold_options);
-  const auto cold = cold_engine.run_timed(specs);
-
-  EngineOptions warm_options;  // warm_start defaults to true
-  const Engine warm_engine(Registry::builtins(), warm_options);
-  const auto warm = warm_engine.run_timed(specs);
-
-  EXPECT_EQ(scenario::to_csv(cold.records), scenario::to_csv(warm.records));
-  EXPECT_EQ(cold.perf.warmups, 0u);
-  EXPECT_EQ(warm.perf.warmups, 1u);
-  EXPECT_EQ(warm.perf.warm_resumed, specs.size());
+  const std::string cold =
+      scenario::to_csv(engine.run(without_checkpoints(specs)));
+  EXPECT_EQ(scenario::to_csv(engine.run(specs)), cold);
 
   // Parallel warm sweep: still byte-identical (deterministic grouping).
-  EngineOptions parallel_options;
-  parallel_options.jobs = 4;
-  const Engine parallel_engine(Registry::builtins(), parallel_options);
-  const auto parallel = parallel_engine.run_timed(specs);
-  EXPECT_EQ(scenario::to_csv(warm.records), scenario::to_csv(parallel.records));
-  EXPECT_EQ(parallel.perf.warmups, 1u);
+  const Engine parallel(Registry::builtins(), {.jobs = 4});
+  EXPECT_EQ(scenario::to_csv(parallel.run(specs)), cold);
 }
 
 TEST(EngineWarmStart, ExplicitResumeFromMatchesColdRun) {
@@ -360,21 +356,14 @@ TEST(EngineWarmStart, ExplicitResumeFromMatchesColdRun) {
 }
 
 TEST(EngineWarmStart, NonWarmStartableWorkloadFallsBackToColdRuns) {
-  // The streaming monitor keeps host-side state in drive(); the engine must
-  // not warm-start it, and results must be unaffected.
+  // The streaming monitor's window loop keeps host-side state a platform
+  // snapshot cannot hold; the engine must not warm-start it, and results
+  // must be unaffected.
   const auto specs = horizon_fanout("streaming", 2000, 3);
-
-  EngineOptions options;
-  const Engine engine(Registry::builtins(), options);
-  const auto warm = engine.run_timed(specs);
-  EXPECT_EQ(warm.perf.warmups, 0u);
-  EXPECT_EQ(warm.perf.warm_resumed, 0u);
-
-  EngineOptions cold_options;
-  cold_options.warm_start = false;
-  const Engine cold_engine(Registry::builtins(), cold_options);
-  const auto cold = cold_engine.run_timed(specs);
-  EXPECT_EQ(scenario::to_csv(cold.records), scenario::to_csv(warm.records));
+  const Engine engine(Registry::builtins());
+  EXPECT_TRUE(engine.warm_groups(specs).empty());
+  EXPECT_EQ(scenario::to_csv(engine.run(specs)),
+            scenario::to_csv(engine.run(without_checkpoints(specs))));
 }
 
 // --- wide platforms (beyond the synchronizer's 8-core ceiling) --------------

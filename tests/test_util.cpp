@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "util/cli.h"
 #include "util/rng.h"
@@ -169,6 +170,30 @@ TEST(Cli, ParsesHexAndDoubles) {
   CliArgs args(3, argv);
   EXPECT_EQ(args.get_int("addr", 0), 0x40);
   EXPECT_DOUBLE_EQ(args.get_double("ratio", 0), 0.75);
+}
+
+TEST(Cli, RejectsNumbersThatDoNotParseCompletely) {
+  const char* argv[] = {"prog",       "--max-cycles=2e6", "--jobs=abc",
+                        "--samples=4x", "--big=99999999999999999999",
+                        "--mhz=2.5MHz", "--huge=1e999"};
+  CliArgs args(7, argv);
+  const auto message = [&](const std::string& name) -> std::string {
+    try {
+      (void)args.get_int(name, 0);
+    } catch (const std::runtime_error& error) {
+      return error.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(message("max-cycles"), "malformed --max-cycles value '2e6'");
+  EXPECT_EQ(message("jobs"), "malformed --jobs value 'abc'");
+  EXPECT_EQ(message("samples"), "malformed --samples value '4x'");
+  EXPECT_EQ(message("big"),
+            "malformed --big value '99999999999999999999'");  // overflows
+  EXPECT_THROW((void)args.get_double("mhz", 0), std::runtime_error);
+  EXPECT_THROW((void)args.get_double("huge", 0), std::runtime_error);
+  // Doubles accept what integers refuse.
+  EXPECT_DOUBLE_EQ(args.get_double("max-cycles", 0), 2e6);
 }
 
 }  // namespace

@@ -6,8 +6,7 @@
 //   --connect HOST:PORT  a `sweep_shard serve` coordinator on another
 //                        machine; workers stream rows back over TCP
 //
-//   sweep_shard plan   --spool DIR [matrix flags] [--shards K] [--no-warm]
-//                      [--costs a,b]
+//   sweep_shard plan   --spool DIR [matrix flags] [--shards K] [--costs a,b]
 //       Expands the matrix and serializes it into shard bundles under DIR.
 //       Identical-prefix groups (--checkpoint-at + --horizons) ship one
 //       pre-simulated WarmState per group. --costs feeds measured per-run
@@ -133,7 +132,6 @@ int cmd_plan(const util::CliArgs& args) {
       {
           {"spool", "DIR", "spool directory to create (required)"},
           {"shards", "K", "shard count (default 4)"},
-          {"no-warm", "", "do not ship per-group WarmStates"},
           {"costs", "a,b", "cost feedback: cost files or earlier spools"},
           {"campaign", "", "plan a fault-campaign spool instead"},
           {"require-localized", "", "campaign: --mode localize shorthand"},
@@ -159,7 +157,6 @@ int cmd_plan(const util::CliArgs& args) {
   const std::vector<RunSpec> specs = cli::matrix_specs_from_flags(args);
   SpoolOptions options;
   options.shards = static_cast<unsigned>(args.get_int("shards", 4));
-  options.ship_warm_states = !args.has("no-warm");
   options.costs = load_cost_model(cli::split_list(args.get("costs", "")));
   const PlanResult plan =
       plan_spool(spool, specs, Registry::builtins(), options);
@@ -362,7 +359,6 @@ int cmd_run(const util::CliArgs& args) {
     // vs `merge` CSV comparisons are exact determinism checks.
     BatchOptions batch_options;
     batch_options.jobs = options.jobs;
-    batch_options.measure_lockstep = options.measure_lockstep;
     const BatchEngine engine(Registry::builtins(), batch_options);
     BatchResult result = engine.run(specs);
     std::printf("batch: %zu group(s), %zu batched run(s), %zu scalar, "
