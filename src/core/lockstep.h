@@ -7,12 +7,14 @@
 /// is restored after each region.
 ///
 /// The analyzer registers its metrics block as the platform's lockstep
-/// sink (`sim::Platform::set_lockstep_sink`): the platform accumulates the
-/// per-cycle observations itself — O(active cores) per naive tick, O(1)
-/// per region-executor cycle and batched across straight-line steps — so
-/// measuring lockstep no longer suppresses the host-side region executor
-/// the way a per-cycle observer would. The accumulated values are
-/// bit-identical either way.
+/// sink (`sim::Platform::set_lockstep_sink`), and the platform accumulates
+/// the per-cycle observations itself, so measuring lockstep does not
+/// suppress the host-side region executor the way a per-cycle observer
+/// would. A naive tick observes in O(active cores). The region executor
+/// keeps a count of active cores per IM slot, so each PC change is O(1),
+/// and adds its cycles to the sink once per region; a straight-line step
+/// adds its cycles in one add. The accumulated values are bit-identical
+/// either way.
 
 #include "core/lockstep_metrics.h"
 #include "sim/platform.h"

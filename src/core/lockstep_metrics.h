@@ -5,13 +5,16 @@
 ///
 /// Historically the `core::LockstepAnalyzer` observed the platform through
 /// the per-cycle observer hook, which suppressed the host-side fast paths
-/// for the whole run. The metrics are batch-updatable, though: across any
-/// stretch of cycles in which no core changes status or diverges, each
-/// cycle contributes the same histogram bin. The platform therefore
-/// accepts a `LockstepMetrics` sink (`sim::Platform::set_lockstep_sink`)
-/// and updates it O(active) per naive tick and O(1) per region-executor
-/// cycle or straight-line step — the values are bit-identical to the
-/// per-cycle observer's.
+/// for the whole run. The metrics are sums of per-cycle contributions,
+/// though, and a cycle's contribution depends only on its (ready cores,
+/// live cores, distinct PCs) triple: cycles that share a triple can be
+/// added at once, in any order. The platform therefore accepts a
+/// `LockstepMetrics` sink (`sim::Platform::set_lockstep_sink`) and fills
+/// it itself. A naive tick adds one cycle in O(active cores). The region
+/// executor tracks the distinct-PC count with per-IM-slot core counts, at
+/// O(1) per PC change, bins its cycles by that count and adds the bins
+/// once per region. A straight-line step adds all its cycles in one add.
+/// The values are bit-identical to the per-cycle observer's.
 
 #include <array>
 #include <cstdint>

@@ -1011,40 +1011,38 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
     return false;
   };
 
-  // Distinct-PC refcounts over all active cores, maintained at every PC
-  // change (one or two per cycle in the serialized regime) so the
-  // per-cycle lockstep observation is O(1) instead of a dedup pass. Only
-  // used when a sink is attached.
-  std::array<std::uint32_t, EventCounters::kMaxCores> ref_pc;
-  std::array<std::uint8_t, EventCounters::kMaxCores> ref_count;
-  unsigned num_ref = 0;
-  auto pc_ref_add = [&](std::uint32_t pc) {
-    for (unsigned k = 0; k < num_ref; ++k) {
-      if (ref_pc[k] == pc) {
-        ref_count[k] += 1;
-        return;
-      }
-    }
-    ref_pc[num_ref] = pc;
-    ref_count[num_ref++] = 1;
+  // Lockstep bookkeeping, only with a sink attached. `pc_slot_cores_` counts
+  // the active cores per IM slot (PCs past the array pool in its last
+  // entry), `held[i]` is the entry core i is counted in, and `pc_groups` is
+  // the number of nonzero entries — so every PC change is O(1) and
+  // branch-free. Every cycle the regime holds, all `live` active cores are
+  // Ready, so only the group count varies: the cycles are binned by it in
+  // `observed` and reach the sink once, at exit.
+  const auto live = static_cast<unsigned>(active_cores_.size());
+  const auto pooled_slot =
+      static_cast<std::uint32_t>(observing ? pc_slot_cores_.size() - 1 : 0);
+  std::array<std::uint32_t, EventCounters::kMaxCores> held;
+  unsigned pc_groups = 0;
+  decltype(core::LockstepMetrics::pc_group_histogram) observed{};
+  auto count_in = [&](unsigned core, std::uint32_t pc) {
+    const std::uint32_t slot = std::min(pc, pooled_slot);
+    held[core] = slot;
+    pc_groups += (pc_slot_cores_[slot]++ == 0);
   };
-  auto pc_ref_remove = [&](std::uint32_t pc) {
-    for (unsigned k = 0; k < num_ref; ++k) {
-      if (ref_pc[k] == pc) {
-        if (--ref_count[k] == 0) {
-          --num_ref;
-          ref_pc[k] = ref_pc[num_ref];
-          ref_count[k] = ref_count[num_ref];
-        }
-        return;
-      }
-    }
+  auto count_out = [&](unsigned core) {
+    pc_groups -= (--pc_slot_cores_[held[core]] == 0);
   };
-  auto pc_ref_move = [&](std::uint32_t from, std::uint32_t to) {
-    if (observing && from != to) {
-      pc_ref_remove(from);
-      pc_ref_add(to);
-    }
+  auto count_move = [&](unsigned core, std::uint32_t pc) {
+    if (!observing) return;
+    count_out(core);
+    count_in(core, pc);
+  };
+  // Zeroes the entries the active cores hold (a trapped core counted itself
+  // out), restoring the all-zero state between regions.
+  auto release_counts = [&] {
+    if (pc_groups == 0) return;
+    for (const unsigned i : active_cores_) pc_slot_cores_[held[i]] = 0;
+    pc_groups = 0;
   };
 
   // Builds the lists from the authoritative core state, on entry and after
@@ -1053,13 +1051,15 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
   auto build = [&] {
     nf = 0;
     num_idle = 0;
-    num_ref = 0;
     poison_deadline = ~0ull;
+    if (observing) {
+      release_counts();  // a straight-line step moved the counted PCs
+      for (const unsigned i : active_cores_) count_in(i, cores_[i].arch.pc);
+    }
     for (const unsigned i : active_cores_) {
       const CoreRuntime& c = cores_[i];
       const std::uint64_t idle =
           static_cast<std::uint64_t>(c.bubble_cycles) + c.ramp_cycles;
-      if (observing) pc_ref_add(c.arch.pc);
       if (idle == 0) {
         if (!revalidate(i, c.arch.pc, 0)) return false;
         fetch_insert(i);
@@ -1166,7 +1166,7 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
           switch (result.action) {
             case ExecAction::kAdvance: {
               const bool redirect = result.next_pc != win_pc + 1;
-              pc_ref_move(win_pc, result.next_pc);
+              count_move(core_index, result.next_pc);
               c.arch.pc = result.next_pc;
               const unsigned pad =
                   cpi_pad + (redirect ? config_.branch_taken_penalty : 0);
@@ -1192,6 +1192,7 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
               mark_active(core_index);
               remove_mask |= 1ull << core_index;
               if (!dm_.in_range(result.mem_addr)) {
+                if (observing) count_out(core_index);  // leaves the actives
                 trap(core_index, TrapKind::kDmOutOfRange);
                 force_exit = true;
                 break;
@@ -1245,7 +1246,7 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
             grant_load(core_index, dm_.read(c.mem_addr));
           }
           counters_.dm_requests_granted += 1;
-          pc_ref_move(c.arch.pc, c.mem_next_pc);
+          count_move(core_index, c.mem_next_pc);
           retire_mem(core_index);  // pc = mem_next_pc, bubble = cpi_pad
           if (cpi_pad > 0) {
             idle_list[num_idle++] = static_cast<std::uint8_t>(core_index);
@@ -1284,9 +1285,9 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
 
     // Regime check: an unresolved DM conflict (kMemWait/kPolicyHold
     // survivors), a trap, or a D-Xbar fallback ends the region; the
-    // generic loop takes over (and rebuilds on re-entry). The refcounted
-    // PC set is only valid while the regime holds, so the break path
-    // observes generically.
+    // generic loop takes over (and rebuilds on re-entry). The slot counts
+    // are only valid while the regime holds, so the break path observes
+    // generically.
     if (force_exit ||
         status_counts_[static_cast<unsigned>(CoreStatus::kReady)] !=
             active_cores_.size() ||
@@ -1295,9 +1296,21 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
       break;
     }
     if (observing) {
-      const auto n = static_cast<unsigned>(active_cores_.size());
-      accumulate_lockstep(1, n, n, num_ref);
+      unsigned groups = pc_groups;
+      if (pc_slot_cores_[pooled_slot] != 0) {
+        // A core holds a PC past the slot array (a wild branch or jr; it
+        // traps when it fetches): the pooled entry may merge distinct PCs.
+        DistinctPcProbe probe;
+        for (const unsigned i : active_cores_) probe.add(cores_[i].arch.pc);
+        groups = probe.count();
+      }
+      observed[std::min(groups, 8u)] += 1;
     }
+  }
+  if (observing) {
+    release_counts();
+    for (unsigned groups = 0; groups < observed.size(); ++groups)
+      accumulate_lockstep(observed[groups], live, live, groups);
   }
   return done;
 }

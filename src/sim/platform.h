@@ -272,13 +272,19 @@ class Platform {
     return im_.fingerprint();
   }
 
-  /// Attaches a lockstep-metrics sink the platform keeps up to date —
-  /// O(active cores) per naive tick, O(1) per executor cycle and batched
-  /// across straight-line steps, bit-identical to a per-cycle observer's
-  /// accumulation (which the sink, unlike an observer, does not suppress).
-  /// Pass nullptr to detach; the sink must outlive every subsequent tick.
+  /// Attaches a lockstep-metrics sink the platform keeps up to date,
+  /// bit-identical to a per-cycle observer's accumulation (which the sink,
+  /// unlike an observer, does not suppress). A naive tick observes in
+  /// O(active cores). The region executor keeps a count of active cores
+  /// per IM slot, so each PC change is O(1), and adds its cycles to the
+  /// sink once per region; a straight-line step adds its cycles in one
+  /// add. The first attach sizes that per-slot array, so a platform that
+  /// never observes never holds it. Pass nullptr to detach; the sink must
+  /// outlive every subsequent tick.
   void set_lockstep_sink(core::LockstepMetrics* sink) {
     lockstep_sink_ = sink;
+    if (sink != nullptr && pc_slot_cores_.empty())
+      pc_slot_cores_.assign(std::size_t{im_.slots()} + 1, 0);
   }
 
   // --- deterministic snapshots (sim/snapshot.h) ---
@@ -484,6 +490,11 @@ class Platform {
   std::vector<BankRun> bank_runs_;
   std::array<std::uint8_t, EventCounters::kMaxCores> active_this_cycle_{};
   std::array<unsigned, EventCounters::kMaxCores> dm_bank_of_core_{};
+  /// The region executor's lockstep scratch: active cores per IM slot, the
+  /// last entry pooling every PC past the array (at most 64 cores, so a
+  /// byte holds any count). Empty until a lockstep sink is attached; all
+  /// zero whenever `run_region` is not on the stack. Not simulated state.
+  std::vector<std::uint8_t> pc_slot_cores_;
 };
 
 }  // namespace ulpsync::sim

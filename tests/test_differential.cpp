@@ -38,6 +38,7 @@
 
 #include "asm/assembler.h"
 #include "core/instrument.h"
+#include "core/lockstep.h"
 #include "sim/platform.h"
 #include "sim/snapshot.h"
 #include "util/rng.h"
@@ -563,6 +564,14 @@ std::string describe(const AxisPoint& p) {
   return out.str();
 }
 
+std::string describe(const core::LockstepMetrics& m) {
+  std::ostringstream out;
+  out << m.observed_cycles << " observed, " << m.full_lockstep_cycles
+      << " full lockstep, groups";
+  for (const std::uint64_t cycles : m.pc_group_histogram) out << " " << cycles;
+  return out.str();
+}
+
 TEST(RegionExecutorAxes, GeneratedProgramsMatchNaiveLoopAtEveryWindow) {
   using sim::ArbitrationPolicy;
   constexpr auto kFixed = ArbitrationPolicy::kFixedPriority;
@@ -577,9 +586,11 @@ TEST(RegionExecutorAxes, GeneratedProgramsMatchNaiveLoopAtEveryWindow) {
       {16, kRr, 2, 2, 0, false, true},      {64, kFixed, 3, 0, 2, true, false},
       {64, kRr, 1, 0, 0, true, true},
   };
-  // Per point: cycles its seeds ran in arbitrated and straight-line steps.
+  // Per point: cycles its seeds ran in arbitrated and straight-line steps,
+  // and observed cycles with 8 or more PC groups (the histogram's last bin).
   std::vector<std::uint64_t> arbitrated(std::size(points));
   std::vector<std::uint64_t> straight(std::size(points));
+  std::vector<std::uint64_t> clamped(std::size(points));
   for (std::size_t k = 0; k < 3 * std::size(points); ++k) {
     const AxisPoint& point = points[k % std::size(points)];
     const std::uint64_t seed = 100 + k;
@@ -615,6 +626,14 @@ TEST(RegionExecutorAxes, GeneratedProgramsMatchNaiveLoopAtEveryWindow) {
     naive.load_program(program);
     preload_inputs(fast, seed);
     preload_inputs(naive, seed);
+    // Alternate seeds measure lockstep on both platforms, so every point
+    // runs the executor both with and without its lockstep bookkeeping.
+    core::LockstepAnalyzer fast_lockstep;
+    core::LockstepAnalyzer naive_lockstep;
+    if (k % 2 == 0) {
+      fast_lockstep.attach(fast);
+      naive_lockstep.attach(naive);
+    }
     // Odd-sized windows end inside straight-line steps and idle stretches.
     sim::RunResult result;
     for (int window = 0; window < 400; ++window) {
@@ -622,6 +641,10 @@ TEST(RegionExecutorAxes, GeneratedProgramsMatchNaiveLoopAtEveryWindow) {
       result = fast.run(target);
       ASSERT_EQ(result, naive.run(target))
           << describe(point) << ", seed " << seed << ", window " << window;
+      ASSERT_TRUE(fast_lockstep.metrics() == naive_lockstep.metrics())
+          << describe(point) << ", seed " << seed << ", window " << window
+          << "\nexecutor: " << describe(fast_lockstep.metrics())
+          << "\nnaive:    " << describe(naive_lockstep.metrics());
       ASSERT_TRUE(sim::snapshots_equal(fast.save_snapshot(),
                                        naive.save_snapshot(),
                                        sim::DivergenceScope::kFullState))
@@ -638,6 +661,8 @@ TEST(RegionExecutorAxes, GeneratedProgramsMatchNaiveLoopAtEveryWindow) {
     EXPECT_TRUE(result.ok()) << describe(point) << ": " << result.to_string();
     arbitrated[k % std::size(points)] += fast.fetch_region_cycles();
     straight[k % std::size(points)] += fast.burst_cycles();
+    clamped[k % std::size(points)] +=
+        fast_lockstep.metrics().pc_group_histogram[8];
   }
   // The executor served every point (straight-line steps need fetch
   // broadcast unless diverged cores happen onto disjoint banks).
@@ -645,6 +670,7 @@ TEST(RegionExecutorAxes, GeneratedProgramsMatchNaiveLoopAtEveryWindow) {
     EXPECT_GT(arbitrated[k], 0u) << describe(points[k]);
     if (points[k].im_fetch_broadcast)
       EXPECT_GT(straight[k], 0u) << describe(points[k]);
+    if (points[k].cores > 8) EXPECT_GT(clamped[k], 0u) << describe(points[k]);
   }
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "asm/assembler.h"
+#include "core/lockstep.h"
 #include "scenario/engine.h"
 #include "scenario/registry.h"
 #include "sim/decoded_image.h"
@@ -26,9 +27,7 @@
 namespace ulpsync {
 namespace {
 
-using scenario::Engine;
 using scenario::Registry;
-using scenario::RunRecord;
 using scenario::RunSpec;
 
 void expect_counters_equal(const sim::EventCounters& a,
@@ -79,31 +78,40 @@ RunSpec equivalence_spec(const std::string& workload, bool fast_forward) {
   return spec;
 }
 
-RunRecord run_workload(const std::string& workload, bool fast_forward) {
-  return Engine(Registry::builtins())
-      .run_one(equivalence_spec(workload, fast_forward));
+/// Every field of the lockstep metrics, all nine histogram bins included.
+void expect_lockstep_equal(const core::LockstepMetrics& a,
+                           const core::LockstepMetrics& b) {
+  EXPECT_EQ(a.observed_cycles, b.observed_cycles);
+  EXPECT_EQ(a.full_lockstep_cycles, b.full_lockstep_cycles);
+  EXPECT_EQ(a.pc_group_histogram, b.pc_group_histogram);
+  EXPECT_TRUE(a == b);
 }
 
-/// One drive with no lockstep analyzer attached — perfbench's
-/// `lockstep_probe` path — on a platform loaded as `Engine::run_one` loads
-/// it.
-struct BareDrive {
+/// One drive on a platform loaded as `Engine::run_one` loads it, with the
+/// lockstep analyzer attached as `Engine` attaches it when `observe`, or
+/// bare — perfbench's `simulate_bare` path — when not.
+struct PlatformDrive {
   sim::RunResult result;
   sim::EventCounters counters;
   core::SynchronizerStats sync_stats;
+  core::LockstepMetrics lockstep;
   std::string verify_error;
 };
 
-BareDrive drive_bare(const std::string& workload, bool fast_forward) {
+PlatformDrive drive_platform(const std::string& workload, bool fast_forward,
+                             bool observe) {
   const RunSpec spec = equivalence_spec(workload, fast_forward);
   const auto bound = Registry::builtins().make(spec.workload, spec.params);
   sim::Platform platform(scenario::resolved_config(spec, *bound));
   platform.load_program(bound->program(spec.with_synchronizer()));
   bound->load_inputs(platform);
-  BareDrive drive;
+  core::LockstepAnalyzer analyzer;
+  if (observe) analyzer.attach(platform);
+  PlatformDrive drive;
   drive.result = bound->drive(platform, spec.max_cycles);
   drive.counters = platform.counters();
   drive.sync_stats = platform.sync_stats();
+  drive.lockstep = analyzer.metrics();
   // As `finish_record` judges a run: only a legal final state verifies.
   const bool finished =
       drive.result.status == sim::RunResult::Status::kAllHalted ||
@@ -113,33 +121,34 @@ BareDrive drive_bare(const std::string& workload, bool fast_forward) {
   return drive;
 }
 
-// --- region executor on/off equivalence -------------------------------------
-
-class FastForwardEquivalence : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(FastForwardEquivalence, CountersAndStatusIdentical) {
-  // Without the analyzer: the executor's own lockstep bookkeeping is off.
-  const BareDrive fast = drive_bare(GetParam(), true);
-  const BareDrive naive = drive_bare(GetParam(), false);
+void expect_drives_equal(const PlatformDrive& fast,
+                         const PlatformDrive& naive) {
   EXPECT_EQ(fast.verify_error, "");
   EXPECT_EQ(naive.verify_error, "");
   EXPECT_EQ(fast.result.status, naive.result.status);
   EXPECT_EQ(fast.result.cycles, naive.result.cycles);
   expect_counters_equal(fast.counters, naive.counters);
   expect_sync_stats_equal(fast.sync_stats, naive.sync_stats);
+  expect_lockstep_equal(fast.lockstep, naive.lockstep);
+}
+
+// --- region executor on/off equivalence -------------------------------------
+
+class FastForwardEquivalence : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(FastForwardEquivalence, CountersAndStatusIdentical) {
+  // Without the analyzer: the executor's own lockstep bookkeeping is off.
+  expect_drives_equal(drive_platform(GetParam(), true, false),
+                      drive_platform(GetParam(), false, false));
 }
 
 TEST_P(FastForwardEquivalence, LockstepMetricsIdentical) {
   // With the analyzer attached as the platform's lockstep sink, which the
-  // executor keeps up to date itself: every field must still match.
-  const RunRecord fast = run_workload(GetParam(), true);
-  const RunRecord naive = run_workload(GetParam(), false);
-  EXPECT_EQ(fast.status, naive.status);
-  EXPECT_EQ(fast.useful_ops, naive.useful_ops);
-  EXPECT_EQ(fast.lockstep_fraction, naive.lockstep_fraction);
-  EXPECT_EQ(fast.ops_per_cycle, naive.ops_per_cycle);
-  expect_counters_equal(fast.counters, naive.counters);
-  expect_sync_stats_equal(fast.sync_stats, naive.sync_stats);
+  // executor keeps up to date itself: every histogram bin must match.
+  const PlatformDrive fast = drive_platform(GetParam(), true, true);
+  const PlatformDrive naive = drive_platform(GetParam(), false, true);
+  expect_drives_equal(fast, naive);
+  EXPECT_GT(fast.lockstep.observed_cycles, 0u);
 }
 
 // Every builtin, sleepgen included: the only one where straight-line steps
@@ -347,6 +356,109 @@ TEST(RegionExecutor, SuppressedByObserver) {
   EXPECT_EQ(platform.fetch_region_cycles(), 0u);
   EXPECT_EQ(platform.fast_forwarded_cycles(), 0u);
   EXPECT_EQ(observed, platform.counters().cycles);
+}
+
+TEST(RegionExecutor, LockstepCountsEveryPcPastTheSlotArray) {
+  // Cores 0 and 1 jump past the default 32 768-slot IM (to 0xFFFF and
+  // 0xFFFE) and core 2 branches below slot 0. None traps before it fetches
+  // there, so the branch penalty holds them idle at those PCs while cores
+  // 3-7 keep executing in the region. Each such PC is a PC group of its
+  // own, as the naive loop counts it, also when a window boundary falls
+  // among those cycles.
+  constexpr std::string_view kRunawayKernel = R"(
+      csrr r1, #0
+      cmpi r1, 3
+      blt  leave
+      movi r3, 30
+    stay:
+      addi r3, r3, -1
+      cmpi r3, 0
+      bne  stay
+      halt
+    leave:
+      cmpi r1, 2
+      beq  wrap
+      movi r2, -1
+      sub  r2, r2, r1
+      jr   r2
+    wrap:
+      bra  -2
+  )";
+  auto config = sim::PlatformConfig::with_synchronizer();
+  config.start_stagger_cycles = 0;
+  config.branch_taken_penalty = 6;
+  ASSERT_LT(config.im_slots(), 0xFFFEu);
+  auto naive_config = config;
+  naive_config.fast_forward = false;
+  for (const std::uint64_t window : {3u, 7u, 1000u}) {
+    sim::Platform fast(config);
+    sim::Platform naive(naive_config);
+    fast.load_program(compile(kRunawayKernel));
+    naive.load_program(compile(kRunawayKernel));
+    core::LockstepAnalyzer fast_lockstep;
+    core::LockstepAnalyzer naive_lockstep;
+    fast_lockstep.attach(fast);
+    naive_lockstep.attach(naive);
+    sim::RunResult result;
+    do {
+      const std::uint64_t target = fast.counters().cycles + window;
+      result = fast.run(target);
+      ASSERT_EQ(result, naive.run(target)) << "window " << window;
+      expect_lockstep_equal(fast_lockstep.metrics(), naive_lockstep.metrics());
+      expect_counters_equal(fast.counters(), naive.counters());
+    } while (result.status == sim::RunResult::Status::kMaxCycles);
+    EXPECT_EQ(result.status, sim::RunResult::Status::kTrap);
+    EXPECT_EQ(result.trap, sim::TrapKind::kImOutOfRange);
+    EXPECT_EQ(result.trap_pc, 0xFFFFu);
+    EXPECT_GT(fast.fetch_region_cycles(), 0u);
+  }
+}
+
+TEST(RegionExecutor, LockstepCountsClearedAfterATrapInTheRegion) {
+  // Core 5 loads past the end of DM and traps inside the region. The
+  // executor's per-slot counts must be all zero when it exits, so a second
+  // run on the same platform observes exactly as the naive loop does.
+  constexpr std::string_view kTrapKernel = R"(
+      csrr r1, #0
+      movi r3, 12
+    loop:
+      addi r3, r3, -1
+      cmpi r3, 0
+      bne  loop
+      cmpi r1, 5
+      bne  done
+      movi r2, -1
+      ld   r4, [r2]
+    done:
+      addi r3, r3, 1
+      halt
+  )";
+  auto config = sim::PlatformConfig::with_synchronizer();
+  config.start_stagger_cycles = 0;
+  auto naive_config = config;
+  naive_config.fast_forward = false;
+  sim::Platform fast(config);
+  sim::Platform naive(naive_config);
+  fast.load_program(compile(kTrapKernel));
+  naive.load_program(compile(kTrapKernel));
+  core::LockstepAnalyzer fast_lockstep;
+  core::LockstepAnalyzer naive_lockstep;
+  fast_lockstep.attach(fast);
+  naive_lockstep.attach(naive);
+  for (int run = 0; run < 2; ++run) {
+    const auto result = fast.run(10'000);
+    ASSERT_EQ(result, naive.run(10'000)) << "run " << run;
+    EXPECT_EQ(result.status, sim::RunResult::Status::kTrap);
+    EXPECT_EQ(result.trap, sim::TrapKind::kDmOutOfRange);
+    EXPECT_EQ(result.trap_core, 5u);
+    EXPECT_GT(fast.fetch_region_cycles(), 0u);
+    expect_lockstep_equal(fast_lockstep.metrics(), naive_lockstep.metrics());
+    expect_counters_equal(fast.counters(), naive.counters());
+    fast.reset();
+    naive.reset();
+    fast_lockstep.reset();
+    naive_lockstep.reset();
+  }
 }
 
 // --- predecode round-trip ---------------------------------------------------
