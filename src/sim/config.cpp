@@ -20,6 +20,10 @@ std::string PlatformConfig::validate() const {
   }
   if (im_banks < 1 || im_bank_slots < 1)
     return "instruction memory needs at least one bank and one slot per bank";
+  if (im_banks > kMaxImBanks) {
+    return "im_banks must be at most " + std::to_string(kMaxImBanks) +
+           ", got " + std::to_string(im_banks);
+  }
   if (dm_banks < 1 || dm_bank_words < 1)
     return "data memory needs at least one bank and one word per bank";
   if (base_cpi < 1) return "base_cpi must be at least 1";

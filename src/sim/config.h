@@ -47,13 +47,17 @@ enum class ArbitrationPolicy : std::uint8_t {
   kRoundRobin,     ///< rotating priority pointer (advances every cycle)
 };
 
+/// Most IM banks a platform may have: the I-Xbar holds its fetch set as a
+/// 64-bit mask of occupied banks, one 64-bit core mask per bank.
+inline constexpr unsigned kMaxImBanks = 64;
+
 /// Geometry and feature set of one simulated platform instance. Defaults
 /// reproduce the paper's 8-core system (see the file comment).
 struct PlatformConfig {
   /// 1..64. Core counts above 8 require `features.hardware_synchronizer`
   /// off — the checkpoint word has 8 identity flags (see `validate`).
   unsigned num_cores = 8;
-  unsigned im_banks = 8;
+  unsigned im_banks = 8;  ///< 1..kMaxImBanks
   unsigned im_bank_slots = 4096;  ///< 96 kB / 24-bit instruction / 8 banks
   /// IM bank mapping: lines of `im_line_slots` consecutive instructions
   /// rotate across banks (bank = (pc / line) % banks). Diverged cores

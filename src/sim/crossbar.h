@@ -1,0 +1,72 @@
+#pragma once
+
+/// The crossbar conflict rules for one bank, as pure functions of the
+/// bank's requesters held in a 64-bit core mask (bit i = core i).
+/// `Platform::tick()` and the region executor both arbitrate through them,
+/// and the D-Xbar's plain conflicts use the same winner rule, so no two
+/// paths can disagree on who is served.
+
+#include <bit>
+#include <cstdint>
+
+#include "sim/config.h"
+
+namespace ulpsync::sim {
+
+/// Which core of a bank's `requesters` (nonzero) wins a conflict. Fixed
+/// priority (the paper's "served in sequence"): the lowest index.
+/// Round-robin: the lowest index at or after `rr_pointer` (< 64), wrapping
+/// to the lowest. Oldest-first: the largest `stall_age(core)`, ties to the
+/// lower index.
+template <typename StallAge>
+[[nodiscard]] unsigned conflict_winner(std::uint64_t requesters,
+                                       ArbitrationPolicy policy,
+                                       unsigned rr_pointer,
+                                       StallAge stall_age) {
+  if (policy == ArbitrationPolicy::kRoundRobin) {
+    const std::uint64_t at_or_after = requesters & (~std::uint64_t{0} << rr_pointer);
+    return static_cast<unsigned>(
+        std::countr_zero(at_or_after != 0 ? at_or_after : requesters));
+  }
+  auto winner = static_cast<unsigned>(std::countr_zero(requesters));
+  if (policy == ArbitrationPolicy::kOldestFirst) {
+    auto oldest = stall_age(winner);
+    for (std::uint64_t rest = requesters & (requesters - 1); rest != 0;
+         rest &= rest - 1) {
+      const auto core = static_cast<unsigned>(std::countr_zero(rest));
+      const auto age = stall_age(core);
+      if (age > oldest) {
+        oldest = age;
+        winner = core;
+      }
+    }
+  }
+  return winner;
+}
+
+/// The cores of one IM bank's `requesters` (nonzero) that this cycle's
+/// bank read serves. `same` is the requesters at the conflict winner's PC.
+/// With fetch broadcast on, the read reaches all of `same` when per-core
+/// PC comparators exist (`ixbar_partial_broadcast`) or `same` is every
+/// requester; otherwise only the lowest core of `same`, which need not be
+/// the winner. A lone requester is simply served.
+template <typename StallAge, typename PcOf>
+[[nodiscard]] std::uint64_t fetch_served(std::uint64_t requesters,
+                                         const PlatformConfig& config,
+                                         unsigned rr_pointer,
+                                         StallAge stall_age, PcOf pc_of) {
+  if ((requesters & (requesters - 1)) == 0) return requesters;
+  const auto win_pc = pc_of(
+      conflict_winner(requesters, config.arbitration, rr_pointer, stall_age));
+  std::uint64_t same = 0;
+  for (std::uint64_t rest = requesters; rest != 0; rest &= rest - 1) {
+    const auto core = static_cast<unsigned>(std::countr_zero(rest));
+    same |= std::uint64_t{pc_of(core) == win_pc} << core;
+  }
+  const bool broadcast =
+      config.im_fetch_broadcast &&
+      (config.features.ixbar_partial_broadcast || same == requesters);
+  return broadcast ? same : same & (~same + 1);
+}
+
+}  // namespace ulpsync::sim

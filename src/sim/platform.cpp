@@ -1,10 +1,13 @@
 #include "sim/platform.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+
+#include "sim/crossbar.h"
 
 namespace ulpsync::sim {
 
@@ -14,12 +17,11 @@ namespace {
 /// one bit per synchronizer-capable core.
 constexpr unsigned kSyncMaskBits = 16;
 
-/// Stable insertion sort of `items[0..count)` by `bank_of(item)`. Stability
-/// preserves the ascending-core collection order, so the result is the
-/// (bank, core) order every arbitration rule in this file assumes — one
-/// shared definition of that invariant. Request counts are at most
-/// num_cores, where insertion sort beats a general sort by a wide margin;
-/// in the lockstep common case (one bank) nothing moves.
+/// Stable insertion sort of `items[0..count)` by `bank_of(item)`: the
+/// D-Xbar's (bank, core) arbitration order. Stability preserves the
+/// ascending-core collection order. Request counts are at most num_cores,
+/// where insertion sort beats a general sort by a wide margin; in the
+/// common case (one bank) nothing moves.
 template <typename Item, typename BankOf>
 void stable_sort_by_bank(Item* items, std::size_t count, BankOf bank_of) {
   for (std::size_t i = 1; i < count; ++i) {
@@ -96,7 +98,6 @@ Platform::Platform(const PlatformConfig& config)
       policy_groups_(config.dm_banks) {
   const std::string error = config.validate();
   if (!error.empty()) throw std::invalid_argument("PlatformConfig: " + error);
-  fetch_requests_.reserve(config.num_cores);
   fetch_winners_.reserve(config.num_cores);
   dm_requesters_.reserve(config.num_cores);
   touched_cores_.reserve(config.num_cores);
@@ -342,25 +343,26 @@ void Platform::phase_sync_writeback() {
   }
 }
 
-template <typename CoreAt>
-unsigned Platform::conflict_winner(unsigned count, CoreAt core_at) const {
-  unsigned winner = 0;
-  if (config_.arbitration == ArbitrationPolicy::kOldestFirst) {
-    for (unsigned k = 1; k < count; ++k) {
-      if (cores_[core_at(k)].stall_age > cores_[core_at(winner)].stall_age)
-        winner = k;
-    }
-  } else if (config_.arbitration == ArbitrationPolicy::kRoundRobin) {
-    const unsigned rr_base = rr_pointer_;  // kept normalized < num_cores
-    auto rr_rank = [&](unsigned core) {
-      return core >= rr_base ? core - rr_base
-                             : core + config_.num_cores - rr_base;
-    };
-    for (unsigned k = 1; k < count; ++k) {
-      if (rr_rank(core_at(k)) < rr_rank(core_at(winner))) winner = k;
-    }
+template <typename PcOf>
+std::uint64_t Platform::serve_fetch_bank(std::uint64_t requesters,
+                                         PcOf pc_of) {
+  const std::uint64_t served = fetch_served(
+      requesters, config_, rr_pointer_,
+      [&](unsigned core) { return cores_[core].stall_age; }, pc_of);
+  const std::uint64_t losers = requesters & ~served;
+  for (std::uint64_t rest = served; rest != 0; rest &= rest - 1)
+    cores_[std::countr_zero(rest)].stall_age = 0;
+  for (std::uint64_t rest = losers; rest != 0; rest &= rest - 1)
+    cores_[std::countr_zero(rest)].stall_age += 1;
+  const auto delivered = static_cast<unsigned>(std::popcount(served));
+  counters_.im_bank_accesses += 1;
+  counters_.im_fetches_delivered += delivered;
+  if (delivered > 1) counters_.im_broadcast_groups += 1;
+  if (losers != 0) {
+    counters_.fetch_conflict_cycles += 1;
+    counters_.core_fetch_stall_cycles += std::popcount(losers);
   }
-  return winner;
+  return served;
 }
 
 void Platform::count_fetch_cycle(unsigned fetchers, bool same_pc,
@@ -391,17 +393,18 @@ void Platform::settle_cycle() {
 // Phase 2+3: I-Xbar arbitration and execution of the served instructions.
 void Platform::phase_fetch_and_execute() {
   fetch_winners_.clear();
-  fetch_requests_.clear();
 
-  // Collect fetch requests (with their precomputed IM bank) from the active
-  // list. Every active core is eligible; only Ready cores with no pending
-  // bubble/ramp actually fetch. The list is sorted, so request order (and
-  // with it every arbitration decision below) matches a full core scan. A
-  // trap removes the core from the list in place, hence the index loop.
+  // Collect the fetchers from the active list into per-bank core masks.
+  // Every active core is eligible; only Ready cores with no pending
+  // bubble/ramp actually fetch. A trap removes the core from the list in
+  // place, hence the index loop.
   const unsigned eligible = static_cast<unsigned>(active_cores_.size());
   unsigned total_fetchers = 0;
   bool all_same_pc = true;
   std::uint32_t first_pc = 0;
+  std::uint64_t banks = 0;  // IM banks with a fetcher
+  // Fetchers per IM bank; an entry is valid only for a bank in `banks`.
+  std::array<std::uint64_t, kMaxImBanks> bank_cores;
 
   for (std::size_t p = 0; p < active_cores_.size();) {
     const unsigned i = active_cores_[p];
@@ -433,60 +436,23 @@ void Platform::phase_fetch_and_execute() {
     if (total_fetchers == 0) first_pc = pc;
     all_same_pc = all_same_pc && (pc == first_pc);
     ++total_fetchers;
-    fetch_requests_.push_back({i, pc, im_.bank_of(pc)});
+    const unsigned bank = im_.bank_of(pc);
+    if (((banks >> bank) & 1u) == 0) bank_cores[bank] = 0;
+    banks |= 1ull << bank;
+    bank_cores[bank] |= 1ull << i;
     ++p;
   }
 
   count_fetch_cycle(total_fetchers, all_same_pc, eligible);
 
-  // Group requests by bank into the shared (bank, core) arbitration order.
-  stable_sort_by_bank(fetch_requests_.data(), fetch_requests_.size(),
-                      [](const FetchRequest& f) { return f.bank; });
-
-  for (std::size_t begin = 0; begin < fetch_requests_.size();) {
-    std::size_t end = begin + 1;
-    while (end < fetch_requests_.size() &&
-           fetch_requests_[end].bank == fetch_requests_[begin].bank) {
-      ++end;
-    }
-    const std::span<const FetchRequest> fetchers(fetch_requests_.data() + begin,
-                                                 end - begin);
-    begin = end;
-
-    // Choose the winning address. With broadcasting, every requester of
-    // that address is served by the single bank read.
-    const unsigned winner =
-        conflict_winner(static_cast<unsigned>(fetchers.size()),
-                        [&](unsigned k) { return fetchers[k].core; });
-    const std::uint32_t win_pc = fetchers[winner].pc;
-
-    // Broadcast eligibility: with per-core PC comparators any same-address
-    // subset shares the read; the baseline broadcasts only when the whole
-    // group coincides.
-    bool group_uniform = true;
-    for (const FetchRequest& f : fetchers) group_uniform &= (f.pc == win_pc);
-    const bool allow_group_serve =
-        config_.im_fetch_broadcast &&
-        (config_.features.ixbar_partial_broadcast || group_uniform);
-
-    unsigned served = 0;
-    bool first_served = true;
-    for (const FetchRequest& f : fetchers) {
-      const bool serve = (f.pc == win_pc) && (allow_group_serve || first_served);
-      if (serve) {
-        fetch_winners_.push_back(f.core);
-        cores_[f.core].stall_age = 0;
-        ++served;
-        first_served = false;
-      } else {
-        cores_[f.core].stall_age += 1;
-        counters_.core_fetch_stall_cycles += 1;
-      }
-    }
-    counters_.im_bank_accesses += 1;
-    counters_.im_fetches_delivered += served;
-    if (served > 1) counters_.im_broadcast_groups += 1;
-    if (served < fetchers.size()) counters_.fetch_conflict_cycles += 1;
+  // Arbitrate bank by bank, ascending: winners execute in (bank, core)
+  // order, which decides which of two traps becomes the stop.
+  for (; banks != 0; banks &= banks - 1) {
+    const std::uint64_t served =
+        serve_fetch_bank(bank_cores[std::countr_zero(banks)],
+                         [&](unsigned core) { return cores_[core].arch.pc; });
+    for (std::uint64_t rest = served; rest != 0; rest &= rest - 1)
+      fetch_winners_.push_back(static_cast<unsigned>(std::countr_zero(rest)));
   }
 
   // Execute the served instructions.
@@ -713,9 +679,11 @@ void Platform::phase_dxbar() {
     // single requester, is conflict-free.
     bool all_loads_same_addr = true;
     const std::uint32_t addr0 = cores_[requesters.front()].mem_addr;
+    std::uint64_t requester_mask = 0;
     for (unsigned core_index : requesters) {
       const CoreRuntime& c = cores_[core_index];
       if (c.mem_is_store || c.mem_addr != addr0) all_loads_same_addr = false;
+      requester_mask |= 1ull << core_index;
     }
     const bool conflict_free =
         requesters.size() == 1 || (all_loads_same_addr && config_.dm_read_broadcast);
@@ -772,8 +740,9 @@ void Platform::phase_dxbar() {
 
     // Plain conflict service: grant the highest-priority requester together
     // with any same-address load peers.
-    const unsigned winner = requesters[conflict_winner(
-        run.count, [&](unsigned k) { return requesters[k]; })];
+    const unsigned winner = conflict_winner(
+        requester_mask, config_.arbitration, rr_pointer_,
+        [&](unsigned core) { return cores_[core].stall_age; });
     const std::uint32_t win_addr = cores_[winner].mem_addr;
     const bool win_store = cores_[winner].mem_is_store;
     counters_.dm_bank_accesses += 1;
@@ -873,15 +842,14 @@ std::uint64_t Platform::straight_step(std::uint64_t max_cycles) {
 
   // The tight loop: per instruction, prove this cycle's fetches
   // conflict-free, then execute one straight-line instruction on every
-  // core. (The bank check hashes banks into a 64-bit set; a modulo
-  // collision only ends the step early — never a missed real conflict.)
+  // core.
   std::uint64_t steps = 0;
   while (steps < limit) {
     if (num_groups > 1) {
       std::uint64_t bank_set = 0;
       bool collide = false;
       for (unsigned g = 0; g < num_groups; ++g) {
-        const std::uint64_t bit = 1ull << (im_.bank_of(group_pc[g]) & 63u);
+        const std::uint64_t bit = 1ull << im_.bank_of(group_pc[g]);
         collide = collide || (bank_set & bit) != 0;
         bank_set |= bit;
       }
@@ -958,43 +926,41 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
   // conflict-free), the rest count their bubbles/ramps down, sleepers
   // sleep.
   //
-  // Instead of re-scanning and re-sorting all cores every cycle, the fetch
-  // candidates live in a (bank, core)-sorted list maintained incrementally:
-  // winners leave for the idle list when their bubble starts, idle cores
-  // re-enter when it expires (effective the next cycle, like the naive
-  // collection order), and a PC whose slot is not region-safe "poisons"
-  // the region with a deadline — the cycle at which that core would fetch
-  // again — so every executed cycle is known safe in advance and a bail
-  // never leaves half-applied state. The idle list keeps its entry order,
-  // so cores that expire together (a lockstep group) re-enter the fetch
-  // list in (bank, core) order at O(1) each.
+  // Instead of re-scanning all cores every cycle, the fetch set is kept
+  // across cycles as one core mask per IM bank plus the mask of occupied
+  // banks: served cores leave their bank's mask at once, idle cores join
+  // when their bubble or ramp expires (effective the next cycle, like the
+  // naive collection order), and a PC whose slot is not region-safe
+  // "poisons" the region with a deadline — the cycle at which that core
+  // would fetch again — so every executed cycle is known safe in advance
+  // and a bail never leaves half-applied state.
   const unsigned cpi_pad = config_.base_cpi - 1;
   const bool observing = lockstep_sink_ != nullptr;
 
-  std::array<std::uint8_t, EventCounters::kMaxCores> fetch_list;  // sorted
+  // The fetch set: cores per IM bank (0 for a bank without one, over the
+  // first im_banks entries), the occupied banks and the set's size.
+  std::array<std::uint64_t, kMaxImBanks> bank_cores;
+  std::uint64_t banks = 0;
+  unsigned nf = 0;
   std::array<std::uint8_t, EventCounters::kMaxCores> idle_list;
-  std::array<std::uint8_t, EventCounters::kMaxCores> expired;
-  std::array<std::uint8_t, EventCounters::kMaxCores> reinsert;
+  std::array<std::uint8_t, EventCounters::kMaxCores> rejoin;  // after the cycle
   std::array<std::uint8_t, EventCounters::kMaxCores> mem_cores;
   std::array<std::uint32_t, EventCounters::kMaxCores> pc_cache;
-  std::array<std::uint16_t, EventCounters::kMaxCores> bank_cache;
-  unsigned nf = 0;
+  // Out of range until `revalidate` writes an entry, so a core joining the
+  // fetch set unvalidated fails `join`'s assert instead of indexing with an
+  // indeterminate bank.
+  constexpr std::uint8_t kNoBank = 0xFF;
+  std::array<std::uint8_t, EventCounters::kMaxCores> bank_cache;
+  bank_cache.fill(kNoBank);
   unsigned num_idle = 0;
   std::uint64_t done = 0;
   std::uint64_t poison_deadline = ~0ull;
 
-  auto fetch_insert = [&](unsigned core) {
-    // (bank, core) insertion keyed on the cached bank — the deterministic
-    // arbitration order of the naive fetch phase.
+  auto join = [&](unsigned core) {
     const unsigned bank = bank_cache[core];
-    unsigned j = nf;
-    while (j > 0 && (bank_cache[fetch_list[j - 1]] > bank ||
-                     (bank_cache[fetch_list[j - 1]] == bank &&
-                      fetch_list[j - 1] > core))) {
-      fetch_list[j] = fetch_list[j - 1];
-      --j;
-    }
-    fetch_list[j] = static_cast<std::uint8_t>(core);
+    assert(bank < config_.im_banks);
+    bank_cores[bank] |= 1ull << core;
+    banks |= 1ull << bank;
     ++nf;
   };
   // Validates a core's next fetch slot: caches it when region-safe, else
@@ -1004,9 +970,13 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
                         std::uint64_t rejoin_in) {
     if (im_.in_program(pc) && im_.region_safe(pc)) {
       pc_cache[core] = pc;
-      bank_cache[core] = static_cast<std::uint16_t>(im_.bank_of(pc));
+      bank_cache[core] = static_cast<std::uint8_t>(im_.bank_of(pc));
       return true;
     }
+    // A poisoned idle core still joins the fetch set when it expires; the
+    // deadline ends the region before it is arbitrated, so any in-range
+    // bank will do.
+    bank_cache[core] = 0;
     poison_deadline = std::min(poison_deadline, done + rejoin_in);
     return false;
   };
@@ -1045,10 +1015,12 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
     pc_groups = 0;
   };
 
-  // Builds the lists from the authoritative core state, on entry and after
-  // a straight-line step. False when a core about to fetch sits on a slot
-  // only the naive tick handles.
+  // Builds the fetch set and the idle list from the authoritative core
+  // state, on entry and after a straight-line step. False when a core about
+  // to fetch sits on a slot only the naive tick handles.
   auto build = [&] {
+    std::fill_n(bank_cores.begin(), config_.im_banks, 0);
+    banks = 0;
     nf = 0;
     num_idle = 0;
     poison_deadline = ~0ull;
@@ -1062,7 +1034,7 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
           static_cast<std::uint64_t>(c.bubble_cycles) + c.ramp_cycles;
       if (idle == 0) {
         if (!revalidate(i, c.arch.pc, 0)) return false;
-        fetch_insert(i);
+        join(i);
       } else {
         idle_list[num_idle++] = static_cast<std::uint8_t>(i);
         (void)revalidate(i, c.arch.pc, idle);
@@ -1084,7 +1056,7 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
     }
     if (done >= poison_deadline) break;
 
-    // One arbitrated cycle; with an empty fetch list it only counts the
+    // One arbitrated cycle; with an empty fetch set it only counts the
     // idle cores down.
     const unsigned eligible = static_cast<unsigned>(active_cores_.size());
     const unsigned fetchers = nf;
@@ -1093,9 +1065,9 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
     if (++rr_pointer_ >= config_.num_cores) rr_pointer_ = 0;
 
     // Idle actives count their bubble (clocked) or ramp (gated) down.
-    // Expired cores fetch from the NEXT cycle on; their insertion is
-    // deferred below so this cycle's arbitration sees the list unchanged.
-    unsigned num_expired = 0;
+    // Expired cores fetch from the NEXT cycle on, so they join the fetch set
+    // after this cycle's arbitration.
+    unsigned num_rejoin = 0;
     unsigned still_idle = 0;
     for (unsigned k = 0; k < num_idle; ++k) {
       const unsigned i = idle_list[k];
@@ -1110,114 +1082,86 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
         counters_.core_wakeup_ramp_cycles += 1;
       }
       if (c.bubble_cycles + c.ramp_cycles == 0) {
-        expired[num_expired++] = static_cast<std::uint8_t>(i);
+        rejoin[num_rejoin++] = static_cast<std::uint8_t>(i);
       } else {
         idle_list[still_idle++] = static_cast<std::uint8_t>(i);
       }
     }
     num_idle = still_idle;
 
-    bool all_same_pc = true;
-    for (unsigned k = 1; k < fetchers; ++k)
-      all_same_pc =
-          all_same_pc && pc_cache[fetch_list[k]] == pc_cache[fetch_list[0]];
+    // The cycle is in lockstep only when every eligible core fetches, all
+    // at one PC; cores on two banks are at two PCs.
+    bool all_same_pc = fetchers == eligible && std::has_single_bit(banks);
+    if (all_same_pc) {
+      const std::uint64_t cores = bank_cores[std::countr_zero(banks)];
+      const std::uint32_t pc = pc_cache[std::countr_zero(cores)];
+      for (std::uint64_t rest = cores; rest != 0; rest &= rest - 1)
+        all_same_pc = all_same_pc && pc_cache[std::countr_zero(rest)] == pc;
+    }
     count_fetch_cycle(fetchers, all_same_pc, eligible);
 
     // Per-bank arbitration, service and execution — the same decisions as
     // phase_fetch_and_execute, with the execute-action switch reduced to
-    // the three outcomes region-safe instructions can produce. Winners
-    // that leave the fetch set (bubble, memory) are removed after the
-    // loop; winners that stay (cpi 1, no redirect penalty) re-sort under
-    // their new bank.
-    std::uint64_t remove_mask = 0;
-    unsigned num_reinsert = 0;
+    // the three outcomes region-safe instructions can produce. Served
+    // cores leave the fetch set at once; those that fetch again next cycle
+    // (cpi 1, no redirect penalty) rejoin it after the cycle.
     unsigned num_mem = 0;
     bool force_exit = false;
-    for (unsigned seg = 0; seg < nf;) {
-      unsigned seg_end = seg + 1;
-      const unsigned seg_bank = bank_cache[fetch_list[seg]];
-      while (seg_end < nf && bank_cache[fetch_list[seg_end]] == seg_bank)
-        ++seg_end;
-
-      const unsigned winner =
-          seg + conflict_winner(seg_end - seg, [&](unsigned k) {
-            return fetch_list[seg + k];
-          });
-      const std::uint32_t win_pc = pc_cache[fetch_list[winner]];
-
-      bool group_uniform = true;
-      for (unsigned k = seg; k < seg_end; ++k)
-        group_uniform &= (pc_cache[fetch_list[k]] == win_pc);
-      const bool allow_group_serve =
-          config_.im_fetch_broadcast &&
-          (config_.features.ixbar_partial_broadcast || group_uniform);
-
-      unsigned served = 0;
-      bool first_served = true;
-      for (unsigned k = seg; k < seg_end; ++k) {
-        const unsigned core_index = fetch_list[k];
+    for (std::uint64_t pending = banks; pending != 0; pending &= pending - 1) {
+      const auto bank = static_cast<unsigned>(std::countr_zero(pending));
+      const std::uint64_t served = serve_fetch_bank(
+          bank_cores[bank], [&](unsigned core) { return pc_cache[core]; });
+      bank_cores[bank] &= ~served;
+      if (bank_cores[bank] == 0) banks &= ~(1ull << bank);
+      nf -= static_cast<unsigned>(std::popcount(served));
+      const std::uint32_t win_pc = pc_cache[std::countr_zero(served)];
+      for (std::uint64_t rest = served; rest != 0; rest &= rest - 1) {
+        const auto core_index = static_cast<unsigned>(std::countr_zero(rest));
         CoreRuntime& c = cores_[core_index];
-        if (pc_cache[core_index] == win_pc &&
-            (allow_group_serve || first_served)) {
-          first_served = false;
-          ++served;
-          c.stall_age = 0;
-          const ExecResult result = execute(c.arch, im_.at(win_pc));
-          switch (result.action) {
-            case ExecAction::kAdvance: {
-              const bool redirect = result.next_pc != win_pc + 1;
-              count_move(core_index, result.next_pc);
-              c.arch.pc = result.next_pc;
-              const unsigned pad =
-                  cpi_pad + (redirect ? config_.branch_taken_penalty : 0);
-              c.bubble_cycles = pad;
-              counters_.retired_ops += 1;
-              counters_.per_core_retired[core_index] += 1;
-              counters_.core_active_cycles += 1;
-              counters_.per_core_active[core_index] += 1;
-              remove_mask |= 1ull << core_index;
-              if (pad > 0) {
-                idle_list[num_idle++] = static_cast<std::uint8_t>(core_index);
-                (void)revalidate(core_index, result.next_pc, pad);
-              } else if (revalidate(core_index, result.next_pc, 0)) {
-                reinsert[num_reinsert++] =
-                    static_cast<std::uint8_t>(core_index);
-              }
-              break;
+        const ExecResult result = execute(c.arch, im_.at(win_pc));
+        switch (result.action) {
+          case ExecAction::kAdvance: {
+            const bool redirect = result.next_pc != win_pc + 1;
+            count_move(core_index, result.next_pc);
+            c.arch.pc = result.next_pc;
+            const unsigned pad =
+                cpi_pad + (redirect ? config_.branch_taken_penalty : 0);
+            c.bubble_cycles = pad;
+            counters_.retired_ops += 1;
+            counters_.per_core_retired[core_index] += 1;
+            counters_.core_active_cycles += 1;
+            counters_.per_core_active[core_index] += 1;
+            if (pad > 0) {
+              idle_list[num_idle++] = static_cast<std::uint8_t>(core_index);
+              (void)revalidate(core_index, result.next_pc, pad);
+            } else if (revalidate(core_index, result.next_pc, 0)) {
+              rejoin[num_rejoin++] = static_cast<std::uint8_t>(core_index);
             }
-            default: {  // kMemLoad / kMemStore — the only other outcomes
-              // (mark_active here, not direct adds: the core's activity
-              // settles through the touched list so a phase_dxbar fallback
-              // cannot double-count it.)
-              mark_active(core_index);
-              remove_mask |= 1ull << core_index;
-              if (!dm_.in_range(result.mem_addr)) {
-                if (observing) count_out(core_index);  // leaves the actives
-                trap(core_index, TrapKind::kDmOutOfRange);
-                force_exit = true;
-                break;
-              }
-              c.mem_is_store = (result.action == ExecAction::kMemStore);
-              c.mem_addr = result.mem_addr;
-              c.store_data = result.store_data;
-              c.load_reg = result.load_reg;
-              c.mem_next_pc = result.next_pc;
-              c.load_latched = false;
-              set_status(core_index, CoreStatus::kMemWait);
-              mem_cores[num_mem++] = static_cast<std::uint8_t>(core_index);
-              break;
-            }
+            break;
           }
-        } else {
-          c.stall_age += 1;
-          counters_.core_fetch_stall_cycles += 1;
+          default: {  // kMemLoad / kMemStore — the only other outcomes
+            // (mark_active here, not direct adds: the core's activity
+            // settles through the touched list so a phase_dxbar fallback
+            // cannot double-count it.)
+            mark_active(core_index);
+            if (!dm_.in_range(result.mem_addr)) {
+              if (observing) count_out(core_index);  // leaves the actives
+              trap(core_index, TrapKind::kDmOutOfRange);
+              force_exit = true;
+              break;
+            }
+            c.mem_is_store = (result.action == ExecAction::kMemStore);
+            c.mem_addr = result.mem_addr;
+            c.store_data = result.store_data;
+            c.load_reg = result.load_reg;
+            c.mem_next_pc = result.next_pc;
+            c.load_latched = false;
+            set_status(core_index, CoreStatus::kMemWait);
+            mem_cores[num_mem++] = static_cast<std::uint8_t>(core_index);
+            break;
+          }
         }
       }
-      counters_.im_bank_accesses += 1;
-      counters_.im_fetches_delivered += served;
-      if (served > 1) counters_.im_broadcast_groups += 1;
-      if (served < seg_end - seg) counters_.fetch_conflict_cycles += 1;
-      seg = seg_end;
     }
 
     // D-Xbar service for this cycle's loads/stores. Pairwise-distinct DM
@@ -1252,27 +1196,15 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
             idle_list[num_idle++] = static_cast<std::uint8_t>(core_index);
             (void)revalidate(core_index, c.mem_next_pc, cpi_pad);
           } else if (revalidate(core_index, c.mem_next_pc, 0)) {
-            reinsert[num_reinsert++] = static_cast<std::uint8_t>(core_index);
+            rejoin[num_rejoin++] = static_cast<std::uint8_t>(core_index);
           }
         }
       } else {
         phase_dxbar();
-        force_exit = true;  // the local fetch/idle lists are stale now
+        force_exit = true;  // the local fetch set and idle list are stale now
       }
     }
-
-    // Apply the deferred fetch-list updates: drop winners and memory
-    // cores, then re-sort stayers and newly expired cores back in.
-    if (remove_mask != 0) {
-      unsigned kept = 0;
-      for (unsigned k = 0; k < nf; ++k) {
-        if ((remove_mask >> fetch_list[k]) & 1u) continue;
-        fetch_list[kept++] = fetch_list[k];
-      }
-      nf = kept;
-    }
-    for (unsigned k = 0; k < num_reinsert; ++k) fetch_insert(reinsert[k]);
-    for (unsigned k = 0; k < num_expired; ++k) fetch_insert(expired[k]);
+    for (unsigned k = 0; k < num_rejoin; ++k) join(rejoin[k]);
 
     // (The touched list holds only this cycle's memory cores; every other
     // activity was added directly.)

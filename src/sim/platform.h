@@ -142,8 +142,8 @@ class EventSink {
 class Platform {
  public:
   /// Throws std::invalid_argument when `config.validate()` fails (core
-  /// count out of range, synchronizer on a >8-core platform, degenerate
-  /// memory geometry).
+  /// count out of range, synchronizer on a >8-core platform, more than
+  /// `kMaxImBanks` IM banks, degenerate memory geometry).
   explicit Platform(const PlatformConfig& config);
 
   /// Loads a program image into instruction memory and resets all cores to
@@ -331,15 +331,8 @@ class Platform {
     std::uint64_t unserved_mask = 0;
   };
 
-  /// One core's fetch request of the current cycle (per-tick scratch).
-  struct FetchRequest {
-    unsigned core;
-    std::uint32_t pc;
-    unsigned bank;
-  };
-
-  /// A maximal run of same-bank requesters in a bank-sorted scratch vector
-  /// (per-tick scratch for the crossbar arbitration loops).
+  /// A maximal run of same-bank requesters in the bank-sorted D-Xbar
+  /// requester vector (per-tick scratch).
   struct BankRun {
     unsigned bank;
     unsigned first;  ///< index into the sorted scratch vector
@@ -413,16 +406,15 @@ class Platform {
 
   // Rules `tick()` and the region executor share, one definition each.
 
-  /// The crossbar conflict rule for one bank: which of `count` requesters,
-  /// in (bank, core) order with `core_at(k)` the k-th one's core, is
-  /// served. Fixed priority (the paper's "served in sequence"): the first,
-  /// i.e. the lowest index. Oldest-first: the longest-waiting (the first
-  /// on ties). Round-robin: the first core at or after the pointer.
-  /// Returns the winner's position.
-  template <typename CoreAt>
-  [[nodiscard]] unsigned conflict_winner(unsigned count, CoreAt core_at) const;
-  /// The fetch-cycle lockstep/divergence update: `fetchers` cores fetched,
-  /// all at one PC when `same_pc`, out of `eligible` active cores.
+  /// One IM bank's fetch cycle: serves the bank's fetchers `requesters`
+  /// (a nonzero core mask, PCs from `pc_of`) by the I-Xbar rule of
+  /// sim/crossbar.h, zeroes the served cores' stall ages, ages the losers
+  /// and counts the bank access. Returns the served cores.
+  template <typename PcOf>
+  std::uint64_t serve_fetch_bank(std::uint64_t requesters, PcOf pc_of);
+  /// The fetch-cycle lockstep/divergence update: `fetchers` of `eligible`
+  /// active cores fetched; `same_pc` (they share one PC) matters only when
+  /// `fetchers == eligible`.
   void count_fetch_cycle(unsigned fetchers, bool same_pc, unsigned eligible);
   /// End-of-cycle settlement: aggregate sleep from the population count,
   /// per-core activity from the touched list.
@@ -483,7 +475,6 @@ class Platform {
   bool in_tick_ = false;  ///< between tick start and end-of-tick accounting
 
   // Per-tick scratch (members to avoid reallocation).
-  std::vector<FetchRequest> fetch_requests_;
   std::vector<unsigned> fetch_winners_;
   std::vector<unsigned> dm_requesters_;
   std::vector<unsigned> touched_cores_;  ///< cores with active_this_cycle_

@@ -577,21 +577,23 @@ TEST(RegionExecutorAxes, GeneratedProgramsMatchNaiveLoopAtEveryWindow) {
   constexpr auto kFixed = ArbitrationPolicy::kFixedPriority;
   constexpr auto kOldest = ArbitrationPolicy::kOldestFirst;
   constexpr auto kRr = ArbitrationPolicy::kRoundRobin;
-  // Every value of every axis appears at least once.
+  // Every value of every axis appears at least once, and the 64-core
+  // points (core-mask bits 32 and above) cover every policy and both fetch
+  // broadcast settings.
   const AxisPoint points[] = {
       {3, kFixed, 1, 0, 0, true, true},     {3, kOldest, 2, 2, 2, false, true},
       {3, kRr, 3, 0, 2, true, false},       {8, kFixed, 2, 2, 0, true, false},
       {8, kOldest, 3, 0, 0, false, false},  {8, kRr, 1, 2, 2, true, true},
       {8, kOldest, 1, 0, 2, true, true},    {16, kOldest, 1, 0, 2, true, true},
       {16, kRr, 2, 2, 0, false, true},      {64, kFixed, 3, 0, 2, true, false},
-      {64, kRr, 1, 0, 0, true, true},
+      {64, kRr, 1, 0, 0, true, true},       {64, kOldest, 2, 2, 0, false, true},
   };
   // Per point: cycles its seeds ran in arbitrated and straight-line steps,
   // and observed cycles with 8 or more PC groups (the histogram's last bin).
   std::vector<std::uint64_t> arbitrated(std::size(points));
   std::vector<std::uint64_t> straight(std::size(points));
   std::vector<std::uint64_t> clamped(std::size(points));
-  for (std::size_t k = 0; k < 3 * std::size(points); ++k) {
+  for (std::size_t k = 0; k < 6 * std::size(points); ++k) {
     const AxisPoint& point = points[k % std::size(points)];
     const std::uint64_t seed = 100 + k;
     ProgramGenerator generator(seed);
@@ -626,11 +628,12 @@ TEST(RegionExecutorAxes, GeneratedProgramsMatchNaiveLoopAtEveryWindow) {
     naive.load_program(program);
     preload_inputs(fast, seed);
     preload_inputs(naive, seed);
-    // Alternate seeds measure lockstep on both platforms, so every point
-    // runs the executor both with and without its lockstep bookkeeping.
+    // Alternate rounds of seeds measure lockstep on both platforms, so every
+    // point runs the executor both with and without its lockstep
+    // bookkeeping, whatever the number of points.
     core::LockstepAnalyzer fast_lockstep;
     core::LockstepAnalyzer naive_lockstep;
-    if (k % 2 == 0) {
+    if ((k / std::size(points)) % 2 == 0) {
       fast_lockstep.attach(fast);
       naive_lockstep.attach(naive);
     }

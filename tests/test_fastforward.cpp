@@ -21,6 +21,7 @@
 #include "scenario/registry.h"
 #include "sim/decoded_image.h"
 #include "sim/platform.h"
+#include "sim/snapshot.h"
 #include "sim/trace.h"
 #include "sim/vcd.h"
 
@@ -458,6 +459,65 @@ TEST(RegionExecutor, LockstepCountsClearedAfterATrapInTheRegion) {
     naive.reset();
     fast_lockstep.reset();
     naive_lockstep.reset();
+  }
+}
+
+TEST(RegionExecutor, PoisonedCoreRejoinsAtItsDeadline) {
+  // Core 5's taken branch lands on a slot only the naive tick handles
+  // while the other cores keep arbitrating on one IM bank. Its bubble
+  // (base_cpi 2 plus a 3-cycle taken-branch penalty) outlasts the short
+  // windows, so regions start with core 5 idle on that slot: it is
+  // poisoned on its first validation in the region, rejoins the fetch set
+  // as its bubble expires, and the deadline ends the region before it is
+  // arbitrated.
+  auto config = sim::PlatformConfig::with_synchronizer();
+  config.num_cores = 8;
+  config.base_cpi = 2;
+  config.branch_taken_penalty = 3;
+  auto naive_config = config;
+  naive_config.fast_forward = false;
+  for (const std::string_view landing : {"halt", "sleep", "sinc #0"}) {
+    const std::string kernel = R"(
+        csrr r1, #0
+        movi r3, 24
+      loop:
+        addi r3, r3, -1
+        cmpi r3, 16
+        bne  stay
+        cmpi r1, 5
+        beq  leave
+      stay:
+        cmpi r3, 0
+        bne  loop
+        halt
+      leave:
+        )" + std::string(landing) + R"(
+        halt
+    )";
+    for (const std::uint64_t window : {1u, 2u, 3u, 7u, 1000u}) {
+      sim::Platform fast(config);
+      sim::Platform naive(naive_config);
+      fast.load_program(compile(kernel));
+      naive.load_program(compile(kernel));
+      sim::RunResult result;
+      do {
+        const std::uint64_t target = fast.counters().cycles + window;
+        result = fast.run(target);
+        ASSERT_EQ(result, naive.run(target))
+            << landing << ", window " << window;
+        expect_counters_equal(fast.counters(), naive.counters());
+        ASSERT_TRUE(sim::snapshots_equal(fast.save_snapshot(),
+                                         naive.save_snapshot(),
+                                         sim::DivergenceScope::kFullState))
+            << landing << ", window " << window << "\n"
+            << sim::diff_snapshots(fast.save_snapshot(), naive.save_snapshot());
+      } while (result.status == sim::RunResult::Status::kMaxCycles);
+      EXPECT_EQ(result.status, landing == "sleep"
+                                   ? sim::RunResult::Status::kAllAsleep
+                                   : sim::RunResult::Status::kAllHalted)
+          << landing << ", window " << window;
+      EXPECT_GT(fast.fetch_region_cycles(), 0u);
+    }
   }
 }
 

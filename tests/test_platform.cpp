@@ -7,11 +7,14 @@
 
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "asm/assembler.h"
 #include "core/lockstep.h"
+#include "sim/crossbar.h"
 #include "sim/platform.h"
 #include "sim/snapshot.h"
+#include "util/rng.h"
 
 namespace ulpsync::sim {
 namespace {
@@ -282,6 +285,144 @@ TEST(PlatformArbitration, RoundRobinServesFirstAtOrAfterPointer) {
                          kImPreamble, via_run);
     expect_policy_serves(ArbitrationPolicy::kRoundRobin, dm_conflict_kernel(),
                          kDmPreamble, via_run);
+  }
+}
+
+// --- the shared crossbar rule against an independent reference --------------
+
+/// One bank's requesters with their stall ages and fetch PCs (by core).
+struct BankRequest {
+  std::uint64_t mask = 0;
+  std::vector<std::uint64_t> age;
+  std::vector<std::uint32_t> pc;
+};
+
+/// An independent, list-based statement of the rule: requesters in
+/// ascending core order, a rank loop for the winner, then a first-served
+/// loop for the served set.
+std::vector<unsigned> requester_list(std::uint64_t mask) {
+  std::vector<unsigned> cores;
+  for (unsigned core = 0; core < 64; ++core)
+    if ((mask >> core) & 1u) cores.push_back(core);
+  return cores;
+}
+
+unsigned reference_winner(const BankRequest& r, const PlatformConfig& config,
+                          unsigned rr_pointer) {
+  const std::vector<unsigned> cores = requester_list(r.mask);
+  unsigned winner = 0;
+  if (config.arbitration == ArbitrationPolicy::kOldestFirst) {
+    for (unsigned k = 1; k < cores.size(); ++k)
+      if (r.age[cores[k]] > r.age[cores[winner]]) winner = k;
+  } else if (config.arbitration == ArbitrationPolicy::kRoundRobin) {
+    auto rank = [&](unsigned core) {
+      return core >= rr_pointer ? core - rr_pointer
+                                : core + config.num_cores - rr_pointer;
+    };
+    for (unsigned k = 1; k < cores.size(); ++k)
+      if (rank(cores[k]) < rank(cores[winner])) winner = k;
+  }
+  return cores[winner];
+}
+
+std::uint64_t reference_served(const BankRequest& r,
+                               const PlatformConfig& config,
+                               unsigned rr_pointer) {
+  const std::uint32_t win_pc = r.pc[reference_winner(r, config, rr_pointer)];
+  bool uniform = true;
+  for (const unsigned core : requester_list(r.mask))
+    uniform = uniform && r.pc[core] == win_pc;
+  const bool group =
+      config.im_fetch_broadcast &&
+      (config.features.ixbar_partial_broadcast || uniform);
+  std::uint64_t served = 0;
+  bool first_served = true;
+  for (const unsigned core : requester_list(r.mask)) {
+    if (r.pc[core] == win_pc && (group || first_served)) {
+      served |= 1ull << core;
+      first_served = false;
+    }
+  }
+  return served;
+}
+
+/// Checks the mask rule against the reference for one request under every
+/// policy and broadcast combination; reports and returns false on the
+/// first mismatch.
+bool rule_matches_reference(const BankRequest& r, unsigned num_cores,
+                            unsigned rr_pointer) {
+  auto age_of = [&](unsigned core) { return r.age[core]; };
+  auto pc_of = [&](unsigned core) { return r.pc[core]; };
+  for (const auto policy :
+       {ArbitrationPolicy::kFixedPriority, ArbitrationPolicy::kOldestFirst,
+        ArbitrationPolicy::kRoundRobin}) {
+    for (const unsigned combo : {0u, 1u, 2u, 3u}) {
+      auto config = PlatformConfig::without_synchronizer();
+      config.num_cores = num_cores;
+      config.arbitration = policy;
+      config.im_fetch_broadcast = (combo & 1u) != 0;
+      config.features.ixbar_partial_broadcast = (combo & 2u) != 0;
+      const unsigned want_winner = reference_winner(r, config, rr_pointer);
+      const std::uint64_t want_served =
+          reference_served(r, config, rr_pointer);
+      const unsigned winner =
+          conflict_winner(r.mask, policy, rr_pointer, age_of);
+      const std::uint64_t served =
+          fetch_served(r.mask, config, rr_pointer, age_of, pc_of);
+      if (winner == want_winner && served == want_served) continue;
+      ADD_FAILURE() << "mask 0x" << std::hex << r.mask << std::dec
+                    << ", policy " << static_cast<int>(policy) << ", rr "
+                    << rr_pointer << ", fetch broadcast "
+                    << config.im_fetch_broadcast << ", partial "
+                    << config.features.ixbar_partial_broadcast
+                    << ": winner " << winner << " (reference " << want_winner
+                    << "), served 0x" << std::hex << served
+                    << " (reference 0x" << want_served << ")";
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Stall ages and PCs from small pools, so ties and same-PC groups are
+/// common.
+void draw_ages_and_pcs(BankRequest& r, unsigned num_cores, util::Rng& rng) {
+  r.age.resize(num_cores);
+  r.pc.resize(num_cores);
+  for (unsigned core = 0; core < num_cores; ++core) {
+    r.age[core] = rng.next_below(3);
+    r.pc[core] = 0x100 + static_cast<std::uint32_t>(rng.next_below(3));
+  }
+}
+
+TEST(CrossbarRule, MatchesListReferenceOnEveryMaskAtThreeAndEightCores) {
+  util::Rng rng(18);
+  for (const unsigned num_cores : {3u, 8u}) {
+    for (std::uint64_t mask = 1; mask < (1ull << num_cores); ++mask) {
+      for (unsigned rr = 0; rr < num_cores; ++rr) {
+        for (int draw = 0; draw < 3; ++draw) {
+          BankRequest request;
+          request.mask = mask;
+          draw_ages_and_pcs(request, num_cores, rng);
+          ASSERT_TRUE(rule_matches_reference(request, num_cores, rr));
+        }
+      }
+    }
+  }
+}
+
+TEST(CrossbarRule, MatchesListReferenceOnWideMasks) {
+  // 64 cores: masks of varied density, each with a core at bit 32 or above.
+  util::Rng rng(64);
+  for (int trial = 0; trial < 10'000; ++trial) {
+    BankRequest request;
+    request.mask = rng.next_u64();
+    for (std::uint64_t thin = rng.next_below(4); thin > 0; --thin)
+      request.mask &= rng.next_u64();
+    request.mask |= 1ull << (32 + rng.next_below(32));
+    draw_ages_and_pcs(request, 64, rng);
+    const auto rr = static_cast<unsigned>(rng.next_below(64));
+    ASSERT_TRUE(rule_matches_reference(request, 64, rr)) << "trial " << trial;
   }
 }
 

@@ -13,6 +13,7 @@
 #include "scenario/registry.h"
 #include "scenario/report.h"
 #include "scenario/workloads.h"
+#include "sim/snapshot.h"
 
 namespace ulpsync::scenario {
 namespace {
@@ -205,6 +206,22 @@ TEST(Engine, CoreCountAboveSixtyFourIsRejected) {
   EXPECT_THROW(sim::Platform{config}, std::invalid_argument);
   config.num_cores = 64;
   EXPECT_TRUE(config.validate().empty());
+}
+
+TEST(Engine, ImBankCountAboveSixtyFourIsRejected) {
+  // The I-Xbar keeps one bit per IM bank in a 64-bit mask: the bound holds
+  // for a constructed platform and for a decoded snapshot alike.
+  sim::PlatformConfig config = sim::PlatformConfig::without_synchronizer();
+  config.im_banks = 65;
+  EXPECT_NE(config.validate().find("im_banks"), std::string::npos);
+  EXPECT_THROW(sim::Platform{config}, std::invalid_argument);
+  config.im_banks = 64;
+  EXPECT_TRUE(config.validate().empty());
+  sim::Snapshot snapshot = sim::Platform{config}.save_snapshot();
+  EXPECT_NO_THROW((void)sim::Snapshot::deserialize(snapshot.serialize()));
+  snapshot.config.im_banks = 65;
+  EXPECT_THROW((void)sim::Snapshot::deserialize(snapshot.serialize()),
+               std::invalid_argument);
 }
 
 TEST(Engine, UnknownWorkloadYieldsErrorRecordNotThrow) {
