@@ -391,30 +391,20 @@ namespace {
 
 /// Outcome-mode classification: drive the faulted replay to the recorded
 /// end cycle and judge its final state against the clean one.
-void classify_outcome(const RecordedRun& run, const CampaignFault& fault,
-                      ReplayRig& faulty,
+void classify_outcome(const RecordedRun& run, ReplayRig& faulty,
                       const std::vector<sim::FaultAction>& actions,
-                      const sim::Snapshot& clean_final, FaultTrialRow& row) {
+                      const sim::Snapshot& clean, FaultTrialRow& row) {
   sim::ReplayCursor cursor(*faulty.platform, run.schedule, actions);
   cursor.advance_to(run.schedule.final_result.cycles);
-  sim::Snapshot clean = clean_final;
-  sim::Snapshot faulted = faulty.platform->save_snapshot();
-  if (fault.is_im_flip) {
-    // IM faults load a different image by construction; judge the
-    // architectural state, like the bisector does.
-    clean.im_fingerprint = 0;
-    faulted.im_fingerprint = 0;
-  }
-  if (sim::normalized_state_hash(clean) ==
-      sim::normalized_state_hash(faulted)) {
+  const sim::Snapshot faulted = faulty.platform->save_snapshot();
+  if (sim::snapshots_equal(clean, faulted, sim::DivergenceScope::kFullState)) {
     row.outcome = "masked";
     return;
   }
-  if (clean.cores.size() != faulted.cores.size()) {
-    row.outcome = "core-count-mismatch";
-    row.state_class = "core-count-mismatch";
-    return;
-  }
+  // The state class of an SDC; it also rejects incomparable snapshots. A
+  // detected failure below replaces it with its own core and class.
+  classify_state_divergence(clean, faulted, row);
+  if (row.outcome == "core-count-mismatch") return;
   // Externally observable failures first: a trap, or a core that never
   // reached the clean run's halt (a liveness/hang failure — e.g. a
   // dropped wake-up leaving a core asleep forever).
@@ -455,7 +445,6 @@ void classify_outcome(const RecordedRun& run, const CampaignFault& fault,
   // The run "completed" like the clean one but its state differs: silent
   // data corruption. The state class names what went wrong first.
   row.outcome = "sdc";
-  classify_state_divergence(clean, faulted, row);
   row.detail = "silent divergence at recorded end";
 }
 
@@ -498,10 +487,9 @@ FaultTrialRow run_fault_trial(const RecordedRun& run, const Registry& registry,
       ReplayRig clean = make_replay_rig(run, registry);
       sim::ReplayCursor clean_cursor(*clean.platform, run.schedule, {});
       sim::ReplayCursor faulty_cursor(*faulty.platform, run.schedule, actions);
-      const sim::ReplayDivergence divergence =
-          sim::find_first_divergence_replayed(
-              clean_cursor, faulty_cursor, run.schedule.final_result.cycles,
-              sim::DivergenceScope::kCoreState, config.stride);
+      const sim::DivergenceReport divergence = sim::find_first_divergence(
+          clean_cursor, faulty_cursor, run.schedule.final_result.cycles,
+          sim::DivergenceScope::kCoreState, config.stride);
       if (!divergence.diverged) {
         row.outcome = "masked";
         return row;
@@ -518,7 +506,7 @@ FaultTrialRow run_fault_trial(const RecordedRun& run, const Registry& registry,
         local = clean_final_state(run, registry);
         target = &local;
       }
-      classify_outcome(run, fault, faulty, actions, *target, row);
+      classify_outcome(run, faulty, actions, *target, row);
     }
   } catch (const std::exception& error) {
     row.outcome = "error";
@@ -908,10 +896,7 @@ CampaignConfig campaign_config_from_flags(const util::CliArgs& args) {
       args.get_double("rate-p-nominal", config.retention.p_nominal);
   config.retention.sensitivity_per_v =
       args.get_double("rate-sensitivity", config.retention.sensitivity_per_v);
-  // --require-localized predates outcome mode; without an explicit --mode
-  // it keeps selecting the bisection it gates.
-  const std::string mode =
-      args.get("mode", args.has("require-localized") ? "localize" : "outcome");
+  const std::string mode = args.get("mode", "outcome");
   if (mode == "localize") {
     config.localize = true;
   } else if (mode != "outcome") {

@@ -334,9 +334,9 @@ struct PlannedCampaign {
 /// --seed, --stride, --volts, --energy-mhz (resolved to the minimum
 /// sustaining supply via power::VoltageScaling), --multi-bits,
 /// --burst-words, --row-words, --rate-scale, --retention-v,
-/// --rate-p-nominal, --rate-sensitivity, --mode outcome|localize
-/// (--require-localized implies localize when --mode is absent). Throws
-/// std::runtime_error on an unknown class, mode, or infeasible frequency.
+/// --rate-p-nominal, --rate-sensitivity, --mode outcome|localize (default
+/// outcome). Throws std::runtime_error on an unknown class, mode, or
+/// infeasible frequency.
 [[nodiscard]] CampaignConfig campaign_config_from_flags(
     const util::CliArgs& args);
 

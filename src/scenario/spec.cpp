@@ -86,7 +86,11 @@ RunSpec decode_run_spec(util::WireReader& r) {
   spec.design.features.dxbar_pc_policy = r.boolean();
   spec.design.features.ixbar_partial_broadcast = r.boolean();
   if (r.boolean()) {
-    spec.arbitration = static_cast<sim::ArbitrationPolicy>(r.u8());
+    const std::uint8_t policy = r.u8();
+    if (policy > static_cast<std::uint8_t>(sim::ArbitrationPolicy::kRoundRobin)) {
+      throw std::invalid_argument("run spec: bad arbitration policy");
+    }
+    spec.arbitration = static_cast<sim::ArbitrationPolicy>(policy);
   }
   if (r.boolean()) spec.im_line_slots = r.u32();
   if (r.boolean()) spec.fast_forward = r.boolean();

@@ -27,6 +27,10 @@ std::string PlatformConfig::validate() const {
   if (dm_banks < 1 || dm_bank_words < 1)
     return "data memory needs at least one bank and one word per bank";
   if (base_cpi < 1) return "base_cpi must be at least 1";
+  if (arbitration > ArbitrationPolicy::kRoundRobin) {
+    return "unknown arbitration policy " +
+           std::to_string(static_cast<unsigned>(arbitration));
+  }
   return {};
 }
 

@@ -70,6 +70,34 @@ void check_ordered(const std::vector<ExternalEvent>& events) {
   }
 }
 
+// Replay hands events to the platform's host API, which indexes cores and
+// DM words unchecked; an edited and re-sealed schedule can name any core
+// or address.
+void check_deliverable(const std::vector<ExternalEvent>& events,
+                       const PlatformConfig& config) {
+  const std::uint64_t dm_words = config.dm_words();
+  const std::string of_dm = " of " + std::to_string(dm_words);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const ExternalEvent& event = events[i];
+    const std::uint64_t end = event.addr + std::uint64_t{event.words.size()};
+    std::string problem;
+    if (event.kind == EventKind::kDmWrite && event.addr >= dm_words) {
+      problem = "writes DM word " + std::to_string(event.addr) + of_dm;
+    } else if (event.kind == EventKind::kDmWriteBlock && end > dm_words) {
+      problem = "writes DM words [" + std::to_string(event.addr) + ", " +
+                std::to_string(end) + ")" + of_dm;
+    } else if (event.kind == EventKind::kInterrupt &&
+               event.core >= config.num_cores) {
+      problem = "wakes core " + std::to_string(event.core) + " of " +
+                std::to_string(config.num_cores);
+    }
+    if (!problem.empty())
+      throw std::invalid_argument("event schedule: event " +
+                                  std::to_string(i) + " at cycle " +
+                                  std::to_string(event.cycle) + " " + problem);
+  }
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> EventSchedule::serialize() const {
@@ -129,6 +157,10 @@ EventSchedule EventSchedule::deserialize(std::span<const std::uint8_t> bytes) {
       case EventKind::kDmWriteBlock: {
         event.addr = r.u32();
         const std::uint32_t words = r.u32();
+        // Two bytes per word: bound the count before allocating for it.
+        if (words > bytes.size() / 2)
+          throw std::invalid_argument(
+              "event schedule: implausible block word count");
         event.words.resize(words);
         for (std::uint32_t j = 0; j < words; ++j) event.words[j] = r.u16();
         break;
@@ -231,6 +263,7 @@ ReplayCursor::ReplayCursor(Platform& platform, const EventSchedule& schedule,
       schedule_(&schedule),
       faults_(faults.begin(), faults.end()) {
   check_ordered(schedule.events);
+  check_deliverable(schedule.events, platform.config());
   seek(platform.counters().cycles);
 }
 
@@ -406,32 +439,15 @@ ReplayOutcome replay_schedule(Platform& platform,
   return out;
 }
 
-// --- replay-aware divergence bisection ---------------------------------------
+// --- divergence bisection ----------------------------------------------------
 
 namespace {
 
-// Snapshot comparison with the image fingerprint neutralized: IM faults
-// load a different image by construction, and the bisection must report
-// the first *architectural* effect, not the injection itself.
-bool replay_states_equal(const Snapshot& a, const Snapshot& b,
-                         DivergenceScope scope) {
-  if (scope == DivergenceScope::kCoreState) return snapshots_equal(a, b, scope);
-  Snapshot x = simulated_state(a);
-  Snapshot y = simulated_state(b);
-  x.im_fingerprint = y.im_fingerprint = 0;
-  return x == y;
-}
-
-std::string replay_states_diff(Snapshot a, Snapshot b) {
-  a.im_fingerprint = b.im_fingerprint = 0;
-  return diff_snapshots(a, b);
-}
-
-ReplayDivergence make_divergence(Snapshot a, Snapshot b) {
-  ReplayDivergence report;
+DivergenceReport make_divergence(Snapshot a, Snapshot b) {
+  DivergenceReport report;
   report.diverged = true;
   report.first_divergent_cycle = a.cycle();
-  report.delta = replay_states_diff(a, b);
+  report.delta = diff_snapshots(a, b);
   report.clean_state = std::move(a);
   report.faulty_state = std::move(b);
   return report;
@@ -439,14 +455,14 @@ ReplayDivergence make_divergence(Snapshot a, Snapshot b) {
 
 }  // namespace
 
-ReplayDivergence find_first_divergence_replayed(ReplayCursor& clean,
-                                                ReplayCursor& faulty,
-                                                std::uint64_t max_cycles,
-                                                DivergenceScope scope,
-                                                std::uint64_t stride) {
+DivergenceReport find_first_divergence(ReplayCursor& clean,
+                                       ReplayCursor& faulty,
+                                       std::uint64_t max_cycles,
+                                       DivergenceScope scope,
+                                       std::uint64_t stride) {
   if (stride == 0)
     throw std::invalid_argument(
-        "find_first_divergence_replayed: stride must be positive");
+        "find_first_divergence: stride must be positive");
   Platform& a = clean.platform();
   Platform& b = faulty.platform();
   Snapshot last_a = a.save_snapshot();
@@ -457,9 +473,9 @@ ReplayDivergence find_first_divergence_replayed(ReplayCursor& clean,
   if (!(simulated_config(last_a.config) == simulated_config(last_b.config)) ||
       last_a.cycle() != last_b.cycle())
     throw std::invalid_argument(
-        "find_first_divergence_replayed: platforms are not comparable "
+        "find_first_divergence: platforms are not comparable "
         "(different config or start cycle)");
-  if (!replay_states_equal(last_a, last_b, scope))
+  if (!snapshots_equal(last_a, last_b, scope))
     return make_divergence(std::move(last_a), std::move(last_b));
 
   while (last_a.cycle() < max_cycles) {
@@ -468,7 +484,7 @@ ReplayDivergence find_first_divergence_replayed(ReplayCursor& clean,
     faulty.advance_to(target);
     Snapshot now_a = a.save_snapshot();
     Snapshot now_b = b.save_snapshot();
-    if (!replay_states_equal(now_a, now_b, scope)) {
+    if (!snapshots_equal(now_a, now_b, scope)) {
       // Mismatch inside (last, target]: replay from the last equal pair,
       // single-stepping to the exact first divergent cycle.
       a.restore_snapshot(last_a);
@@ -481,7 +497,7 @@ ReplayDivergence find_first_divergence_replayed(ReplayCursor& clean,
         faulty.advance_to(step);
         Snapshot step_a = a.save_snapshot();
         Snapshot step_b = b.save_snapshot();
-        if (!replay_states_equal(step_a, step_b, scope))
+        if (!snapshots_equal(step_a, step_b, scope))
           return make_divergence(std::move(step_a), std::move(step_b));
       }
       // Unreachable: the checkpoint mismatch must reappear in the replay.

@@ -30,13 +30,15 @@
 /// recorded end, asserting the run reproduces bit-exactly — every slice
 /// must reach its recorded event cycle, the final result must match, and
 /// the normalized final-state hash must match. Fault trials give the
-/// cursor `FaultAction`s (DM bit flips, delayed or dropped wake-ups), and
-/// `find_first_divergence_replayed` grows `find_first_divergence` into a
-/// fault-localization bisector: clean and faulted cursors advance in
-/// lockstep with snapshot checkpoints every `stride` cycles, and on
-/// mismatch the last equal checkpoint pair is restored and single-stepped
-/// to the first divergent cycle. Image fingerprints are excluded from the
-/// comparison so IM-corruption faults (a different loaded image by
+/// cursor `FaultAction`s (DM bit flips, delayed or dropped wake-ups).
+///
+/// `find_first_divergence` is the one divergence bisector: two cursors
+/// advance in lockstep with snapshot checkpoints every `stride` cycles,
+/// compared by `snapshots_equal`, and on mismatch the last equal
+/// checkpoint pair is restored and single-stepped to the first divergent
+/// cycle. Fault localization bisects a clean cursor against a faulted one;
+/// over an empty schedule it bisects two plain runs. The rule ignores the
+/// image fingerprint, so IM-corruption faults (a different loaded image by
 /// construction) localize to their first *architectural* effect.
 
 #include <cstdint>
@@ -112,8 +114,10 @@ struct EventSchedule {
 };
 
 /// Content hash of `simulated_state(snapshot)`: invariant under host-side
-/// simulation knobs, exactly like `snapshots_equal`. Two behaviorally
-/// identical runs — traced or not, fast-forwarded or not — hash equal.
+/// simulation knobs, like `snapshots_equal`. Two behaviorally identical
+/// runs — traced or not, fast-forwarded or not — hash equal. Unlike the
+/// equality rule it covers the image fingerprint, which recorded
+/// schedules verify anyway.
 [[nodiscard]] std::uint64_t normalized_state_hash(const Snapshot& snapshot);
 
 /// Records every external event delivered to a platform. Attach after
@@ -155,9 +159,9 @@ struct ReplayOutcome {
   /// True when the replayed final state hashed identical to the recording.
   bool final_state_matches = false;
   /// Empty on a faithful replay; otherwise the first mismatch (an image
-  /// fingerprint mismatch, an unordered schedule, an event cycle the
-  /// replay could not reach, a final-result difference, or a final-state
-  /// hash mismatch).
+  /// fingerprint mismatch, a schedule the cursor rejects, an event cycle
+  /// the replay could not reach, a final-result difference, or a
+  /// final-state hash mismatch).
   std::string error;
 
   /// True when the replay reproduced the recording bit-exactly.
@@ -207,18 +211,18 @@ struct FaultAction {
 /// slices (the slice rule and why it is exact are in the file comment),
 /// delivering each event at its recorded cycle and applying injected
 /// faults. Exact replay, fault trials and both sides of
-/// `find_first_divergence_replayed` all step through it. Events and faults
-/// due at cycle C are delivered when the cursor leaves C (before the slice
-/// out of C), so a checkpoint taken at C excludes them; `seek` re-arms
-/// indices and pending delayed wake-ups consistently after a snapshot
-/// restore.
+/// `find_first_divergence` all step through it. Events and faults due at
+/// cycle C are delivered when the cursor leaves C (before the slice out of
+/// C), so a checkpoint taken at C excludes them; `seek` re-arms indices and
+/// pending delayed wake-ups consistently after a snapshot restore.
 class ReplayCursor {
  public:
   /// `platform` must have the (possibly fault-corrupted) program loaded
   /// and no inputs; both references must outlive the cursor. Throws
   /// std::invalid_argument, naming the cycle, when the schedule's event
-  /// cycles are not ordered: an event behind the clock could never be
-  /// delivered.
+  /// cycles are not ordered (an event behind the clock could never be
+  /// delivered), or, naming the event's index and cycle, when an event
+  /// wakes a core or writes a DM word the platform does not have.
   ReplayCursor(Platform& platform, const EventSchedule& schedule,
                std::span<const FaultAction> faults);
 
@@ -268,13 +272,13 @@ class ReplayCursor {
 /// cycle, delivers the events recorded at that cycle itself, and checks
 /// the outcome. The platform must have the same program loaded (verified
 /// by image fingerprint) and inputs NOT loaded — the schedule carries
-/// them. Never throws on divergence or on an unordered schedule —
-/// mismatches are reported in the outcome.
+/// them. Never throws on divergence or on a schedule the cursor rejects —
+/// mismatches and rejections are reported in the outcome.
 [[nodiscard]] ReplayOutcome replay_schedule(Platform& platform,
                                             const EventSchedule& schedule);
 
-/// Result of `find_first_divergence_replayed`.
-struct ReplayDivergence {
+/// Result of `find_first_divergence`.
+struct DivergenceReport {
   bool diverged = false;
   /// First cycle at which the two replayed states differ (valid when
   /// `diverged`).
@@ -287,15 +291,16 @@ struct ReplayDivergence {
   Snapshot faulty_state;
 };
 
-/// Replay-aware divergence bisection: advances a clean and a faulted
-/// replay of the same schedule in lockstep (tick-exact, events delivered
-/// at their recorded cycles on both sides), comparing snapshots every
-/// `stride` cycles; on mismatch restores the last equal checkpoint pair
-/// and single-steps to the first divergent cycle. Image fingerprints are
-/// excluded from the comparison (IM faults intentionally load different
-/// images). Throws std::invalid_argument when the platforms are not
-/// comparable (different config or start cycle).
-[[nodiscard]] ReplayDivergence find_first_divergence_replayed(
+/// The divergence bisector: advances two replay cursors in lockstep (each
+/// delivering its schedule's events at their recorded cycles), comparing
+/// snapshots with `snapshots_equal` every `stride` cycles; on mismatch
+/// restores the last equal checkpoint pair and single-steps to the first
+/// divergent cycle. Stops early, undiverged, once both sides are settled.
+/// The image fingerprints need not match (IM faults intentionally load
+/// different images). Throws std::invalid_argument on a zero stride or
+/// when the platforms are not comparable (different config or start
+/// cycle).
+[[nodiscard]] DivergenceReport find_first_divergence(
     ReplayCursor& clean, ReplayCursor& faulty, std::uint64_t max_cycles,
     DivergenceScope scope = DivergenceScope::kCoreState,
     std::uint64_t stride = 1024);

@@ -55,10 +55,7 @@ PlatformConfig read_config(WireReader& r) {
   config.base_cpi = r.u32();
   config.branch_taken_penalty = r.u32();
   config.wakeup_penalty = r.u32();
-  const std::uint8_t arbitration = r.u8();
-  if (arbitration > static_cast<std::uint8_t>(ArbitrationPolicy::kRoundRobin))
-    throw std::invalid_argument("snapshot: invalid arbitration policy");
-  config.arbitration = static_cast<ArbitrationPolicy>(arbitration);
+  config.arbitration = static_cast<ArbitrationPolicy>(r.u8());
   config.start_stagger_cycles = r.u32();
   config.fast_forward = r.boolean();  // the host-side region-executor knob
   const std::string error = config.validate();
@@ -503,7 +500,7 @@ void Platform::restore_snapshot(const Snapshot& snapshot) {
   }
 }
 
-// --- diffing and divergence bisection ---------------------------------------
+// --- state comparison and diffing --------------------------------------------
 
 PlatformConfig simulated_config(PlatformConfig config) {
   config.fast_forward = true;
@@ -516,16 +513,26 @@ Snapshot simulated_state(Snapshot snapshot) {
   return snapshot;
 }
 
-bool snapshots_equal(const Snapshot& a, const Snapshot& b, DivergenceScope scope) {
-  if (scope == DivergenceScope::kFullState) {
-    return simulated_state(a) == simulated_state(b);
+namespace {
+
+/// The state `scope` compares: `simulated_state` without the excluded
+/// fields. Listing exclusions, not compared fields, means a field added to
+/// `Snapshot` is compared by default.
+Snapshot compared_state(Snapshot snapshot, DivergenceScope scope) {
+  snapshot = simulated_state(std::move(snapshot));
+  snapshot.im_fingerprint = 0;
+  if (scope == DivergenceScope::kCoreState) {
+    snapshot.config = {};
+    snapshot.dm_runs.clear();
+    snapshot.host_words.clear();
   }
-  return a.cores == b.cores && a.policy_groups == b.policy_groups &&
-         a.active_policy_groups == b.active_policy_groups &&
-         a.counters == b.counters && a.sync == b.sync &&
-         a.has_pending_stop == b.has_pending_stop &&
-         (!a.has_pending_stop || a.pending_stop == b.pending_stop) &&
-         a.was_lockstep == b.was_lockstep && a.rr_pointer == b.rr_pointer;
+  return snapshot;
+}
+
+}  // namespace
+
+bool snapshots_equal(const Snapshot& a, const Snapshot& b, DivergenceScope scope) {
+  return compared_state(a, scope) == compared_state(b, scope);
 }
 
 std::string diff_snapshots(const Snapshot& a, const Snapshot& b,
@@ -613,63 +620,6 @@ std::string diff_snapshots(const Snapshot& a, const Snapshot& b,
   if (items > max_items)
     out << "... (" << (items - max_items) << " more differences)\n";
   return out.str();
-}
-
-DivergenceReport find_first_divergence(Platform& a, Platform& b,
-                                       std::uint64_t max_cycles,
-                                       DivergenceScope scope,
-                                       std::uint64_t stride) {
-  if (stride == 0) stride = 1;
-  Snapshot last_a = a.save_snapshot();
-  Snapshot last_b = b.save_snapshot();
-  if (!(simulated_config(last_a.config) == simulated_config(last_b.config)) ||
-      last_a.im_fingerprint != last_b.im_fingerprint ||
-      last_a.cycle() != last_b.cycle())
-    throw std::invalid_argument(
-        "find_first_divergence: platforms are not comparable (different "
-        "config, program, or start cycle)");
-  if (!snapshots_equal(last_a, last_b, scope)) {
-    return {true, last_a.cycle(), diff_snapshots(last_a, last_b)};
-  }
-
-  auto finished = [](const Platform& p) {
-    for (unsigned i = 0; i < p.config().num_cores; ++i) {
-      const CoreStatus status = p.core_status(i);
-      if (status != CoreStatus::kHalted && status != CoreStatus::kTrapped)
-        return false;
-    }
-    return true;
-  };
-
-  while (last_a.cycle() < max_cycles) {
-    if (finished(a) && finished(b)) return {};  // frozen and equal: done
-    const std::uint64_t target =
-        std::min(max_cycles, last_a.cycle() + stride);
-    while (a.counters().cycles < target) a.tick();
-    while (b.counters().cycles < target) b.tick();
-    Snapshot now_a = a.save_snapshot();
-    Snapshot now_b = b.save_snapshot();
-    if (!snapshots_equal(now_a, now_b, scope)) {
-      // Mismatch inside (last, target]: replay from the last equal pair,
-      // single-stepping to the exact first divergent cycle.
-      a.restore_snapshot(last_a);
-      b.restore_snapshot(last_b);
-      while (a.counters().cycles < target) {
-        a.tick();
-        b.tick();
-        Snapshot step_a = a.save_snapshot();
-        Snapshot step_b = b.save_snapshot();
-        if (!snapshots_equal(step_a, step_b, scope)) {
-          return {true, step_a.cycle(), diff_snapshots(step_a, step_b)};
-        }
-      }
-      // Unreachable: the checkpoint mismatch must reappear in the replay.
-      return {true, target, diff_snapshots(now_a, now_b)};
-    }
-    last_a = std::move(now_a);
-    last_b = std::move(now_b);
-  }
-  return {};
 }
 
 // --- file I/O ----------------------------------------------------------------

@@ -19,11 +19,10 @@
 /// simulation state serializes to the same bytes on every platform —
 /// `content_hash()` is stable and golden snapshots can be committed.
 ///
-/// On top of the format, this header provides the state-diff and divergence
-/// bisection used by the differential harness: `find_first_divergence` runs
-/// two supposedly bit-identical platforms forward, comparing snapshots at a
-/// checkpoint stride, and on mismatch restores the last equal checkpoint
-/// pair and single-steps to the first divergent cycle.
+/// On top of the format, this header provides the one rule for "same
+/// state", `snapshots_equal`, and the human-readable `diff_snapshots`. The
+/// divergence bisector (sim/event_schedule.h), outcome-mode fault
+/// classification and the differential tests all compare through it.
 
 #include <cstddef>
 #include <cstdint>
@@ -138,23 +137,28 @@ struct Snapshot {
 /// `snapshot` without its host-only state: `simulated_config` of its config
 /// and the fast-forwarded-cycle accounting zeroed. Snapshots of two
 /// behaviorally identical runs (traced or not, fast-forwarded or not) are
-/// equal after this; it is the one rule behind `snapshots_equal`,
-/// `normalized_state_hash` and both divergence bisections.
+/// equal after this; `snapshots_equal` and `normalized_state_hash` both
+/// start from it.
 [[nodiscard]] Snapshot simulated_state(Snapshot snapshot);
 
-/// Which state the divergence comparison looks at.
+/// Which state `snapshots_equal` compares.
 enum class DivergenceScope : std::uint8_t {
-  /// Everything `operator==` compares (cores, counters, sync, DM, ...).
+  /// All simulated state: everything but the host-only fields
+  /// (`simulated_state`) and the image fingerprint.
   kFullState,
-  /// Core-visible state only: cores, policy groups, counters, synchronizer —
-  /// but *not* data memory. Use this to locate when an injected DM fault
+  /// Core-visible state: the full scope without the configuration, data
+  /// memory and host words. Use this to locate when an injected DM fault
   /// first reaches a core, rather than when it was injected.
   kCoreState,
 };
 
-/// True when `a` and `b` agree on the state selected by `scope`. Host-only
-/// state (`simulated_state`) is excluded in both scopes — runs differing
-/// only in how the host simulated them are behaviorally identical.
+/// True when `a` and `b` agree on the state selected by `scope`: each side
+/// is projected by clearing the fields the scope excludes, and the
+/// projections are compared whole, so a field added to `Snapshot` is
+/// compared unless a scope excludes it. The image fingerprint is excluded
+/// in both scopes: the loaded program is an input, not state (restore and
+/// replay verify it), so an IM fault shows at its first architectural
+/// effect.
 [[nodiscard]] bool snapshots_equal(const Snapshot& a, const Snapshot& b,
                                    DivergenceScope scope);
 
@@ -163,30 +167,6 @@ enum class DivergenceScope : std::uint8_t {
 /// `max_items` lines. Empty when the snapshots are identical.
 [[nodiscard]] std::string diff_snapshots(const Snapshot& a, const Snapshot& b,
                                          unsigned max_items = 16);
-
-/// Result of `find_first_divergence`.
-struct DivergenceReport {
-  bool diverged = false;
-  /// First cycle at which the two platform states differ (valid when
-  /// `diverged`).
-  std::uint64_t first_divergent_cycle = 0;
-  /// `diff_snapshots` of the states at that cycle (valid when `diverged`).
-  std::string delta;
-};
-
-/// Binary-search divergence locator for two platforms that are expected to
-/// stay bit-identical (same config, program and inputs — verified, throws
-/// std::invalid_argument otherwise). Advances both in lockstep, comparing
-/// snapshots every `stride` cycles; on the first mismatching checkpoint it
-/// restores the last equal pair and single-steps to the exact first
-/// divergent cycle. Returns a non-diverged report when the states still
-/// agree at `max_cycles` (or when both platforms finish equal earlier).
-/// Cost: O(cycles) ticks plus O(stride) re-simulated ticks, not
-/// O(cycles * snapshot size).
-[[nodiscard]] DivergenceReport find_first_divergence(
-    Platform& a, Platform& b, std::uint64_t max_cycles,
-    DivergenceScope scope = DivergenceScope::kFullState,
-    std::uint64_t stride = 1024);
 
 /// Writes `snapshot.serialize()` to `path` through `util::write_file_atomic`,
 /// so a killed writer never leaves a torn file. Throws std::runtime_error on

@@ -21,13 +21,15 @@
 //
 // On a mismatch, the harness writes both final platform snapshots and
 // their diff to divergence_artifacts/ (override with ULPSYNC_ARTIFACT_DIR)
-// so CI can upload the pair; the DivergenceBisection suite additionally
-// exercises sim::find_first_divergence, which binary-searches snapshot
-// checkpoints to the exact first divergent cycle of two runs that should
-// have been bit-identical.
+// so CI can upload the pair. The DivergenceBisection suite exercises the
+// one divergence bisector, sim::find_first_divergence: two replay cursors
+// (over an empty schedule for two plain runs) compared by the one state
+// rule, sim::snapshots_equal, at checkpoints, then single-stepped to the
+// exact first divergent cycle.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -39,6 +41,7 @@
 #include "asm/assembler.h"
 #include "core/instrument.h"
 #include "core/lockstep.h"
+#include "sim/event_schedule.h"
 #include "sim/platform.h"
 #include "sim/snapshot.h"
 #include "util/rng.h"
@@ -430,65 +433,90 @@ void setup_probe(sim::Platform& platform) {
   platform.dm_write(2100, 5);
 }
 
-TEST(DivergenceBisection, IdenticalRunsNeverDiverge) {
-  sim::Platform a(sim::PlatformConfig::with_synchronizer());
-  sim::Platform b(sim::PlatformConfig::with_synchronizer());
-  setup_probe(a);
-  setup_probe(b);
-  const auto report = sim::find_first_divergence(a, b, 5'000);
-  EXPECT_FALSE(report.diverged) << report.delta;
+/// The probe fault: a host write of the shared constant the probe loop
+/// sums, recorded at cycle kInjectAt.
+constexpr std::uint64_t kInjectAt = 37;
+
+sim::EventSchedule probe_fault() {
+  sim::ExternalEvent write;
+  write.kind = sim::EventKind::kDmWrite;
+  write.cycle = kInjectAt;
+  write.addr = 2100;
+  write.word = 999;
+  sim::EventSchedule schedule;
+  schedule.events.push_back(write);
+  return schedule;
 }
 
-TEST(DivergenceBisection, ReportsInjectionCycleInFullStateScope) {
-  // Inject the fault mid-run: full-state comparison (DM included) must
-  // pinpoint the injection cycle itself.
-  constexpr std::uint64_t kInjectAt = 37;
-  sim::Platform a(sim::PlatformConfig::with_synchronizer());
-  sim::Platform b(sim::PlatformConfig::with_synchronizer());
-  setup_probe(a);
-  setup_probe(b);
-  while (a.counters().cycles < kInjectAt) a.tick();
-  while (b.counters().cycles < kInjectAt) b.tick();
-  b.dm_write(2100, 999);
+/// Bisects a plain probe run against one replaying `faulty_inputs`.
+sim::DivergenceReport bisect_probe(const sim::EventSchedule& faulty_inputs,
+                                   sim::DivergenceScope scope,
+                                   std::uint64_t stride) {
+  sim::Platform clean(sim::PlatformConfig::with_synchronizer());
+  sim::Platform faulty(sim::PlatformConfig::with_synchronizer());
+  setup_probe(clean);
+  setup_probe(faulty);
+  const sim::EventSchedule no_events;
+  sim::ReplayCursor clean_cursor(clean, no_events, {});
+  sim::ReplayCursor faulty_cursor(faulty, faulty_inputs, {});
+  return sim::find_first_divergence(clean_cursor, faulty_cursor, 10'000,
+                                    scope, stride);
+}
 
-  const auto report = sim::find_first_divergence(
-      a, b, 10'000, sim::DivergenceScope::kFullState, /*stride=*/64);
-  ASSERT_TRUE(report.diverged);
-  EXPECT_EQ(report.first_divergent_cycle, kInjectAt);
-  EXPECT_NE(report.delta.find("dm[2100]"), std::string::npos) << report.delta;
+/// Per-cycle checkpoints, a prime stride, one that splits the probe run,
+/// and one past its end: the answer must not depend on the stride.
+constexpr std::uint64_t kStrides[] = {1, 7, 64, 4096};
+
+TEST(DivergenceBisection, IdenticalRunsNeverDiverge) {
+  for (const std::uint64_t stride : kStrides) {
+    const auto report =
+        bisect_probe({}, sim::DivergenceScope::kFullState, stride);
+    EXPECT_FALSE(report.diverged) << "stride " << stride << "\n"
+                                  << report.delta;
+  }
+}
+
+TEST(DivergenceBisection, FullStateScopeReportsTheCycleAfterTheWrite) {
+  // A cursor delivers what is due at cycle C when it leaves C, so the
+  // state at kInjectAt still agrees and the written word differs from the
+  // next cycle on.
+  for (const std::uint64_t stride : kStrides) {
+    const auto report =
+        bisect_probe(probe_fault(), sim::DivergenceScope::kFullState, stride);
+    ASSERT_TRUE(report.diverged) << "stride " << stride;
+    EXPECT_EQ(report.first_divergent_cycle, kInjectAt + 1)
+        << "stride " << stride;
+    EXPECT_NE(report.delta.find("dm[2100]"), std::string::npos)
+        << report.delta;
+  }
 }
 
 TEST(DivergenceBisection, CoreScopeReportsWhenTheFaultReachesACore) {
   // With DM excluded, divergence starts only when a core's load of the
-  // corrupted word retires — strictly after the injection.
-  constexpr std::uint64_t kInjectAt = 37;
-  auto inject = [&](sim::Platform& platform) {
-    while (platform.counters().cycles < kInjectAt) platform.tick();
-  };
-  sim::Platform a(sim::PlatformConfig::with_synchronizer());
-  sim::Platform b(sim::PlatformConfig::with_synchronizer());
-  setup_probe(a);
-  setup_probe(b);
-  inject(a);
-  inject(b);
-  b.dm_write(2100, 999);
+  // corrupted word retires: at cycle 43, six cycles after the write.
+  constexpr std::uint64_t kFirstLoad = 43;
+  for (const std::uint64_t stride : kStrides) {
+    const auto report =
+        bisect_probe(probe_fault(), sim::DivergenceScope::kCoreState, stride);
+    ASSERT_TRUE(report.diverged) << "stride " << stride;
+    EXPECT_EQ(report.first_divergent_cycle, kFirstLoad) << "stride " << stride;
+    EXPECT_NE(report.delta.find("core"), std::string::npos) << report.delta;
+  }
 
-  const auto report = sim::find_first_divergence(
-      a, b, 10'000, sim::DivergenceScope::kCoreState, /*stride=*/64);
-  ASSERT_TRUE(report.diverged);
-  EXPECT_GT(report.first_divergent_cycle, kInjectAt);
-  EXPECT_NE(report.delta.find("core"), std::string::npos) << report.delta;
-
-  // Independently verify minimality: fresh platforms with the same fault
-  // agree on core state one cycle earlier and differ at the reported cycle.
+  // Independently verify minimality with tick() alone: fresh platforms
+  // with the same write, made when the clock reads kInjectAt as the cursor
+  // makes it, agree on core state one cycle earlier and differ at the
+  // reported cycle.
   sim::Platform c(sim::PlatformConfig::with_synchronizer());
   sim::Platform d(sim::PlatformConfig::with_synchronizer());
   setup_probe(c);
   setup_probe(d);
-  inject(c);
-  inject(d);
+  while (c.counters().cycles < kInjectAt) {
+    c.tick();
+    d.tick();
+  }
   d.dm_write(2100, 999);
-  while (c.counters().cycles < report.first_divergent_cycle - 1) {
+  while (c.counters().cycles < kFirstLoad - 1) {
     c.tick();
     d.tick();
   }
@@ -502,40 +530,52 @@ TEST(DivergenceBisection, CoreScopeReportsWhenTheFaultReachesACore) {
 
 TEST(DivergenceBisection, GeneratedProgramFastForwardModesAreBitIdentical) {
   // The region executor must never change any state, at any cycle, on any
-  // control-flow shape. (tick() is the bisector's stepper and never enters
-  // the executor, so this drives both platforms through run() and compares
-  // full snapshots instead.)
+  // control-flow shape. Each generated program's run is recorded, host
+  // wake-ups included, and the bisector steps a fast-forward cursor and a
+  // naive one through the recording. Cursors advance in run() slices, so
+  // the fast side runs the region executor, and a failure names the exact
+  // first divergent cycle.
+  std::size_t wakeups = 0;
   for (const int seed : {3, 7, 11, 23}) {
     ProgramGenerator generator(static_cast<std::uint64_t>(seed));
     const auto program = compile(generator.generate());
     auto config_on = sim::PlatformConfig::with_synchronizer();
     auto config_off = config_on;
     config_off.fast_forward = false;
-    sim::Platform a(config_on);
-    sim::Platform b(config_off);
-    a.load_program(program);
-    b.load_program(program);
-    preload_inputs(a, static_cast<std::uint64_t>(seed));
-    preload_inputs(b, static_cast<std::uint64_t>(seed));
-    // Drive both through run() in interleaved windows, comparing the full
-    // snapshot at every boundary.
-    for (int window = 0; window < 40; ++window) {
-      const std::uint64_t target = a.counters().cycles + 1000;
-      const auto ra = a.run(target);
-      const auto rb = b.run(target);
-      ASSERT_EQ(ra, rb) << "seed " << seed << " window " << window;
-      ASSERT_TRUE(sim::snapshots_equal(a.save_snapshot(), b.save_snapshot(),
-                                       sim::DivergenceScope::kFullState))
-          << "seed " << seed << " window " << window << "\n"
-          << sim::diff_snapshots(a.save_snapshot(), b.save_snapshot());
-      if (ra.status == sim::RunResult::Status::kAllAsleep) {
-        a.interrupt_all();
-        b.interrupt_all();
-      } else if (ra.status != sim::RunResult::Status::kMaxCycles) {
-        break;  // halted or trapped — both equally, per the asserts above
-      }
-    }
+
+    sim::Platform recorded(config_on);
+    recorded.load_program(program);
+    sim::EventRecorder recorder;
+    recorder.attach(recorded);
+    preload_inputs(recorded, static_cast<std::uint64_t>(seed));
+    const sim::RunResult result = run_with_wakeups(recorded, 1'000'000);
+    ASSERT_TRUE(result.ok()) << "seed " << seed << ": " << result.to_string();
+    const sim::EventSchedule schedule = recorder.finish(result, {});
+    wakeups += static_cast<std::size_t>(std::count_if(
+        schedule.events.begin(), schedule.events.end(),
+        [](const sim::ExternalEvent& event) {
+          return event.kind == sim::EventKind::kInterruptAll;
+        }));
+
+    sim::Platform fast(config_on);
+    sim::Platform naive(config_off);
+    fast.load_program(program);
+    naive.load_program(program);
+    sim::ReplayCursor fast_cursor(fast, schedule, {});
+    sim::ReplayCursor naive_cursor(naive, schedule, {});
+    const sim::DivergenceReport report = sim::find_first_divergence(
+        fast_cursor, naive_cursor, result.cycles,
+        sim::DivergenceScope::kFullState, /*stride=*/200);
+    EXPECT_FALSE(report.diverged)
+        << "seed " << seed << ": first divergent cycle "
+        << report.first_divergent_cycle << "\n"
+        << report.delta;
+    EXPECT_GT(fast.fetch_region_cycles() + fast.burst_cycles() +
+                  fast.fast_forwarded_cycles(),
+              0u)
+        << "seed " << seed;
   }
+  EXPECT_GT(wakeups, 0u) << "no generated program slept";
 }
 
 // --- region executor vs naive loop across configuration axes ----------------

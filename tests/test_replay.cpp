@@ -10,9 +10,9 @@
 // additionally pin the wire format and the recorded schedules of selected
 // workloads (regenerate with `snapshot_tool record`, see
 // tests/golden/README.md). On top of exact replay, the fault-injection
-// suite asserts `find_first_divergence_replayed` localizes DM bit flips,
-// IM bit flips, and delayed/dropped wake-ups to their first architectural
-// effect.
+// suite asserts the divergence bisector, `find_first_divergence`,
+// localizes DM bit flips, IM bit flips, and delayed/dropped wake-ups to
+// their first architectural effect, at any checkpoint stride.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,6 +38,7 @@
 #include "sim/trace.h"
 #include "sim/vcd.h"
 #include "util/rng.h"
+#include "util/wire.h"
 
 namespace ulpsync {
 namespace {
@@ -449,12 +451,38 @@ TEST(FaultBisection, CleanReplayPairNeverDiverges) {
   ReplayRig b = scenario::make_replay_rig(run, Registry::builtins());
   sim::ReplayCursor cursor_a(*a.platform, run.schedule, {});
   sim::ReplayCursor cursor_b(*b.platform, run.schedule, {});
-  const sim::ReplayDivergence divergence = sim::find_first_divergence_replayed(
+  const sim::DivergenceReport divergence = sim::find_first_divergence(
       cursor_a, cursor_b, run.schedule.final_result.cycles);
   EXPECT_FALSE(divergence.diverged) << divergence.delta;
   // Both cursors reproduce the recorded final state.
   EXPECT_EQ(sim::normalized_state_hash(a.platform->save_snapshot()),
             run.schedule.final_state_hash);
+}
+
+/// Bisects a clean replay of `run` against one under `faults`, in core
+/// scope, at strides 1, 7, 64 and 4096. Every stride must report exactly
+/// what stride 1, a checkpoint every cycle, reports; returns that report.
+sim::DivergenceReport bisect_at_every_stride(
+    const RecordedRun& run, const std::vector<sim::FaultAction>& faults) {
+  std::optional<sim::DivergenceReport> reference;
+  for (const std::uint64_t stride : {1u, 7u, 64u, 4096u}) {
+    ReplayRig clean = scenario::make_replay_rig(run, Registry::builtins());
+    ReplayRig faulty = scenario::make_replay_rig(run, Registry::builtins());
+    sim::ReplayCursor clean_cursor(*clean.platform, run.schedule, {});
+    sim::ReplayCursor faulty_cursor(*faulty.platform, run.schedule, faults);
+    sim::DivergenceReport report = sim::find_first_divergence(
+        clean_cursor, faulty_cursor, run.schedule.final_result.cycles,
+        sim::DivergenceScope::kCoreState, stride);
+    if (!reference) {
+      reference = std::move(report);
+      continue;
+    }
+    EXPECT_EQ(report.diverged, reference->diverged) << "stride " << stride;
+    EXPECT_EQ(report.first_divergent_cycle, reference->first_divergent_cycle)
+        << "stride " << stride;
+    EXPECT_EQ(report.delta, reference->delta) << "stride " << stride;
+  }
+  return std::move(*reference);
 }
 
 TEST(FaultBisection, DmBitFlipLocalizesToFirstConsumingCycle) {
@@ -477,15 +505,8 @@ TEST(FaultBisection, DmBitFlipLocalizesToFirstConsumingCycle) {
   fault.cycle = deposit->cycle;
   fault.addr = deposit->addr;
   fault.bit = 0;
-  const std::vector<sim::FaultAction> faults{fault};
-
-  ReplayRig clean = scenario::make_replay_rig(run, Registry::builtins());
-  ReplayRig faulty = scenario::make_replay_rig(run, Registry::builtins());
-  sim::ReplayCursor clean_cursor(*clean.platform, run.schedule, {});
-  sim::ReplayCursor faulty_cursor(*faulty.platform, run.schedule, faults);
-  const sim::ReplayDivergence divergence = sim::find_first_divergence_replayed(
-      clean_cursor, faulty_cursor, run.schedule.final_result.cycles,
-      sim::DivergenceScope::kCoreState, /*stride=*/512);
+  const sim::DivergenceReport divergence =
+      bisect_at_every_stride(run, {fault});
   ASSERT_TRUE(divergence.diverged)
       << "DM flip at cycle " << fault.cycle << " addr " << fault.addr
       << " never reached core state";
@@ -528,12 +549,10 @@ TEST(FaultBisection, ImBitFlipLocalizesOrRejectsAsUndecodable) {
       ReplayRig clean = scenario::make_replay_rig(run, Registry::builtins());
       sim::ReplayCursor clean_cursor(*clean.platform, run.schedule, {});
       sim::ReplayCursor faulty_cursor(*faulty.platform, run.schedule, {});
-      const sim::ReplayDivergence divergence =
-          sim::find_first_divergence_replayed(
-              clean_cursor, faulty_cursor,
-              std::min<std::uint64_t>(run.schedule.final_result.cycles,
-                                      50'000),
-              sim::DivergenceScope::kCoreState, /*stride=*/512);
+      const sim::DivergenceReport divergence = sim::find_first_divergence(
+          clean_cursor, faulty_cursor,
+          std::min<std::uint64_t>(run.schedule.final_result.cycles, 50'000),
+          sim::DivergenceScope::kCoreState, /*stride=*/512);
       if (divergence.diverged) {
         localized = true;
         EXPECT_FALSE(divergence.delta.empty());
@@ -572,15 +591,8 @@ TEST(FaultBisection, DelayedWakeupLocalizesAtTheMissedWake) {
   fault.event_index = index;
   fault.core = core;
   fault.delay = 300;
-  const std::vector<sim::FaultAction> faults{fault};
-
-  ReplayRig clean = scenario::make_replay_rig(run, Registry::builtins());
-  ReplayRig faulty = scenario::make_replay_rig(run, Registry::builtins());
-  sim::ReplayCursor clean_cursor(*clean.platform, run.schedule, {});
-  sim::ReplayCursor faulty_cursor(*faulty.platform, run.schedule, faults);
-  const sim::ReplayDivergence divergence = sim::find_first_divergence_replayed(
-      clean_cursor, faulty_cursor, run.schedule.final_result.cycles,
-      sim::DivergenceScope::kCoreState, /*stride=*/256);
+  const sim::DivergenceReport divergence =
+      bisect_at_every_stride(run, {fault});
   ASSERT_TRUE(divergence.diverged);
   const std::uint64_t wake_cycle = run.schedule.events[index].cycle;
   // The faulted core misses its wake-up at the recorded cycle; the first
@@ -605,7 +617,7 @@ TEST(FaultBisection, DroppedWakeupLocalizesAndNeverRecovers) {
   ReplayRig faulty = scenario::make_replay_rig(run, Registry::builtins());
   sim::ReplayCursor clean_cursor(*clean.platform, run.schedule, {});
   sim::ReplayCursor faulty_cursor(*faulty.platform, run.schedule, faults);
-  const sim::ReplayDivergence divergence = sim::find_first_divergence_replayed(
+  const sim::DivergenceReport divergence = sim::find_first_divergence(
       clean_cursor, faulty_cursor, run.schedule.final_result.cycles,
       sim::DivergenceScope::kCoreState, /*stride=*/256);
   ASSERT_TRUE(divergence.diverged);
@@ -626,7 +638,7 @@ TEST(FaultBisection, DroppedWakeupLocalizesAndNeverRecovers) {
 
 // --- slice stepping against per-cycle stepping -------------------------------
 
-/// Final simulated state of a replay of `run` under `faults`. By default
+/// Final snapshot of a replay of `run` under `faults`. By default
 /// the cursor reaches the recorded end in one `advance_to`: `run()` slices
 /// through the region executor. The per-cycle reference turns the fast
 /// paths off (`RunSpec::fast_forward`) and advances one cycle per call. A
@@ -644,7 +656,11 @@ sim::Snapshot stepped_final_state(
   const std::uint64_t end = run.schedule.final_result.cycles;
   if (!per_cycle) cursor.advance_to(end);
   while (cursor.cycle() < end) cursor.advance_to(cursor.cycle() + 1);
-  return sim::simulated_state(rig.platform->save_snapshot());
+  return rig.platform->save_snapshot();
+}
+
+bool same_state(const sim::Snapshot& a, const sim::Snapshot& b) {
+  return sim::snapshots_equal(a, b, sim::DivergenceScope::kFullState);
 }
 
 /// One sampled fault and the slice bound it exercises.
@@ -719,7 +735,7 @@ TEST(SliceStepping, MatchesPerCycleSteppingUnderSampledFaults) {
   const RecordedRun& run = sleepgen_recording();
   const sim::Snapshot clean = stepped_final_state(run, {}, false);
   const sim::Snapshot clean_reference = stepped_final_state(run, {}, true);
-  EXPECT_TRUE(clean == clean_reference)
+  EXPECT_TRUE(same_state(clean, clean_reference))
       << sim::diff_snapshots(clean_reference, clean);
   EXPECT_EQ(sim::normalized_state_hash(clean), run.schedule.final_state_hash);
 
@@ -730,12 +746,12 @@ TEST(SliceStepping, MatchesPerCycleSteppingUnderSampledFaults) {
     const std::vector<sim::FaultAction> faults{fault.action};
     const sim::Snapshot sliced = stepped_final_state(run, faults, false);
     const sim::Snapshot reference = stepped_final_state(run, faults, true);
-    EXPECT_TRUE(sliced == reference)
+    EXPECT_TRUE(same_state(sliced, reference))
         << fault.bound << " (cycle " << fault.action.cycle << ", addr "
         << fault.action.addr << ", event " << fault.action.event_index
         << ", core " << fault.action.core << ", delay " << fault.action.delay
         << "): " << sim::diff_snapshots(reference, sliced);
-    unmasked[fault.bound] += sliced == clean ? 0 : 1;
+    unmasked[fault.bound] += same_state(sliced, clean) ? 0 : 1;
   }
   for (const char* bound :
        {"dm flip at deposit + 1", "dm flip later after a deposit",
@@ -761,7 +777,7 @@ TEST(SliceStepping, MatchesPerCycleSteppingUnderSampledFaults) {
     }
     const sim::Snapshot reference =
         stepped_final_state(run, {}, true, corrupted);
-    EXPECT_TRUE(sliced == reference)
+    EXPECT_TRUE(same_state(sliced, reference))
         << sim::diff_snapshots(reference, sliced);
     return;
   }
@@ -855,10 +871,9 @@ TEST(ExactReplayErrors, EarlyInterruptBehindADepositIsReported) {
       << error;
 }
 
-TEST(ExactReplayErrors, CursorRejectsAnUnorderedSchedule) {
-  // The cursor delivers an event only on its exact cycle; one recorded
-  // behind the clock would silently block every later event.
-  const auto [schedule, early] = early_interrupt_schedule();
+/// What a cursor over `schedule` throws (a failure when it throws
+/// nothing); exact replay must report the same error instead of throwing.
+std::string cursor_rejection(const sim::EventSchedule& schedule) {
   ReplayRig rig =
       scenario::make_replay_rig(sleepgen_recording(), Registry::builtins());
   std::string error;
@@ -867,10 +882,95 @@ TEST(ExactReplayErrors, CursorRejectsAnUnorderedSchedule) {
   } catch (const std::invalid_argument& rejected) {
     error = rejected.what();
   }
+  if (error.empty()) {
+    ADD_FAILURE() << "the cursor accepted the schedule";
+    return error;
+  }
+  EXPECT_EQ(sim::replay_schedule(*rig.platform, schedule).error, error);
+  return error;
+}
+
+TEST(ExactReplayErrors, CursorRejectsAnUnorderedSchedule) {
+  // The cursor delivers an event only on its exact cycle; one recorded
+  // behind the clock would silently block every later event.
+  const auto [schedule, early] = early_interrupt_schedule();
+  const std::string error = cursor_rejection(schedule);
   EXPECT_TRUE(contains(error, "event at cycle " + std::to_string(early)))
       << "cursor error: '" << error << "'";
-  // Exact replay reports the same error instead of throwing.
-  EXPECT_EQ(sim::replay_schedule(*rig.platform, schedule).error, error);
+}
+
+TEST(ExactReplayErrors, CursorRejectsEventsThePlatformDoesNotHave) {
+  // Replay hands events to the platform's host API, which indexes cores
+  // and DM words unchecked, and a re-sealed envelope can name anything.
+  // One event per kind, just past the platform's bounds, inserted before
+  // the first wake-up at its cycle.
+  const RecordedRun& run = sleepgen_recording();
+  const sim::PlatformConfig config =
+      scenario::make_replay_rig(run, Registry::builtins()).platform->config();
+  const std::uint32_t dm_words = config.dm_words();
+  const std::size_t index = first_wake_event(run).first;
+  ASSERT_LT(index, run.schedule.events.size());
+  const std::uint64_t cycle = run.schedule.events[index].cycle;
+
+  sim::ExternalEvent wake;
+  wake.kind = sim::EventKind::kInterrupt;
+  wake.core = config.num_cores;
+  sim::ExternalEvent write;
+  write.kind = sim::EventKind::kDmWrite;
+  write.addr = dm_words;
+  sim::ExternalEvent block;
+  block.kind = sim::EventKind::kDmWriteBlock;
+  block.addr = dm_words - 1;
+  block.words = {1, 2};
+  const std::pair<sim::ExternalEvent, std::string> cases[] = {
+      {wake, "wakes core " + std::to_string(config.num_cores) + " of " +
+                 std::to_string(config.num_cores)},
+      {write, "writes DM word " + std::to_string(dm_words) + " of " +
+                  std::to_string(dm_words)},
+      {block, "writes DM words [" + std::to_string(dm_words - 1) + ", " +
+                  std::to_string(dm_words + 1) + ") of " +
+                  std::to_string(dm_words)},
+  };
+  for (const auto& [bad, what] : cases) {
+    sim::EventSchedule schedule = run.schedule;
+    sim::ExternalEvent event = bad;
+    event.cycle = cycle;
+    schedule.events.insert(
+        schedule.events.begin() + static_cast<std::ptrdiff_t>(index), event);
+    const std::string error = cursor_rejection(schedule);
+    EXPECT_TRUE(contains(error, "event " + std::to_string(index) +
+                                    " at cycle " + std::to_string(cycle) +
+                                    " " + what))
+        << "cursor error: '" << error << "'";
+  }
+}
+
+TEST(ExactReplayErrors, ImplausibleBlockWordCountIsRejectedBeforeAllocating) {
+  // A re-sealed image whose block event claims about 10^6 words while the
+  // image holds two: the count is refused before the words are allocated.
+  sim::EventSchedule schedule;
+  sim::ExternalEvent block;
+  block.kind = sim::EventKind::kDmWriteBlock;
+  block.words = {1, 2};
+  schedule.events.push_back(block);
+  std::vector<std::uint8_t> bytes = schedule.serialize();
+  // Magic 8, version 4, fingerprint 8, event count 8, then the event's
+  // kind 1, cycle 8 and address 4 bytes: the u32 word count follows.
+  constexpr std::size_t kWordCount = 8 + 4 + 8 + 8 + 1 + 8 + 4;
+  ASSERT_EQ(bytes[kWordCount], 2u);
+  bytes[kWordCount + 2] = 0x0f;  // 2 + 15 * 65536 = 983042 words
+  const std::size_t body = bytes.size() - 8;
+  const std::uint64_t hash =
+      util::fnv1a64(std::span<const std::uint8_t>(bytes.data(), body));
+  for (unsigned k = 0; k < 8; ++k)
+    bytes[body + k] = static_cast<std::uint8_t>(hash >> (8 * k));
+  std::string error;
+  try {
+    (void)sim::EventSchedule::deserialize(bytes);
+  } catch (const std::invalid_argument& rejected) {
+    error = rejected.what();
+  }
+  EXPECT_EQ(error, "event schedule: implausible block word count");
 }
 
 }  // namespace

@@ -224,6 +224,25 @@ TEST(Engine, ImBankCountAboveSixtyFourIsRejected) {
                std::invalid_argument);
 }
 
+TEST(Engine, UnknownArbitrationPolicyIsRejected) {
+  // A policy byte past the last policy would otherwise run as fixed
+  // priority: the bound holds for a constructed platform and for a decoded
+  // snapshot alike.
+  sim::PlatformConfig config = sim::PlatformConfig::without_synchronizer();
+  config.arbitration = sim::ArbitrationPolicy::kRoundRobin;
+  EXPECT_TRUE(config.validate().empty());
+  sim::Snapshot snapshot = sim::Platform{config}.save_snapshot();
+  EXPECT_NO_THROW((void)sim::Snapshot::deserialize(snapshot.serialize()));
+  const auto unknown = static_cast<sim::ArbitrationPolicy>(
+      static_cast<std::uint8_t>(sim::ArbitrationPolicy::kRoundRobin) + 1);
+  config.arbitration = unknown;
+  EXPECT_NE(config.validate().find("arbitration"), std::string::npos);
+  EXPECT_THROW(sim::Platform{config}, std::invalid_argument);
+  snapshot.config.arbitration = unknown;
+  EXPECT_THROW((void)sim::Snapshot::deserialize(snapshot.serialize()),
+               std::invalid_argument);
+}
+
 TEST(Engine, UnknownWorkloadYieldsErrorRecordNotThrow) {
   Engine engine(Registry::builtins());
   const auto record = engine.run_one(RunSpec{.workload = "no-such"});

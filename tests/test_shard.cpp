@@ -247,6 +247,29 @@ TEST(Spool, SpecSettingTheRetiredBurstKnobRejected) {
   EXPECT_THROW((void)decode_run_spec(r), std::invalid_argument);
 }
 
+TEST(Spool, SpecWithAnUnknownArbitrationPolicyRejected) {
+  // Every policy byte past the last policy is refused at decode, not run
+  // as fixed priority and written as "?" in the CSV.
+  RunSpec spec;
+  spec.workload = "mrpfltr";
+  spec.arbitration = sim::ArbitrationPolicy::kRoundRobin;
+  util::WireWriter w;
+  encode_run_spec(w, spec);
+  std::vector<std::uint8_t> bytes = w.take();
+  {
+    util::WireReader r(bytes);
+    EXPECT_EQ(decode_run_spec(r).arbitration, spec.arbitration);
+  }
+  // Tail after the policy byte: three absent optionals (IM line, fast
+  // forward, retired burst knob), u64 max_cycles, two absent optionals.
+  const std::size_t policy = bytes.size() - 14;
+  ASSERT_EQ(bytes[policy],
+            static_cast<std::uint8_t>(sim::ArbitrationPolicy::kRoundRobin));
+  bytes[policy] += 1;
+  util::WireReader r(bytes);
+  EXPECT_THROW((void)decode_run_spec(r), std::invalid_argument);
+}
+
 TEST(Spool, CorruptManifestRejected) {
   const std::string dir = scratch_dir("badmanifest");
   (void)plan_spool(dir, small_sweep_specs(), Registry::builtins(), {});

@@ -295,6 +295,70 @@ TEST(Snapshot, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(Snapshot, EqualityScopesIgnoreExactlyTheirExcludedFields) {
+  // snapshots_equal compares whole projections: the full scope drops only
+  // the host-only fields and the image fingerprint, the core scope also
+  // drops configuration, DM and host words. Every other field counts.
+  WorkloadRig rig("sqrt32", /*fast_forward=*/true);
+  (void)rig.platform.run(kGoldenCycle);
+  const sim::Snapshot base = rig.platform.save_snapshot();
+  ASSERT_FALSE(base.dm_runs.empty());
+  ASSERT_GE(base.cores.size(), 2u);
+  ASSERT_FALSE(base.policy_groups.empty());
+
+  struct Edit {
+    const char* field;
+    void (*apply)(sim::Snapshot&);
+    bool full_sees;
+    bool core_sees;
+  };
+  const Edit edits[] = {
+      {"im_fingerprint", [](sim::Snapshot& s) { s.im_fingerprint ^= 1; },
+       false, false},
+      {"config.fast_forward",
+       [](sim::Snapshot& s) { s.config.fast_forward = !s.config.fast_forward; },
+       false, false},
+      {"fast_forwarded_cycles",
+       [](sim::Snapshot& s) { s.fast_forwarded_cycles += 5; }, false, false},
+      {"config.base_cpi", [](sim::Snapshot& s) { s.config.base_cpi += 1; },
+       true, false},
+      {"a DM word",
+       [](sim::Snapshot& s) { s.dm_runs.front().words.front() ^= 1; }, true,
+       false},
+      {"host_words", [](sim::Snapshot& s) { s.host_words.push_back(7); },
+       true, false},
+      {"one register", [](sim::Snapshot& s) { s.cores[1].arch.regs[3] ^= 1; },
+       true, true},
+      {"one counter",
+       [](sim::Snapshot& s) { s.counters.per_core_retired[1] += 1; },
+       true, true},
+      {"stall_age", [](sim::Snapshot& s) { s.cores[0].stall_age += 1; }, true,
+       true},
+      {"policy group",
+       [](sim::Snapshot& s) { s.policy_groups[0].pc += 1; }, true, true},
+      {"synchronizer", [](sim::Snapshot& s) { s.sync.inflight_addr += 1; },
+       true, true},
+      {"pending stop",
+       [](sim::Snapshot& s) { s.has_pending_stop = !s.has_pending_stop; },
+       true, true},
+      {"was_lockstep",
+       [](sim::Snapshot& s) { s.was_lockstep = !s.was_lockstep; }, true, true},
+      {"rr_pointer", [](sim::Snapshot& s) { s.rr_pointer += 1; }, true, true},
+  };
+  for (const Edit& edit : edits) {
+    sim::Snapshot edited = base;
+    edit.apply(edited);
+    EXPECT_EQ(sim::snapshots_equal(base, edited,
+                                   sim::DivergenceScope::kFullState),
+              !edit.full_sees)
+        << edit.field;
+    EXPECT_EQ(sim::snapshots_equal(base, edited,
+                                   sim::DivergenceScope::kCoreState),
+              !edit.core_sees)
+        << edit.field;
+  }
+}
+
 // --- engine warm-start -------------------------------------------------------
 
 std::vector<RunSpec> horizon_fanout(const std::string& workload,

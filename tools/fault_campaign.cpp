@@ -38,12 +38,12 @@
 //   outcome   (default) classify each fault masked / detected / sdc
 //             against the clean replay's final state — one replay per
 //             trial; what the resilience report aggregates.
-//   localize  legacy checkpoint-stride bisection to the first divergent
-//             cycle (outcomes localized / masked). Implied by
-//             --require-localized when --mode is not given.
+//   localize  checkpoint-stride bisection to the first divergent cycle
+//             (outcomes localized / masked).
 //
 // Gates: --require-localized N exits nonzero unless at least N faults
-// localized; --require-classified N likewise for rows whose outcome is
+// localized (it gates only; select the bisection with --mode localize);
+// --require-classified N likewise for rows whose outcome is
 // masked/detected/sdc/localized/undecodable-image — the CI smoke gates.
 
 #include <cstdio>

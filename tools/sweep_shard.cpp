@@ -134,7 +134,6 @@ int cmd_plan(const util::CliArgs& args) {
           {"shards", "K", "shard count (default 4)"},
           {"costs", "a,b", "cost feedback: cost files or earlier spools"},
           {"campaign", "", "plan a fault-campaign spool instead"},
-          {"require-localized", "", "campaign: --mode localize shorthand"},
       }};
   table = with_flags(std::move(table), cli::matrix_flags());
   table = with_flags(std::move(table), cli::campaign_flags());
