@@ -4,8 +4,10 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace ulpsync::scenario {
 
@@ -126,8 +128,27 @@ struct FieldDef {
      r.lvalue = parse_double(v);                               \
    }}
 
+/// The record column of `sim::kCounterFields[I]`.
+template <std::size_t I>
+FieldDef counter_column() {
+  return {sim::kCounterFields[I].name, false,
+          [](const RunRecord& r) -> std::string {
+            return std::to_string(r.counters.*sim::kCounterFields[I].member);
+          },
+          [](RunRecord& r, const std::string& v) {
+            r.counters.*sim::kCounterFields[I].member = parse_u64(v);
+          }};
+}
+
+/// One record column per event counter, in table order.
+template <std::size_t... I>
+std::vector<FieldDef> counter_columns(std::index_sequence<I...>) {
+  return {counter_column<I>()...};
+}
+
 const std::vector<FieldDef>& field_table() {
-  static const std::vector<FieldDef> fields = {
+  static const std::vector<FieldDef> fields = [] {
+    std::vector<FieldDef> table = {
       // --- spec ---
       FIELD_STR("workload", spec.workload),
       FIELD_STR("design", spec.design.label),
@@ -209,29 +230,12 @@ const std::vector<FieldDef>& field_table() {
       FIELD_U64("useful_ops", useful_ops),
       FIELD_DOUBLE("ops_per_cycle", ops_per_cycle),
       FIELD_DOUBLE("lockstep_fraction", lockstep_fraction),
-      // --- event counters ---
-      FIELD_U64("cycles", counters.cycles),
-      FIELD_U64("im_bank_accesses", counters.im_bank_accesses),
-      FIELD_U64("im_fetches_delivered", counters.im_fetches_delivered),
-      FIELD_U64("im_broadcast_groups", counters.im_broadcast_groups),
-      FIELD_U64("fetch_conflict_cycles", counters.fetch_conflict_cycles),
-      FIELD_U64("dm_bank_accesses", counters.dm_bank_accesses),
-      FIELD_U64("dm_requests_granted", counters.dm_requests_granted),
-      FIELD_U64("dm_broadcast_reads", counters.dm_broadcast_reads),
-      FIELD_U64("dm_conflict_cycles", counters.dm_conflict_cycles),
-      FIELD_U64("policy_hold_events", counters.policy_hold_events),
-      FIELD_U64("retired_ops", counters.retired_ops),
-      FIELD_U64("core_active_cycles", counters.core_active_cycles),
-      FIELD_U64("core_fetch_stall_cycles", counters.core_fetch_stall_cycles),
-      FIELD_U64("core_mem_stall_cycles", counters.core_mem_stall_cycles),
-      FIELD_U64("core_sync_stall_cycles", counters.core_sync_stall_cycles),
-      FIELD_U64("core_sleep_cycles", counters.core_sleep_cycles),
-      FIELD_U64("core_branch_bubble_cycles",
-                counters.core_branch_bubble_cycles),
-      FIELD_U64("core_wakeup_ramp_cycles", counters.core_wakeup_ramp_cycles),
-      FIELD_U64("lockstep_cycles", counters.lockstep_cycles),
-      FIELD_U64("fetch_cycles", counters.fetch_cycles),
-      FIELD_U64("divergence_events", counters.divergence_events),
+    };
+    // --- event counters ---
+    const std::vector<FieldDef> counters = counter_columns(
+        std::make_index_sequence<std::size(sim::kCounterFields)>{});
+    table.insert(table.end(), counters.begin(), counters.end());
+    table.insert(table.end(), {
       // --- synchronizer ---
       FIELD_U64("sync_rmw_ops", sync_stats.rmw_ops),
       FIELD_U64("sync_dm_accesses", sync_stats.dm_accesses),
@@ -302,7 +306,9 @@ const std::vector<FieldDef>& field_table() {
        [](RunRecord&, const std::string&) {}},
       FIELD_DOUBLE("energy_per_op_pj", energy_report.energy_per_op_pj),
       FIELD_DOUBLE("energy_total_uj", energy_report.total_energy_uj),
-  };
+    });
+    return table;
+  }();
   return fields;
 }
 

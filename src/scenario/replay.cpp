@@ -21,7 +21,9 @@ constexpr util::Magic kMagic = {'U', 'L', 'P', 'E', 'R', 'U', 'N', '\n'};
 std::vector<std::uint8_t> RecordedRun::serialize() const {
   return util::seal(kMagic, kFormatVersion, [&](util::WireWriter& w) {
     encode_run_spec(w, spec);
-    w.boolean(measure_lockstep);
+    // Recordings always run with the lockstep analyzer attached; the byte
+    // stays on the wire so existing envelopes keep their bytes.
+    w.boolean(true);
     w.blob(schedule.serialize());
     w.str(csv_row);
   });
@@ -32,7 +34,9 @@ RecordedRun RecordedRun::deserialize(std::span<const std::uint8_t> bytes) {
       util::unseal(bytes, kMagic, kFormatVersion, "recorded run");
   RecordedRun run;
   run.spec = decode_run_spec(r);
-  run.measure_lockstep = r.boolean();
+  if (!r.boolean())
+    throw std::invalid_argument(
+        "recorded run: recorded without the lockstep analyzer (retired)");
   run.schedule = sim::EventSchedule::deserialize(r.blob());
   run.csv_row = r.str();
   if (!r.at_end())
@@ -103,7 +107,7 @@ ReplayReport replay_recorded_run(const RecordedRun& run,
     ReplayRig rig = make_replay_rig(run, registry);
 
     core::LockstepAnalyzer analyzer;
-    if (run.measure_lockstep) analyzer.attach(*rig.platform);
+    analyzer.attach(*rig.platform);
 
     const sim::ReplayOutcome outcome =
         sim::replay_schedule(*rig.platform, run.schedule);

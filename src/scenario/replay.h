@@ -39,11 +39,6 @@ struct RecordedRun {
   static constexpr std::uint32_t kFormatVersion = 2;
 
   RunSpec spec;
-  /// Whether the recording ran with a lockstep analyzer attached (the
-  /// replay must match to reproduce `lockstep_fraction`). `record_one`
-  /// always attaches one; the byte stays on the wire so existing envelopes
-  /// keep their bytes.
-  bool measure_lockstep = true;
   sim::EventSchedule schedule;
   /// `to_csv_row` of the original record — the byte-exact replay target.
   std::string csv_row;
@@ -53,7 +48,8 @@ struct RecordedRun {
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
   /// Parses a serialized image. Throws std::invalid_argument on a bad
   /// magic, an unsupported version, truncation, a trailing-hash mismatch,
-  /// or a malformed embedded schedule.
+  /// a malformed embedded schedule, or a recording made without the
+  /// lockstep analyzer (a retired mode whose wire byte is always true).
   [[nodiscard]] static RecordedRun deserialize(
       std::span<const std::uint8_t> bytes);
   /// FNV-1a 64 hash of `serialize()` — what golden-schedule hashes pin.

@@ -71,4 +71,38 @@ struct EventCounters {
   }
 };
 
+/// One scalar counter of `EventCounters`: its name and its member.
+struct CounterField {
+  const char* name;
+  std::uint64_t EventCounters::* member;
+};
+
+/// Every scalar counter of `EventCounters`, in one fixed order. The
+/// snapshot wire format, the snapshot diff and the run record's counter
+/// columns all walk this one table, so they cannot drift apart; a counter
+/// added here reaches all three (and changes the snapshot format).
+inline constexpr CounterField kCounterFields[] = {
+    {"cycles", &EventCounters::cycles},
+    {"im_bank_accesses", &EventCounters::im_bank_accesses},
+    {"im_fetches_delivered", &EventCounters::im_fetches_delivered},
+    {"im_broadcast_groups", &EventCounters::im_broadcast_groups},
+    {"fetch_conflict_cycles", &EventCounters::fetch_conflict_cycles},
+    {"dm_bank_accesses", &EventCounters::dm_bank_accesses},
+    {"dm_requests_granted", &EventCounters::dm_requests_granted},
+    {"dm_broadcast_reads", &EventCounters::dm_broadcast_reads},
+    {"dm_conflict_cycles", &EventCounters::dm_conflict_cycles},
+    {"policy_hold_events", &EventCounters::policy_hold_events},
+    {"retired_ops", &EventCounters::retired_ops},
+    {"core_active_cycles", &EventCounters::core_active_cycles},
+    {"core_fetch_stall_cycles", &EventCounters::core_fetch_stall_cycles},
+    {"core_mem_stall_cycles", &EventCounters::core_mem_stall_cycles},
+    {"core_sync_stall_cycles", &EventCounters::core_sync_stall_cycles},
+    {"core_sleep_cycles", &EventCounters::core_sleep_cycles},
+    {"core_branch_bubble_cycles", &EventCounters::core_branch_bubble_cycles},
+    {"core_wakeup_ramp_cycles", &EventCounters::core_wakeup_ramp_cycles},
+    {"lockstep_cycles", &EventCounters::lockstep_cycles},
+    {"fetch_cycles", &EventCounters::fetch_cycles},
+    {"divergence_events", &EventCounters::divergence_events},
+};
+
 }  // namespace ulpsync::sim

@@ -1,10 +1,11 @@
 #pragma once
 
 /// The crossbar conflict rules for one bank, as pure functions of the
-/// bank's requesters held in a 64-bit core mask (bit i = core i).
-/// `Platform::tick()` and the region executor both arbitrate through them,
-/// and the D-Xbar's plain conflicts use the same winner rule, so no two
-/// paths can disagree on who is served.
+/// bank's requesters held in a 64-bit core mask (bit i = core i): the
+/// winner rule both crossbars share, the I-Xbar's served set, and the
+/// D-Xbar's served set and policy-group pick. `Platform::tick()` and the
+/// region executor both arbitrate through them, so no two paths can
+/// disagree on who is served.
 
 #include <bit>
 #include <cstdint>
@@ -67,6 +68,58 @@ template <typename StallAge, typename PcOf>
       config.im_fetch_broadcast &&
       (config.features.ixbar_partial_broadcast || same == requesters);
   return broadcast ? same : same & (~same + 1);
+}
+
+/// The cores of one DM bank's `requesters` (nonzero) that this cycle's bank
+/// access serves. A lone requester is served. Otherwise the conflict winner
+/// is served alone when it stores or loads may not `broadcast`, and every
+/// load at the winner's address (`addr_of`) is served together when they
+/// may. `served == requesters` is exactly the conflict-free cycle.
+template <typename StallAge, typename AddrOf, typename IsStore>
+[[nodiscard]] std::uint64_t access_served(std::uint64_t requesters,
+                                          ArbitrationPolicy policy,
+                                          unsigned rr_pointer, bool broadcast,
+                                          StallAge stall_age, AddrOf addr_of,
+                                          IsStore is_store) {
+  if ((requesters & (requesters - 1)) == 0) return requesters;
+  const unsigned winner =
+      conflict_winner(requesters, policy, rr_pointer, stall_age);
+  if (!broadcast || is_store(winner)) return std::uint64_t{1} << winner;
+  const auto addr = addr_of(winner);
+  std::uint64_t served = 0;
+  for (std::uint64_t rest = requesters; rest != 0; rest &= rest - 1) {
+    const auto core = static_cast<unsigned>(std::countr_zero(rest));
+    served |= std::uint64_t{!is_store(core) && addr_of(core) == addr} << core;
+  }
+  return served;
+}
+
+/// The enhanced D-Xbar's policy group among a conflicting bank's
+/// `requesters`: the largest set of them at one PC (`pc_of`), ties to the
+/// lowest PC. 0 when no two requesters share a PC.
+template <typename PcOf>
+[[nodiscard]] std::uint64_t pc_group(std::uint64_t requesters,
+                                     PcOf pc_of) {
+  std::uint64_t best = 0;
+  int best_size = 1;  // a group has at least two members
+  for (std::uint64_t rest = requesters; rest != 0;) {
+    const auto pc = pc_of(static_cast<unsigned>(std::countr_zero(rest)));
+    std::uint64_t same = 0;
+    for (std::uint64_t scan = rest; scan != 0; scan &= scan - 1) {
+      const auto core = static_cast<unsigned>(std::countr_zero(scan));
+      same |= std::uint64_t{pc_of(core) == pc} << core;
+    }
+    rest &= ~same;
+    const int size = std::popcount(same);
+    const bool lower_pc_tie =
+        size == best_size && best != 0 &&
+        pc < pc_of(static_cast<unsigned>(std::countr_zero(best)));
+    if (size > best_size || lower_pc_tie) {
+      best = same;
+      best_size = size;
+    }
+  }
+  return best;
 }
 
 }  // namespace ulpsync::sim

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,25 +15,6 @@ namespace {
 /// Widest mask loops ever needed for synchronizer events: its masks carry
 /// one bit per synchronizer-capable core.
 constexpr unsigned kSyncMaskBits = 16;
-
-/// Stable insertion sort of `items[0..count)` by `bank_of(item)`: the
-/// D-Xbar's (bank, core) arbitration order. Stability preserves the
-/// ascending-core collection order. Request counts are at most num_cores,
-/// where insertion sort beats a general sort by a wide margin; in the
-/// common case (one bank) nothing moves.
-template <typename Item, typename BankOf>
-void stable_sort_by_bank(Item* items, std::size_t count, BankOf bank_of) {
-  for (std::size_t i = 1; i < count; ++i) {
-    const Item item = items[i];
-    const auto bank = bank_of(item);
-    std::size_t j = i;
-    while (j > 0 && bank_of(items[j - 1]) > bank) {
-      items[j] = items[j - 1];
-      --j;
-    }
-    items[j] = item;
-  }
-}
 
 /// Distinct-value counter clamped at 8 — the lockstep histogram's width —
 /// by linear probing into a fixed array. Beyond 8 distinct PCs the count
@@ -99,10 +79,10 @@ Platform::Platform(const PlatformConfig& config)
   const std::string error = config.validate();
   if (!error.empty()) throw std::invalid_argument("PlatformConfig: " + error);
   fetch_winners_.reserve(config.num_cores);
-  dm_requesters_.reserve(config.num_cores);
   touched_cores_.reserve(config.num_cores);
   active_cores_.reserve(config.num_cores);
-  bank_runs_.reserve(config.num_cores);
+  dm_bank_requesters_.assign(config.dm_banks, 0);
+  dm_banks_requested_.reserve(config.num_cores);
   reset();
 }
 
@@ -121,15 +101,15 @@ void Platform::load_image(std::uint32_t origin,
 
 void Platform::reset(bool clear_dm) {
   for (unsigned i = 0; i < cores_.size(); ++i) {
-    CoreRuntime& core = cores_[i];
-    core = CoreRuntime{};
+    CoreSnapshot& core = cores_[i];
+    core = CoreSnapshot{};
     core.arch.core_id = static_cast<std::uint16_t>(i);
     core.arch.num_cores = static_cast<std::uint16_t>(config_.num_cores);
     core.arch.rsync = config_.sync_array_base;
     core.arch.pc = im_.begin();
     core.ramp_cycles = i * config_.start_stagger_cycles;
   }
-  for (auto& group : policy_groups_) group = PolicyGroup{};
+  for (auto& group : policy_groups_) group = PolicyGroupSnapshot{};
   active_policy_groups_ = 0;
   counters_ = EventCounters{};
   synchronizer_.reset_stats();
@@ -158,7 +138,7 @@ void Platform::rebuild_schedule_state() {
 }
 
 void Platform::set_status(unsigned core, CoreStatus next) {
-  CoreRuntime& c = cores_[core];
+  CoreSnapshot& c = cores_[core];
   const CoreStatus prev = c.status;
   if (prev == next) return;
   status_counts_[static_cast<unsigned>(prev)] -= 1;
@@ -224,7 +204,7 @@ void Platform::observe_lockstep_tick() {
   DistinctPcProbe probe;
   unsigned ready = 0;
   for (const unsigned i : active_cores_) {
-    const CoreRuntime& c = cores_[i];
+    const CoreSnapshot& c = cores_[i];
     if (c.status != CoreStatus::kReady) continue;
     ++ready;
     probe.add(c.arch.pc);
@@ -262,7 +242,7 @@ const core::SynchronizerStats& Platform::sync_stats() const {
 }
 
 void Platform::wake_core(unsigned core) {
-  CoreRuntime& c = cores_[core];
+  CoreSnapshot& c = cores_[core];
   if (c.status != CoreStatus::kSleeping) return;
   set_status(core, CoreStatus::kReady);
   c.stall_age = 0;
@@ -293,7 +273,7 @@ void Platform::trap(unsigned core, TrapKind kind) {
 }
 
 void Platform::retire(unsigned core, std::uint32_t next_pc) {
-  CoreRuntime& c = cores_[core];
+  CoreSnapshot& c = cores_[core];
   c.arch.pc = next_pc;
   set_status(core, CoreStatus::kReady);
   c.stall_age = 0;
@@ -408,7 +388,7 @@ void Platform::phase_fetch_and_execute() {
 
   for (std::size_t p = 0; p < active_cores_.size();) {
     const unsigned i = active_cores_[p];
-    CoreRuntime& c = cores_[i];
+    CoreSnapshot& c = cores_[i];
     if (c.status != CoreStatus::kReady) {
       ++p;
       continue;
@@ -457,7 +437,7 @@ void Platform::phase_fetch_and_execute() {
 
   // Execute the served instructions.
   for (unsigned core_index : fetch_winners_) {
-    CoreRuntime& c = cores_[core_index];
+    CoreSnapshot& c = cores_[core_index];
     const isa::Instruction& instr = im_.at(c.arch.pc);
     const ExecResult result = execute(c.arch, instr);
     mark_active(core_index);
@@ -521,7 +501,7 @@ void Platform::phase_fetch_and_execute() {
 void Platform::phase_sync_submit() {
   if (status_counts_[static_cast<unsigned>(CoreStatus::kSyncWait)] > 0) {
     for (const unsigned i : active_cores_) {
-      CoreRuntime& c = cores_[i];
+      CoreSnapshot& c = cores_[i];
       if (c.status != CoreStatus::kSyncWait) continue;
       if (synchronizer_.submit(i, c.sync_addr, c.sync_is_checkout)) {
         set_status(i, CoreStatus::kSyncBusy);
@@ -538,238 +518,119 @@ void Platform::phase_sync_submit() {
 
 // Phase 5: D-Xbar arbitration (ordinary data accesses).
 void Platform::phase_dxbar() {
-  if (status_counts_[static_cast<unsigned>(CoreStatus::kMemWait)] == 0 &&
-      active_policy_groups_ == 0) {
+  // An active policy group always has an unserved member in kMemWait.
+  if (status_counts_[static_cast<unsigned>(CoreStatus::kMemWait)] == 0) return;
+  for (const unsigned i : active_cores_)
+    if (cores_[i].status == CoreStatus::kMemWait) add_dm_requester(i);
+  serve_dm_banks();
+}
+
+void Platform::serve_dm_banks() {
+  const int locked_bank = synchronizer_.locked_bank();
+  for (const unsigned bank : dm_banks_requested_)
+    serve_dm_bank(bank, std::exchange(dm_bank_requesters_[bank], 0),
+                  locked_bank);
+  dm_banks_requested_.clear();
+}
+
+void Platform::serve_dm_bank(unsigned bank, std::uint64_t requesters,
+                             int locked_bank) {
+  PolicyGroupSnapshot& group = policy_groups_[bank];
+  if (static_cast<int>(bank) == locked_bank) {
+    // The synchronizer's RMW owns the bank this cycle.
+    if (!group.active) stall_dm(requesters);
     return;
   }
-  dm_requesters_.clear();
-  for (const unsigned i : active_cores_) {
-    if (cores_[i].status == CoreStatus::kMemWait) {
-      dm_bank_of_core_[i] = dm_.bank_of(cores_[i].mem_addr);
-      dm_requesters_.push_back(i);
-    }
-  }
+  auto stall_age = [&](unsigned core) { return cores_[core].stall_age; };
+  auto addr_of = [&](unsigned core) { return cores_[core].mem_addr; };
+  auto is_store = [&](unsigned core) { return cores_[core].mem_is_store; };
 
-  // Group requesters by DM bank into the shared (bank, core) arbitration
-  // order, then slice into per-bank runs.
-  stable_sort_by_bank(dm_requesters_.data(), dm_requesters_.size(),
-                      [&](unsigned core_index) {
-                        return dm_bank_of_core_[core_index];
-                      });
-  bank_runs_.clear();
-  for (unsigned i = 0; i < dm_requesters_.size();) {
-    const unsigned bank = dm_bank_of_core_[dm_requesters_[i]];
-    unsigned end = i + 1;
-    while (end < dm_requesters_.size() &&
-           dm_bank_of_core_[dm_requesters_[end]] == bank) {
-      ++end;
-    }
-    bank_runs_.push_back({bank, i, end - i, false});
-    i = end;
-  }
-
-  const int locked_bank = synchronizer_.locked_bank();
-
-  // First, progress active policy groups (their banks are reserved).
-  for (unsigned bank = 0;
-       active_policy_groups_ > 0 && bank < policy_groups_.size(); ++bank) {
-    PolicyGroup& group = policy_groups_[bank];
-    if (!group.active) continue;
-    if (static_cast<int>(bank) == locked_bank) {
-      // Synchronizer owns the bank this cycle; group members keep waiting.
-      continue;
-    }
-    // Serve the next address: the unserved member with the lowest index.
-    unsigned leader = 0;
-    while (((group.unserved_mask >> leader) & 1u) == 0) ++leader;
-    const std::uint32_t addr = cores_[leader].mem_addr;
-    const bool leader_store = cores_[leader].mem_is_store;
-
-    std::uint64_t served_mask = 0;
-    for (unsigned i = leader; i < cores_.size(); ++i) {
-      if (((group.unserved_mask >> i) & 1u) == 0) continue;
-      const CoreRuntime& c = cores_[i];
-      if (c.mem_addr != addr) continue;
-      // Loads of one address broadcast together; stores serialize.
-      if (leader_store) {
-        if (i != leader) continue;
-      } else if (c.mem_is_store) {
-        continue;
-      }
-      served_mask |= (1ull << i);
-    }
-
-    counters_.dm_bank_accesses += 1;
-    if (leader_store) {
-      dm_.write(addr, cores_[leader].store_data);
-    } else {
-      const std::uint16_t value = dm_.read(addr);
-      unsigned served_count = 0;
-      for (unsigned i = 0; i < cores_.size(); ++i) {
-        if ((served_mask >> i) & 1u) {
-          cores_[i].latched_load = value;
-          cores_[i].load_latched = true;
-          last_policy_latch_retired_[i] = counters_.per_core_retired[i];
-          ++served_count;
-        }
-      }
-      if (served_count > 1) counters_.dm_broadcast_reads += 1;
-    }
-    for (unsigned i = 0; i < cores_.size(); ++i) {
-      if ((served_mask >> i) & 1u) {
-        counters_.dm_requests_granted += 1;
-        mark_active(i);
-        set_status(i, CoreStatus::kPolicyHold);
-      }
-    }
-    group.unserved_mask &= ~served_mask;
-
+  if (group.active) {
+    // The group's next address: the lowest unserved member's, its loads
+    // broadcast and a store served alone. Members are held until the whole
+    // group is served, then retire together, back in lockstep.
+    const std::uint64_t members = group.member_mask;
+    const std::uint64_t served =
+        access_served(group.unserved_mask, ArbitrationPolicy::kFixedPriority,
+                      0, /*broadcast=*/true, stall_age, addr_of, is_store);
+    serve_dm_access(served, /*hold=*/true);
+    group.unserved_mask &= ~served;
     if (group.unserved_mask == 0) {
-      // Whole group served: all members retire together, back in lockstep.
-      for (unsigned i = 0; i < cores_.size(); ++i) {
-        if ((group.member_mask >> i) & 1u) {
-          if (!cores_[i].mem_is_store && cores_[i].load_latched)
-            grant_load(i, cores_[i].latched_load);
-          retire_mem(i);
-        }
+      for (std::uint64_t rest = members; rest != 0; rest &= rest - 1) {
+        const auto core = static_cast<unsigned>(std::countr_zero(rest));
+        if (!cores_[core].mem_is_store && cores_[core].load_latched)
+          grant_load(core, cores_[core].latched_load);
+        retire_mem(core);
       }
-      group = PolicyGroup{};
+      group = PolicyGroupSnapshot{};
       assert(active_policy_groups_ > 0);
       active_policy_groups_ -= 1;
     } else {
-      // Held members are clock gated while the rest of the group is served.
-      for (unsigned i = 0; i < cores_.size(); ++i) {
-        if (((group.member_mask >> i) & 1u) && !active_this_cycle_[i]) {
-          counters_.core_mem_stall_cycles += 1;
-          cores_[i].stall_age += 1;
-        }
-      }
+      stall_dm(members & ~served);  // held members are clock gated
     }
-    // Non-member requesters to this bank stall this cycle.
-    for (BankRun& run : bank_runs_) {
-      if (run.bank != bank || run.consumed) continue;
-      for (unsigned j = run.first; j < run.first + run.count; ++j) {
-        const unsigned core_index = dm_requesters_[j];
-        if ((group.member_mask >> core_index) & 1u) continue;
-        if (cores_[core_index].status == CoreStatus::kMemWait) {
-          counters_.core_mem_stall_cycles += 1;
-          cores_[core_index].stall_age += 1;
-        }
-      }
-      run.consumed = true;
-    }
+    stall_dm(requesters & ~members);
+    return;
   }
 
-  // Ordinary arbitration on the remaining banks.
-  for (const BankRun& run : bank_runs_) {
-    if (run.consumed) continue;
-    const unsigned bank = run.bank;
-    const std::span<const unsigned> requesters(dm_requesters_.data() + run.first,
-                                               run.count);
-    if (policy_groups_[bank].active) continue;  // handled above
-    if (static_cast<int>(bank) == locked_bank) {
-      for (unsigned core_index : requesters) {
-        counters_.core_mem_stall_cycles += 1;
-        cores_[core_index].stall_age += 1;
-      }
-      continue;
-    }
-
-    // Is this a conflict? A single address with only loads (broadcast), or a
-    // single requester, is conflict-free.
-    bool all_loads_same_addr = true;
-    const std::uint32_t addr0 = cores_[requesters.front()].mem_addr;
-    std::uint64_t requester_mask = 0;
-    for (unsigned core_index : requesters) {
-      const CoreRuntime& c = cores_[core_index];
-      if (c.mem_is_store || c.mem_addr != addr0) all_loads_same_addr = false;
-      requester_mask |= 1ull << core_index;
-    }
-    const bool conflict_free =
-        requesters.size() == 1 || (all_loads_same_addr && config_.dm_read_broadcast);
-
-    if (conflict_free) {
-      counters_.dm_bank_accesses += 1;
-      if (requesters.size() > 1) counters_.dm_broadcast_reads += 1;
-      if (cores_[requesters.front()].mem_is_store) {
-        dm_.write(addr0, cores_[requesters.front()].store_data);
-      }
-      std::uint16_t value = 0;
-      if (!cores_[requesters.front()].mem_is_store) value = dm_.read(addr0);
-      for (unsigned core_index : requesters) {
-        if (!cores_[core_index].mem_is_store) grant_load(core_index, value);
-        counters_.dm_requests_granted += 1;
-        retire_mem(core_index);
-      }
-      continue;
-    }
-
+  const std::uint64_t served =
+      access_served(requesters, config_.arbitration, rr_pointer_,
+                    config_.dm_read_broadcast, stall_age, addr_of, is_store);
+  if (served != requesters) {
     counters_.dm_conflict_cycles += 1;
-
-    // Enhanced D-Xbar policy: look for a synchronous group (equal PCs)
-    // among the conflicting requesters.
-    if (config_.features.dxbar_pc_policy) {
-      std::map<std::uint32_t, std::vector<unsigned>> by_pc;
-      for (unsigned core_index : requesters)
-        by_pc[cores_[core_index].arch.pc].push_back(core_index);
-      const std::vector<unsigned>* best = nullptr;
-      for (const auto& [pc, members] : by_pc) {
-        (void)pc;
-        if (members.size() < 2) continue;
-        if (best == nullptr || members.size() > best->size()) best = &members;
-      }
-      if (best != nullptr) {
-        PolicyGroup& group = policy_groups_[bank];
-        group.active = true;
-        active_policy_groups_ += 1;
-        group.pc = cores_[best->front()].arch.pc;
-        group.member_mask = 0;
-        for (unsigned core_index : *best)
-          group.member_mask |= (1ull << core_index);
-        group.unserved_mask = group.member_mask;
-        counters_.policy_hold_events += 1;
-        // Everyone (members and non-members) waits this cycle; service
-        // starts next cycle. This models the group-detection cycle.
-        for (unsigned core_index : requesters) {
-          counters_.core_mem_stall_cycles += 1;
-          cores_[core_index].stall_age += 1;
-        }
-        continue;
-      }
+    const std::uint64_t same_pc =
+        config_.features.dxbar_pc_policy
+            ? pc_group(requesters,
+                       [&](unsigned core) { return cores_[core].arch.pc; })
+            : 0;
+    if (same_pc != 0) {
+      // The enhanced policy forms a group; everyone waits this cycle (the
+      // group-detection cycle) and service starts next cycle.
+      group = {true, cores_[std::countr_zero(same_pc)].arch.pc, same_pc,
+               same_pc};
+      active_policy_groups_ += 1;
+      counters_.policy_hold_events += 1;
+      stall_dm(requesters);
+      return;
     }
-
-    // Plain conflict service: grant the highest-priority requester together
-    // with any same-address load peers.
-    const unsigned winner = conflict_winner(
-        requester_mask, config_.arbitration, rr_pointer_,
-        [&](unsigned core) { return cores_[core].stall_age; });
-    const std::uint32_t win_addr = cores_[winner].mem_addr;
-    const bool win_store = cores_[winner].mem_is_store;
-    counters_.dm_bank_accesses += 1;
-    std::uint16_t value = 0;
-    if (win_store) {
-      dm_.write(win_addr, cores_[winner].store_data);
-    } else {
-      value = dm_.read(win_addr);
-    }
-    unsigned served_count = 0;
-    for (unsigned core_index : requesters) {
-      CoreRuntime& c = cores_[core_index];
-      const bool serve = !win_store && config_.dm_read_broadcast
-                             ? (!c.mem_is_store && c.mem_addr == win_addr)
-                             : (core_index == winner);
-      if (serve) {
-        if (!c.mem_is_store) grant_load(core_index, value);
-        counters_.dm_requests_granted += 1;
-        retire_mem(core_index);
-        ++served_count;
-      } else {
-        counters_.core_mem_stall_cycles += 1;
-        c.stall_age += 1;
-      }
-    }
-    if (served_count > 1) counters_.dm_broadcast_reads += 1;
   }
+  serve_dm_access(served, /*hold=*/false);
+  stall_dm(requesters & ~served);
+}
+
+void Platform::serve_dm_access(std::uint64_t served, bool hold) {
+  const CoreSnapshot& first = cores_[std::countr_zero(served)];
+  std::uint16_t value = 0;
+  if (first.mem_is_store) {
+    dm_.write(first.mem_addr, first.store_data);
+  } else {
+    value = dm_.read(first.mem_addr);
+  }
+  const auto granted = static_cast<unsigned>(std::popcount(served));
+  counters_.dm_bank_accesses += 1;
+  counters_.dm_requests_granted += granted;
+  if (granted > 1) counters_.dm_broadcast_reads += 1;
+  for (std::uint64_t rest = served; rest != 0; rest &= rest - 1) {
+    const auto core = static_cast<unsigned>(std::countr_zero(rest));
+    CoreSnapshot& c = cores_[core];
+    if (!hold) {
+      if (!c.mem_is_store) grant_load(core, value);
+      retire_mem(core);
+      continue;
+    }
+    if (!c.mem_is_store) {
+      c.latched_load = value;
+      c.load_latched = true;
+      last_policy_latch_retired_[core] = counters_.per_core_retired[core];
+    }
+    mark_active(core);
+    set_status(core, CoreStatus::kPolicyHold);
+  }
+}
+
+void Platform::stall_dm(std::uint64_t waiters) {
+  counters_.core_mem_stall_cycles += std::popcount(waiters);
+  for (std::uint64_t rest = waiters; rest != 0; rest &= rest - 1)
+    cores_[std::countr_zero(rest)].stall_age += 1;
 }
 
 void Platform::tick() {
@@ -805,7 +666,7 @@ std::uint64_t Platform::straight_step(std::uint64_t max_cycles) {
   // and at the head of a straight-line run.
   std::uint32_t min_run = 0xFFFFFFFF;
   for (const unsigned i : active_cores_) {
-    const CoreRuntime& c = cores_[i];
+    const CoreSnapshot& c = cores_[i];
     if (c.bubble_cycles != 0 || c.ramp_cycles != 0 || c.stall_age != 0)
       return 0;
     if (!im_.in_program(c.arch.pc)) return 0;  // let the tick trap
@@ -856,7 +717,7 @@ std::uint64_t Platform::straight_step(std::uint64_t max_cycles) {
       if (collide) break;
     }
     for (const unsigned i : active_cores_) {
-      CoreRuntime& c = cores_[i];
+      CoreSnapshot& c = cores_[i];
       (void)execute(c.arch, im_.at(c.arch.pc));  // always advances by 1
       c.arch.pc += 1;
     }
@@ -1029,7 +890,7 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
       for (const unsigned i : active_cores_) count_in(i, cores_[i].arch.pc);
     }
     for (const unsigned i : active_cores_) {
-      const CoreRuntime& c = cores_[i];
+      const CoreSnapshot& c = cores_[i];
       const std::uint64_t idle =
           static_cast<std::uint64_t>(c.bubble_cycles) + c.ramp_cycles;
       if (idle == 0) {
@@ -1071,7 +932,7 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
     unsigned still_idle = 0;
     for (unsigned k = 0; k < num_idle; ++k) {
       const unsigned i = idle_list[k];
-      CoreRuntime& c = cores_[i];
+      CoreSnapshot& c = cores_[i];
       if (c.bubble_cycles > 0) {
         c.bubble_cycles -= 1;
         counters_.core_branch_bubble_cycles += 1;
@@ -1117,7 +978,7 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
       const std::uint32_t win_pc = pc_cache[std::countr_zero(served)];
       for (std::uint64_t rest = served; rest != 0; rest &= rest - 1) {
         const auto core_index = static_cast<unsigned>(std::countr_zero(rest));
-        CoreRuntime& c = cores_[core_index];
+        CoreSnapshot& c = cores_[core_index];
         const ExecResult result = execute(c.arch, im_.at(win_pc));
         switch (result.action) {
           case ExecAction::kAdvance: {
@@ -1164,43 +1025,35 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
       }
     }
 
-    // D-Xbar service for this cycle's loads/stores. Pairwise-distinct DM
-    // banks (the common case: private per-core banks) are conflict-free by
-    // construction and served inline; anything else goes through the real
-    // phase — exact conflicts, broadcasts and policy-group formation — and
-    // ends the region after this cycle. (The synchronizer is idle, so
-    // skipping its begin/submit/finish phases changes nothing.)
+    // D-Xbar service for this cycle's loads/stores, collected into the
+    // D-Xbar's per-bank masks. Accesses on pairwise-distinct DM banks (the
+    // common case: private per-core banks) are each their bank's lone
+    // requester, conflict-free by construction, and served inline; anything
+    // else gets the D-Xbar phase's own service — exact conflicts, broadcasts
+    // and policy-group formation — and ends the region after this cycle.
+    // (The synchronizer is idle, so skipping its begin/submit/finish phases
+    // changes nothing, and this cycle's memory cores are the only kMemWait
+    // cores.)
     if (num_mem > 0) {
-      bool disjoint = true;
-      std::uint64_t bank_set = 0;
-      for (unsigned m = 0; m < num_mem; ++m) {
-        const std::uint64_t bit =
-            1ull << (dm_.bank_of(cores_[mem_cores[m]].mem_addr) & 63u);
-        disjoint = disjoint && (bank_set & bit) == 0;
-        bank_set |= bit;
-      }
-      if (disjoint) {
-        for (unsigned m = 0; m < num_mem; ++m) {
-          const unsigned core_index = mem_cores[m];
-          CoreRuntime& c = cores_[core_index];
-          counters_.dm_bank_accesses += 1;
-          if (c.mem_is_store) {
-            dm_.write(c.mem_addr, c.store_data);
-          } else {
-            grant_load(core_index, dm_.read(c.mem_addr));
-          }
-          counters_.dm_requests_granted += 1;
-          count_move(core_index, c.mem_next_pc);
-          retire_mem(core_index);  // pc = mem_next_pc, bubble = cpi_pad
+      for (unsigned m = 0; m < num_mem; ++m) add_dm_requester(mem_cores[m]);
+      if (dm_banks_requested_.size() == num_mem) {
+        for (const unsigned bank : dm_banks_requested_) {
+          const std::uint64_t lone =
+              std::exchange(dm_bank_requesters_[bank], 0);
+          const auto core_index = static_cast<unsigned>(std::countr_zero(lone));
+          const std::uint32_t next_pc = cores_[core_index].mem_next_pc;
+          serve_dm_access(lone, /*hold=*/false);  // retires: bubble = cpi_pad
+          count_move(core_index, next_pc);
           if (cpi_pad > 0) {
             idle_list[num_idle++] = static_cast<std::uint8_t>(core_index);
-            (void)revalidate(core_index, c.mem_next_pc, cpi_pad);
-          } else if (revalidate(core_index, c.mem_next_pc, 0)) {
+            (void)revalidate(core_index, next_pc, cpi_pad);
+          } else if (revalidate(core_index, next_pc, 0)) {
             rejoin[num_rejoin++] = static_cast<std::uint8_t>(core_index);
           }
         }
+        dm_banks_requested_.clear();
       } else {
-        phase_dxbar();
+        serve_dm_banks();
         force_exit = true;  // the local fetch set and idle list are stale now
       }
     }

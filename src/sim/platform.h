@@ -14,11 +14,14 @@
 ///    gated — this is the IM conflict serialization that destroys the
 ///    baseline's throughput once cores leave lockstep.
 ///  * Data accesses are arbitrated per DM bank, one address per bank per
-///    cycle. Concurrent loads of the same address are broadcast. With the
-///    enhanced D-Xbar policy (Section IV), conflicting accesses by cores
-///    whose PCs are equal form a "policy group": members are served one
-///    address per cycle but retire only when the whole group has been
-///    served, so they leave the conflict in lockstep.
+///    cycle, over one 64-bit core mask per bank. Concurrent loads of the
+///    same address are broadcast. With the enhanced D-Xbar policy (Section
+///    IV), conflicting accesses by cores whose PCs are equal form a
+///    "policy group": members are served one address per cycle but retire
+///    only when the whole group has been served, so they leave the
+///    conflict in lockstep. While the synchronizer's read-modify-write
+///    holds a bank, every core waiting on it stalls. The rules are pure
+///    functions in sim/crossbar.h.
 ///  * SINC/SDEC occupy the core for two cycles (the synchronizer's merged
 ///    read-modify-write); SDEC then puts the core to sleep until the
 ///    check-out counter reaches zero, at which point every flagged core is
@@ -88,6 +91,47 @@ enum class CoreStatus : std::uint8_t {
 
 /// Display name of a core status ("ready", "sleeping", ...).
 [[nodiscard]] std::string_view to_string(CoreStatus status);
+
+/// One core's complete runtime state: architectural state plus the
+/// platform's scheduling and pipeline microstate. The platform holds one
+/// per core, and a snapshot carries the same vector, so a field added here
+/// is saved and restored without a second edit.
+struct CoreSnapshot {
+  CoreArchState arch;
+  CoreStatus status = CoreStatus::kReady;
+  std::uint64_t stall_age = 0;  ///< arbitration age (cycles waiting)
+  unsigned bubble_cycles = 0;   ///< clocked pipeline bubble (taken branch)
+  unsigned ramp_cycles = 0;     ///< gated wake-up ramp (after sleep)
+  // Pending DM access (kMemWait / kPolicyHold).
+  bool mem_is_store = false;
+  std::uint32_t mem_addr = 0;
+  std::uint16_t store_data = 0;
+  std::uint8_t load_reg = 0;
+  std::uint32_t mem_next_pc = 0;
+  bool load_latched = false;  ///< policy-held load already served
+  std::uint16_t latched_load = 0;
+  // Pending sync request (kSyncWait / kSyncBusy).
+  bool sync_is_checkout = false;
+  std::uint32_t sync_addr = 0;
+  std::uint32_t sync_next_pc = 0;
+
+  friend bool operator==(const CoreSnapshot&, const CoreSnapshot&) = default;
+};
+
+/// One DM bank's enhanced D-Xbar policy group, as the platform holds it
+/// (one per bank) and a snapshot carries it. Masks carry one bit per core;
+/// on the snapshot wire they serialize as 16 bits on platforms of up to 16
+/// cores (the historical format, kept byte-stable) and as 64 bits on wider
+/// platforms.
+struct PolicyGroupSnapshot {
+  bool active = false;
+  std::uint32_t pc = 0;              ///< the members' shared PC
+  std::uint64_t member_mask = 0;     ///< every core of the group
+  std::uint64_t unserved_mask = 0;   ///< members still waiting (kMemWait)
+
+  friend bool operator==(const PolicyGroupSnapshot&,
+                         const PolicyGroupSnapshot&) = default;
+};
 
 /// Why and when `Platform::run` stopped.
 struct RunResult {
@@ -300,46 +344,6 @@ class Platform {
   void restore_snapshot(const Snapshot& snapshot);
 
  private:
-  struct CoreRuntime {
-    CoreArchState arch;
-    CoreStatus status = CoreStatus::kReady;
-    std::uint64_t stall_age = 0;  ///< arbitration age (cycles waiting)
-    unsigned bubble_cycles = 0;   ///< clocked pipeline bubble (taken branch)
-    unsigned ramp_cycles = 0;     ///< gated wake-up ramp (after sleep)
-
-    // Pending DM access (kMemWait / kPolicyHold).
-    bool mem_is_store = false;
-    std::uint32_t mem_addr = 0;
-    std::uint16_t store_data = 0;
-    std::uint8_t load_reg = 0;
-    std::uint32_t mem_next_pc = 0;
-    bool load_latched = false;     ///< policy-held load already served
-    std::uint16_t latched_load = 0;
-
-    // Pending sync request (kSyncWait / kSyncBusy).
-    bool sync_is_checkout = false;
-    std::uint32_t sync_addr = 0;
-    std::uint32_t sync_next_pc = 0;
-  };
-
-  /// Enhanced D-Xbar group in progress on one DM bank. Masks carry one bit
-  /// per core (up to 64).
-  struct PolicyGroup {
-    bool active = false;
-    std::uint32_t pc = 0;
-    std::uint64_t member_mask = 0;
-    std::uint64_t unserved_mask = 0;
-  };
-
-  /// A maximal run of same-bank requesters in the bank-sorted D-Xbar
-  /// requester vector (per-tick scratch).
-  struct BankRun {
-    unsigned bank;
-    unsigned first;  ///< index into the sorted scratch vector
-    unsigned count;
-    bool consumed;   ///< already handled by the policy-group pass
-  };
-
   class DmPort final : public core::DataMemoryPort {
    public:
     explicit DmPort(BankedMemory& dm) : dm_(dm) {}
@@ -402,7 +406,37 @@ class Platform {
   void phase_sync_writeback();
   void phase_fetch_and_execute();
   void phase_sync_submit();
+  /// The D-Xbar phase: collects the kMemWait cores into per-bank masks and
+  /// serves every bank they occupy (`serve_dm_banks`).
   void phase_dxbar();
+  /// Adds `core`'s pending access to its DM bank's requester mask.
+  void add_dm_requester(unsigned core) {
+    const unsigned bank = dm_.bank_of(cores_[core].mem_addr);
+    if (dm_bank_requesters_[bank] == 0) dm_banks_requested_.push_back(bank);
+    dm_bank_requesters_[bank] |= std::uint64_t{1} << core;
+  }
+  /// Serves every DM bank with a requester (`serve_dm_bank`) and leaves the
+  /// per-bank scratch all zero. Banks are independent: a bank's service
+  /// touches only its requesters, its group, its words and summed counters,
+  /// so their order does not matter.
+  void serve_dm_banks();
+  /// One DM bank's D-Xbar cycle for `requesters` (nonzero): with the bank
+  /// locked by the synchronizer's read-modify-write every waiter stalls;
+  /// with a policy group in flight its next address is served and the
+  /// other requesters stall; otherwise the `access_served` cores are served
+  /// and the rest stall, or on a conflict with the enhanced policy a
+  /// `pc_group` forms and every requester waits.
+  void serve_dm_bank(unsigned bank, std::uint64_t requesters, int locked_bank);
+  /// One DM bank access for `served` (a nonzero mask `access_served`
+  /// returned: one store, or loads of one address): counts it with its
+  /// grants and broadcast, and writes the store or reads the word. Plain
+  /// service then hands each load its word and retires the cores; a policy
+  /// group's service (`hold`) latches the loads and holds the cores until
+  /// their group is served.
+  void serve_dm_access(std::uint64_t served, bool hold);
+  /// `waiters` lose this cycle at the D-Xbar: each counts a memory stall
+  /// cycle and ages one cycle. The one place a D-Xbar waiter ages.
+  void stall_dm(std::uint64_t waiters);
 
   // Rules `tick()` and the region executor share, one definition each.
 
@@ -444,9 +478,9 @@ class Platform {
   BankedMemory dm_;
   DmPort dm_port_;
   core::Synchronizer synchronizer_;
-  std::vector<CoreRuntime> cores_;
-  std::vector<PolicyGroup> policy_groups_;  // one per DM bank
-  unsigned active_policy_groups_ = 0;       // count of `active` entries above
+  std::vector<CoreSnapshot> cores_;
+  std::vector<PolicyGroupSnapshot> policy_groups_;  // one per DM bank
+  unsigned active_policy_groups_ = 0;  // count of `active` entries above
   mutable EventCounters counters_;  // mutable: lazy per-core sleep settlement
   std::function<void(const Platform&)> observer_;
   core::LockstepMetrics* lockstep_sink_ = nullptr;
@@ -476,11 +510,13 @@ class Platform {
 
   // Per-tick scratch (members to avoid reallocation).
   std::vector<unsigned> fetch_winners_;
-  std::vector<unsigned> dm_requesters_;
   std::vector<unsigned> touched_cores_;  ///< cores with active_this_cycle_
-  std::vector<BankRun> bank_runs_;
   std::array<std::uint8_t, EventCounters::kMaxCores> active_this_cycle_{};
-  std::array<unsigned, EventCounters::kMaxCores> dm_bank_of_core_{};
+  /// The D-Xbar's requesters, one core mask per DM bank (DM banks are not
+  /// bounded by 64), and the banks with a nonzero mask. Every mask is zero
+  /// and the list empty between uses.
+  std::vector<std::uint64_t> dm_bank_requesters_;
+  std::vector<unsigned> dm_banks_requested_;
   /// The region executor's lockstep scratch: active cores per IM slot, the
   /// last entry pooling every PC past the array (at most 64 cores, so a
   /// byte holds any count). Empty until a lockstep sink is attached; all

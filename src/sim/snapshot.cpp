@@ -131,36 +131,6 @@ CoreSnapshot read_core(WireReader& r) {
   return core;
 }
 
-/// Field table driving counter (de)serialization and the counter diff —
-/// one list, so the wire format and the diff cannot drift apart.
-struct CounterField {
-  const char* name;
-  std::uint64_t EventCounters::* member;
-};
-constexpr CounterField kCounterFields[] = {
-    {"cycles", &EventCounters::cycles},
-    {"im_bank_accesses", &EventCounters::im_bank_accesses},
-    {"im_fetches_delivered", &EventCounters::im_fetches_delivered},
-    {"im_broadcast_groups", &EventCounters::im_broadcast_groups},
-    {"fetch_conflict_cycles", &EventCounters::fetch_conflict_cycles},
-    {"dm_bank_accesses", &EventCounters::dm_bank_accesses},
-    {"dm_requests_granted", &EventCounters::dm_requests_granted},
-    {"dm_broadcast_reads", &EventCounters::dm_broadcast_reads},
-    {"dm_conflict_cycles", &EventCounters::dm_conflict_cycles},
-    {"policy_hold_events", &EventCounters::policy_hold_events},
-    {"retired_ops", &EventCounters::retired_ops},
-    {"core_active_cycles", &EventCounters::core_active_cycles},
-    {"core_fetch_stall_cycles", &EventCounters::core_fetch_stall_cycles},
-    {"core_mem_stall_cycles", &EventCounters::core_mem_stall_cycles},
-    {"core_sync_stall_cycles", &EventCounters::core_sync_stall_cycles},
-    {"core_sleep_cycles", &EventCounters::core_sleep_cycles},
-    {"core_branch_bubble_cycles", &EventCounters::core_branch_bubble_cycles},
-    {"core_wakeup_ramp_cycles", &EventCounters::core_wakeup_ramp_cycles},
-    {"lockstep_cycles", &EventCounters::lockstep_cycles},
-    {"fetch_cycles", &EventCounters::fetch_cycles},
-    {"divergence_events", &EventCounters::divergence_events},
-};
-
 void write_counters(WireWriter& w, const EventCounters& counters,
                     unsigned per_core_entries) {
   for (const CounterField& field : kCounterFields) w.u64(counters.*field.member);
@@ -364,32 +334,8 @@ Snapshot Platform::save_snapshot() const {
   snap.config = config_;
   snap.im_fingerprint = im_.fingerprint();
 
-  snap.cores.reserve(cores_.size());
-  for (const CoreRuntime& core : cores_) {
-    CoreSnapshot c;
-    c.arch = core.arch;
-    c.status = core.status;
-    c.stall_age = core.stall_age;
-    c.bubble_cycles = core.bubble_cycles;
-    c.ramp_cycles = core.ramp_cycles;
-    c.mem_is_store = core.mem_is_store;
-    c.mem_addr = core.mem_addr;
-    c.store_data = core.store_data;
-    c.load_reg = core.load_reg;
-    c.mem_next_pc = core.mem_next_pc;
-    c.load_latched = core.load_latched;
-    c.latched_load = core.latched_load;
-    c.sync_is_checkout = core.sync_is_checkout;
-    c.sync_addr = core.sync_addr;
-    c.sync_next_pc = core.sync_next_pc;
-    snap.cores.push_back(c);
-  }
-
-  snap.policy_groups.reserve(policy_groups_.size());
-  for (const PolicyGroup& group : policy_groups_) {
-    snap.policy_groups.push_back(
-        {group.active, group.pc, group.member_mask, group.unserved_mask});
-  }
+  snap.cores = cores_;
+  snap.policy_groups = policy_groups_;
   snap.active_policy_groups = active_policy_groups_;
 
   snap.counters = counters_;
@@ -442,30 +388,8 @@ void Platform::restore_snapshot(const Snapshot& snapshot) {
       snapshot.active_policy_groups > policy_groups_.size())
     throw std::invalid_argument("snapshot: malformed state record");
 
-  for (unsigned i = 0; i < cores_.size(); ++i) {
-    const CoreSnapshot& c = snapshot.cores[i];
-    CoreRuntime& core = cores_[i];
-    core.arch = c.arch;
-    core.status = c.status;
-    core.stall_age = c.stall_age;
-    core.bubble_cycles = c.bubble_cycles;
-    core.ramp_cycles = c.ramp_cycles;
-    core.mem_is_store = c.mem_is_store;
-    core.mem_addr = c.mem_addr;
-    core.store_data = c.store_data;
-    core.load_reg = c.load_reg;
-    core.mem_next_pc = c.mem_next_pc;
-    core.load_latched = c.load_latched;
-    core.latched_load = c.latched_load;
-    core.sync_is_checkout = c.sync_is_checkout;
-    core.sync_addr = c.sync_addr;
-    core.sync_next_pc = c.sync_next_pc;
-  }
-
-  for (unsigned i = 0; i < policy_groups_.size(); ++i) {
-    const PolicyGroupSnapshot& g = snapshot.policy_groups[i];
-    policy_groups_[i] = PolicyGroup{g.active, g.pc, g.member_mask, g.unserved_mask};
-  }
+  cores_ = snapshot.cores;
+  policy_groups_ = snapshot.policy_groups;
   active_policy_groups_ = snapshot.active_policy_groups;
 
   counters_ = snapshot.counters;

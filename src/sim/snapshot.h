@@ -37,44 +37,6 @@
 
 namespace ulpsync::sim {
 
-/// Wire-format mirror of one core's complete runtime state (architectural
-/// state plus the platform's scheduling/pipeline microstate).
-struct CoreSnapshot {
-  CoreArchState arch;
-  CoreStatus status = CoreStatus::kReady;
-  std::uint64_t stall_age = 0;
-  unsigned bubble_cycles = 0;
-  unsigned ramp_cycles = 0;
-  // Pending DM access.
-  bool mem_is_store = false;
-  std::uint32_t mem_addr = 0;
-  std::uint16_t store_data = 0;
-  std::uint8_t load_reg = 0;
-  std::uint32_t mem_next_pc = 0;
-  bool load_latched = false;
-  std::uint16_t latched_load = 0;
-  // Pending sync request.
-  bool sync_is_checkout = false;
-  std::uint32_t sync_addr = 0;
-  std::uint32_t sync_next_pc = 0;
-
-  friend bool operator==(const CoreSnapshot&, const CoreSnapshot&) = default;
-};
-
-/// Wire-format mirror of one enhanced D-Xbar policy group (one per DM
-/// bank). Masks carry one bit per core; on the wire they serialize as 16
-/// bits on platforms of up to 16 cores (the historical format, kept
-/// byte-stable) and as 64 bits on wider platforms.
-struct PolicyGroupSnapshot {
-  bool active = false;
-  std::uint32_t pc = 0;
-  std::uint64_t member_mask = 0;
-  std::uint64_t unserved_mask = 0;
-
-  friend bool operator==(const PolicyGroupSnapshot&,
-                         const PolicyGroupSnapshot&) = default;
-};
-
 /// A maximal run of consecutive non-zero data-memory words (the sparse DM
 /// encoding of the snapshot format).
 struct DmRun {
@@ -93,7 +55,7 @@ struct Snapshot {
 
   PlatformConfig config;
   std::uint64_t im_fingerprint = 0;  ///< fingerprint of the loaded image
-  std::vector<CoreSnapshot> cores;
+  std::vector<CoreSnapshot> cores;  ///< the platform's per-core state
   std::vector<PolicyGroupSnapshot> policy_groups;  ///< one per DM bank
   unsigned active_policy_groups = 0;
   EventCounters counters;

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -290,11 +292,14 @@ TEST(PlatformArbitration, RoundRobinServesFirstAtOrAfterPointer) {
 
 // --- the shared crossbar rule against an independent reference --------------
 
-/// One bank's requesters with their stall ages and fetch PCs (by core).
+/// One bank's requesters with their stall ages and PCs, and for a DM bank
+/// their accesses (by core).
 struct BankRequest {
   std::uint64_t mask = 0;
   std::vector<std::uint64_t> age;
   std::vector<std::uint32_t> pc;
+  std::vector<std::uint32_t> addr;
+  std::vector<std::uint8_t> store;
 };
 
 /// An independent, list-based statement of the rule: requesters in
@@ -426,6 +431,157 @@ TEST(CrossbarRule, MatchesListReferenceOnWideMasks) {
   }
 }
 
+// --- the D-Xbar rule against the list logic it replaced ----------------------
+//
+// The reference below is the D-Xbar's former list code for one bank's run
+// of requesters (ascending core order): its conflict-free test, its plain
+// service, a policy group's leader service, and the std::map pick of the
+// group among conflicting requesters.
+
+/// Whether the bank's cycle is a conflict, and whom it serves.
+struct DxbarVerdict {
+  bool conflict = false;
+  std::uint64_t served = 0;
+};
+
+DxbarVerdict reference_dxbar(const BankRequest& r, const PlatformConfig& config,
+                             unsigned rr_pointer) {
+  const std::vector<unsigned> cores = requester_list(r.mask);
+  bool all_loads_same_addr = true;
+  for (const unsigned core : cores)
+    if (r.store[core] || r.addr[core] != r.addr[cores.front()])
+      all_loads_same_addr = false;
+  if (cores.size() == 1 || (all_loads_same_addr && config.dm_read_broadcast))
+    return {false, r.mask};
+  const unsigned winner = reference_winner(r, config, rr_pointer);
+  std::uint64_t served = 0;
+  for (const unsigned core : cores) {
+    const bool serve = !r.store[winner] && config.dm_read_broadcast
+                           ? (!r.store[core] && r.addr[core] == r.addr[winner])
+                           : core == winner;
+    if (serve) served |= 1ull << core;
+  }
+  return {true, served};
+}
+
+/// A policy group's next service, with `r.mask` its unserved members: the
+/// lowest member's address, its loads together, a store alone.
+std::uint64_t reference_leader_service(const BankRequest& r) {
+  const std::vector<unsigned> cores = requester_list(r.mask);
+  const unsigned leader = cores.front();
+  std::uint64_t served = 0;
+  for (const unsigned core : cores) {
+    if (r.addr[core] != r.addr[leader]) continue;
+    if (r.store[leader] ? core == leader : !r.store[core])
+      served |= 1ull << core;
+  }
+  return served;
+}
+
+std::uint64_t reference_group(const BankRequest& r) {
+  std::map<std::uint32_t, std::vector<unsigned>> by_pc;
+  for (const unsigned core : requester_list(r.mask))
+    by_pc[r.pc[core]].push_back(core);
+  const std::vector<unsigned>* best = nullptr;
+  for (const auto& [pc, members] : by_pc) {
+    (void)pc;
+    if (members.size() < 2) continue;
+    if (best == nullptr || members.size() > best->size()) best = &members;
+  }
+  std::uint64_t group = 0;
+  if (best != nullptr)
+    for (const unsigned core : *best) group |= 1ull << core;
+  return group;
+}
+
+/// Checks `access_served` and `pc_group` against the reference for one
+/// request under every policy and DM broadcast setting; reports and returns
+/// false on the first mismatch.
+bool dxbar_rule_matches_reference(const BankRequest& r, unsigned num_cores,
+                                  unsigned rr_pointer) {
+  auto age_of = [&](unsigned core) { return r.age[core]; };
+  auto addr_of = [&](unsigned core) { return r.addr[core]; };
+  auto is_store = [&](unsigned core) { return r.store[core] != 0; };
+  const std::uint64_t group =
+      pc_group(r.mask, [&](unsigned core) { return r.pc[core]; });
+  const std::uint64_t leader =
+      access_served(r.mask, ArbitrationPolicy::kFixedPriority, 0,
+                    /*broadcast=*/true, age_of, addr_of, is_store);
+  if (group != reference_group(r) || leader != reference_leader_service(r)) {
+    ADD_FAILURE() << "mask 0x" << std::hex << r.mask << ": group 0x" << group
+                  << " (reference 0x" << reference_group(r)
+                  << "), leader service 0x" << leader << " (reference 0x"
+                  << reference_leader_service(r) << ")";
+    return false;
+  }
+  for (const auto policy :
+       {ArbitrationPolicy::kFixedPriority, ArbitrationPolicy::kOldestFirst,
+        ArbitrationPolicy::kRoundRobin}) {
+    for (const bool broadcast : {false, true}) {
+      auto config = PlatformConfig::without_synchronizer();
+      config.num_cores = num_cores;
+      config.arbitration = policy;
+      config.dm_read_broadcast = broadcast;
+      const DxbarVerdict want = reference_dxbar(r, config, rr_pointer);
+      const std::uint64_t served = access_served(
+          r.mask, policy, rr_pointer, broadcast, age_of, addr_of, is_store);
+      if (served == want.served && (served != r.mask) == want.conflict)
+        continue;
+      ADD_FAILURE() << "mask 0x" << std::hex << r.mask << std::dec
+                    << ", policy " << static_cast<int>(policy) << ", rr "
+                    << rr_pointer << ", DM broadcast " << broadcast
+                    << ": served 0x" << std::hex << served << " (reference 0x"
+                    << want.served << "), reference conflict "
+                    << want.conflict;
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Stall ages, PCs and accesses from small pools: addresses from three
+/// words of one bank, a quarter of them stores.
+void draw_dm_request(BankRequest& r, unsigned num_cores, util::Rng& rng) {
+  draw_ages_and_pcs(r, num_cores, rng);
+  r.addr.resize(num_cores);
+  r.store.resize(num_cores);
+  for (unsigned core = 0; core < num_cores; ++core) {
+    r.addr[core] = 0x800 + static_cast<std::uint32_t>(rng.next_below(3));
+    r.store[core] = rng.next_below(4) == 0 ? 1 : 0;
+  }
+}
+
+TEST(DxbarRule, MatchesListReferenceOnEveryMaskAtThreeAndEightCores) {
+  util::Rng rng(22);
+  for (const unsigned num_cores : {3u, 8u}) {
+    for (std::uint64_t mask = 1; mask < (1ull << num_cores); ++mask) {
+      for (unsigned rr = 0; rr < num_cores; ++rr) {
+        for (int draw = 0; draw < 3; ++draw) {
+          BankRequest request;
+          request.mask = mask;
+          draw_dm_request(request, num_cores, rng);
+          ASSERT_TRUE(dxbar_rule_matches_reference(request, num_cores, rr));
+        }
+      }
+    }
+  }
+}
+
+TEST(DxbarRule, MatchesListReferenceOnWideMasks) {
+  util::Rng rng(68);
+  for (int trial = 0; trial < 10'000; ++trial) {
+    BankRequest request;
+    request.mask = rng.next_u64();
+    for (std::uint64_t thin = rng.next_below(4); thin > 0; --thin)
+      request.mask &= rng.next_u64();
+    request.mask |= 1ull << (32 + rng.next_below(32));
+    draw_dm_request(request, 64, rng);
+    const auto rr = static_cast<unsigned>(rng.next_below(64));
+    ASSERT_TRUE(dxbar_rule_matches_reference(request, 64, rr))
+        << "trial " << trial;
+  }
+}
+
 TEST(PlatformPolicy, DxbarPolicyKeepsConflictingCoresInLockstep) {
   // With the enhanced policy, the eight same-PC stores above must finish
   // together: afterwards all cores fetch the next instruction in the same
@@ -459,6 +615,163 @@ TEST(PlatformPolicy, DxbarPolicyKeepsConflictingCoresInLockstep) {
     } else {
       EXPECT_EQ(counters.policy_hold_events, 0u);
     }
+  }
+}
+
+// --- D-Xbar waiters on the bank the synchronizer's RMW holds ----------------
+//
+// Cores 1..n-1 load their own word of DM bank 0 (0x50 + id) `loads` times
+// at one PC, so with the enhanced policy every load round forms a policy
+// group. Core 0 runs `delay` ALU ops, then six SINCs on checkpoint word 1,
+// also in bank 0: the RMWs hold the bank while the loads wait on it.
+std::string locked_bank_kernel(unsigned delay, unsigned loads) {
+  std::string source = R"(
+      csrr r1, #0
+      movi r4, 0x50
+      cmpi r1, 0
+      beq  core0
+  )";
+  for (unsigned k = 0; k < loads; ++k) source += "      ldx  r3, [r4+r1]\n";
+  source += "      halt\n  core0:\n";
+  for (unsigned k = 0; k < delay; ++k) source += "      add  r0, r0, r0\n";
+  for (unsigned k = 0; k < 6; ++k) source += "      sinc #1\n";
+  return source + "      halt\n";
+}
+
+/// True when, in the tick that led to `after`, the RMW held DM bank 0.
+bool bank0_locked(const Snapshot& after, const PlatformConfig& config) {
+  return after.sync.inflight_active &&
+         after.sync.inflight_addr / config.dm_bank_words == 0;
+}
+
+TEST(DxbarLockedBank, PlainRequestersStallEachLockedCycleThenAreServed) {
+  // Without the enhanced policy no group forms: the loads waiting on the
+  // RMW's bank are plain requesters.
+  auto config = bare_config();
+  config.num_cores = 4;
+  config.features.dxbar_pc_policy = false;
+  Platform platform(config);
+  platform.load_program(compile(locked_bank_kernel(0, 1)));
+  for (unsigned core = 1; core < 4; ++core)
+    platform.dm_write(0x50 + core, static_cast<std::uint16_t>(1000 + core));
+  unsigned locked_cycles = 0;
+  for (unsigned cycle = 0; cycle < 200 && !platform.all_halted(); ++cycle) {
+    const Snapshot before = platform.save_snapshot();
+    platform.tick();
+    const Snapshot after = platform.save_snapshot();
+    if (!bank0_locked(after, config)) continue;
+    unsigned waiting = 0;
+    for (unsigned core = 1; core < 4; ++core) {
+      if (after.cores[core].status != CoreStatus::kMemWait) continue;
+      ++waiting;
+      EXPECT_EQ(after.cores[core].stall_age,
+                before.cores[core].stall_age + 1)
+          << "core " << core << " at cycle " << after.cycle();
+    }
+    if (waiting == 0) continue;
+    ++locked_cycles;
+    EXPECT_EQ(after.counters.core_mem_stall_cycles,
+              before.counters.core_mem_stall_cycles + waiting)
+        << "cycle " << after.cycle();
+    EXPECT_EQ(after.counters.dm_requests_granted,
+              before.counters.dm_requests_granted);
+  }
+  ASSERT_TRUE(platform.all_halted());
+  EXPECT_GT(locked_cycles, 1u);
+  for (unsigned core = 1; core < 4; ++core)
+    EXPECT_EQ(platform.core_reg(core, 3), 1000 + core)
+        << "served once the RMW finished";
+  EXPECT_EQ(platform.counters().dm_requests_granted, 3u);
+}
+
+TEST(DxbarLockedBank, PolicyGroupMembersAreServedAfterTheLockReleases) {
+  // delay 0: the RMWs lock bank 0 while the three loads wait with no group
+  // (the group forms once the bank is free). delay 1: the group forms first
+  // and the RMWs lock its bank while it is half served.
+  auto config = bare_config();
+  config.num_cores = 4;
+  for (const unsigned delay : {0u, 1u}) {
+    Platform platform(config);
+    platform.load_program(compile(locked_bank_kernel(delay, 12)));
+    unsigned held_group = 0;
+    unsigned waited_without_group = 0;
+    for (unsigned cycle = 0; cycle < 400 && !platform.all_halted(); ++cycle) {
+      platform.tick();
+      const Snapshot after = platform.save_snapshot();
+      if (!bank0_locked(after, config)) continue;
+      if (after.policy_groups[0].active) {
+        ++held_group;
+      } else if (after.cores[1].status == CoreStatus::kMemWait) {
+        ++waited_without_group;
+      }
+    }
+    ASSERT_TRUE(platform.all_halted()) << "delay " << delay;
+    EXPECT_EQ(held_group > 0, delay == 1) << "delay " << delay;
+    EXPECT_EQ(waited_without_group > 0, delay == 0) << "delay " << delay;
+    EXPECT_EQ(platform.counters().policy_hold_events, 12u);
+    EXPECT_EQ(platform.counters().dm_requests_granted, 36u);
+  }
+}
+
+TEST(DxbarPolicySnapshot, RestoreInsideAHalfServedGroupIsBitExact) {
+  // Four cores load their own word of bank 0 at one PC: each round forms a
+  // group. Snapshot while a group has held and waiting members, then resume
+  // from the serialized image with the region executor off and on.
+  auto config = bare_config();
+  config.num_cores = 4;
+  const auto program = compile(R"(
+      csrr r1, #0
+      movi r4, 0x50
+      ldx  r3, [r4+r1]
+      add  r5, r5, r3
+      ldx  r3, [r4+r1]
+      add  r5, r5, r3
+      stx  r5, [r4+r1]
+      ldx  r3, [r4+r1]
+      add  r5, r5, r3
+      halt
+  )");
+  auto load = [&](Platform& platform) {
+    platform.load_program(program);
+    for (std::uint32_t k = 0; k < 4; ++k)
+      platform.dm_write(0x50 + k, static_cast<std::uint16_t>(100 + 7 * k));
+  };
+
+  Platform straight(config);
+  load(straight);
+  const RunResult want = straight.run(10'000);
+  ASSERT_TRUE(want.ok());
+  const Snapshot want_state = straight.save_snapshot();
+
+  Platform stepped(config);
+  load(stepped);
+  std::optional<Snapshot> inside;
+  for (unsigned cycle = 0; cycle < 400 && !inside; ++cycle) {
+    stepped.tick();
+    const Snapshot snap = stepped.save_snapshot();
+    unsigned held = 0;
+    unsigned waiting = 0;
+    for (const CoreSnapshot& core : snap.cores) {
+      held += core.status == CoreStatus::kPolicyHold;
+      waiting += core.status == CoreStatus::kMemWait;
+    }
+    if (snap.active_policy_groups == 1 && held > 0 && waiting > 0)
+      inside = Snapshot::deserialize(snap.serialize());
+  }
+  ASSERT_TRUE(inside.has_value()) << "no half-served group was reached";
+  EXPECT_TRUE(inside->policy_groups[0].active);
+
+  for (const bool fast_forward : {false, true}) {
+    auto resumed_config = config;
+    resumed_config.fast_forward = fast_forward;
+    Platform resumed(resumed_config);
+    load(resumed);
+    resumed.restore_snapshot(*inside);
+    EXPECT_EQ(resumed.run(10'000), want) << "fast_forward " << fast_forward;
+    EXPECT_TRUE(snapshots_equal(resumed.save_snapshot(), want_state,
+                                DivergenceScope::kFullState))
+        << "fast_forward " << fast_forward << ":\n"
+        << diff_snapshots(resumed.save_snapshot(), want_state);
   }
 }
 

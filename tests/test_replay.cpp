@@ -945,6 +945,16 @@ TEST(ExactReplayErrors, CursorRejectsEventsThePlatformDoesNotHave) {
   }
 }
 
+/// Recomputes a sealed image's trailing FNV-1a 64 after an edit, as a
+/// tampering writer would.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  const std::size_t body = bytes.size() - 8;
+  const std::uint64_t hash =
+      util::fnv1a64(std::span<const std::uint8_t>(bytes.data(), body));
+  for (unsigned k = 0; k < 8; ++k)
+    bytes[body + k] = static_cast<std::uint8_t>(hash >> (8 * k));
+}
+
 TEST(ExactReplayErrors, ImplausibleBlockWordCountIsRejectedBeforeAllocating) {
   // A re-sealed image whose block event claims about 10^6 words while the
   // image holds two: the count is refused before the words are allocated.
@@ -959,11 +969,7 @@ TEST(ExactReplayErrors, ImplausibleBlockWordCountIsRejectedBeforeAllocating) {
   constexpr std::size_t kWordCount = 8 + 4 + 8 + 8 + 1 + 8 + 4;
   ASSERT_EQ(bytes[kWordCount], 2u);
   bytes[kWordCount + 2] = 0x0f;  // 2 + 15 * 65536 = 983042 words
-  const std::size_t body = bytes.size() - 8;
-  const std::uint64_t hash =
-      util::fnv1a64(std::span<const std::uint8_t>(bytes.data(), body));
-  for (unsigned k = 0; k < 8; ++k)
-    bytes[body + k] = static_cast<std::uint8_t>(hash >> (8 * k));
+  reseal(bytes);
   std::string error;
   try {
     (void)sim::EventSchedule::deserialize(bytes);
@@ -971,6 +977,28 @@ TEST(ExactReplayErrors, ImplausibleBlockWordCountIsRejectedBeforeAllocating) {
     error = rejected.what();
   }
   EXPECT_EQ(error, "event schedule: implausible block word count");
+}
+
+TEST(ExactReplayErrors, EnvelopeWithoutTheLockstepAnalyzerIsRejected) {
+  // Right after the spec, an envelope keeps the byte of a retired mode
+  // (recording without the lockstep analyzer), always true. Re-sealed with
+  // it false, the image is refused.
+  const RecordedRun& run = sleepgen_recording();
+  std::vector<std::uint8_t> bytes = run.serialize();
+  EXPECT_EQ(RecordedRun::deserialize(bytes).serialize(), bytes);
+  // Magic 8 and version 4, then the spec codec's bytes.
+  const std::size_t flag = 8 + 4 + scenario::run_spec_bytes(run.spec).size();
+  ASSERT_EQ(bytes[flag], 1u);
+  bytes[flag] = 0;
+  reseal(bytes);
+  std::string error;
+  try {
+    (void)RecordedRun::deserialize(bytes);
+  } catch (const std::invalid_argument& rejected) {
+    error = rejected.what();
+  }
+  EXPECT_EQ(error,
+            "recorded run: recorded without the lockstep analyzer (retired)");
 }
 
 }  // namespace

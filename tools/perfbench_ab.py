@@ -12,8 +12,9 @@ directory, so neither tree's `.bench_build/` is touched. Every pair runs
 `run_seconds`, alternating which tree runs first. For each workload and
 each end-to-end metric of BENCHMARK.json the tool prints the per-pair
 change/parent ratios, both medians with their quartiles (computed as
-perfbench/steadiness.py does), and how many pairs the change won (ties
-count for neither side). It exits nonzero when a run fails or reports
+perfbench/steadiness.py does), how many pairs the change won (ties
+count for neither side), and a no-regression verdict against the metric's
+`bound` (see `verdict`). It exits nonzero when a run fails or reports
 wrong results. A pair takes twice `run_seconds` per workload and the two
 bench builds take minutes, so this is a manual tool, not a CI step.
 """
@@ -69,6 +70,29 @@ def quartiles(values):
     return q1, q3
 
 
+def verdict(parent, change, better, bound):
+    """The no-regression verdict for one metric of one workload.
+
+    `parent` and `change` are the runs' values, `better` is "higher" or
+    "lower", and `bound` the largest tolerated relative worsening of the
+    median. "unresolved" when the parent's quartile spread, as a fraction
+    of its median, is wider than the bound and not every change run beats
+    every parent run; else "worse than bound" when the change's median is
+    worse than the parent's by more than the bound; else "within bound".
+    """
+    higher = better == "higher"
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    p_q1, p_q3 = quartiles(parent)
+    beats_all = (min(change) > max(parent)) if higher else \
+        (max(change) < min(parent))
+    if (p_q3 - p_q1) > bound * abs(p_med) and not beats_all:
+        return "unresolved"
+    worsening = (p_med - c_med) if higher else (c_med - p_med)
+    if worsening > bound * abs(p_med):
+        return "worse than bound"
+    return "within bound"
+
+
 def report(workload, metric, parent, change):
     name, unit, higher = metric["name"], metric["unit"], metric["better"] == "higher"
     ratios = [c / p if p else float("inf") for p, c in zip(parent, change)]
@@ -85,6 +109,11 @@ def report(workload, metric, parent, change):
           f"median ratio {median_ratio:.3f}; |median gap| "
           f"{abs(c_med - p_med):.6g} vs parent quartile spread "
           f"{p_q3 - p_q1:.6g}")
+    print(f"  verdict {workload} {name}: "
+          f"{verdict(parent, change, metric['better'], metric['bound'])} "
+          f"(bound {metric['bound']:g}, parent spread "
+          f"{(p_q3 - p_q1) / p_med if p_med else float('inf'):.3f} "
+          f"of its median)")
 
 
 def main():
