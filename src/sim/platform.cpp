@@ -537,8 +537,9 @@ void Platform::serve_dm_bank(unsigned bank, std::uint64_t requesters,
                              int locked_bank) {
   PolicyGroupSnapshot& group = policy_groups_[bank];
   if (static_cast<int>(bank) == locked_bank) {
-    // The synchronizer's RMW owns the bank this cycle.
-    if (!group.active) stall_dm(requesters);
+    // The synchronizer's RMW owns the bank this cycle: every waiter, a
+    // requester or a held member of the bank's group, waits it out.
+    stall_dm(group.active ? requesters | group.member_mask : requesters);
     return;
   }
   auto stall_age = [&](unsigned core) { return cores_[core].stall_age; };

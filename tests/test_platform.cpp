@@ -684,24 +684,43 @@ TEST(DxbarLockedBank, PlainRequestersStallEachLockedCycleThenAreServed) {
   EXPECT_EQ(platform.counters().dm_requests_granted, 3u);
 }
 
-TEST(DxbarLockedBank, PolicyGroupMembersAreServedAfterTheLockReleases) {
+TEST(DxbarLockedBank, EveryWaiterStallsWhetherOrNotAGroupHoldsTheBank) {
   // delay 0: the RMWs lock bank 0 while the three loads wait with no group
   // (the group forms once the bank is free). delay 1: the group forms first
-  // and the RMWs lock its bank while it is half served.
+  // and the RMWs lock its bank while it is half served. Either way each
+  // locked cycle costs every waiter (requester or held member) one stall
+  // cycle and one cycle of age, so both runs count the same stalls.
   auto config = bare_config();
   config.num_cores = 4;
+  std::uint64_t stalls[2] = {};
   for (const unsigned delay : {0u, 1u}) {
     Platform platform(config);
     platform.load_program(compile(locked_bank_kernel(delay, 12)));
     unsigned held_group = 0;
     unsigned waited_without_group = 0;
     for (unsigned cycle = 0; cycle < 400 && !platform.all_halted(); ++cycle) {
+      const Snapshot before = platform.save_snapshot();
       platform.tick();
       const Snapshot after = platform.save_snapshot();
       if (!bank0_locked(after, config)) continue;
+      unsigned waiting = 0;
+      for (unsigned core = 1; core < 4; ++core) {
+        const CoreStatus status = after.cores[core].status;
+        if (status != CoreStatus::kMemWait &&
+            status != CoreStatus::kPolicyHold)
+          continue;
+        ++waiting;
+        EXPECT_EQ(after.cores[core].stall_age,
+                  before.cores[core].stall_age + 1)
+            << "delay " << delay << ", core " << core << " at cycle "
+            << after.cycle();
+      }
+      EXPECT_EQ(after.counters.core_mem_stall_cycles,
+                before.counters.core_mem_stall_cycles + waiting)
+          << "delay " << delay << " at cycle " << after.cycle();
       if (after.policy_groups[0].active) {
         ++held_group;
-      } else if (after.cores[1].status == CoreStatus::kMemWait) {
+      } else if (waiting > 0) {
         ++waited_without_group;
       }
     }
@@ -710,7 +729,9 @@ TEST(DxbarLockedBank, PolicyGroupMembersAreServedAfterTheLockReleases) {
     EXPECT_EQ(waited_without_group > 0, delay == 0) << "delay " << delay;
     EXPECT_EQ(platform.counters().policy_hold_events, 12u);
     EXPECT_EQ(platform.counters().dm_requests_granted, 36u);
+    stalls[delay] = platform.counters().core_mem_stall_cycles;
   }
+  EXPECT_EQ(stalls[0], stalls[1]);
 }
 
 TEST(DxbarPolicySnapshot, RestoreInsideAHalfServedGroupIsBitExact) {
