@@ -4,10 +4,9 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
 namespace ulpsync::scenario {
 
@@ -88,8 +87,8 @@ EnergyRequest::Params energy_params_from(const std::string& name) {
 struct FieldDef {
   const char* name;
   bool quoted;  ///< string-valued in JSON (numbers are emitted bare)
-  std::string (*get)(const RunRecord&);
-  void (*set)(RunRecord&, const std::string&);
+  std::function<std::string(const RunRecord&)> get;
+  std::function<void(RunRecord&, const std::string&)> set;
 };
 
 #define FIELD_STR(name, lvalue)                                          \
@@ -127,24 +126,6 @@ struct FieldDef {
    [](RunRecord& r, const std::string& v) {                    \
      r.lvalue = parse_double(v);                               \
    }}
-
-/// The record column of `sim::kCounterFields[I]`.
-template <std::size_t I>
-FieldDef counter_column() {
-  return {sim::kCounterFields[I].name, false,
-          [](const RunRecord& r) -> std::string {
-            return std::to_string(r.counters.*sim::kCounterFields[I].member);
-          },
-          [](RunRecord& r, const std::string& v) {
-            r.counters.*sim::kCounterFields[I].member = parse_u64(v);
-          }};
-}
-
-/// One record column per event counter, in table order.
-template <std::size_t... I>
-std::vector<FieldDef> counter_columns(std::index_sequence<I...>) {
-  return {counter_column<I>()...};
-}
 
 const std::vector<FieldDef>& field_table() {
   static const std::vector<FieldDef> fields = [] {
@@ -232,9 +213,16 @@ const std::vector<FieldDef>& field_table() {
       FIELD_DOUBLE("lockstep_fraction", lockstep_fraction),
     };
     // --- event counters ---
-    const std::vector<FieldDef> counters = counter_columns(
-        std::make_index_sequence<std::size(sim::kCounterFields)>{});
-    table.insert(table.end(), counters.begin(), counters.end());
+    for (const sim::CounterField& counter : sim::kCounterFields) {
+      table.push_back(
+          {counter.name, false,
+           [member = counter.member](const RunRecord& r) {
+             return std::to_string(r.counters.*member);
+           },
+           [member = counter.member](RunRecord& r, const std::string& v) {
+             r.counters.*member = parse_u64(v);
+           }});
+    }
     table.insert(table.end(), {
       // --- synchronizer ---
       FIELD_U64("sync_rmw_ops", sync_stats.rmw_ops),

@@ -520,12 +520,14 @@ void Platform::phase_sync_submit() {
 void Platform::phase_dxbar() {
   // An active policy group always has an unserved member in kMemWait.
   if (status_counts_[static_cast<unsigned>(CoreStatus::kMemWait)] == 0) return;
-  for (const unsigned i : active_cores_)
-    if (cores_[i].status == CoreStatus::kMemWait) add_dm_requester(i);
-  serve_dm_banks();
-}
-
-void Platform::serve_dm_banks() {
+  for (const unsigned i : active_cores_) {
+    if (cores_[i].status != CoreStatus::kMemWait) continue;
+    const unsigned bank = dm_.bank_of(cores_[i].mem_addr);
+    if (dm_bank_requesters_[bank] == 0) dm_banks_requested_.push_back(bank);
+    dm_bank_requesters_[bank] |= std::uint64_t{1} << i;
+  }
+  // Banks are independent: a bank's service touches only its requesters,
+  // its group, its words and summed counters, so their order is free.
   const int locked_bank = synchronizer_.locked_bank();
   for (const unsigned bank : dm_banks_requested_)
     serve_dm_bank(bank, std::exchange(dm_bank_requesters_[bank], 0),
@@ -554,7 +556,18 @@ void Platform::serve_dm_bank(unsigned bank, std::uint64_t requesters,
     const std::uint64_t served =
         access_served(group.unserved_mask, ArbitrationPolicy::kFixedPriority,
                       0, /*broadcast=*/true, stall_age, addr_of, is_store);
-    serve_dm_access(served, /*hold=*/true);
+    const std::uint16_t value = access_dm_bank(served);
+    for (std::uint64_t rest = served; rest != 0; rest &= rest - 1) {
+      const auto core = static_cast<unsigned>(std::countr_zero(rest));
+      CoreSnapshot& c = cores_[core];
+      if (!c.mem_is_store) {
+        c.latched_load = value;
+        c.load_latched = true;
+        last_policy_latch_retired_[core] = counters_.per_core_retired[core];
+      }
+      mark_active(core);
+      set_status(core, CoreStatus::kPolicyHold);
+    }
     group.unserved_mask &= ~served;
     if (group.unserved_mask == 0) {
       for (std::uint64_t rest = members; rest != 0; rest &= rest - 1) {
@@ -594,44 +607,39 @@ void Platform::serve_dm_bank(unsigned bank, std::uint64_t requesters,
       return;
     }
   }
-  serve_dm_access(served, /*hold=*/false);
+  const std::uint16_t value = access_dm_bank(served);
+  for (std::uint64_t rest = served; rest != 0; rest &= rest - 1) {
+    const auto core = static_cast<unsigned>(std::countr_zero(rest));
+    if (!cores_[core].mem_is_store) grant_load(core, value);
+    retire_mem(core);
+  }
   stall_dm(requesters & ~served);
 }
 
-void Platform::serve_dm_access(std::uint64_t served, bool hold) {
+std::uint16_t Platform::access_dm_bank(std::uint64_t served) {
+  // Bit tests, not std::popcount: without a popcount instruction in the
+  // target flags that is a library call, and the region executor's inline
+  // service makes a lone-core access every time.
   const CoreSnapshot& first = cores_[std::countr_zero(served)];
-  std::uint16_t value = 0;
+  counters_.dm_bank_accesses += 1;
+  if ((served & (served - 1)) == 0) {
+    counters_.dm_requests_granted += 1;
+  } else {
+    counters_.dm_requests_granted += std::popcount(served);
+    counters_.dm_broadcast_reads += 1;
+  }
   if (first.mem_is_store) {
     dm_.write(first.mem_addr, first.store_data);
-  } else {
-    value = dm_.read(first.mem_addr);
+    return 0;
   }
-  const auto granted = static_cast<unsigned>(std::popcount(served));
-  counters_.dm_bank_accesses += 1;
-  counters_.dm_requests_granted += granted;
-  if (granted > 1) counters_.dm_broadcast_reads += 1;
-  for (std::uint64_t rest = served; rest != 0; rest &= rest - 1) {
-    const auto core = static_cast<unsigned>(std::countr_zero(rest));
-    CoreSnapshot& c = cores_[core];
-    if (!hold) {
-      if (!c.mem_is_store) grant_load(core, value);
-      retire_mem(core);
-      continue;
-    }
-    if (!c.mem_is_store) {
-      c.latched_load = value;
-      c.load_latched = true;
-      last_policy_latch_retired_[core] = counters_.per_core_retired[core];
-    }
-    mark_active(core);
-    set_status(core, CoreStatus::kPolicyHold);
-  }
+  return dm_.read(first.mem_addr);
 }
 
 void Platform::stall_dm(std::uint64_t waiters) {
-  counters_.core_mem_stall_cycles += std::popcount(waiters);
-  for (std::uint64_t rest = waiters; rest != 0; rest &= rest - 1)
+  for (std::uint64_t rest = waiters; rest != 0; rest &= rest - 1) {
+    counters_.core_mem_stall_cycles += 1;
     cores_[std::countr_zero(rest)].stall_age += 1;
+  }
 }
 
 void Platform::tick() {
@@ -807,6 +815,7 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
   std::array<std::uint8_t, EventCounters::kMaxCores> idle_list;
   std::array<std::uint8_t, EventCounters::kMaxCores> rejoin;  // after the cycle
   std::array<std::uint8_t, EventCounters::kMaxCores> mem_cores;
+  std::array<unsigned, EventCounters::kMaxCores> mem_banks;  // their DM banks
   std::array<std::uint32_t, EventCounters::kMaxCores> pc_cache;
   // Out of range until `revalidate` writes an entry, so a core joining the
   // fetch set unvalidated fails `join`'s assert instead of indexing with an
@@ -1026,35 +1035,45 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
       }
     }
 
-    // D-Xbar service for this cycle's loads/stores, collected into the
-    // D-Xbar's per-bank masks. Accesses on pairwise-distinct DM banks (the
-    // common case: private per-core banks) are each their bank's lone
-    // requester, conflict-free by construction, and served inline; anything
-    // else gets the D-Xbar phase's own service — exact conflicts, broadcasts
-    // and policy-group formation — and ends the region after this cycle.
-    // (The synchronizer is idle, so skipping its begin/submit/finish phases
-    // changes nothing, and this cycle's memory cores are the only kMemWait
-    // cores.)
+    // D-Xbar service for this cycle's loads/stores. Pairwise-distinct DM
+    // banks (the common case: private per-core banks) are conflict-free by
+    // construction: each access is its bank's lone requester and is served
+    // inline through the D-Xbar's bank access. Anything else goes through
+    // the real phase — exact conflicts, broadcasts and policy-group
+    // formation — and ends the region after this cycle. The check marks
+    // the banks in the D-Xbar's per-bank scratch, so it is exact for any
+    // bank count, and clears them again before the phase can read it. (The
+    // synchronizer is idle, so skipping its begin/submit/finish phases
+    // changes nothing.)
     if (num_mem > 0) {
-      for (unsigned m = 0; m < num_mem; ++m) add_dm_requester(mem_cores[m]);
-      if (dm_banks_requested_.size() == num_mem) {
-        for (const unsigned bank : dm_banks_requested_) {
-          const std::uint64_t lone =
-              std::exchange(dm_bank_requesters_[bank], 0);
-          const auto core_index = static_cast<unsigned>(std::countr_zero(lone));
-          const std::uint32_t next_pc = cores_[core_index].mem_next_pc;
-          serve_dm_access(lone, /*hold=*/false);  // retires: bubble = cpi_pad
-          count_move(core_index, next_pc);
+      bool disjoint = true;
+      for (unsigned m = 0; m < num_mem; ++m) {
+        const unsigned core_index = mem_cores[m];
+        const unsigned bank = dm_.bank_of(cores_[core_index].mem_addr);
+        mem_banks[m] = bank;
+        disjoint = disjoint && dm_bank_requesters_[bank] == 0;
+        dm_bank_requesters_[bank] |= std::uint64_t{1} << core_index;
+      }
+      for (unsigned m = 0; m < num_mem; ++m)
+        dm_bank_requesters_[mem_banks[m]] = 0;
+      if (disjoint) {
+        for (unsigned m = 0; m < num_mem; ++m) {
+          const unsigned core_index = mem_cores[m];
+          CoreSnapshot& c = cores_[core_index];
+          const std::uint16_t value =
+              access_dm_bank(std::uint64_t{1} << core_index);
+          if (!c.mem_is_store) grant_load(core_index, value);
+          count_move(core_index, c.mem_next_pc);
+          retire_mem(core_index);  // pc = mem_next_pc, bubble = cpi_pad
           if (cpi_pad > 0) {
             idle_list[num_idle++] = static_cast<std::uint8_t>(core_index);
-            (void)revalidate(core_index, next_pc, cpi_pad);
-          } else if (revalidate(core_index, next_pc, 0)) {
+            (void)revalidate(core_index, c.mem_next_pc, cpi_pad);
+          } else if (revalidate(core_index, c.mem_next_pc, 0)) {
             rejoin[num_rejoin++] = static_cast<std::uint8_t>(core_index);
           }
         }
-        dm_banks_requested_.clear();
       } else {
-        serve_dm_banks();
+        phase_dxbar();
         force_exit = true;  // the local fetch set and idle list are stale now
       }
     }

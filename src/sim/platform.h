@@ -94,8 +94,10 @@ enum class CoreStatus : std::uint8_t {
 
 /// One core's complete runtime state: architectural state plus the
 /// platform's scheduling and pipeline microstate. The platform holds one
-/// per core, and a snapshot carries the same vector, so a field added here
-/// is saved and restored without a second edit.
+/// per core and a snapshot carries the same vector, so a field added here
+/// is saved, restored and compared without a second edit; only the wire
+/// codec (sim/snapshot.cpp) lists the fields, and the snapshot round-trip
+/// tests catch a field it misses.
 struct CoreSnapshot {
   CoreArchState arch;
   CoreStatus status = CoreStatus::kReady;
@@ -407,19 +409,9 @@ class Platform {
   void phase_fetch_and_execute();
   void phase_sync_submit();
   /// The D-Xbar phase: collects the kMemWait cores into per-bank masks and
-  /// serves every bank they occupy (`serve_dm_banks`).
+  /// serves every bank they occupy (`serve_dm_bank`), leaving the per-bank
+  /// scratch all zero.
   void phase_dxbar();
-  /// Adds `core`'s pending access to its DM bank's requester mask.
-  void add_dm_requester(unsigned core) {
-    const unsigned bank = dm_.bank_of(cores_[core].mem_addr);
-    if (dm_bank_requesters_[bank] == 0) dm_banks_requested_.push_back(bank);
-    dm_bank_requesters_[bank] |= std::uint64_t{1} << core;
-  }
-  /// Serves every DM bank with a requester (`serve_dm_bank`) and leaves the
-  /// per-bank scratch all zero. Banks are independent: a bank's service
-  /// touches only its requesters, its group, its words and summed counters,
-  /// so their order does not matter.
-  void serve_dm_banks();
   /// One DM bank's D-Xbar cycle for `requesters` (nonzero): with the bank
   /// locked by the synchronizer's read-modify-write every waiter stalls;
   /// with a policy group in flight its next address is served and the
@@ -427,13 +419,6 @@ class Platform {
   /// and the rest stall, or on a conflict with the enhanced policy a
   /// `pc_group` forms and every requester waits.
   void serve_dm_bank(unsigned bank, std::uint64_t requesters, int locked_bank);
-  /// One DM bank access for `served` (a nonzero mask `access_served`
-  /// returned: one store, or loads of one address): counts it with its
-  /// grants and broadcast, and writes the store or reads the word. Plain
-  /// service then hands each load its word and retires the cores; a policy
-  /// group's service (`hold`) latches the loads and holds the cores until
-  /// their group is served.
-  void serve_dm_access(std::uint64_t served, bool hold);
   /// `waiters` lose this cycle at the D-Xbar: each counts a memory stall
   /// cycle and ages one cycle. The one place a D-Xbar waiter ages.
   void stall_dm(std::uint64_t waiters);
@@ -446,6 +431,13 @@ class Platform {
   /// and counts the bank access. Returns the served cores.
   template <typename PcOf>
   std::uint64_t serve_fetch_bank(std::uint64_t requesters, PcOf pc_of);
+  /// One DM bank access for `served` (a nonzero mask `access_served`
+  /// returned: one store, or loads of one address): counts it with its
+  /// grants and broadcast, and writes the store or reads the word. Returns
+  /// the word read (0 for a store). The D-Xbar's plain and policy-group
+  /// services and the region executor's inline service all access a bank
+  /// here.
+  std::uint16_t access_dm_bank(std::uint64_t served);
   /// The fetch-cycle lockstep/divergence update: `fetchers` of `eligible`
   /// active cores fetched; `same_pc` (they share one PC) matters only when
   /// `fetchers == eligible`.

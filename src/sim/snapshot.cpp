@@ -387,6 +387,14 @@ void Platform::restore_snapshot(const Snapshot& snapshot) {
       snapshot.policy_groups.size() != policy_groups_.size() ||
       snapshot.active_policy_groups > policy_groups_.size())
     throw std::invalid_argument("snapshot: malformed state record");
+  // The D-Xbar walks a group's masks as core indices.
+  const std::uint64_t all_cores = ~std::uint64_t{0} >> (64 - cores_.size());
+  for (const PolicyGroupSnapshot& group : snapshot.policy_groups) {
+    if ((group.member_mask & ~all_cores) != 0 ||
+        (group.unserved_mask & ~group.member_mask) != 0)
+      throw std::invalid_argument(
+          "snapshot: policy group names a core outside the platform");
+  }
 
   cores_ = snapshot.cores;
   policy_groups_ = snapshot.policy_groups;

@@ -702,6 +702,15 @@ TEST(DxbarLockedBank, EveryWaiterStallsWhetherOrNotAGroupHoldsTheBank) {
       const Snapshot before = platform.save_snapshot();
       platform.tick();
       const Snapshot after = platform.save_snapshot();
+      // A member held through a cycle, locked or not, waits it out too.
+      for (unsigned core = 1; core < 4; ++core) {
+        if (before.cores[core].status == CoreStatus::kPolicyHold &&
+            after.cores[core].status == CoreStatus::kPolicyHold)
+          EXPECT_EQ(after.cores[core].stall_age,
+                    before.cores[core].stall_age + 1)
+              << "delay " << delay << ", core " << core << " at cycle "
+              << after.cycle();
+      }
       if (!bank0_locked(after, config)) continue;
       unsigned waiting = 0;
       for (unsigned core = 1; core < 4; ++core) {

@@ -281,6 +281,28 @@ TEST(Snapshot, RestoreRejectsMismatchedPlatform) {
   EXPECT_NO_THROW(naive.restore_snapshot(snap));
 }
 
+TEST(Snapshot, RestoreRejectsPolicyGroupsNamingAbsentCores) {
+  // A group's masks are walked as core indices, so an image whose group
+  // names a core the platform lacks, or an unserved core outside the
+  // group, is refused instead of indexing past the cores.
+  sim::PlatformConfig config = sim::PlatformConfig::with_synchronizer();
+  config.num_cores = 4;
+  sim::Platform platform(config);
+  platform.load_program(compile(kBarrierKernel));
+  const sim::Snapshot clean = platform.save_snapshot();
+  auto with_group = [&](std::uint64_t members, std::uint64_t unserved) {
+    sim::Snapshot snap = clean;
+    snap.policy_groups[0] = {true, 0, members, unserved};
+    snap.active_policy_groups = 1;
+    return sim::Snapshot::deserialize(snap.serialize());
+  };
+  EXPECT_NO_THROW(platform.restore_snapshot(with_group(0b0011, 0b0001)));
+  EXPECT_THROW(platform.restore_snapshot(with_group(0b10'0001, 0b00'0001)),
+               std::invalid_argument);
+  EXPECT_THROW(platform.restore_snapshot(with_group(0b0011, 0b0100)),
+               std::invalid_argument);
+}
+
 TEST(Snapshot, FileRoundTrip) {
   WorkloadRig rig("sqrt32", /*fast_forward=*/true);
   (void)rig.platform.run(kGoldenCycle);
