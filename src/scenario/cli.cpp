@@ -223,7 +223,7 @@ std::vector<Flag> campaign_flags() {
       {"faults", "a,b", "fault classes (default dm,im,wake-delay,wake-drop)"},
       {"count", "N", "faults per class except `rate` (default 4)"},
       {"seed", "S", "campaign seed (default 2024)"},
-      {"stride", "N", "localize-mode checkpoint stride (default 4096)"},
+      {"stride", "N", "clean-run checkpoint stride (default 4096)"},
       {"volts", "v1,v2", "campaign voltage axis"},
       {"energy-mhz", "F", "add the supply sustaining this clock to --volts"},
       {"rate-scale", "X", "rate-model upset-probability scale (default 1)"},

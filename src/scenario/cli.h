@@ -51,10 +51,13 @@ struct FlagTable {
 
 /// List parsers with uniform diagnostics: every entry must parse
 /// completely or the parser throws "malformed --<flag> entry '<item>'".
+/// This one reads unsigned ints.
 [[nodiscard]] std::vector<unsigned> parse_unsigned_list(
     const std::string& text, const std::string& flag);
+/// The same for 64-bit unsigned entries.
 [[nodiscard]] std::vector<std::uint64_t> parse_u64_list(
     const std::string& text, const std::string& flag);
+/// The same for floating-point entries.
 [[nodiscard]] std::vector<double> parse_double_list(const std::string& text,
                                                     const std::string& flag);
 

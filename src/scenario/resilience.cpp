@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <sstream>
@@ -379,23 +380,74 @@ void classify_state_divergence(const sim::Snapshot& clean,
   }
 }
 
-sim::Snapshot clean_final_state(const RecordedRun& run,
-                                const Registry& registry) {
+CleanReplay clean_replay(const RecordedRun& run, const Registry& registry,
+                         std::uint64_t stride) {
   ReplayRig rig = make_replay_rig(run, registry);
   sim::ReplayCursor cursor(*rig.platform, run.schedule, {});
-  cursor.advance_to(run.schedule.final_result.cycles);
-  return rig.platform->save_snapshot();
+  const std::uint64_t end = run.schedule.final_result.cycles;
+  CleanReplay clean;
+  if (stride > 0) {
+    clean.checkpoints.reserve(end / stride + 1);
+    // Never past `end`, so `at` cannot overflow.
+    for (std::uint64_t at = stride; at < end;
+         at += std::min(stride, end - at)) {
+      cursor.advance_to(at);
+      clean.checkpoints.push_back(rig.platform->save_snapshot());
+    }
+  }
+  cursor.advance_to(end);
+  clean.checkpoints.push_back(rig.platform->save_snapshot());
+  return clean;
 }
 
 namespace {
 
-/// Outcome-mode classification: drive the faulted replay to the recorded
-/// end cycle and judge its final state against the clean one.
+/// The cycles at which a replay-time fault acts: it starts when the cursor
+/// leaves `first` and has nothing left to deliver once it leaves `last`.
+struct FaultSpan {
+  std::uint64_t first = 0;
+  std::uint64_t last = 0;
+};
+
+FaultSpan fault_span(const sim::FaultAction& action,
+                     const sim::EventSchedule& schedule) {
+  constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+  if (action.kind == sim::FaultAction::Kind::kDmFlip) {
+    return {action.cycle, action.cycle};
+  }
+  // A wake fault acts on its source interrupt; one that targets no event
+  // is judged by a full replay.
+  if (action.event_index >= schedule.events.size()) return {0, kNever};
+  const std::uint64_t source = schedule.events[action.event_index].cycle;
+  if (action.kind == sim::FaultAction::Kind::kDropWake) return {source, source};
+  return {source, action.delay > kNever - source ? kNever
+                                                 : source + action.delay};
+}
+
+/// Outcome-mode classification: drive the faulted replay towards the
+/// recorded end cycle, stopping as masked at the first of the clean
+/// `checkpoints` after `last` whose state it equals, and otherwise judge
+/// its final state against the `clean` final state.
 void classify_outcome(const RecordedRun& run, ReplayRig& faulty,
                       const std::vector<sim::FaultAction>& actions,
-                      const sim::Snapshot& clean, FaultTrialRow& row) {
+                      std::span<const sim::Snapshot> checkpoints,
+                      std::uint64_t last, const sim::Snapshot& clean,
+                      FaultTrialRow& row) {
   sim::ReplayCursor cursor(*faulty.platform, run.schedule, actions);
+  const std::uint64_t start = cursor.cycle();
+  for (auto it = std::ranges::upper_bound(checkpoints, last, {},
+                                          &sim::Snapshot::cycle);
+       it != checkpoints.end(); ++it) {
+    cursor.advance_to(it->cycle());
+    if (sim::snapshots_equal(*it, faulty.platform->save_snapshot(),
+                             sim::DivergenceScope::kFullState)) {
+      row.outcome = "masked";
+      row.replayed_cycles = cursor.cycle() - start;
+      return;
+    }
+  }
   cursor.advance_to(run.schedule.final_result.cycles);
+  row.replayed_cycles = cursor.cycle() - start;
   const sim::Snapshot faulted = faulty.platform->save_snapshot();
   if (sim::snapshots_equal(clean, faulted, sim::DivergenceScope::kFullState)) {
     row.outcome = "masked";
@@ -448,20 +500,34 @@ void classify_outcome(const RecordedRun& run, ReplayRig& faulty,
   row.detail = "silent divergence at recorded end";
 }
 
-}  // namespace
-
-FaultTrialRow run_fault_trial(const RecordedRun& run, const Registry& registry,
-                              const CampaignFault& fault,
-                              const CampaignConfig& config,
-                              const sim::Snapshot* clean_final) {
+/// The one trial path (see `run_fault_trial`). `series` is a clean
+/// checkpoint series whose last entry is the clean final state.
+FaultTrialRow run_trial(const RecordedRun& run, const Registry& registry,
+                        const CampaignFault& fault,
+                        const CampaignConfig& config,
+                        std::span<const sim::Snapshot> series) {
   FaultTrialRow row;
   row.fault = fault;
   if (fault.no_target) {
     row.outcome = "no-target";
     return row;
   }
+  if (series.empty()) {
+    row.outcome = "error";
+    row.detail = "no clean replay to compare against";
+    return row;
+  }
   try {
+    // Where trials start and stop early; the final state is neither (a
+    // trial starting there would replay nothing).
+    const std::span<const sim::Snapshot> checkpoints =
+        series.first(series.size() - 1);
     ReplayRig faulty;
+    std::vector<sim::FaultAction> actions;
+    // An IM flip never stops early: its image differs from the clean one,
+    // so equal state does not mean an equal future.
+    FaultSpan span{0, std::numeric_limits<std::uint64_t>::max()};
+    const sim::Snapshot* start = nullptr;
     if (fault.is_im_flip) {
       faulty.workload = registry.make(run.spec.workload, run.spec.params);
       faulty.platform = std::make_unique<sim::Platform>(
@@ -478,18 +544,27 @@ FaultTrialRow run_fault_trial(const RecordedRun& run, const Registry& registry,
       }
     } else {
       faulty = make_replay_rig(run, registry);
+      actions.push_back(fault.action);
+      span = fault_span(fault.action, run.schedule);
+      // The last checkpoint at or before the first fault.
+      const auto after = std::ranges::upper_bound(checkpoints, span.first, {},
+                                                  &sim::Snapshot::cycle);
+      if (after != checkpoints.begin()) {
+        start = &*std::prev(after);
+        faulty.platform->restore_snapshot(*start);
+      }
     }
-
-    std::vector<sim::FaultAction> actions;
-    if (!fault.is_im_flip) actions.push_back(fault.action);
 
     if (config.localize) {
       ReplayRig clean = make_replay_rig(run, registry);
+      if (start != nullptr) clean.platform->restore_snapshot(*start);
       sim::ReplayCursor clean_cursor(*clean.platform, run.schedule, {});
       sim::ReplayCursor faulty_cursor(*faulty.platform, run.schedule, actions);
+      const std::uint64_t from = faulty_cursor.cycle();
       const sim::DivergenceReport divergence = sim::find_first_divergence(
           clean_cursor, faulty_cursor, run.schedule.final_result.cycles,
           sim::DivergenceScope::kCoreState, config.stride);
+      row.replayed_cycles = faulty_cursor.cycle() - from;
       if (!divergence.diverged) {
         row.outcome = "masked";
         return row;
@@ -500,19 +575,31 @@ FaultTrialRow run_fault_trial(const RecordedRun& run, const Registry& registry,
                                 row);
       row.detail = divergence.delta;
     } else {
-      sim::Snapshot local;
-      const sim::Snapshot* target = clean_final;
-      if (target == nullptr) {
-        local = clean_final_state(run, registry);
-        target = &local;
-      }
-      classify_outcome(run, faulty, actions, *target, row);
+      classify_outcome(run, faulty, actions, checkpoints, span.last,
+                       series.back(), row);
     }
   } catch (const std::exception& error) {
     row.outcome = "error";
     row.detail = error.what();
   }
   return row;
+}
+
+}  // namespace
+
+FaultTrialRow run_fault_trial(const RecordedRun& run, const Registry& registry,
+                              const CampaignFault& fault,
+                              const CampaignConfig& config,
+                              const CleanReplay& clean) {
+  return run_trial(run, registry, fault, config, clean.checkpoints);
+}
+
+FaultTrialRow run_fault_trial(const RecordedRun& run, const Registry& registry,
+                              const CampaignFault& fault,
+                              const CampaignConfig& config,
+                              const sim::Snapshot* clean_final) {
+  return run_trial(run, registry, fault, config,
+                   {clean_final, clean_final != nullptr ? 1u : 0u});
 }
 
 // --- CSV ---------------------------------------------------------------------
@@ -569,17 +656,13 @@ std::vector<FaultTrialRow> run_campaign(const RecordedRun& run,
   const std::vector<CampaignFault> faults =
       expand_recorded(config, run, registry);
 
-  sim::Snapshot clean_final;
-  const sim::Snapshot* clean_ptr = nullptr;
-  if (!config.localize && !faults.empty()) {
-    clean_final = clean_final_state(run, registry);
-    clean_ptr = &clean_final;
-  }
+  const CleanReplay clean = faults.empty()
+                                ? CleanReplay{}
+                                : clean_replay(run, registry, config.stride);
 
   std::vector<FaultTrialRow> rows(faults.size());
   util::parallel_for(faults.size(), jobs, [&](std::size_t index) {
-    rows[index] =
-        run_fault_trial(run, registry, faults[index], config, clean_ptr);
+    rows[index] = run_fault_trial(run, registry, faults[index], config, clean);
   });
   return rows;
 }
@@ -723,9 +806,7 @@ class CampaignJob final : public SpoolJob {
           std::to_string(faults_.size()) + " faults, manifest says " +
           std::to_string(manifest.specs));
     }
-    if (!planned_.config.localize) {
-      clean_final_ = clean_final_state(planned_.run, registry);
-    }
+    clean_ = clean_replay(planned_.run, registry, planned_.config.stride);
   }
 
   std::vector<std::uint64_t> claim(const ClaimedShard& claimed) override {
@@ -749,9 +830,9 @@ class CampaignJob final : public SpoolJob {
   }
 
   SpoolRow run(std::uint64_t index) override {
-    return {fault_row_csv(run_fault_trial(
-                planned_.run, registry_, faults_[index], planned_.config,
-                planned_.config.localize ? nullptr : &clean_final_)),
+    return {fault_row_csv(run_fault_trial(planned_.run, registry_,
+                                          faults_[index], planned_.config,
+                                          clean_)),
             ""};
   }
 
@@ -759,7 +840,7 @@ class CampaignJob final : public SpoolJob {
   const Registry& registry_;
   PlannedCampaign planned_;
   std::vector<CampaignFault> faults_;
-  sim::Snapshot clean_final_;
+  CleanReplay clean_;
 };
 
 }  // namespace

@@ -30,8 +30,20 @@
 ///     failure), or *SDC* (silent data corruption: the run "succeeded"
 ///     but final state differs). `ResilienceReport` aggregates exact
 ///     counts and rates per (voltage × error model) bucket into a
-///     deterministic CSV. The legacy bisection path (`localize`) is kept
-///     for pinpointing a fault's first divergent cycle.
+///     deterministic CSV. The bisection path (`localize`) is kept for
+///     pinpointing where a fault first reaches a core.
+///
+///     The clean replay is built once per campaign as a checkpoint series
+///     (`CleanReplay`): snapshots of the fault-free run every `stride`
+///     cycles plus its final state. A DM-flip or wake-fault trial restores
+///     the last checkpoint at or before its first fault instead of
+///     replaying from cycle 0, and an outcome-mode trial whose faults are
+///     all delivered stops as *masked* at the first later checkpoint its
+///     state equals (golden-run checkpoints as in FAIL*, convergence-based
+///     early termination as in GangES). Both are exact: equal full state
+///     with nothing left to inject means the rest of the run is the clean
+///     run's, and a masked row carries no cycle, core or detail. IM flips
+///     load a different image, so their trials replay from cycle 0.
 ///
 ///  3. **Spool sharding** (`plan_campaign_spool` & friends). A campaign is
 ///     deterministic given its config and the recorded run, so a
@@ -119,11 +131,16 @@ struct CampaignConfig {
   /// lets short CI campaigns reach visible densities without distorting
   /// the model's voltage shape.
   double rate_scale = 1.0;
-  /// true: legacy bisection mode (outcomes localized/masked, exact first
-  /// divergent cycle). false: outcome mode (masked/detected/sdc against
-  /// the clean final state — one replay per trial instead of a bisection).
+  /// true: bisection mode (outcomes localized/masked, the first divergent
+  /// cycle the bisector finds). false: outcome mode (masked/detected/sdc
+  /// against the clean final state — one replay per trial instead of a
+  /// bisection).
   bool localize = false;
-  /// Bisection checkpoint stride (localize mode only).
+  /// Spacing of the clean replay's checkpoints (`clean_replay`): where
+  /// trials may start and where outcome-mode trials may stop early, and
+  /// the localize bisector's compare stride. Each checkpoint holds one
+  /// snapshot, so the series' memory grows with the recording's length
+  /// over the stride. 0 takes no checkpoint but the final state.
   std::uint64_t stride = 4096;
 };
 
@@ -157,9 +174,9 @@ struct CampaignFault {
 ///
 /// Outcomes (outcome mode): "masked", "detected" (detail says why: trap,
 /// liveness, status), "sdc", "undecodable-image", "no-target", "error".
-/// Localize mode instead reports "localized" (with the first divergent
-/// cycle and state class) or "masked". "core-count-mismatch" flags
-/// incomparable snapshots instead of silently comparing a prefix.
+/// Localize mode instead reports "localized" (with the divergent cycle
+/// and state class) or "masked". "core-count-mismatch" flags incomparable
+/// snapshots instead of silently comparing a prefix.
 struct FaultTrialRow {
   CampaignFault fault;
   std::string outcome;
@@ -167,6 +184,9 @@ struct FaultTrialRow {
   int divergence_core = -1;
   std::string state_class;
   std::string detail;
+  /// Cycles the faulted replay ran, from the checkpoint it started at to
+  /// where it stopped (0 when nothing was replayed). Not part of the CSV.
+  std::uint64_t replayed_cycles = 0;
 };
 
 /// Classifies which architectural state class differs between a clean and
@@ -179,19 +199,48 @@ void classify_state_divergence(const sim::Snapshot& clean,
                                const sim::Snapshot& faulty,
                                FaultTrialRow& row);
 
-/// Replays the clean recorded run to its final cycle and captures the
-/// platform snapshot — the comparison target outcome-mode trials share.
-/// (The recorded `final_state_hash` is not enough: events recorded *at*
-/// the final cycle are not yet delivered when a cursor stops there, so
-/// trials compare cursor-final against cursor-final.)
-[[nodiscard]] sim::Snapshot clean_final_state(const RecordedRun& run,
-                                              const Registry& registry);
+/// The fault-free replay of a recorded run as a checkpoint series: what
+/// every trial of a campaign starts from and compares against, built once
+/// and shared read-only by trials on any number of threads.
+struct CleanReplay {
+  /// Snapshots of a fault-free cursor at `stride, 2·stride, …` strictly
+  /// below the recorded end, then the final state at the end as the last
+  /// entry. Cycle 0 needs none: a trial starting there builds a fresh rig.
+  /// (The recorded `final_state_hash` is not enough for the last entry:
+  /// events recorded *at* the final cycle are not yet delivered when a
+  /// cursor stops there, so trials compare cursor-final against
+  /// cursor-final.)
+  std::vector<sim::Snapshot> checkpoints;
+};
+
+/// Replays the clean recorded run to its final cycle, snapshotting every
+/// `stride` cycles (see `CleanReplay`; 0 snapshots the final state only).
+/// Throws when the rig cannot be built or the cursor rejects the schedule.
+[[nodiscard]] CleanReplay clean_replay(const RecordedRun& run,
+                                       const Registry& registry,
+                                       std::uint64_t stride);
 
 /// Runs one trial: injects `fault` into a replay of `run` and classifies
-/// the outcome (see FaultTrialRow). `clean_final` is the shared
-/// `clean_final_state` snapshot; it may be null in localize mode (the
-/// bisection replays its own clean side). Never throws — failures become
-/// "error" rows.
+/// the outcome (see FaultTrialRow). `clean` is `clean_replay(run,
+/// registry, config.stride)`. A DM-flip or wake-fault trial starts at the
+/// last checkpoint at or before its first fault (events and faults due at
+/// a cycle are delivered when the cursor leaves it); an IM flip starts at
+/// cycle 0. In outcome mode, once the last fault is delivered, the trial
+/// stops as "masked" at the first later checkpoint whose state
+/// `snapshots_equal` the clean one in `kFullState`; otherwise it runs to
+/// the recorded end. Localize mode restores the clean side from the same
+/// checkpoint, so the bisector compares at the same multiples of the
+/// stride as from cycle 0. Never throws — failures become "error" rows.
+[[nodiscard]] FaultTrialRow run_fault_trial(const RecordedRun& run,
+                                            const Registry& registry,
+                                            const CampaignFault& fault,
+                                            const CampaignConfig& config,
+                                            const CleanReplay& clean);
+
+/// The same trial against the clean final state alone: a one-checkpoint
+/// series, so every trial replays from cycle 0 to the recorded end — the
+/// full-replay reference of the checkpointed trials. A null `clean_final`,
+/// like an empty `CleanReplay`, gives an "error" row.
 [[nodiscard]] FaultTrialRow run_fault_trial(const RecordedRun& run,
                                             const Registry& registry,
                                             const CampaignFault& fault,
@@ -291,11 +340,11 @@ struct CampaignWorkOptions {
 };
 
 /// The campaign job kind over `transport` (see `SpoolJob`): fetches and
-/// validates `campaign.bin`, expands the fault list and replays the clean
-/// run once, then each row is one `run_fault_trial`. A claimed payload is
-/// a range file, "<fingerprint-hex> <id> <begin> <end>". Throws
-/// std::runtime_error when `manifest` is not a campaign spool's or the
-/// image does not match it, std::invalid_argument on a corrupt image.
+/// validates `campaign.bin`, expands the fault list and builds the
+/// `clean_replay` series once, then each row is one `run_fault_trial`. A
+/// claimed payload is a range file, "<fingerprint-hex> <id> <begin> <end>".
+/// Throws std::runtime_error when `manifest` is not a campaign spool's or
+/// the image does not match it, std::invalid_argument on a corrupt image.
 [[nodiscard]] std::unique_ptr<SpoolJob> campaign_job(
     SpoolTransport& transport, const SpoolManifest& manifest,
     const Registry& registry);

@@ -105,12 +105,14 @@ template <typename PcOf>
   for (std::uint64_t rest = requesters; rest != 0;) {
     const auto pc = pc_of(static_cast<unsigned>(std::countr_zero(rest)));
     std::uint64_t same = 0;
+    int size = 0;  // counted in the scan, not by a popcount library call
     for (std::uint64_t scan = rest; scan != 0; scan &= scan - 1) {
       const auto core = static_cast<unsigned>(std::countr_zero(scan));
-      same |= std::uint64_t{pc_of(core) == pc} << core;
+      const bool at_pc = pc_of(core) == pc;
+      same |= std::uint64_t{at_pc} << core;
+      size += at_pc;
     }
     rest &= ~same;
-    const int size = std::popcount(same);
     const bool lower_pc_tie =
         size == best_size && best != 0 &&
         pc < pc_of(static_cast<unsigned>(std::countr_zero(best)));

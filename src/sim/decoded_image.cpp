@@ -68,8 +68,24 @@ void DecodedImage::refresh_fingerprint() const {
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(instr.imm))
          << 32));
   }
-  for (std::uint32_t pc = 0; pc < slots_; ++pc)
-    mix(static_cast<std::uint16_t>(bank_value(pc)));
+  // The bank of every slot, mixed as `mix` would mix it, without a
+  // division per slot: the bank steps through the geometry, and the six
+  // zero high bytes of its 16-bit value are one multiply by prime^6.
+  constexpr std::uint64_t kPrime6 = util::kFnvPrime * util::kFnvPrime *
+                                    util::kFnvPrime * util::kFnvPrime *
+                                    util::kFnvPrime * util::kFnvPrime;
+  const unsigned run = line_slots_ == 0 ? bank_slots_ : line_slots_;
+  unsigned bank = 0;
+  unsigned in_run = 0;
+  for (std::uint32_t pc = 0; pc < slots_; ++pc) {
+    const auto value = static_cast<std::uint16_t>(bank);
+    hash = (hash ^ (value & 0xFFu)) * util::kFnvPrime;
+    hash = (hash ^ (value >> 8)) * util::kFnvPrime * kPrime6;
+    if (++in_run == run) {
+      in_run = 0;
+      bank = line_slots_ != 0 && bank + 1 == banks_ ? 0 : bank + 1;
+    }
+  }
   fingerprint_ = hash;
   fingerprint_dirty_ = false;
 }

@@ -36,10 +36,12 @@
 /// advance in lockstep with snapshot checkpoints every `stride` cycles,
 /// compared by `snapshots_equal`, and on mismatch the last equal
 /// checkpoint pair is restored and single-stepped to the first divergent
-/// cycle. Fault localization bisects a clean cursor against a faulted one;
-/// over an empty schedule it bisects two plain runs. The rule ignores the
-/// image fingerprint, so IM-corruption faults (a different loaded image by
-/// construction) localize to their first *architectural* effect.
+/// cycle of that stride (a divergence that heals between two checkpoints
+/// goes unseen). Fault localization bisects a clean cursor against a
+/// faulted one; over an empty schedule it bisects two plain runs. The rule
+/// ignores the image fingerprint, so IM-corruption faults (a different
+/// loaded image by construction) localize to their first *architectural*
+/// effect.
 
 #include <cstdint>
 #include <optional>
@@ -280,8 +282,9 @@ class ReplayCursor {
 /// Result of `find_first_divergence`.
 struct DivergenceReport {
   bool diverged = false;
-  /// First cycle at which the two replayed states differ (valid when
-  /// `diverged`).
+  /// First cycle at which the two replayed states differ inside the first
+  /// stride whose closing checkpoints differ (valid when `diverged`; see
+  /// `find_first_divergence` for the divergences it cannot see).
   std::uint64_t first_divergent_cycle = 0;
   /// `diff_snapshots` of the states at that cycle (valid when `diverged`).
   std::string delta;
@@ -295,7 +298,12 @@ struct DivergenceReport {
 /// delivering its schedule's events at their recorded cycles), comparing
 /// snapshots with `snapshots_equal` every `stride` cycles; on mismatch
 /// restores the last equal checkpoint pair and single-steps to the first
-/// divergent cycle. Stops early, undiverged, once both sides are settled.
+/// divergent cycle inside that stride. It sees only divergences still
+/// present at a checkpoint: one that heals before the next checkpoint is
+/// missed, so the reported cycle is the first divergent one only when no
+/// earlier divergence healed unseen, and whether a run diverges at all
+/// can depend on `stride`. Stops early, undiverged, once both sides are
+/// settled.
 /// The image fingerprints need not match (IM faults intentionally load
 /// different images). Throws std::invalid_argument on a zero stride or
 /// when the platforms are not comparable (different config or start

@@ -330,17 +330,24 @@ std::uint64_t Platform::serve_fetch_bank(std::uint64_t requesters,
       requesters, config_, rr_pointer_,
       [&](unsigned core) { return cores_[core].stall_age; }, pc_of);
   const std::uint64_t losers = requesters & ~served;
-  for (std::uint64_t rest = served; rest != 0; rest &= rest - 1)
+  // Counted in the walks, not by std::popcount: without a popcount
+  // instruction in the target flags that is a library call per bank.
+  unsigned delivered = 0;
+  for (std::uint64_t rest = served; rest != 0; rest &= rest - 1) {
     cores_[std::countr_zero(rest)].stall_age = 0;
-  for (std::uint64_t rest = losers; rest != 0; rest &= rest - 1)
+    ++delivered;
+  }
+  unsigned lost = 0;
+  for (std::uint64_t rest = losers; rest != 0; rest &= rest - 1) {
     cores_[std::countr_zero(rest)].stall_age += 1;
-  const auto delivered = static_cast<unsigned>(std::popcount(served));
+    ++lost;
+  }
   counters_.im_bank_accesses += 1;
   counters_.im_fetches_delivered += delivered;
   if (delivered > 1) counters_.im_broadcast_groups += 1;
-  if (losers != 0) {
+  if (lost != 0) {
     counters_.fetch_conflict_cycles += 1;
-    counters_.core_fetch_stall_cycles += std::popcount(losers);
+    counters_.core_fetch_stall_cycles += lost;
   }
   return served;
 }
@@ -617,17 +624,14 @@ void Platform::serve_dm_bank(unsigned bank, std::uint64_t requesters,
 }
 
 std::uint16_t Platform::access_dm_bank(std::uint64_t served) {
-  // Bit tests, not std::popcount: without a popcount instruction in the
-  // target flags that is a library call, and the region executor's inline
-  // service makes a lone-core access every time.
+  // A walk of the mask, not std::popcount: without a popcount instruction
+  // in the target flags that is a library call, and the region executor's
+  // inline service makes a lone-core access every time.
   const CoreSnapshot& first = cores_[std::countr_zero(served)];
   counters_.dm_bank_accesses += 1;
-  if ((served & (served - 1)) == 0) {
+  for (std::uint64_t rest = served; rest != 0; rest &= rest - 1)
     counters_.dm_requests_granted += 1;
-  } else {
-    counters_.dm_requests_granted += std::popcount(served);
-    counters_.dm_broadcast_reads += 1;
-  }
+  if ((served & (served - 1)) != 0) counters_.dm_broadcast_reads += 1;
   if (first.mem_is_store) {
     dm_.write(first.mem_addr, first.store_data);
     return 0;
@@ -961,8 +965,10 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
     num_idle = still_idle;
 
     // The cycle is in lockstep only when every eligible core fetches, all
-    // at one PC; cores on two banks are at two PCs.
-    bool all_same_pc = fetchers == eligible && std::has_single_bit(banks);
+    // at one PC; cores on two banks are at two PCs. (A bit test, not
+    // std::has_single_bit, which is a popcount library call here.)
+    bool all_same_pc =
+        fetchers == eligible && banks != 0 && (banks & (banks - 1)) == 0;
     if (all_same_pc) {
       const std::uint64_t cores = bank_cores[std::countr_zero(banks)];
       const std::uint32_t pc = pc_cache[std::countr_zero(cores)];
@@ -984,11 +990,11 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
           bank_cores[bank], [&](unsigned core) { return pc_cache[core]; });
       bank_cores[bank] &= ~served;
       if (bank_cores[bank] == 0) banks &= ~(1ull << bank);
-      nf -= static_cast<unsigned>(std::popcount(served));
       const std::uint32_t win_pc = pc_cache[std::countr_zero(served)];
       for (std::uint64_t rest = served; rest != 0; rest &= rest - 1) {
         const auto core_index = static_cast<unsigned>(std::countr_zero(rest));
         CoreSnapshot& c = cores_[core_index];
+        --nf;  // counted here: std::popcount would be a library call
         const ExecResult result = execute(c.arch, im_.at(win_pc));
         switch (result.action) {
           case ExecAction::kAdvance: {

@@ -26,6 +26,9 @@ namespace ulpsync::util {
 /// The FNV-1a 64 offset basis: the hash of no bytes.
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
 
+/// The FNV-1a 64 prime: each byte is XORed in, then multiplied by it.
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
 /// FNV-1a 64-bit hash. `seed` continues a running hash.
 [[nodiscard]] inline std::uint64_t fnv1a64(
     std::span<const std::uint8_t> bytes,
@@ -33,7 +36,7 @@ inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
   std::uint64_t hash = seed;
   for (const std::uint8_t byte : bytes) {
     hash ^= byte;
-    hash *= 0x100000001b3ULL;
+    hash *= kFnvPrime;
   }
   return hash;
 }

@@ -24,6 +24,7 @@
 #include "sim/snapshot.h"
 #include "sim/trace.h"
 #include "sim/vcd.h"
+#include "util/wire.h"
 
 namespace ulpsync {
 namespace {
@@ -563,6 +564,47 @@ TEST(DecodedImage, BankTableMatchesMappingRule) {
     blocked.load(0, filler);
     for (std::uint32_t pc = 0; pc < 256; ++pc)
       EXPECT_EQ(blocked.bank_of(pc), pc / 32) << pc;
+  }
+}
+
+TEST(DecodedImage, FingerprintIsFnvOverTheDocumentedFields) {
+  // FNV-1a over 8-byte little-endian values: the slot count, the program
+  // bounds, each instruction's packed fields, then the bank of every slot.
+  // The golden snapshots and recordings pin these bytes on the default
+  // geometry; this pins them on uneven line-interleaved and block
+  // geometries too.
+  const auto program = compile(kBarrierKernel);
+  const std::uint32_t origin = 5;
+  struct Geometry {
+    unsigned slots, banks, bank_slots, line_slots;
+  };
+  for (const Geometry g : {Geometry{256, 8, 32, 16}, Geometry{300, 3, 100, 7},
+                           Geometry{256, 8, 32, 0}, Geometry{96, 5, 20, 0}}) {
+    sim::DecodedImage image(g.slots, g.banks, g.bank_slots, g.line_slots);
+    image.load(origin, program.code);
+    std::vector<std::uint8_t> bytes;
+    const auto put = [&bytes](std::uint64_t value) {
+      for (unsigned byte = 0; byte < 8; ++byte)
+        bytes.push_back(static_cast<std::uint8_t>(value >> (8 * byte)));
+    };
+    put(g.slots);
+    put(origin);
+    put(origin + program.code.size());
+    for (const isa::Instruction& instr : program.code) {
+      put(static_cast<std::uint64_t>(instr.op) |
+          (static_cast<std::uint64_t>(instr.rd) << 8) |
+          (static_cast<std::uint64_t>(instr.ra) << 16) |
+          (static_cast<std::uint64_t>(instr.rb) << 24) |
+          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(instr.imm))
+           << 32));
+    }
+    for (std::uint32_t pc = 0; pc < g.slots; ++pc) {
+      put(static_cast<std::uint16_t>(g.line_slots == 0
+                                         ? pc / g.bank_slots
+                                         : (pc / g.line_slots) % g.banks));
+    }
+    EXPECT_EQ(image.fingerprint(), util::fnv1a64(bytes))
+        << g.slots << " slots, line " << g.line_slots;
   }
 }
 

@@ -1,7 +1,8 @@
 // The resilience-study subsystem: error-model expansion (multi-bit,
 // burst, row, voltage-tied rate mode), outcome classification against the
-// clean replay, report aggregation, the golden campaign CSV, and the
-// spool-sharded campaign protocol (byte-identical merges, crash-resume).
+// clean replay, checkpointed trials against their full replays, report
+// aggregation, the golden campaign CSV, and the spool-sharded campaign
+// protocol (byte-identical merges, crash-resume).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <tuple>
 #include <vector>
 
+#include "isa/isa.h"
 #include "scenario/checkpoint_ring.h"
 #include "scenario/record.h"
 #include "scenario/registry.h"
@@ -356,6 +358,284 @@ TEST(Campaign, LocalizeModeStillBisects) {
       EXPECT_FALSE(row.state_class.empty());
       EXPECT_GE(row.divergence_core, 0);
     }
+  }
+}
+
+// --- checkpointed trials ----------------------------------------------------
+
+/// A four-window sleepgen recording (windows back to back, every core
+/// asleep at each window's wake): masked DM faults rejoin the clean run
+/// before its end, and small strides stay cheap.
+const RecordedRun& four_window_recording() {
+  static const RecordedRun run = [] {
+    RecordOutcome outcome =
+        scenario::record_one(sleepgen_spec(512), Registry::builtins());
+    EXPECT_TRUE(outcome.record.ok()) << outcome.record.verify_error;
+    return std::move(outcome.recorded);
+  }();
+  return run;
+}
+
+bool judged(const FaultTrialRow& row) {
+  return row.outcome == "masked" || row.outcome == "detected" ||
+         row.outcome == "sdc";
+}
+
+/// Runs `fault` from `clean`'s checkpoints and as a full replay (the
+/// `Snapshot*` overload) and expects byte-identical rows; returns the
+/// checkpointed one.
+FaultTrialRow expect_full_replay_row(const RecordedRun& run,
+                                     const CampaignFault& fault,
+                                     const CampaignConfig& config,
+                                     const CleanReplay& clean) {
+  const Registry& registry = Registry::builtins();
+  const FaultTrialRow full = run_fault_trial(run, registry, fault, config,
+                                             &clean.checkpoints.back());
+  const FaultTrialRow row = run_fault_trial(run, registry, fault, config,
+                                            clean);
+  EXPECT_EQ(fault_row_csv(row), fault_row_csv(full))
+      << "stride " << config.stride;
+  EXPECT_NE(row.outcome, "error") << row.detail;
+  const std::uint64_t end = run.schedule.final_result.cycles;
+  if (!config.localize && judged(full)) EXPECT_EQ(full.replayed_cycles, end);
+  EXPECT_LE(row.replayed_cycles, full.replayed_cycles);
+  return row;
+}
+
+/// Cycle of the last checkpoint below the recorded end at or before
+/// `cycle` (0 when there is none): where a trial of a fault first due at
+/// `cycle` starts.
+std::uint64_t start_cycle(const CleanReplay& clean, std::uint64_t cycle) {
+  std::uint64_t start = 0;
+  for (std::size_t i = 0; i + 1 < clean.checkpoints.size(); ++i) {
+    if (clean.checkpoints[i].cycle() <= cycle) {
+      start = clean.checkpoints[i].cycle();
+    }
+  }
+  return start;
+}
+
+TEST(CheckpointedTrials, SeriesHoldsTheStridesBelowTheEndThenTheFinalState) {
+  const RecordedRun& run = four_window_recording();
+  const std::uint64_t end = run.schedule.final_result.cycles;
+  const CleanReplay clean = clean_replay(run, Registry::builtins(), 4096);
+  ASSERT_EQ(clean.checkpoints.size(), (end - 1) / 4096 + 1);
+  for (std::size_t i = 0; i + 1 < clean.checkpoints.size(); ++i) {
+    EXPECT_EQ(clean.checkpoints[i].cycle(), (i + 1) * 4096);
+  }
+  const sim::Snapshot& final_state = clean.checkpoints.back();
+  EXPECT_EQ(final_state.cycle(), end);
+  // A stride past the end, or none, leaves the final state alone.
+  for (const std::uint64_t stride : {end, end + 1, std::uint64_t{0}}) {
+    const CleanReplay last = clean_replay(run, Registry::builtins(), stride);
+    ASSERT_EQ(last.checkpoints.size(), 1u) << stride;
+    EXPECT_EQ(last.checkpoints.back(), final_state) << stride;
+  }
+}
+
+TEST(CheckpointedTrials, NoCleanReplayIsAnErrorRow) {
+  const RecordedRun& run = four_window_recording();
+  CampaignFault fault;
+  fault.action.cycle = run.schedule.events.front().cycle;
+  fault.action.addr = run.schedule.events.front().addr;
+  const CampaignConfig config;
+  for (const FaultTrialRow& row :
+       {run_fault_trial(run, Registry::builtins(), fault, config,
+                        CleanReplay{}),
+        run_fault_trial(run, Registry::builtins(), fault, config,
+                        static_cast<const sim::Snapshot*>(nullptr))}) {
+    EXPECT_EQ(row.outcome, "error");
+    EXPECT_EQ(row.replayed_cycles, 0u);
+  }
+}
+
+TEST(CheckpointedTrials, EveryRowEqualsItsFullReplayAtAnyStride) {
+  // The checkpointed-trial wall: a seeded sample of every sampled model,
+  // at strides that put checkpoints every few cycles, every few windows,
+  // exactly on a DM flip, and nowhere before the end. Each row must equal
+  // its full replay, masked DM rows must be able to stop before the end,
+  // and with no checkpoint to start from or stop at every judged row
+  // replays the whole recording.
+  const RecordedRun& run = four_window_recording();
+  const Registry& registry = Registry::builtins();
+  const std::uint64_t end = run.schedule.final_result.cycles;
+  CampaignConfig config = small_config();
+  config.count = 3;
+  const ExpansionInputs inputs = expansion_inputs(run);
+  const std::vector<CampaignFault> faults = expand_campaign(
+      config, run.schedule, inputs.program, inputs.num_cores);
+  const auto is_dm = [](const CampaignFault& fault) {
+    return !fault.is_im_flip && !fault.no_target &&
+           fault.action.kind == sim::FaultAction::Kind::kDmFlip;
+  };
+  std::uint64_t flip_cycle = 0;
+  for (const CampaignFault& fault : faults) {
+    if (is_dm(fault) && fault.action.cycle > 0 && fault.action.cycle < end) {
+      flip_cycle = fault.action.cycle;
+      break;
+    }
+  }
+  ASSERT_GT(flip_cycle, 0u);
+
+  bool stopped_early = false;
+  for (const std::uint64_t stride :
+       {std::uint64_t{7}, std::uint64_t{64}, std::uint64_t{4096}, flip_cycle,
+        end + 1}) {
+    config.stride = stride;
+    const CleanReplay clean = clean_replay(run, registry, stride);
+    std::vector<FaultTrialRow> rows;
+    for (const CampaignFault& fault : faults) {
+      rows.push_back(expect_full_replay_row(run, fault, config, clean));
+      const FaultTrialRow& row = rows.back();
+      if (stride > end && judged(row)) {
+        EXPECT_EQ(row.replayed_cycles, end) << fault_row_csv(row);
+      }
+      if (is_dm(fault) && row.outcome == "masked" &&
+          start_cycle(clean, fault.action.cycle) + row.replayed_cycles < end) {
+        stopped_early = true;
+      }
+    }
+    // Trials on several threads share one series.
+    EXPECT_EQ(campaign_csv(run_campaign(run, registry, config, 3)),
+              campaign_csv(rows))
+        << "stride " << stride;
+  }
+  EXPECT_TRUE(stopped_early)
+      << "no masked DM trial stopped before the recorded end";
+}
+
+TEST(CheckpointedTrials, EdgeCasesEqualTheirFullReplays) {
+  const RecordedRun& run = four_window_recording();
+  const std::uint64_t end = run.schedule.final_result.cycles;
+  const std::vector<sim::ExternalEvent>& events = run.schedule.events;
+  std::vector<std::size_t> wakes;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].kind == sim::EventKind::kInterruptAll) wakes.push_back(i);
+  }
+  ASSERT_GE(wakes.size(), 4u);
+  // The last window's first deposit, delivered at its wake's cycle.
+  std::size_t last_deposit = wakes.back();
+  while (last_deposit > 0 &&
+         events[last_deposit - 1].cycle == events[wakes.back()].cycle) {
+    --last_deposit;
+  }
+  ASSERT_EQ(events[last_deposit].kind, sim::EventKind::kDmWrite);
+  ASSERT_EQ(events.front().kind, sim::EventKind::kDmWrite);
+
+  const auto dm_flip = [](const sim::ExternalEvent& deposit) {
+    CampaignFault fault;
+    fault.model = ErrorModel::kDmSingle;
+    fault.action.kind = sim::FaultAction::Kind::kDmFlip;
+    fault.action.cycle = deposit.cycle;
+    fault.action.addr = deposit.addr;
+    fault.action.bit = 0;
+    return fault;
+  };
+  const auto wake_fault = [](sim::FaultAction::Kind kind, std::size_t event,
+                             unsigned core, std::uint64_t delay) {
+    CampaignFault fault;
+    fault.model = kind == sim::FaultAction::Kind::kDropWake
+                      ? ErrorModel::kWakeDrop
+                      : ErrorModel::kWakeDelay;
+    fault.action.kind = kind;
+    fault.action.event_index = event;
+    fault.action.core = core;
+    fault.action.delay = delay;
+    return fault;
+  };
+  // One single-bit IM flip the loader accepts and one it rejects.
+  const assembler::Program program = expansion_inputs(run).program;
+  CampaignFault im_flip;
+  CampaignFault undecodable;
+  for (std::size_t word = 0; word < program.image.size(); ++word) {
+    for (unsigned bit = 0; bit < 32; ++bit) {
+      CampaignFault& slot =
+          isa::decode(program.image[word] ^ (std::uint32_t{1} << bit))
+              ? im_flip
+              : undecodable;
+      if (slot.is_im_flip) continue;
+      slot.model = ErrorModel::kIm;
+      slot.is_im_flip = true;
+      slot.im_word = word;
+      slot.im_bit = bit;
+    }
+  }
+  ASSERT_TRUE(im_flip.is_im_flip && undecodable.is_im_flip);
+
+  const CampaignFault on_checkpoint = dm_flip(events[last_deposit]);
+  struct Case {
+    const char* name;
+    CampaignFault fault;
+    std::uint64_t stride;
+    bool unmasked = false;  ///< outcome mode must not call it masked
+  };
+  const std::vector<Case> cases = {
+      // The flip is due at the checkpoint the trial starts from, so it
+      // lands after it; comparing there would call the fault masked.
+      {"dm flip on a checkpoint", on_checkpoint, on_checkpoint.action.cycle,
+       true},
+      {"delayed wake across a checkpoint",
+       wake_fault(sim::FaultAction::Kind::kDelayWake, wakes[1], 3, 100), 64},
+      {"delayed wake due after the end",
+       wake_fault(sim::FaultAction::Kind::kDelayWake, wakes.back(), 2, end),
+       4096},
+      {"dropped wake",
+       wake_fault(sim::FaultAction::Kind::kDropWake, wakes[2], 1, 0), 4096},
+      {"fault before the first checkpoint", dm_flip(events.front()), 64},
+      {"im flip", im_flip, 64},
+      {"undecodable im flip", undecodable, 64},
+  };
+  for (const bool localize : {false, true}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + (localize ? " (localize)" : ""));
+      CampaignConfig config;
+      config.localize = localize;
+      config.stride = c.stride;
+      const CleanReplay clean =
+          clean_replay(run, Registry::builtins(), c.stride);
+      const FaultTrialRow row = expect_full_replay_row(run, c.fault, config,
+                                                       clean);
+      if (!localize && c.unmasked) EXPECT_NE(row.outcome, "masked");
+    }
+  }
+}
+
+TEST(CheckpointedTrials, DelayedWakeComparesOnlyAfterItsDelivery) {
+  // A delayed wake still has something to deliver until source + delay.
+  // Its target core may be awake at the source interrupt (there it is a
+  // no-op) and asleep when the late wake comes due: the faulted run then
+  // equals the clean one at every checkpoint in between and parts from it
+  // afterwards. Sleepgen wakes every core only once all sleep, so the
+  // recording gains one interrupt during core 0's preamble; the late wake
+  // lands while core 0 waits for the first window.
+  RecordedRun run = four_window_recording();
+  sim::ExternalEvent early;
+  early.kind = sim::EventKind::kInterrupt;
+  early.cycle = 5;
+  early.core = 0;
+  run.schedule.events.insert(run.schedule.events.begin(), early);
+  CampaignFault fault;
+  fault.model = ErrorModel::kWakeDelay;
+  fault.action.kind = sim::FaultAction::Kind::kDelayWake;
+  fault.action.event_index = 0;
+  fault.action.core = 0;
+  fault.action.delay = 20;
+  {
+    const ReplayRig rig = make_replay_rig(run, Registry::builtins());
+    sim::ReplayCursor cursor(*rig.platform, run.schedule, {});
+    cursor.advance_to(early.cycle);
+    ASSERT_NE(rig.platform->core_status(0), sim::CoreStatus::kSleeping);
+    cursor.advance_to(early.cycle + fault.action.delay);
+    ASSERT_EQ(rig.platform->core_status(0), sim::CoreStatus::kSleeping);
+  }
+  for (const bool localize : {false, true}) {
+    CampaignConfig config;
+    config.localize = localize;
+    config.stride = 7;  // checkpoints at 7, 14 and 21 lie in between
+    const CleanReplay clean = clean_replay(run, Registry::builtins(), 7);
+    const FaultTrialRow row = expect_full_replay_row(run, fault, config,
+                                                     clean);
+    EXPECT_NE(row.outcome, "masked") << localize;
   }
 }
 

@@ -40,14 +40,18 @@ FUNC_RE = re.compile(r"^(\[\[nodiscard\]\]\s*)?(template\s*<.*>\s*)?"
                      r"[\w:<>,&*\s]+?\b([A-Za-z_]\w*)\s*\(")
 ACCESS_RE = re.compile(r"^(public|protected|private)\s*:")
 OPERATOR_RE = re.compile(r"\boperator\b")
+TEMPLATE_RE = re.compile(r"^template\s*<.*>\s*$")
 
 
 def is_documented(lines, i):
-    """True when line i carries or follows a /// doc comment."""
+    """True when line i carries or follows a /// doc comment. A template
+    header line between the comment and the declaration belongs to the
+    declaration."""
     if "///<" in lines[i]:
         return True
     j = i - 1
-    while j >= 0 and lines[j].strip() == "":
+    while j >= 0 and (lines[j].strip() == "" or
+                      TEMPLATE_RE.match(lines[j].strip())):
         j -= 1
     return j >= 0 and lines[j].strip().startswith("///")
 
@@ -114,7 +118,9 @@ def check_header(path):
                     ctor = func_name == cls[1]
                     if cls[2] == "public" and not ctor:
                         documentable = ("member function", code)
-                elif at_namespace_scope and code.endswith((";", "{")):
+                elif at_namespace_scope:
+                    # Wrapped declarations too: the first line of one ends
+                    # in "(" or ",", not ";" or "{".
                     documentable = ("function", code)
 
         if documentable and not is_documented(lines, i):

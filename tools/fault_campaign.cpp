@@ -38,8 +38,14 @@
 //   outcome   (default) classify each fault masked / detected / sdc
 //             against the clean replay's final state — one replay per
 //             trial; what the resilience report aggregates.
-//   localize  checkpoint-stride bisection to the first divergent cycle
-//             (outcomes localized / masked).
+//   localize  checkpoint-stride bisection to the cycle a fault first
+//             reaches a core (outcomes localized / masked).
+//
+// The clean replay is one checkpoint series, a snapshot every --stride
+// cycles (default 4096): DM and wake trials start at the last checkpoint
+// before their fault, and an outcome-mode trial stops as masked once its
+// state equals the clean run's at a checkpoint. The outcome CSV is the
+// same at any stride; a localize verdict can depend on it.
 //
 // Gates: --require-localized N exits nonzero unless at least N faults
 // localized (it gates only; select the bisection with --mode localize);
