@@ -34,8 +34,8 @@ class LockstepAnalyzer {
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
   void reset() { metrics_ = {}; }
   /// Resumes accumulation from previously captured metrics — used by
-  /// warm-started sweep runs so a resumed run's lockstep numbers equal an
-  /// uninterrupted run's.
+  /// runs resumed from a checkpoint-ring entry or a batch-lane boundary, so
+  /// a resumed run's lockstep numbers equal an uninterrupted run's.
   void restore(const Metrics& metrics) { metrics_ = metrics; }
 
  private:

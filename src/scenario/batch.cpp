@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/lockstep.h"
-#include "scenario/checkpoint_ring.h"
 #include "scenario/workload.h"
 #include "sim/batch/lane_group.h"
 #include "sim/decoded_image.h"
@@ -44,7 +43,6 @@ bool uses_synchronizer_ops(const assembler::Program& program) {
 std::string batch_group_key(const RunSpec& spec) {
   RunSpec lanes = spec;
   lanes.params.generator = {};
-  lanes.checkpoint_at.reset();
   lanes.energy.reset();
   return run_spec_bytes(lanes);
 }
@@ -62,9 +60,7 @@ struct BatchEngine::Group {
 BatchEngine::BatchEngine(const Registry& registry, BatchOptions options)
     : registry_(&registry),
       options_(std::move(options)),
-      scalar_(registry, EngineOptions{.jobs = 1,
-                                      .checkpoint_ring =
-                                          options_.checkpoint_ring}) {}
+      scalar_(registry) {}
 
 BatchResult BatchEngine::run(const std::vector<RunSpec>& specs) const {
   BatchResult result;
@@ -89,7 +85,7 @@ BatchResult BatchEngine::run(const std::vector<RunSpec>& specs) const {
     // batch lanes are a bit-identical host optimization, so the recorded
     // envelope (and the record) would be the same — but the recorder's
     // event sink attaches to one platform, not a lane.
-    bool eligible = !spec.resume_from && spec.record_events_to.empty();
+    bool eligible = spec.record_events_to.empty();
     if (eligible) {
       try {
         workload = registry_->make(spec.workload, spec.params);
@@ -108,15 +104,6 @@ BatchResult BatchEngine::run(const std::vector<RunSpec>& specs) const {
             uses_synchronizer_ops(workload->program(spec.with_synchronizer()));
       }
       eligible = !it->second;
-    }
-    if (eligible && options_.checkpoint_ring.enabled()) {
-      // A lane with a ring entry resumes mid-run, not at the group's shared
-      // cold boundary — the scalar ring path handles it bit-exactly.
-      if (load_latest_ring_entry(
-              ring_run_dir(options_.checkpoint_ring.dir, i),
-              ring_identity(spec), spec.max_cycles)) {
-        eligible = false;
-      }
     }
     if (eligible) {
       Group& group = groups[batch_group_key(spec)];
@@ -171,7 +158,7 @@ void BatchEngine::run_group(const std::vector<RunSpec>& specs,
   const bool keep_snapshots = options_.keep_final_snapshots;
   if (!group.batched) {
     for (std::size_t idx : group.members) {
-      result.records[idx] = scalar_.run_one(specs[idx], idx);
+      result.records[idx] = scalar_.run_one(specs[idx]);
       stats.scalar_runs += 1;
     }
     return;
@@ -182,7 +169,6 @@ void BatchEngine::run_group(const std::vector<RunSpec>& specs,
     std::size_t spec_index = 0;
     const Workload* workload = nullptr;
     const WindowedDrive* drive = nullptr;
-    std::unique_ptr<RingWriter> writer;
     bool live = true;      ///< still riding the batch
     bool finished = false; ///< record already written (fallback paths)
   };
@@ -205,18 +191,11 @@ void BatchEngine::run_group(const std::vector<RunSpec>& specs,
     core::LockstepAnalyzer analyzer;
     analyzer.attach(platform);
 
-    const CheckpointRingOptions& ring = options_.checkpoint_ring;
     for (unsigned l = 0; l < n; ++l) {
       Lane& lane = lanes[l];
       lane.workload = group.workloads[l].get();
       lane.drive = lane.workload->windowed_drive();
       lane.drive->adopt_host_words({});
-      if (ring.enabled()) {
-        lane.writer = std::make_unique<RingWriter>(
-            ring_run_dir(ring.dir, lane.spec_index),
-            ring_identity(specs[lane.spec_index]), ring.stride, ring.keep,
-            /*start_cycle=*/0, &analyzer);
-      }
     }
 
     // Cold prologue — shared: it happens before any deposit, and the
@@ -266,7 +245,7 @@ void BatchEngine::run_group(const std::vector<RunSpec>& specs,
     image.load(program.origin, program.code);
 
     // One scratch platform serves every per-lane materialization in this
-    // group — fallback continuation, ring offers, follower finish. Loading
+    // group — fallback continuation and follower finish. Loading
     // the program once matters: a fresh platform pays the image fingerprint
     // over every IM slot on first use, which dwarfs a warm
     // `restore_snapshot` (restore rewrites all of DM and the core states,
@@ -293,8 +272,8 @@ void BatchEngine::run_group(const std::vector<RunSpec>& specs,
       a.attach(p);
       p.restore_snapshot(lane_state.materialize(l, lane_template));
       a.restore(boundary_metrics);
-      const sim::RunResult r = drive_windowed(*lane.drive, p, max_cycles,
-                                              window, lane.writer.get());
+      const sim::RunResult r =
+          drive_windowed(*lane.drive, p, max_cycles, window);
       RunRecord& record = result.records[lane.spec_index];
       record.spec = spec;
       finish_record(record, *lane.workload, p, r,
@@ -353,8 +332,7 @@ void BatchEngine::run_group(const std::vector<RunSpec>& specs,
           if (lanes[l].live) lane_state.rollback(l);
         }
         group_live = false;
-        run_result = drive_windowed(leader_drive, platform, max_cycles, w,
-                                    lanes[0].writer.get());
+        run_result = drive_windowed(leader_drive, platform, max_cycles, w);
         for (unsigned l = 1; l < n; ++l) {
           if (lanes[l].live) scalar_from_boundary(l, w);
         }
@@ -446,20 +424,14 @@ void BatchEngine::run_group(const std::vector<RunSpec>& specs,
         // The leader itself is real — account this window as
         // `drive_windowed` would, then continue real from the next one.
         leader_drive.note_window(busy);
-        if (lanes[0].writer != nullptr &&
-            run_result.status == sim::RunResult::Status::kAllAsleep) {
-          lanes[0].writer->offer(platform, leader_drive.host_words());
-        }
         if (run_result.status == sim::RunResult::Status::kAllAsleep) {
-          run_result = drive_windowed(leader_drive, platform, max_cycles,
-                                      w + 1, lanes[0].writer.get());
+          run_result =
+              drive_windowed(leader_drive, platform, max_cycles, w + 1);
         }
         break;
       }
 
-      // Commit: account the window on every live lane and serve due ring
-      // offers (follower checkpoints materialize through a scratch
-      // platform — only at ring stride boundaries, so the cost amortizes).
+      // Commit: account the window on every live lane.
       for (unsigned l = 0; l < n; ++l) {
         if (lanes[l].live) lanes[l].drive->note_window(busy);
       }
@@ -467,19 +439,6 @@ void BatchEngine::run_group(const std::vector<RunSpec>& specs,
       boundary_metrics = analyzer.metrics();
       lane_template = boundary;
       lane_template.dm_runs.clear();
-      if (run_result.status == sim::RunResult::Status::kAllAsleep) {
-        if (lanes[0].writer != nullptr) {
-          lanes[0].writer->offer(platform, leader_drive.host_words());
-        }
-        for (unsigned l = 1; l < n; ++l) {
-          Lane& lane = lanes[l];
-          if (!lane.live || lane.writer == nullptr) continue;
-          if (boundary.cycle() < lane.writer->next_due()) continue;
-          sim::Platform& p = scratch_platform();
-          p.restore_snapshot(lane_state.materialize(l, lane_template));
-          lane.writer->offer(p, lane.drive->host_words());
-        }
-      }
     }
 
     // Lanes that rode the batch to the end: the leader finishes from its
@@ -520,8 +479,7 @@ void BatchEngine::run_group(const std::vector<RunSpec>& specs,
     // turns the same root cause into an "error" record if it persists).
     for (const Lane& lane : lanes) {
       if (lane.finished) continue;
-      result.records[lane.spec_index] =
-          scalar_.run_one(specs[lane.spec_index], lane.spec_index);
+      result.records[lane.spec_index] = scalar_.run_one(specs[lane.spec_index]);
       stats.scalar_runs += 1;
     }
   }

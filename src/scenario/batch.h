@@ -26,7 +26,9 @@
 ///
 /// Records are byte-identical to the scalar engine's in every case — the
 /// batch engine is purely a host-side throughput optimization, exactly like
-/// the region executor inside one platform.
+/// the region executor inside one platform. It keeps no checkpoint rings:
+/// a crash-resumable cohort runs on the scalar engine (the spool's
+/// `work --ring-stride`).
 
 #include <cstdint>
 #include <optional>
@@ -43,8 +45,8 @@
 namespace ulpsync::scenario {
 
 /// Grouping key of the batch engine: the spec codec's bytes
-/// (`run_spec_bytes`) with the input generator at its default and
-/// `checkpoint_at` and `energy` cleared. Specs with equal keys run the same
+/// (`run_spec_bytes`) with the input generator at its default and `energy`
+/// cleared. Specs with equal keys run the same
 /// program on the same platform configuration for the same budget and may
 /// share a lane group (they differ only in generator-derived input data,
 /// which is exactly what `WindowedDrive::deposit` varies per lane).
@@ -56,13 +58,6 @@ struct BatchOptions {
   /// Worker threads (lane groups are distributed over them); 0 picks the
   /// hardware concurrency.
   unsigned jobs = 1;
-  /// Crash-resumable periodic checkpoints, same semantics and on-disk
-  /// layout as the scalar engine's (`CheckpointRingOptions`): every lane
-  /// keeps its own ring under `run-<spec index>/`, so a batched soak can be
-  /// resumed by the scalar engine and vice versa. A lane that finds a ring
-  /// entry to resume from runs scalar (it starts mid-run, not at the shared
-  /// cold boundary).
-  CheckpointRingOptions checkpoint_ring;
   /// Also return every run's final platform snapshot (where the engine has
   /// one: batched lanes and in-batch scalar fallbacks). The differential
   /// suite uses these to prove byte-identity against scalar runs.
@@ -75,7 +70,7 @@ struct BatchOptions {
 struct BatchStats {
   std::size_t groups = 0;          ///< lane groups formed
   std::size_t batched_runs = 0;    ///< runs that finished on the batch path
-  std::size_t scalar_runs = 0;     ///< ineligible/resumed/fallen-back runs
+  std::size_t scalar_runs = 0;     ///< ineligible/fallen-back runs
   std::size_t diverged_lanes = 0;  ///< followers whose traces left the leader
   std::size_t group_bails = 0;     ///< windows a whole group left the batch
   std::uint64_t emulated_instructions = 0;

@@ -1,8 +1,8 @@
 #pragma once
 
-/// Crash-resumable checkpoint rings for long runs, plus the shared wire
-/// encoding of `WarmState` (platform snapshot + lockstep metrics) that both
-/// the rings and the sharded-sweep work spool (`scenario/shard.h`) ship.
+/// Crash-resumable checkpoint rings for long runs, and the wire encoding
+/// of their entries' payload, `WarmState` (platform snapshot + lockstep
+/// metrics).
 ///
 /// A ring is a bounded directory of `.ring` entry files plus a `MANIFEST`.
 /// While a run executes with `EngineOptions::checkpoint_ring` set, the
@@ -19,9 +19,10 @@
 /// and finally to a cold start.
 ///
 /// Entries are keyed by a 64-bit *identity* — a hash of everything that
-/// determines the run's simulation prefix (`warm_group_key`, which excludes
-/// `max_cycles`) — so entries survive a budget change but can never be
-/// restored into a differently configured run.
+/// determines the run's simulation (`warm_group_key`, which excludes
+/// `max_cycles`) — so entries survive a budget change, and serve every
+/// member of a budget fan-out's shared run, but can never be restored into
+/// a differently configured run.
 
 #include <cstdint>
 #include <optional>
@@ -29,13 +30,23 @@
 #include <string>
 #include <vector>
 
-#include "scenario/engine.h"
+#include "core/lockstep.h"
+#include "scenario/workload.h"
+#include "sim/snapshot.h"
 #include "util/wire.h"
 
 namespace ulpsync::scenario {
 
 /// FNV-1a 64-bit hash (the project-wide content-hash primitive).
 using util::fnv1a64;
+
+/// The payload of one ring entry: a platform snapshot plus the
+/// lockstep-analyzer metrics accumulated up to it, so a resumed run's
+/// lockstep numbers equal an uninterrupted run's.
+struct WarmState {
+  sim::Snapshot snapshot;
+  core::LockstepAnalyzer::Metrics lockstep;
+};
 
 /// Stable binary image of a `WarmState`: lockstep metrics followed by the
 /// snapshot's own wire format (`sim::Snapshot::serialize`).

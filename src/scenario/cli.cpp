@@ -173,10 +173,8 @@ std::vector<RunSpec> matrix_specs_from_flags(const util::CliArgs& args) {
 
   std::vector<RunSpec> specs = matrix.expand();
   if (args.has("horizons")) {
-    // Fan each spec out over the horizon budgets, sharing one warm-up
-    // prefix per group — the shape `plan` ships WarmStates for.
-    const auto checkpoint =
-        static_cast<std::uint64_t>(args.get_int("checkpoint-at", 0));
+    // Fan each spec out over the horizon budgets; the engine runs each
+    // spec's budgets as one shared run.
     const std::vector<std::uint64_t> horizons =
         parse_u64_list(args.get("horizons", ""), "horizons");
     std::vector<RunSpec> fanned;
@@ -184,15 +182,10 @@ std::vector<RunSpec> matrix_specs_from_flags(const util::CliArgs& args) {
       for (const std::uint64_t budget : horizons) {
         RunSpec horizon = spec;
         horizon.max_cycles = budget;
-        if (checkpoint != 0) horizon.checkpoint_at = checkpoint;
         fanned.push_back(std::move(horizon));
       }
     }
     specs = std::move(fanned);
-  } else if (args.has("checkpoint-at")) {
-    const auto checkpoint =
-        static_cast<std::uint64_t>(args.get_int("checkpoint-at", 0));
-    for (RunSpec& spec : specs) spec.checkpoint_at = checkpoint;
   }
   return specs;
 }
@@ -208,8 +201,7 @@ std::vector<Flag> matrix_flags() {
       {"energy", "MODE", "per-record energy columns: auto|baseline|synchronized"},
       {"energy-mhz", "F", "operating clock for the energy report"},
       {"energy-volt", "V", "operating supply; 0 derives the minimum feasible"},
-      {"checkpoint-at", "N", "shared warm-up prefix end in cycles"},
-      {"horizons", "c1,c2", "per-spec max_cycles fan-out over the checkpoint"},
+      {"horizons", "c1,c2", "max_cycles fan-out per spec (one shared run)"},
   };
 }
 

@@ -85,8 +85,8 @@ struct FlagTable {
                                        unsigned fallback = 1);
 
 /// Expands the shared matrix flag vocabulary (--workloads, --samples,
-/// --designs, --max-cycles, --energy*, --cohort*, --checkpoint-at,
-/// --horizons) into the concrete spec list. `sweep_shard plan` and
+/// --designs, --max-cycles, --energy*, --cohort*, --horizons) into the
+/// concrete spec list. `sweep_shard plan` and
 /// `sweep_shard run` both build specs here, which is what makes their
 /// byte-identity guarantee a matter of flag equality.
 [[nodiscard]] std::vector<RunSpec> matrix_specs_from_flags(

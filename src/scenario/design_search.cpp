@@ -28,8 +28,7 @@ struct Point {
 };
 
 RunSpec spec_for(const SearchOptions& options, const DesignCandidate& cand,
-                 double clock_mhz, std::uint64_t horizon,
-                 std::uint64_t checkpoint) {
+                 double clock_mhz, std::uint64_t horizon) {
   RunSpec spec;
   spec.workload = options.workload;
   spec.params.num_channels = cand.cores;
@@ -39,7 +38,6 @@ RunSpec spec_for(const SearchOptions& options, const DesignCandidate& cand,
   spec.im_line_slots = cand.im_line_slots;
   spec.energy = EnergyRequest{EnergyRequest::Params::kAuto, clock_mhz, 0.0};
   spec.max_cycles = horizon;
-  if (checkpoint != 0 && checkpoint < horizon) spec.checkpoint_at = checkpoint;
   return spec;
 }
 
@@ -65,10 +63,6 @@ void validate(const SearchOptions& options) {
       throw std::invalid_argument(
           "design_search: rung horizons must be strictly increasing");
   }
-  if (options.checkpoint_at != 0 &&
-      options.checkpoint_at >= options.rungs.front())
-    throw std::invalid_argument(
-        "design_search: checkpoint_at must precede the first rung horizon");
 }
 
 }  // namespace
@@ -100,10 +94,6 @@ SearchResult design_search(const Registry& registry,
   if (candidates.empty())
     throw std::invalid_argument("design_search: no viable candidates");
 
-  const std::uint64_t checkpoint = options.checkpoint_at != 0
-                                       ? options.checkpoint_at
-                                       : options.rungs.front() / 2;
-
   std::vector<Point> live;
   live.reserve(candidates.size() * options.clocks_mhz.size());
   for (std::size_t c = 0; c < candidates.size(); ++c) {
@@ -133,14 +123,11 @@ SearchResult design_search(const Registry& registry,
     specs.reserve(live.size());
     for (const Point& point : live) {
       specs.push_back(spec_for(options, candidates[point.candidate],
-                               options.clocks_mhz[point.clock], horizon,
-                               checkpoint));
+                               options.clocks_mhz[point.clock], horizon));
     }
     const std::vector<RunRecord> records = engine.run(specs);
     result.specs_executed += specs.size();
-    for (const auto& group : engine.warm_groups(specs)) {
-      result.warm_resumed += group.size();
-    }
+    result.runs_simulated += engine.run_groups(specs).size();
 
     // Adopt this rung's metrics; drop failed and infeasible points.
     std::vector<Point> evaluated;

@@ -13,9 +13,10 @@
 ///    IM banking, arbitration) — the axes that change the simulation;
 ///  * a **point** is a candidate at one operating clock. The operating
 ///    point never changes the simulation (the energy report is analytical
-///    post-processing of the counters, see `RunSpec::energy`), so all
-///    surviving points of one candidate share a `checkpoint_at` warm-up
-///    prefix and the engine simulates it once per rung;
+///    post-processing of the counters, see `RunSpec::energy`), so at one
+///    rung all surviving points of one candidate are one of
+///    `Engine::run_groups`: the engine simulates *one* run per candidate
+///    per rung and harvests every point from it;
 ///  * **rungs** are growing cycle horizons. Every live point runs at the
 ///    rung's horizon; infeasible points (clock above the voltage model's
 ///    ceiling) and points slack-dominated in (throughput, power) are
@@ -70,9 +71,6 @@ struct SearchOptions {
   /// rung should exceed the workload's natural end so frontier rows are
   /// complete runs; earlier rungs truncate for cheap estimates.
   std::vector<std::uint64_t> rungs = {8'000, 32'000, 500'000'000};
-  /// Shared warm-up prefix (cycles) of each candidate's points; 0 derives
-  /// half the first rung. Must stay below the first horizon.
-  std::uint64_t checkpoint_at = 0;
   /// Throughput the knee must sustain (useful MOps/s at the operating
   /// clock). 16 MOps/s — 2 MOps/s per channel across the 8-channel ECG
   /// front-end — is the real-time requirement the paper's frequency
@@ -114,8 +112,10 @@ struct SearchResult {
   std::ptrdiff_t knee_index = -1;
   std::vector<RungStats> rungs;
   std::size_t candidates = 0;       ///< micro-architectures enumerated
-  std::size_t specs_executed = 0;   ///< engine runs across all rungs
-  std::size_t warm_resumed = 0;     ///< runs resumed from a shared prefix
+  std::size_t specs_executed = 0;   ///< specs (records) across all rungs
+  /// Platform runs across all rungs: per rung, the size of
+  /// `Engine::run_groups` of its specs.
+  std::size_t runs_simulated = 0;
 };
 
 /// Runs the search (see the file comment). Throws std::invalid_argument

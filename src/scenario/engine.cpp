@@ -1,7 +1,9 @@
 #include "scenario/engine.h"
 
+#include <algorithm>
 #include <exception>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <span>
 
@@ -26,6 +28,17 @@ std::string status_name(sim::RunResult::Status status) {
     case sim::RunResult::Status::kTrap: return "trap";
   }
   return "?";
+}
+
+/// Marks the records a failed shared run did not finish — `order[from..]`
+/// — as "error" records carrying `message`.
+void fail_unfinished(std::vector<RunRecord>& records,
+                     const std::vector<std::size_t>& order, std::size_t from,
+                     const std::string& message) {
+  for (std::size_t i = from; i < order.size(); ++i) {
+    records[order[i]].status = "error";
+    records[order[i]].verify_error = message;
+  }
 }
 
 }  // namespace
@@ -106,151 +119,145 @@ Engine::Engine(const Registry& registry, EngineOptions options)
     : registry_(&registry), options_(std::move(options)) {}
 
 RunRecord Engine::run_one(const RunSpec& spec, std::uint64_t ring_slot) const {
-  return run_one_impl(spec, spec.resume_from.get(), ring_slot);
+  const std::size_t only = 0;
+  return run_shared({&spec, 1}, {&only, 1}, ring_slot).front();
 }
 
-std::vector<std::vector<std::size_t>> Engine::warm_groups(
+std::vector<std::vector<std::size_t>> Engine::run_groups(
     const std::vector<RunSpec>& specs) const {
+  std::vector<std::vector<std::size_t>> groups;
   // std::map keeps the grouping deterministic for any caller.
   std::map<std::string, std::vector<std::size_t>> by_key;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const RunSpec& spec = specs[i];
-    if (!spec.checkpoint_at || *spec.checkpoint_at == 0 ||
-        *spec.checkpoint_at >= spec.max_cycles || spec.resume_from ||
-        !spec.record_events_to.empty()) {
-      continue;
+    if (!specs[i].record_events_to.empty()) {
+      groups.push_back({i});  // recording keeps its cold `record_one` path
+    } else {
+      by_key[warm_group_key(specs[i])].push_back(i);
     }
-    by_key[warm_group_key(spec)].push_back(i);
   }
-  std::vector<std::vector<std::size_t>> groups;
   for (auto& [key, members] : by_key) {
     (void)key;
-    if (members.size() < 2) continue;  // sharing is the whole point
-    const RunSpec& leader = specs[members.front()];
-    try {
-      if (registry_->make(leader.workload, leader.params)->windowed_drive() !=
-          nullptr) {
-        continue;
+    bool shared = members.size() >= 2;
+    if (shared) {
+      const RunSpec& leader = specs[members.front()];
+      try {
+        shared = registry_->make(leader.workload, leader.params)
+                     ->windowed_drive() == nullptr;
+      } catch (...) {
+        shared = false;  // the members' own runs report the failure
       }
-    } catch (...) {
-      continue;  // the members' cold runs report the failure
     }
-    groups.push_back(std::move(members));
+    if (shared) {
+      groups.push_back(std::move(members));
+    } else {
+      for (const std::size_t i : members) groups.push_back({i});
+    }
   }
+  std::sort(groups.begin(), groups.end(),
+            [](const auto& a, const auto& b) { return a.front() < b.front(); });
   return groups;
 }
 
-std::shared_ptr<const WarmState> Engine::capture_warm_state(
-    const RunSpec& spec, std::uint64_t cycle) const {
-  try {
-    const auto workload = registry_->make(spec.workload, spec.params);
-    if (workload->windowed_drive() != nullptr) return nullptr;
-
-    sim::Platform platform(resolved_config(spec, *workload));
-    platform.load_program(workload->program(spec.with_synchronizer()));
-    workload->load_inputs(platform);
-
-    core::LockstepAnalyzer analyzer;
-    analyzer.attach(platform);
-
-    // Without a windowed drive a workload drives with `platform.run`, so
-    // running the prefix directly reproduces the cold run's first `cycle`
-    // cycles exactly (an early stop — all halted/asleep — is resumable
-    // too: the continuation re-derives the same final status).
-    (void)platform.run(cycle);
-
-    auto state = std::make_shared<WarmState>();
-    state->snapshot = platform.save_snapshot();
-    state->lockstep = analyzer.metrics();
-    return state;
-  } catch (...) {
-    // A failing warm-up must never fail the sweep: members fall back to
-    // cold runs, where the same failure surfaces as an "error" record.
-    return nullptr;
+std::vector<RunRecord> Engine::run_shared(std::span<const RunSpec> specs,
+                                          std::span<const std::size_t> members,
+                                          std::uint64_t ring_slot) const {
+  std::vector<RunRecord> records(members.size());
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    records[k].spec = specs[members[k]];
   }
-}
-
-RunRecord Engine::run_one_impl(const RunSpec& spec, const WarmState* warm,
-                               std::uint64_t ring_slot) const {
-  RunRecord record;
-  record.spec = spec;
+  // Harvest order: ascending budget; equal budgets keep member order.
+  std::vector<std::size_t> order(members.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return records[a].spec.max_cycles <
+                            records[b].spec.max_cycles;
+                   });
+  std::size_t finished = 0;  // records finished, in harvest order
   try {
-    if (!spec.record_events_to.empty()) {
-      // Recording path: delegate to the canonical cold recorder and write
-      // the envelope. Warm states, rings and batch lanes are bit-identical
-      // host optimizations, so the record is the same either way.
-      RecordOutcome outcome = record_one(spec, *registry_);
-      write_recorded_run_file(spec.record_events_to, outcome.recorded);
-      return outcome.record;
+    const RunSpec& lead = records.front().spec;
+    if (!lead.record_events_to.empty()) {
+      // Recording path (a lone spec: `run_groups` never groups one):
+      // delegate to the canonical cold recorder and write the envelope.
+      // Shared runs, rings and batch lanes are bit-identical host
+      // optimizations, so the record is the same either way.
+      RecordOutcome outcome = record_one(lead, *registry_);
+      write_recorded_run_file(lead.record_events_to, outcome.recorded);
+      records.front() = std::move(outcome.record);
+      return records;
     }
 
-    const auto workload = registry_->make(spec.workload, spec.params);
+    const auto workload = registry_->make(lead.workload, lead.params);
 
-    sim::Platform platform(resolved_config(spec, *workload));
-    platform.load_program(workload->program(spec.with_synchronizer()));
+    sim::Platform platform(resolved_config(lead, *workload));
+    platform.load_program(workload->program(lead.with_synchronizer()));
     workload->load_inputs(platform);
 
     core::LockstepAnalyzer analyzer;
     analyzer.attach(platform);
 
-    // Resume from the newest valid ring entry when the ring has one, else
-    // from the warm state; restoring either is bit-exact. A mismatched
-    // snapshot throws and surfaces as an "error" record.
+    // Resume from the newest valid ring entry at or below the smallest
+    // budget when the ring has one; restoring it is bit-exact. A
+    // mismatched snapshot throws and surfaces as "error" records.
     const CheckpointRingOptions& ring = options_.checkpoint_ring;
     std::string ring_dir;
     std::uint64_t identity = 0;
     std::optional<RingEntry> entry;
     if (ring.enabled()) {
       ring_dir = ring_run_dir(ring.dir, ring_slot);
-      identity = ring_identity(spec);
-      entry = load_latest_ring_entry(ring_dir, identity, spec.max_cycles);
+      identity = ring_identity(lead);
+      entry = load_latest_ring_entry(ring_dir, identity,
+                                     records[order.front()].spec.max_cycles);
     }
-    const WarmState* resume = entry ? &entry->state : warm;
     std::span<const std::uint64_t> host_words;
-    if (resume != nullptr) {
-      platform.restore_snapshot(resume->snapshot);
-      analyzer.restore(resume->lockstep);
-      host_words = resume->snapshot.host_words;
+    if (entry) {
+      platform.restore_snapshot(entry->state.snapshot);
+      analyzer.restore(entry->state.lockstep);
+      host_words = entry->state.snapshot.host_words;
     }
     std::optional<RingWriter> writer;
     if (ring.enabled()) {
       writer.emplace(ring_dir, identity, ring.stride, ring.keep,
                      platform.counters().cycles, &analyzer);
     }
-    const sim::RunResult result = workload->drive(
-        platform, spec.max_cycles, writer ? &*writer : nullptr, host_words);
 
-    finish_record(record, *workload, platform, result,
-                  analyzer.metrics().lockstep_fraction());
+    // Drive to each distinct budget and finish the members due there. A
+    // run that stopped short of its budget is over: later members get its
+    // result, as their cold runs would.
+    std::optional<sim::RunResult> result;
+    for (const std::size_t k : order) {
+      RunRecord& record = records[k];
+      if (!result || (result->status == sim::RunResult::Status::kMaxCycles &&
+                      result->cycles < record.spec.max_cycles)) {
+        result = workload->drive(platform, record.spec.max_cycles,
+                                 writer ? &*writer : nullptr, host_words);
+        host_words = {};  // they describe only the restored state
+      }
+      finish_record(record, *workload, platform, *result,
+                    analyzer.metrics().lockstep_fraction());
+      ++finished;
+    }
   } catch (const std::exception& error) {
-    record.status = "error";
-    record.verify_error = error.what();
+    fail_unfinished(records, order, finished, error.what());
   } catch (...) {
     // Keep the never-throws contract even for non-std exceptions from user
     // workload hooks; escaping a worker thread would std::terminate.
-    record.status = "error";
-    record.verify_error = "unknown exception from workload";
+    fail_unfinished(records, order, finished,
+                    "unknown exception from workload");
   }
-  return record;
+  return records;
 }
 
 std::vector<RunRecord> Engine::run(const std::vector<RunSpec>& specs) const {
-  // Warm-start prepass: simulate each group's shared prefix once, in group
-  // order, before the pool starts; the states outlive every run.
-  std::vector<std::shared_ptr<const WarmState>> states;
-  std::vector<const WarmState*> warm_of(specs.size(), nullptr);
-  for (const std::vector<std::size_t>& group : warm_groups(specs)) {
-    const RunSpec& leader = specs[group.front()];
-    states.push_back(capture_warm_state(leader, *leader.checkpoint_at));
-    for (const std::size_t i : group) warm_of[i] = states.back().get();
-  }
-
+  const std::vector<std::vector<std::size_t>> groups = run_groups(specs);
   std::vector<RunRecord> records(specs.size());
-  util::parallel_for(specs.size(), options_.jobs, [&](std::size_t index) {
-    const WarmState* warm = warm_of[index] != nullptr
-                                ? warm_of[index]
-                                : specs[index].resume_from.get();
-    records[index] = run_one_impl(specs[index], warm, /*ring_slot=*/index);
+  util::parallel_for(groups.size(), options_.jobs, [&](std::size_t g) {
+    const std::vector<std::size_t>& members = groups[g];
+    std::vector<RunRecord> done =
+        run_shared(specs, members, /*ring_slot=*/members.front());
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      records[members[k]] = std::move(done[k]);
+    }
   });
   return records;
 }

@@ -48,7 +48,7 @@ class Matrix {
   Matrix& im_line_slots(std::vector<unsigned> lines);
   /// Energy-report axis: every expanded spec fans out over these operating
   /// points (`RunSpec::energy`). The request never influences the
-  /// simulation — points of one design share a warm-up prefix — it only
+  /// simulation — points of one design share one engine run — it only
   /// adds the record's power columns at the requested (V, f).
   Matrix& energy(std::vector<EnergyRequest> points);
   /// Cycle budget applied to every expanded spec.

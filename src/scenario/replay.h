@@ -72,7 +72,7 @@ struct RecordOutcome {
 /// the finished record and the recorded-run envelope. This is the
 /// canonical recording routine: the engine's record path
 /// (`RunSpec::record_events_to`) delegates here, deliberately skipping
-/// warm starts and checkpoint rings — bit-identical host optimizations,
+/// shared runs and checkpoint rings — bit-identical host optimizations,
 /// so the recorded artifact equals what any engine path would produce.
 /// Throws on host-side failures (unknown workload, assembly errors); the
 /// engine maps those to "error" records as usual.

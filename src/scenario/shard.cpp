@@ -6,11 +6,11 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "scenario/checkpoint_ring.h"
 #include "scenario/record.h"
 #include "scenario/transport.h"
 #include "util/file.h"
@@ -27,17 +27,16 @@ constexpr util::Magic kBundleMagic = {'U', 'L', 'P', 'S', 'P', 'O', 'L', '\n'};
 // Version 4 retired the optional `burst` knob after `fast_forward`: its
 // slot stays on the wire, always absent, so the recorded-run envelope that
 // shares the codec keeps its bytes, and a spec that still sets it is
-// refused.
-constexpr std::uint32_t kBundleVersion = 4;
-constexpr std::uint32_t kNoWarmRef = 0xFFFFFFFFu;
+// refused. Version 5 dropped each entry's warm-state reference and the
+// shipped warm states, and retired the spec's warm-up prefix end the same
+// way as `burst`.
+constexpr std::uint32_t kBundleVersion = 5;
 
 // --- bundle --------------------------------------------------------------- --
 
 struct BundlePlan {
   unsigned id = 0;
   std::vector<std::uint64_t> indices;
-  std::vector<std::uint32_t> warm_ref;
-  std::vector<std::vector<std::uint8_t>> warm_blobs;
 };
 
 std::vector<std::uint8_t> serialize_bundle(const BundlePlan& plan,
@@ -47,13 +46,10 @@ std::vector<std::uint8_t> serialize_bundle(const BundlePlan& plan,
     w.u64(fingerprint);
     w.u32(plan.id);
     w.u32(static_cast<std::uint32_t>(plan.indices.size()));
-    for (std::size_t i = 0; i < plan.indices.size(); ++i) {
-      w.u64(plan.indices[i]);
-      w.u32(plan.warm_ref[i]);
-      encode_run_spec(w, specs[plan.indices[i]]);
+    for (const std::uint64_t index : plan.indices) {
+      w.u64(index);
+      encode_run_spec(w, specs[index]);
     }
-    w.u32(static_cast<std::uint32_t>(plan.warm_blobs.size()));
-    for (const auto& blob : plan.warm_blobs) w.blob(blob);
   });
 }
 
@@ -86,6 +82,21 @@ class SweepJob final : public SpoolJob {
       throw std::runtime_error("shard bundle " + std::to_string(claimed.id) +
                                " does not belong to this spool");
     }
+    if (!record_dir_.empty()) {
+      // Recording specs never share a run, so every row runs alone; the
+      // global index names its .evt.
+      for (std::size_t k = 0; k < indices.size(); ++k) {
+        bundle_.specs[k].record_events_to =
+            record_dir_ + "/run-" + std::to_string(indices[k]) + ".evt";
+      }
+    }
+    groups_ = engine_.run_groups(bundle_.specs);
+    group_of_.assign(indices.size(), 0);
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      for (const std::size_t k : groups_[g]) group_of_[k] = g;
+    }
+    ran_ = std::make_unique<std::once_flag[]>(groups_.size());
+    rows_.assign(indices.size(), {});
     return indices;
   }
 
@@ -94,34 +105,34 @@ class SweepJob final : public SpoolJob {
         std::lower_bound(bundle_.indices.begin(), bundle_.indices.end(),
                          index) -
         bundle_.indices.begin());
-    RunSpec spec = bundle_.specs[k];
-    SpoolRow row;
-    if (bundle_.warm_ref[k] >= 0) {
-      spec.resume_from =
-          bundle_.warm_states[static_cast<std::size_t>(bundle_.warm_ref[k])];
-      row.warm_resumed = true;
-    }
-    if (!record_dir_.empty()) {
-      // Recording forces the run cold and ring-less (bit-identical rows),
-      // so the .evt is the same artifact a scalar recording of this spec
-      // would produce; the global index names it.
-      spec.record_events_to =
-          record_dir_ + "/run-" + std::to_string(index) + ".evt";
-    }
-    const auto start = std::chrono::steady_clock::now();
-    const RunRecord record = engine_.run_one(spec, index);
-    const double wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    row.csv = to_csv_row(record);
-    // Cost feedback for the next plan's scheduler; keyed on the bundle's
-    // spec (identical to the planner's), not the warm-resume copy.
-    row.cost = cost_line(bundle_.specs[k], record.cycles(), wall_seconds);
-    return row;
+    const std::size_t g = group_of_[k];
+    // The first row requested of a group runs the group; concurrent
+    // requests for its other rows wait for that run.
+    std::call_once(ran_[g], [&] { run_group(groups_[g]); });
+    return rows_[k];
   }
 
  private:
+  /// Runs one group (bundle positions, ascending) and fills its rows.
+  void run_group(const std::vector<std::size_t>& members) {
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<RunRecord> records = engine_.run_shared(
+        bundle_.specs, members, bundle_.indices[members.front()]);
+    // Cost feedback for the next plan's scheduler: the group's wall time,
+    // split evenly, so a planner unit still weighs what the group cost.
+    const double wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count() /
+        static_cast<double>(members.size());
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      SpoolRow& row = rows_[members[m]];
+      row.csv = to_csv_row(records[m]);
+      row.cost = cost_line(bundle_.specs[members[m]], records[m].cycles(),
+                           wall_seconds);
+    }
+  }
+
   static EngineOptions engine_options(SpoolTransport& transport,
                                       const WorkOptions& options) {
     EngineOptions engine_options;
@@ -142,7 +153,13 @@ class SweepJob final : public SpoolJob {
   SpoolTransport& transport_;
   std::string record_dir_;
   Engine engine_;
-  ShardBundle bundle_;  ///< the last claim
+  // The last claim: its bundle, its `run_groups` and each position's
+  // group, one once-flag per group, and the rows the groups produced.
+  ShardBundle bundle_;
+  std::vector<std::vector<std::size_t>> groups_;
+  std::vector<std::size_t> group_of_;
+  std::unique_ptr<std::once_flag[]> ran_;
+  std::vector<SpoolRow> rows_;
 };
 
 }  // namespace
@@ -150,7 +167,7 @@ class SweepJob final : public SpoolJob {
 // --- cost model --------------------------------------------------------------
 
 std::uint64_t spec_cost_key(const RunSpec& spec) {
-  return fnv1a64(run_spec_bytes(spec));
+  return util::fnv1a64(run_spec_bytes(spec));
 }
 
 std::string cost_line(const RunSpec& spec, std::uint64_t cycles,
@@ -243,7 +260,7 @@ std::uint64_t spec_fingerprint(const std::vector<RunSpec>& specs) {
   util::WireWriter w;
   w.u64(specs.size());
   for (const RunSpec& spec : specs) encode_run_spec(w, spec);
-  return fnv1a64(w.bytes());
+  return util::fnv1a64(w.bytes());
 }
 
 PlanResult plan_spool(const std::string& dir, const std::vector<RunSpec>& specs,
@@ -253,20 +270,10 @@ PlanResult plan_spool(const std::string& dir, const std::vector<RunSpec>& specs,
   }
   create_spool_dirs(dir);
 
-  // Scheduling units: each warm group (the engine's rule) stays on one
-  // shard so its members share the shipped WarmState; every other spec is
-  // a singleton.
-  const Engine engine(registry);
-  std::vector<std::vector<std::size_t>> units = engine.warm_groups(specs);
-  std::vector<bool> grouped(specs.size(), false);
-  for (const auto& unit : units) {
-    for (const std::size_t index : unit) grouped[index] = true;
-  }
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (!grouped[i]) units.push_back({i});
-  }
-  std::sort(units.begin(), units.end(),
-            [](const auto& a, const auto& b) { return a.front() < b.front(); });
+  // Scheduling units: each of the engine's run groups stays on one shard,
+  // so a worker runs it once.
+  const std::vector<std::vector<std::size_t>> units =
+      Engine(registry).run_groups(specs);
 
   const unsigned shard_count = static_cast<unsigned>(std::min<std::size_t>(
       std::max(1u, options.shards), units.size()));
@@ -311,41 +318,13 @@ PlanResult plan_spool(const std::string& dir, const std::vector<RunSpec>& specs,
     weight[best] += unit_weight[u];
   }
 
-  // Capture one WarmState per warm group (the multi-member units) and
-  // attach it to the group's shard.
-  PlanResult result;
   for (std::size_t u = 0; u < units.size(); ++u) {
-    BundlePlan& bundle = bundles[shard_of_unit[u]];
-    std::uint32_t ref = kNoWarmRef;
-    if (units[u].size() >= 2) {
-      const RunSpec& leader = specs[units[u].front()];
-      if (const auto state =
-              engine.capture_warm_state(leader, *leader.checkpoint_at)) {
-        ref = static_cast<std::uint32_t>(bundle.warm_blobs.size());
-        bundle.warm_blobs.push_back(serialize_warm_state(*state));
-        result.warm_states += 1;
-      }
-    }
-    for (const std::size_t index : units[u]) {
-      bundle.indices.push_back(index);
-      bundle.warm_ref.push_back(ref);
-    }
+    std::vector<std::uint64_t>& indices = bundles[shard_of_unit[u]].indices;
+    indices.insert(indices.end(), units[u].begin(), units[u].end());
   }
   // Bundle entries in ascending global-index order (units may interleave).
   for (BundlePlan& bundle : bundles) {
-    std::vector<std::size_t> order(bundle.indices.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return bundle.indices[a] < bundle.indices[b];
-    });
-    BundlePlan sorted;
-    sorted.id = bundle.id;
-    sorted.warm_blobs = std::move(bundle.warm_blobs);
-    for (const std::size_t i : order) {
-      sorted.indices.push_back(bundle.indices[i]);
-      sorted.warm_ref.push_back(bundle.warm_ref[i]);
-    }
-    bundle = std::move(sorted);
+    std::sort(bundle.indices.begin(), bundle.indices.end());
   }
 
   if (costed) {
@@ -377,21 +356,19 @@ PlanResult plan_spool(const std::string& dir, const std::vector<RunSpec>& specs,
         dir + "/queue/" + shard_name(bundle.id) + ".bundle", bytes);
     manifest.shards.push_back(
         {.id = bundle.id, .specs = bundle.indices.size(),
-         .bundle_hash = fnv1a64(bytes)});
+         .bundle_hash = util::fnv1a64(bytes)});
   }
   // The manifest is written last: a spool without one is unplanned, never
   // half-planned.
   util::write_file_atomic(dir + "/MANIFEST", spool_manifest_text(manifest));
 
-  result.specs = specs.size();
-  result.shards = shard_count;
-  result.fingerprint = manifest.fingerprint;
-  return result;
+  return {.specs = specs.size(),
+          .shards = shard_count,
+          .fingerprint = manifest.fingerprint};
 }
 
 ShardBundle parse_bundle_bytes(std::span<const std::uint8_t> bytes,
-                               const std::string& what,
-                               bool load_warm_states) {
+                               const std::string& what) {
   util::WireReader r = util::unseal(bytes, kBundleMagic, kBundleVersion, what);
   ShardBundle bundle;
   bundle.fingerprint = r.u64();
@@ -399,25 +376,9 @@ ShardBundle parse_bundle_bytes(std::span<const std::uint8_t> bytes,
   const std::uint32_t count = r.u32();
   for (std::uint32_t i = 0; i < count; ++i) {
     bundle.indices.push_back(r.u64());
-    const std::uint32_t ref = r.u32();
-    bundle.warm_ref.push_back(ref == kNoWarmRef ? -1
-                                                : static_cast<std::int32_t>(ref));
     bundle.specs.push_back(decode_run_spec(r));
   }
-  const std::uint32_t warm_count = r.u32();
-  for (std::uint32_t i = 0; i < warm_count; ++i) {
-    const std::vector<std::uint8_t> blob = r.blob();
-    if (load_warm_states) {
-      bundle.warm_states.push_back(
-          std::make_shared<WarmState>(deserialize_warm_state(blob)));
-    }
-  }
-  for (const std::int32_t ref : bundle.warm_ref) {
-    if (ref >= static_cast<std::int32_t>(warm_count)) {
-      throw std::invalid_argument(what +
-                                  ": warm-state reference out of range");
-    }
-  }
+  bundle.warm_ref.assign(count, -1);
   return bundle;
 }
 

@@ -4,18 +4,17 @@
 /// (scenario/spool.h).
 ///
 /// A sweep spool's shards are self-contained bundles that carry their
-/// specs *with their global sweep indices* plus one serialized `WarmState`
-/// per warm group (`Engine::warm_groups`) captured at plan time, so
-/// every worker — in any process, on any machine sharing the filesystem —
-/// resumes the group's shared prefix instead of re-simulating it. The
-/// planner keeps each group on one shard and balances shards by spec count
-/// (or by predicted seconds, given a cost model); planning is fully
-/// deterministic. Each row is one engine run; workers stream a `cost` line
-/// per run back into the spool, and with a ring stride interrupted long
-/// runs continue from their checkpoint rings under `rings/run-<index>/`.
-/// `merge_spool` assembles the parts into one CSV that is
-/// **byte-identical** to `to_csv` of a single-process sweep of the same
-/// specs, no matter how many workers ran, died, or resumed.
+/// specs *with their global sweep indices*. The planner keeps each of
+/// `Engine::run_groups` (a budget fan-out that shares one platform run) on
+/// one shard and balances shards by spec count (or by predicted seconds,
+/// given a cost model); planning simulates nothing and is fully
+/// deterministic. A worker runs each group of its bundle once and serves
+/// every member's row from that run; it streams a `cost` line per row back
+/// into the spool, and with a ring stride interrupted long runs continue
+/// from their checkpoint rings under `rings/run-<index>/`. `merge_spool`
+/// assembles the parts into one CSV that is **byte-identical** to `to_csv`
+/// of a single-process sweep of the same specs, no matter how many workers
+/// ran, died, or resumed.
 
 #include <cstdint>
 #include <map>
@@ -103,17 +102,14 @@ struct SpoolOptions {
 struct PlanResult {
   std::size_t specs = 0;
   unsigned shards = 0;
-  std::size_t warm_states = 0;     ///< groups that got a shipped WarmState
   std::uint64_t fingerprint = 0;   ///< spec-list fingerprint (see below)
 };
 
 /// Serializes the sweep into a spool at `dir` (created; must be empty of
-/// spool files). Each of `Engine::warm_groups(specs)` stays on one shard
-/// and ships the WarmState captured at its `checkpoint_at`; a failed
-/// capture ships none and the group runs cold. Deterministic: the same
-/// specs and options produce the same bundles byte for byte. Throws
-/// std::runtime_error on I/O failure and std::invalid_argument on an empty
-/// spec list.
+/// spool files). Each of `Engine::run_groups(specs)` stays on one shard,
+/// so a worker runs it once. Deterministic: the same specs and options
+/// produce the same bundles byte for byte. Throws std::runtime_error on
+/// I/O failure and std::invalid_argument on an empty spec list.
 PlanResult plan_spool(const std::string& dir, const std::vector<RunSpec>& specs,
                       const Registry& registry, const SpoolOptions& options = {});
 
@@ -140,18 +136,20 @@ struct WorkOptions {
   std::size_t max_shards = 0;
   /// When non-empty, every run records its external-event schedule to
   /// `<record_dir>/run-<global index>.evt` (a recorded-run envelope,
-  /// scenario/replay.h). Recording forces the runs cold and ring-less
-  /// (bit-identical rows either way), so it composes with — but disables —
-  /// `ring_stride` and shipped warm states for the recorded runs.
+  /// scenario/replay.h). Recording forces each run cold, ring-less and
+  /// alone (bit-identical rows either way), so it composes with — but
+  /// disables — `ring_stride` and shared runs.
   std::string record_dir;
 };
 
-/// The sweep job kind over `transport` (see `SpoolJob`): each row is one
-/// `Engine::run_one` of its bundle's spec, resumed from the bundle's
-/// shipped WarmState when it has one, with a `cost` line per run. Throws
-/// std::runtime_error when `manifest` is not a sweep spool's, or when
-/// `options` asks for checkpoint rings on a transport without a local
-/// directory.
+/// The sweep job kind over `transport` (see `SpoolJob`): each claim splits
+/// its bundle's specs by `Engine::run_groups`; the first row requested of
+/// a group runs the whole group once (`Engine::run_shared`, ring slot: the
+/// group's lowest global index) and every member's row is served from
+/// that run. Each row's `cost` line carries the group's wall time divided
+/// by its member count. Throws std::runtime_error when `manifest` is not a
+/// sweep spool's, or when `options` asks for checkpoint rings on a
+/// transport without a local directory.
 [[nodiscard]] std::unique_ptr<SpoolJob> sweep_job(SpoolTransport& transport,
                                                   const SpoolManifest& manifest,
                                                   const Registry& registry,
@@ -167,26 +165,22 @@ WorkReport work_spool(const std::string& dir, const Registry& registry,
                       const WorkOptions& options = {});
 
 /// One loaded shard bundle (exposed for tests and tools; workers use
-/// `work_spool`). `warm_ref[i]` indexes `warm_states`, or is negative when
-/// spec `i` runs cold.
+/// `work_spool`).
 struct ShardBundle {
   unsigned id = 0;
   std::uint64_t fingerprint = 0;
   std::vector<std::uint64_t> indices;  ///< global spec indices, ascending
   std::vector<RunSpec> specs;
+  /// Always -1, one per spec: bundles no longer ship warm states. Kept
+  /// only because perfbench's spool loop still reads it.
   std::vector<std::int32_t> warm_ref;
-  std::vector<std::shared_ptr<const WarmState>> warm_states;
 };
 
 /// Parses and validates a bundle image (magic, version, trailing content
 /// hash), read from disk or streamed over a transport alike; `what` names
-/// the image in diagnostics. Throws std::invalid_argument on truncation or
-/// corruption. `load_warm_states = false` skips deserializing the shipped
-/// snapshots (they can dwarf the spec table) — what `merge_spool` uses,
-/// since it only needs indices; the content hash still validates the
-/// whole image either way.
+/// the image in diagnostics. Throws std::invalid_argument on truncation,
+/// corruption, or a bundle of another version.
 [[nodiscard]] ShardBundle parse_bundle_bytes(
-    std::span<const std::uint8_t> bytes, const std::string& what,
-    bool load_warm_states = true);
+    std::span<const std::uint8_t> bytes, const std::string& what);
 
 }  // namespace ulpsync::scenario

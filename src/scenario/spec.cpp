@@ -8,9 +8,9 @@
 namespace ulpsync::scenario {
 
 // Everything that influences a run is serialized, including the
-// host-simulation overrides and `checkpoint_at` that RunRecord
-// serialization deliberately drops — a shard bundle must reproduce the
-// spec exactly, not just label it.
+// host-simulation overrides that RunRecord serialization deliberately
+// drops — a shard bundle must reproduce the spec exactly, not just label
+// it.
 
 void encode_run_spec(util::WireWriter& w, const RunSpec& spec) {
   w.str(spec.workload);
@@ -47,8 +47,7 @@ void encode_run_spec(util::WireWriter& w, const RunSpec& spec) {
   if (spec.fast_forward) w.boolean(*spec.fast_forward);
   w.boolean(false);  // the retired `burst` knob: always absent
   w.u64(spec.max_cycles);
-  w.boolean(spec.checkpoint_at.has_value());
-  if (spec.checkpoint_at) w.u64(*spec.checkpoint_at);
+  w.boolean(false);  // the retired `checkpoint_at` prefix end: always absent
   w.boolean(spec.energy.has_value());
   if (spec.energy) {
     w.u8(static_cast<std::uint8_t>(spec.energy->params));
@@ -97,7 +96,9 @@ RunSpec decode_run_spec(util::WireReader& r) {
   if (r.boolean())
     throw std::invalid_argument("run spec: sets the retired burst knob");
   spec.max_cycles = r.u64();
-  if (r.boolean()) spec.checkpoint_at = r.u64();
+  if (r.boolean())
+    throw std::invalid_argument(
+        "run spec: sets the retired checkpoint_at knob");
   if (r.boolean()) {
     EnergyRequest request;
     const std::uint8_t params = r.u8();

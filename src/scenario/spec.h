@@ -7,7 +7,6 @@
 /// in parallel.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -20,8 +19,6 @@ class WireWriter;
 }  // namespace ulpsync::util
 
 namespace ulpsync::scenario {
-
-struct WarmState;  // scenario/engine.h
 
 /// One platform design point: a display label plus the feature set. The
 /// paper's two synthesized designs are the common cases; ablations build
@@ -99,23 +96,14 @@ struct RunSpec {
   /// matters to equivalence tests and the perf harness). Unset keeps the
   /// platform default (on). Not serialized with the record.
   std::optional<bool> fast_forward;
+  /// Cycle budget. Specs that differ only in it and in `energy` share one
+  /// platform run in the engine (`Engine::run_groups`), harvested at each
+  /// budget — records stay bit-identical to separate runs.
   std::uint64_t max_cycles = 500'000'000;
-  /// End of the deterministic warm-up prefix (in cycles). When several
-  /// specs of one sweep share the same simulation up to this cycle (one of
-  /// `Engine::warm_groups`), the engine runs the warm-up once, snapshots
-  /// it, and resumes every member from the saved state — results stay
-  /// bit-identical to cold runs. Unset = no sharing. Not serialized with
-  /// the record.
-  std::optional<std::uint64_t> checkpoint_at;
-  /// Explicit warm state to resume from (overrides `checkpoint_at`
-  /// grouping). The state must have been captured on an identically
-  /// configured run of the same workload; a mismatch surfaces as an
-  /// "error" record. Not serialized with the record.
-  std::shared_ptr<const WarmState> resume_from;
   /// When non-empty, the engine records the run's complete external-event
   /// schedule and writes the recorded-run envelope (`scenario/replay.h`)
-  /// to this path. Recording forces a cold, ring-less run — warm starts,
-  /// checkpoint rings and batch lanes are bit-identical host
+  /// to this path. Recording forces a cold, ring-less run of its own —
+  /// shared runs, checkpoint rings and batch lanes are bit-identical host
   /// optimizations, so the recorded artifact (and the record) is the same
   /// either way. Not serialized with the record or in shard bundles
   /// (workers derive per-run paths from `WorkOptions::record_dir`).
@@ -132,9 +120,12 @@ struct RunSpec {
 /// recorded-run envelope (scenario/replay.h) store specs with, and the
 /// identity the warm-group, batch-group and cost keys derive from.
 /// Serializes the execution-relevant fields (workload, params, design,
-/// platform overrides, budgets) plus the energy request (it shapes the
-/// record's CSV bytes); host-side plumbing (`resume_from`,
-/// `record_events_to`, the cohort tag) is deliberately not on the wire.
+/// platform overrides, the budget) plus the energy request (it shapes the
+/// record's CSV bytes); host-side plumbing (`record_events_to`, the cohort
+/// tag) is deliberately not on the wire. Two retired knobs (the `burst`
+/// switch and the warm-up prefix end) keep their slots as always-absent
+/// bytes, so older images keep their bytes and identities; an image that
+/// sets one is refused.
 void encode_run_spec(util::WireWriter& w, const RunSpec& spec);
 /// Decodes `encode_run_spec` output. Throws std::invalid_argument on
 /// truncation or out-of-range fields.

@@ -32,8 +32,7 @@ std::vector<std::uint64_t> shard_indices(SpoolTransport& transport,
     return parse_bundle_bytes(
                transport.fetch_blob(shard_name(shard.id) + ".bundle"),
                "shard bundle " + std::to_string(shard.id) + " from " +
-                   transport.describe(),
-               /*load_warm_states=*/false)
+                   transport.describe())
         .indices;
   }
   std::vector<std::uint64_t> indices(shard.specs);
@@ -205,7 +204,6 @@ WorkReport drain_spool(SpoolTransport& transport, SpoolJob& job,
         if (!row.cost.empty()) transport.append_cost(claimed->id, row.cost);
         rows.push_back(row.csv);
         report.runs_executed += 1;
-        report.warm_resumed += row.warm_resumed ? 1 : 0;
       }
     }
 

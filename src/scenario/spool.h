@@ -25,8 +25,9 @@
 /// single-process run no matter how many workers ran, died, or resumed.
 ///
 /// The two kinds differ only in what a payload is and how a row is made:
-/// a sweep bundle carries RunSpecs (one engine run per row), a campaign
-/// range carries a contiguous fault-index range (one fault trial per row).
+/// a sweep bundle carries RunSpecs (one record per row; a budget fan-out's
+/// rows come from one shared engine run), a campaign range carries a
+/// contiguous fault-index range (one fault trial per row).
 
 #include <cstdint>
 #include <string>
@@ -109,9 +110,8 @@ struct SpoolStatus {
 
 /// One finished row of a job.
 struct SpoolRow {
-  std::string csv;            ///< the row (no trailing newline)
-  std::string cost;           ///< scheduler feedback line; "" for none
-  bool warm_resumed = false;  ///< the run resumed from a shipped WarmState
+  std::string csv;   ///< the row (no trailing newline)
+  std::string cost;  ///< scheduler feedback line; "" for none
 };
 
 /// A job kind: what the shared drain loop asks of it. One instance serves
@@ -137,9 +137,8 @@ class SpoolJob {
 /// What one drain did.
 struct WorkReport {
   std::size_t shards_completed = 0;
-  std::size_t runs_executed = 0;  ///< rows run (engine runs or fault trials)
+  std::size_t runs_executed = 0;  ///< rows run (sweep rows or fault trials)
   std::size_t rows_reused = 0;    ///< rows adopted from partial part files
-  std::size_t warm_resumed = 0;   ///< runs resumed from shipped WarmStates
 };
 
 /// The one drain loop: re-queues orphaned claims when `resume` (only safe

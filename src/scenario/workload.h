@@ -205,8 +205,9 @@ class Workload {
   /// Structural view of this workload's host loop when it is a duty-cycled
   /// window loop (see `WindowedDrive`); null when the whole run is one
   /// `platform.run`. Non-null is what makes a workload eligible for the
-  /// batch engine (scenario/batch.h) and ineligible for shared warm-up
-  /// prefixes (`Engine::warm_groups`).
+  /// batch engine (scenario/batch.h) and keeps a budget fan-out of it from
+  /// sharing one run (`Engine::run_groups`): a budget stop lands
+  /// mid-window, where the loop cannot continue.
   [[nodiscard]] virtual const WindowedDrive* windowed_drive() const {
     return nullptr;
   }

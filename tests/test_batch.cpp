@@ -1,13 +1,12 @@
 // The batched many-platform engine and the patient-cohort generator:
 // per-patient determinism of the cohort fan-out, batch/scalar/sharded
-// byte-identity of records, counters and final snapshots, honest fallback
-// of diverging lanes, and mid-run checkpoint-ring resume of batched soaks.
+// byte-identity of records, counters and final snapshots, and honest
+// fallback of diverging lanes.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -16,7 +15,6 @@
 #include "core/lockstep.h"
 #include "ecg/cohort.h"
 #include "scenario/batch.h"
-#include "scenario/checkpoint_ring.h"
 #include "scenario/engine.h"
 #include "scenario/matrix.h"
 #include "scenario/record.h"
@@ -212,17 +210,14 @@ TEST(CohortMatrix, GroupKeySharesCohortSeparatesConfigs) {
                                       0.9};
            },
            [](RunSpec& s) { s.cohort.reset(); },
-           [](RunSpec& s) { s.record_events_to = "elsewhere.evt"; },
-           [](RunSpec& s) { s.resume_from = std::make_shared<WarmState>(); }}) {
+           [](RunSpec& s) { s.record_events_to = "elsewhere.evt"; }}) {
     const RunSpec other = edited(edit);
     EXPECT_EQ(batch_group_key(base), batch_group_key(other));
     EXPECT_EQ(warm_group_key(base), warm_group_key(other));
   }
-  // The batch key ignores the warm-up axis, the warm key the budget.
-  RunSpec other = edited([](RunSpec& s) { s.checkpoint_at = 1000; });
-  EXPECT_EQ(batch_group_key(base), batch_group_key(other));
-  EXPECT_NE(warm_group_key(base), warm_group_key(other));
-  other = edited([](RunSpec& s) { s.max_cycles /= 2; });
+  // The warm key ignores the budget (a fan-out shares one run), the batch
+  // key keeps it (lanes must hit budget stops together).
+  RunSpec other = edited([](RunSpec& s) { s.max_cycles /= 2; });
   EXPECT_NE(batch_group_key(base), batch_group_key(other));
   EXPECT_EQ(warm_group_key(base), warm_group_key(other));
 
@@ -437,56 +432,6 @@ TEST(BatchEngine, ShardedCohortMergeMatchesBatchAndScalar) {
   }
   for (auto& worker : workers) worker.join();
   EXPECT_EQ(merge_spool(dir), reference);
-}
-
-// --- checkpoint rings over batched soaks ------------------------------------
-
-TEST(BatchEngine, BatchedSoakWritesRingsForEveryLane) {
-  const std::vector<RunSpec> specs = cohort_specs("sleepgen", 3);
-  const std::string dir = scratch_dir("ring_write");
-  BatchOptions options;
-  options.checkpoint_ring = {.dir = dir, .stride = 500, .keep = 4};
-  const BatchEngine batch(Registry::builtins(), options);
-  const BatchResult result = batch.run(specs);
-  EXPECT_EQ(to_csv(result.records), scalar_csv(specs));
-  EXPECT_EQ(result.stats.batched_runs, specs.size());
-  // Every lane — leader and followers — has a resumable ring.
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const auto entry = load_latest_ring_entry(
-        ring_run_dir(dir, i), ring_identity(specs[i]), specs[i].max_cycles);
-    EXPECT_TRUE(entry.has_value()) << "lane " << i;
-    EXPECT_GT(entry->cycle, 0u);
-  }
-}
-
-TEST(BatchEngine, MidRunRingResumeOfBatchedSoakIsByteExact) {
-  std::vector<RunSpec> specs = cohort_specs("sleepgen", 3);
-  const std::string reference = scalar_csv(specs);
-
-  // Probe the full duration, then truncate the first pass mid-soak.
-  const Engine probe(Registry::builtins());
-  const std::uint64_t total = probe.run_one(specs[0]).cycles();
-  std::vector<RunSpec> truncated = specs;
-  for (RunSpec& spec : truncated) spec.max_cycles = total * 2 / 3;
-
-  const std::string dir = scratch_dir("ring_resume");
-  BatchOptions options;
-  options.checkpoint_ring = {.dir = dir, .stride = 200, .keep = 4};
-  {
-    const BatchEngine first(Registry::builtins(), options);
-    const BatchResult interrupted = first.run(truncated);
-    for (const RunRecord& record : interrupted.records) {
-      EXPECT_EQ(record.status, "max-cycles");
-    }
-  }
-
-  // Second pass, full budget, resuming from the rings: lanes with ring
-  // entries continue scalar from their checkpoints — and the final records
-  // are byte-identical to an uninterrupted scalar sweep.
-  const BatchEngine second(Registry::builtins(), options);
-  const BatchResult resumed = second.run(specs);
-  EXPECT_EQ(to_csv(resumed.records), reference);
-  EXPECT_EQ(resumed.stats.scalar_runs, specs.size());  // all resumed mid-run
 }
 
 }  // namespace

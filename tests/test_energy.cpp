@@ -191,11 +191,12 @@ TEST(DesignSearchGolden, MrpfltrFrontierReproducesCommittedBytes) {
   EXPECT_GE(knee.mops, 16.0);
 
   // The search's exact work counts: a change to the pruning schedule, the
-  // warm-start grouping or the frontier shape shows here even when the
-  // frontier bytes happen to survive it.
+  // run grouping or the frontier shape shows here even when the frontier
+  // bytes happen to survive it. Each candidate's points of one rung share
+  // one run: 122 records from 36 platform runs.
   EXPECT_EQ(result.candidates, 12u);
   EXPECT_EQ(result.specs_executed, 122u);
-  EXPECT_EQ(result.warm_resumed, 104u);
+  EXPECT_EQ(result.runs_simulated, 36u);
   ASSERT_EQ(result.rungs.size(), 3u);
   const std::uint64_t horizons[] = {8000, 32000, 500000000};
   const std::size_t points_in[] = {72, 25, 25};
@@ -221,6 +222,8 @@ TEST(DesignSearchGolden, Sqrt32FrontierReproducesCommittedBytes) {
       result.frontier[static_cast<std::size_t>(result.knee_index)];
   EXPECT_EQ(knee.candidate.cores, 8u);
   EXPECT_TRUE(knee.candidate.design.features.hardware_synchronizer);
+  EXPECT_EQ(result.specs_executed, 119u);
+  EXPECT_EQ(result.runs_simulated, 33u);
 }
 
 TEST(DesignSearchGolden, CommittedFrontierHashesAreStable) {

@@ -6,8 +6,8 @@
 //  * platform event-counter conservation laws on random workloads;
 //  * snapshot serialization properties: round-trip identity at arbitrary
 //    capture cycles, rejection of corrupted/truncated images (never a
-//    crash, never a silently wrong parse), determinism of warm-state
-//    capture under host concurrency, and host RNG stream checkpointing;
+//    crash, never a silently wrong parse), and host RNG stream
+//    checkpointing;
 //  * event-schedule (.evt) wire-format properties mirroring the snapshot
 //    suite: round-trip identity, truncation rejection at every prefix,
 //    corruption fuzz without crashes, and trailing-hash verification —
@@ -29,7 +29,6 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "asm/assembler.h"
@@ -364,35 +363,6 @@ TEST(SnapshotProperties, RandomBitFlipsNeverCrashTheParser) {
     } catch (const std::invalid_argument&) {
       // Expected for most flips.
     }
-  }
-}
-
-TEST(SnapshotProperties, WarmStateCaptureIsDeterministicAcrossThreads) {
-  // The warm-start prepass may run while other sweep threads simulate;
-  // captured warm states must not depend on host concurrency. Capture the
-  // same spec from many threads at once and require identical bytes.
-  scenario::RunSpec spec;
-  spec.workload = "sqrt32";
-  spec.params.samples = 32;
-  const scenario::Engine engine(scenario::Registry::builtins(),
-                                scenario::EngineOptions{});
-
-  constexpr unsigned kThreads = 8;
-  std::vector<std::vector<std::uint8_t>> captured(kThreads);
-  {
-    std::vector<std::thread> pool;
-    pool.reserve(kThreads);
-    for (unsigned t = 0; t < kThreads; ++t) {
-      pool.emplace_back([&, t] {
-        const auto state = engine.capture_warm_state(spec, 800);
-        if (state != nullptr) captured[t] = state->snapshot.serialize();
-      });
-    }
-    for (auto& thread : pool) thread.join();
-  }
-  for (unsigned t = 0; t < kThreads; ++t) {
-    ASSERT_FALSE(captured[t].empty()) << "thread " << t;
-    EXPECT_EQ(captured[t], captured[0]) << "thread " << t;
   }
 }
 

@@ -1,7 +1,8 @@
 // The distributed-sweep subsystem: shard-bundle and manifest round-trips,
 // corrupt-spool rejection, concurrent claim races, byte-identical merges,
-// shipped warm states, and checkpoint-ring pruning / crash-resume
-// equivalence for both default-drive and streaming workloads.
+// budget fan-outs run once per group (also across a mid-group resume), and
+// checkpoint-ring pruning / crash-resume equivalence for both
+// default-drive and streaming workloads.
 
 #include <gtest/gtest.h>
 
@@ -50,9 +51,10 @@ std::vector<RunSpec> small_sweep_specs() {
   return specs;
 }
 
-/// A warm-group fan-out: `horizons` budgets sharing one warm-up prefix.
+/// A budget fan-out: `horizons` budgets of one spec, which share one run.
 std::vector<RunSpec> grouped_specs(unsigned horizons) {
-  // Calibrate off one full run so every horizon lands inside the run.
+  // Calibrate off one full run so every horizon but the last lands inside
+  // the run.
   RunSpec probe;
   probe.workload = "mrpfltr";
   probe.params.samples = 32;
@@ -60,20 +62,23 @@ std::vector<RunSpec> grouped_specs(unsigned horizons) {
   const RunRecord record = engine.run_one(probe);
   EXPECT_TRUE(record.ok()) << record.verify_error;
   const std::uint64_t total = record.cycles();
-  const std::uint64_t prefix = total / 2;
   std::vector<RunSpec> specs;
   for (unsigned i = 0; i < horizons; ++i) {
     RunSpec spec = probe;
-    spec.checkpoint_at = prefix;
-    spec.max_cycles = prefix + (total - prefix) * (i + 1) / horizons + 1;
+    spec.max_cycles = total * (i + 1) / horizons + 1;
     specs.push_back(std::move(spec));
   }
   return specs;
 }
 
+/// `Engine::run`'s CSV of the specs, checked equal to each spec's own run.
 std::string single_process_csv(const std::vector<RunSpec>& specs) {
   const Engine engine(Registry::builtins());
-  return to_csv(engine.run(specs));
+  std::vector<RunRecord> alone;
+  for (const RunSpec& spec : specs) alone.push_back(engine.run_one(spec));
+  const std::string csv = to_csv(engine.run(specs));
+  EXPECT_EQ(csv, to_csv(alone));
+  return csv;
 }
 
 // --- bundle / manifest round-trip -------------------------------------------
@@ -84,7 +89,6 @@ TEST(Spool, PlanRoundTripsSpecsExactly) {
   specs[0].arbitration = sim::ArbitrationPolicy::kRoundRobin;
   specs[0].im_line_slots = 2;
   specs[1].fast_forward = false;
-  specs[2].checkpoint_at = 1000;
   specs[2].max_cycles = 12345;
   specs[3].params.per_core_threshold_delta = {1, -2, 3, -4, 5, -6, 7, -8};
   specs[3].params.generator.noise_lsb = 17.25;
@@ -115,7 +119,6 @@ TEST(Spool, PlanRoundTripsSpecsExactly) {
   EXPECT_EQ(loaded[0].arbitration, sim::ArbitrationPolicy::kRoundRobin);
   EXPECT_EQ(loaded[0].im_line_slots, 2u);
   EXPECT_EQ(loaded[1].fast_forward, false);
-  EXPECT_EQ(loaded[2].checkpoint_at, 1000u);
   EXPECT_EQ(loaded[2].max_cycles, 12345u);
   EXPECT_EQ(loaded[3].params.per_core_threshold_delta[7], -8);
   EXPECT_EQ(loaded[3].params.generator.noise_lsb, 17.25);
@@ -199,28 +202,33 @@ TEST(Spool, BitFlippedBundleRejected) {
 }
 
 TEST(Spool, FormerSpecCodecVersionRejected) {
-  // Version 4 retired the `burst` knob: a well-sealed bundle planned by a
-  // version-3 build must fail loudly instead of being worked.
+  // Version 4 retired the `burst` knob and version 5 the shipped warm
+  // states: a well-sealed bundle planned by an older build must fail
+  // loudly instead of being worked.
   const std::string dir = scratch_dir("oldversion");
   (void)plan_spool(dir, small_sweep_specs(), Registry::builtins(),
                    {.shards = 1});
-  auto bytes = util::read_file_bytes(dir + "/queue/shard-0000.bundle");
-  ASSERT_NO_THROW((void)parse_bundle_bytes(bytes, "bundle"));
+  const auto current = util::read_file_bytes(dir + "/queue/shard-0000.bundle");
+  ASSERT_NO_THROW((void)parse_bundle_bytes(current, "bundle"));
   // Layout: 8-byte magic, u32 LE version, payload, u64 LE FNV of the rest.
-  ASSERT_EQ(bytes[8], 4u);
-  bytes[8] = 3;
-  const std::size_t body = bytes.size() - 8;
-  const std::uint64_t hash =
-      util::fnv1a64(std::span<const std::uint8_t>(bytes.data(), body));
-  for (unsigned k = 0; k < 8; ++k)
-    bytes[body + k] = static_cast<std::uint8_t>(hash >> (8 * k));
-  try {
-    (void)parse_bundle_bytes(bytes, "bundle");
-    ADD_FAILURE() << "a version-3 bundle parsed";
-  } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find("unsupported version 3"),
-              std::string::npos)
-        << error.what();
+  ASSERT_EQ(current[8], 5u);
+  for (const std::uint8_t version : {4, 3}) {
+    auto bytes = current;
+    bytes[8] = version;
+    const std::size_t body = bytes.size() - 8;
+    const std::uint64_t hash =
+        util::fnv1a64(std::span<const std::uint8_t>(bytes.data(), body));
+    for (unsigned k = 0; k < 8; ++k)
+      bytes[body + k] = static_cast<std::uint8_t>(hash >> (8 * k));
+    const std::string expected =
+        "unsupported version " + std::to_string(version);
+    try {
+      (void)parse_bundle_bytes(bytes, "bundle");
+      ADD_FAILURE() << "a version-" << int{version} << " bundle parsed";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(expected), std::string::npos)
+          << error.what();
+    }
   }
 }
 
@@ -245,6 +253,34 @@ TEST(Spool, SpecSettingTheRetiredBurstKnobRejected) {
   bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(slot) + 1, 0);
   util::WireReader r(bytes);
   EXPECT_THROW((void)decode_run_spec(r), std::invalid_argument);
+}
+
+TEST(Spool, SpecSettingTheRetiredCheckpointKnobRejected) {
+  // The retired warm-up prefix end keeps its slot after `max_cycles`,
+  // always absent; an image that sets it (followed by its u64, as the
+  // codec once wrote it) is refused.
+  RunSpec spec;
+  spec.workload = "mrpfltr";
+  spec.max_cycles = 30'000;
+  util::WireWriter w;
+  encode_run_spec(w, spec);
+  std::vector<std::uint8_t> bytes = w.take();
+  // Tail: u64 max_cycles, the retired slot, an absent energy request.
+  const std::size_t slot = bytes.size() - 2;
+  ASSERT_EQ(bytes[slot], 0u);
+  ASSERT_EQ(bytes[slot - 8], 0x30u);  // 30'000 = 0x7530, little endian
+  bytes[slot] = 1;
+  const std::uint8_t prefix_end[8] = {0x20, 0x4E};  // 20'000
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(slot) + 1,
+               std::begin(prefix_end), std::end(prefix_end));
+  util::WireReader r(bytes);
+  try {
+    (void)decode_run_spec(r);
+    ADD_FAILURE() << "a spec setting the retired prefix end decoded";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("retired"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Spool, SpecWithAnUnknownArbitrationPolicyRejected) {
@@ -340,33 +376,13 @@ TEST(Spool, ConcurrentWorkersRaceCleanly) {
   EXPECT_EQ(merge_spool(dir), single_process_csv(specs));
 }
 
-TEST(Spool, ShipsWarmStatesAndStaysByteIdentical) {
-  const std::vector<RunSpec> specs = grouped_specs(4);
-  const std::string dir = scratch_dir("warm");
-  const PlanResult plan =
-      plan_spool(dir, specs, Registry::builtins(), {.shards = 2});
-  EXPECT_EQ(plan.warm_states, 1u);  // one identical-prefix group
-
-  const WorkReport report = work_spool(dir, Registry::builtins());
-  EXPECT_EQ(report.warm_resumed, specs.size());
-  EXPECT_EQ(merge_spool(dir), single_process_csv(specs));
-
-  // The whole group must have landed on one shard (that is what makes the
-  // shipped state reusable by every member).
-  std::size_t shards_with_specs = 0;
-  for (const ShardState& shard : FsTransport(dir).status().spool.shards) {
-    if (shard.specs > 0) ++shards_with_specs;
-  }
-  EXPECT_EQ(shards_with_specs, 1u);
-}
-
-TEST(Spool, PlannerShipsOneStatePerEngineWarmGroup) {
-  // A horizon fan-out over a halting kernel and the windowed monitor: the
-  // planner ships a state for exactly the groups the engine forms (one per
-  // mrpfltr design), none for streaming, and the merge stays
-  // byte-identical.
+TEST(Spool, FanOutPlanKeepsEachGroupOnOneShard) {
+  // CI's horizon fan-out: the halting kernels' budgets form one run group
+  // per spec, the windowed monitor's run alone. The planner keeps each
+  // group on one shard, the worker runs it once, and the merge equals the
+  // single-process sweep.
   std::vector<RunSpec> specs;
-  for (const char* workload : {"mrpfltr", "streaming"}) {
+  for (const char* workload : {"mrpfltr", "sqrt32", "streaming"}) {
     for (const bool synced : {false, true}) {
       for (const std::uint64_t horizon : {30'000u, 60'000u, 200'000u}) {
         RunSpec spec;
@@ -374,21 +390,58 @@ TEST(Spool, PlannerShipsOneStatePerEngineWarmGroup) {
         spec.params.samples = 48;
         spec.design = synced ? DesignVariant::synchronized()
                              : DesignVariant::baseline();
-        spec.checkpoint_at = 20'000;
         spec.max_cycles = horizon;
         specs.push_back(std::move(spec));
       }
     }
   }
-  const auto groups = Engine(Registry::builtins()).warm_groups(specs);
-  EXPECT_EQ(groups.size(), 2u);
+  const auto groups = Engine(Registry::builtins()).run_groups(specs);
+  EXPECT_EQ(groups.size(), 4u + 6u);  // 4 shared runs, 6 lone streaming runs
 
   const std::string dir = scratch_dir("horizons");
-  const PlanResult plan =
-      plan_spool(dir, specs, Registry::builtins(), {.shards = 3});
-  EXPECT_EQ(plan.warm_states, groups.size());
+  (void)plan_spool(dir, specs, Registry::builtins(), {.shards = 3});
+  std::vector<int> shard_of(specs.size(), -1);
+  for (const auto& entry : fs::directory_iterator(dir + "/queue")) {
+    const ShardBundle bundle = parse_bundle_bytes(
+        util::read_file_bytes(entry.path().string()), "bundle");
+    EXPECT_EQ(bundle.warm_ref,
+              std::vector<std::int32_t>(bundle.specs.size(), -1));
+    for (const std::uint64_t index : bundle.indices) {
+      shard_of[index] = static_cast<int>(bundle.id);
+    }
+  }
+  for (const auto& group : groups) {
+    for (const std::size_t index : group) {
+      EXPECT_EQ(shard_of[index], shard_of[group.front()]) << index;
+    }
+  }
+
   const WorkReport report = work_spool(dir, Registry::builtins());
-  EXPECT_EQ(report.warm_resumed, 6u);  // the mrpfltr specs
+  EXPECT_EQ(report.runs_executed, specs.size());
+  EXPECT_EQ(merge_spool(dir), single_process_csv(specs));
+}
+
+TEST(Spool, MidGroupResumeRunsTheGroupOnceForTheRest) {
+  // A worker killed mid-group: its orphaned claim's partial part holds the
+  // group's first row. The resumed worker adopts it and serves the other
+  // rows from one run of the group.
+  const std::vector<RunSpec> specs = grouped_specs(4);
+  ASSERT_EQ(Engine(Registry::builtins()).run_groups(specs).size(), 1u);
+  const std::string dir = scratch_dir("midgroup");
+  (void)plan_spool(dir, specs, Registry::builtins(), {.shards = 2});
+  fs::rename(dir + "/queue/shard-0000.bundle",
+             dir + "/claimed/shard-0000.bundle");
+  {
+    std::ofstream partial(dir + "/parts/part-0000.partial", std::ios::binary);
+    partial << to_csv_row(Engine(Registry::builtins()).run_one(specs[0]))
+            << '\n';
+  }
+
+  const WorkReport report =
+      work_spool(dir, Registry::builtins(), {.resume = true});
+  EXPECT_EQ(report.shards_completed, 1u);  // the whole group is one shard
+  EXPECT_EQ(report.rows_reused, 1u);
+  EXPECT_EQ(report.runs_executed, specs.size() - 1);
   EXPECT_EQ(merge_spool(dir), single_process_csv(specs));
 }
 

@@ -12,15 +12,20 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "asm/assembler.h"
+#include "scenario/checkpoint_ring.h"
 #include "scenario/engine.h"
+#include "scenario/record.h"
 #include "scenario/registry.h"
 #include "sim/platform.h"
 #include "sim/snapshot.h"
@@ -381,75 +386,208 @@ TEST(Snapshot, EqualityScopesIgnoreExactlyTheirExcludedFields) {
   }
 }
 
-// --- engine warm-start -------------------------------------------------------
+// --- shared runs of budget fan-outs ------------------------------------------
 
-std::vector<RunSpec> horizon_fanout(const std::string& workload,
-                                    std::uint64_t checkpoint,
-                                    unsigned horizons) {
+/// Each spec's own cold run (`Engine::run_one`), as one CSV.
+std::string cold_csv(const Engine& engine, const std::vector<RunSpec>& specs) {
+  std::vector<scenario::RunRecord> records;
+  for (const RunSpec& spec : specs) records.push_back(engine.run_one(spec));
+  return scenario::to_csv(records);
+}
+
+/// A spec of `workload` at `budget` cycles on `design`.
+RunSpec budget_spec(const std::string& workload,
+                    const scenario::DesignVariant& design,
+                    std::uint64_t budget) {
+  RunSpec spec;
+  spec.workload = workload;
+  spec.params.samples = kGoldenSamples;
+  spec.design = design;
+  spec.max_cycles = budget;
+  return spec;
+}
+
+/// A budget fan-out around `natural` (the spec's uncapped run length), in
+/// unsorted order: one cycle, a third twice under two energy requests, a
+/// half twice, one short of natural, natural, and past it.
+std::vector<RunSpec> budget_fanout(const std::string& workload,
+                                   const scenario::DesignVariant& design,
+                                   std::uint64_t natural) {
   std::vector<RunSpec> specs;
-  for (unsigned i = 0; i < horizons; ++i) {
-    RunSpec spec;
-    spec.workload = workload;
-    spec.params.samples = kGoldenSamples;
-    spec.design = scenario::DesignVariant::synchronized();
-    spec.checkpoint_at = checkpoint;
-    spec.max_cycles = checkpoint + 500 + i * 400;
-    specs.push_back(spec);
+  for (const std::uint64_t budget :
+       {natural / 2, natural + 1000, std::uint64_t{1}, natural / 3, natural,
+        natural / 2, natural - 1, natural / 3}) {
+    specs.push_back(budget_spec(workload, design, budget));
   }
+  specs[3].energy = scenario::EnergyRequest{
+      scenario::EnergyRequest::Params::kAuto, 5.0, 0.0};
+  specs[7].energy = scenario::EnergyRequest{
+      scenario::EnergyRequest::Params::kAuto, 80.0, 0.0};
   return specs;
 }
 
-/// The same specs with `checkpoint_at` cleared: the cold reference.
-std::vector<RunSpec> without_checkpoints(std::vector<RunSpec> specs) {
-  for (RunSpec& spec : specs) spec.checkpoint_at.reset();
-  return specs;
-}
-
-TEST(EngineWarmStart, WarmSweepRecordsByteIdenticalToColdSweep) {
-  const auto specs = horizon_fanout("mrpfltr", kGoldenCycle, 4);
+TEST(SharedRuns, BuiltinFanOutsEqualTheirColdRuns) {
+  // The builtins on both designs, fanned out over budgets that stop
+  // before, at and after the run's natural end, in one sweep: each
+  // non-windowed fan-out is one shared run, each windowed member runs
+  // alone, and every record equals the member's own cold run.
   const Engine engine(Registry::builtins());
-  const auto groups = engine.warm_groups(specs);
-  ASSERT_EQ(groups.size(), 1u);  // one shared warm-up for the whole fan-out
-  EXPECT_EQ(groups.front().size(), specs.size());
+  std::vector<RunSpec> specs;
+  std::size_t windowed_fanouts = 0;
+  for (const char* name :
+       {"mrpfltr", "sqrt32", "mrpdln", "mrpfltr.auto", "sqrt32.auto",
+        "mrpdln.auto", "clip8", "bandcount", "bandcount.auto", "streaming",
+        "sleepgen"}) {
+    for (const auto& design : {scenario::DesignVariant::baseline(),
+                               scenario::DesignVariant::synchronized()}) {
+      const RunSpec uncapped = budget_spec(name, design, 500'000'000);
+      const scenario::RunRecord natural = engine.run_one(uncapped);
+      ASSERT_NE(natural.status, "error")
+          << name << ": " << natural.verify_error;
+      ASSERT_GT(natural.cycles(), 3u) << name;
+      const auto fanout = budget_fanout(name, design, natural.cycles());
+      specs.insert(specs.end(), fanout.begin(), fanout.end());
+      const auto workload = Registry::builtins().make(name, uncapped.params);
+      if (workload->windowed_drive() != nullptr) ++windowed_fanouts;
+    }
+  }
+  ASSERT_EQ(windowed_fanouts, 4u);  // streaming and sleepgen, both designs
 
-  const std::string cold =
-      scenario::to_csv(engine.run(without_checkpoints(specs)));
+  // One group per non-windowed fan-out; windowed members stay alone.
+  const std::size_t fanouts = specs.size() / 8;
+  const auto groups = engine.run_groups(specs);
+  EXPECT_EQ(groups.size(), (fanouts - windowed_fanouts) + windowed_fanouts * 8);
+  for (const auto& group : groups) {
+    EXPECT_TRUE(group.size() == 1 || group.size() == 8) << group.size();
+  }
+
+  const std::string cold = cold_csv(engine, specs);
   EXPECT_EQ(scenario::to_csv(engine.run(specs)), cold);
-
-  // Parallel warm sweep: still byte-identical (deterministic grouping).
   const Engine parallel(Registry::builtins(), {.jobs = 4});
   EXPECT_EQ(scenario::to_csv(parallel.run(specs)), cold);
 }
 
-TEST(EngineWarmStart, ExplicitResumeFromMatchesColdRun) {
-  RunSpec spec;
-  spec.workload = "sqrt32";
-  spec.params.samples = kGoldenSamples;
-  spec.design = scenario::DesignVariant::synchronized();
-  spec.max_cycles = kGoldenCycle + 1500;
+/// A builtin that counts its `load_inputs` calls: one per platform run.
+class LoadCounting final : public scenario::Workload {
+ public:
+  LoadCounting(std::shared_ptr<const scenario::Workload> inner,
+               std::atomic<unsigned>* loads)
+      : inner_(std::move(inner)), loads_(loads) {}
 
-  const Engine engine(Registry::builtins(), EngineOptions{});
-  const auto cold = engine.run_one(spec);
+  std::string_view name() const override { return inner_->name(); }
+  unsigned num_cores() const override { return inner_->num_cores(); }
+  const assembler::Program& program(bool instrumented) const override {
+    return inner_->program(instrumented);
+  }
+  void load_inputs(sim::Platform& platform) const override {
+    loads_->fetch_add(1);
+    inner_->load_inputs(platform);
+  }
+  std::string verify(const sim::Platform& platform) const override {
+    return inner_->verify(platform);
+  }
+  sim::PlatformConfig base_config(bool with_synchronizer) const override {
+    return inner_->base_config(with_synchronizer);
+  }
+  const scenario::WindowedDrive* windowed_drive() const override {
+    return inner_->windowed_drive();
+  }
+  std::vector<std::pair<std::string, std::string>> report(
+      const sim::Platform& platform) const override {
+    return inner_->report(platform);
+  }
 
-  const auto warm_state = engine.capture_warm_state(spec, kGoldenCycle);
-  ASSERT_NE(warm_state, nullptr);
-  RunSpec resumed_spec = spec;
-  resumed_spec.resume_from = warm_state;
-  const auto resumed = engine.run_one(resumed_spec);
+ private:
+  std::shared_ptr<const scenario::Workload> inner_;
+  std::atomic<unsigned>* loads_;
+};
 
-  EXPECT_EQ(scenario::to_csv({cold}), scenario::to_csv({resumed}));
-  EXPECT_EQ(cold.lockstep_fraction, resumed.lockstep_fraction);
+TEST(SharedRuns, OneFanOutLoadsItsPlatformOnce) {
+  std::atomic<unsigned> loads{0};
+  Registry registry;
+  registry.add("counted", [&loads](const scenario::WorkloadParams& params) {
+    return std::make_shared<LoadCounting>(
+        Registry::builtins().make("mrpfltr", params), &loads);
+  });
+  const Engine engine(registry);
+  const auto design = scenario::DesignVariant::synchronized();
+  std::vector<RunSpec> specs;
+  for (const std::uint64_t budget : {9'000u, 3'000u, 500'000'000u, 6'000u}) {
+    specs.push_back(budget_spec("counted", design, budget));
+  }
+  const std::string cold = cold_csv(engine, specs);
+  ASSERT_EQ(loads.load(), specs.size());
+
+  loads = 0;
+  EXPECT_EQ(scenario::to_csv(engine.run(specs)), cold);
+  EXPECT_EQ(loads.load(), 1u);
+
+  // A recording member keeps its own cold run; the rest still share one.
+  specs[1].record_events_to = ::testing::TempDir() + "/shared_runs.evt";
+  loads = 0;
+  EXPECT_EQ(scenario::to_csv(engine.run(specs)), cold);
+  EXPECT_EQ(loads.load(), 2u);
+  std::remove(specs[1].record_events_to.c_str());
 }
 
-TEST(EngineWarmStart, NonWarmStartableWorkloadFallsBackToColdRuns) {
-  // The streaming monitor's window loop keeps host-side state a platform
-  // snapshot cannot hold; the engine must not warm-start it, and results
-  // must be unaffected.
-  const auto specs = horizon_fanout("streaming", 2000, 3);
+TEST(SharedRuns, GroupRingLivesUnderTheLowestMemberAndResumesBitExact) {
+  // A fan-out whose first member has the largest budget: its first pass
+  // stops every member at 2/3 of its budget, as if killed; the full pass
+  // restores the newest entry at or below the smallest budget.
+  const Engine plain(Registry::builtins());
+  const auto design = scenario::DesignVariant::synchronized();
+  const std::uint64_t natural =
+      plain.run_one(budget_spec("mrpfltr", design, 500'000'000)).cycles();
+  std::vector<RunSpec> specs;
+  for (const std::uint64_t budget :
+       {natural + 1000, natural / 4, natural * 3 / 4, natural / 2}) {
+    specs.push_back(budget_spec("mrpfltr", design, budget));
+  }
+  std::vector<RunSpec> truncated = specs;
+  for (RunSpec& spec : truncated) spec.max_cycles = spec.max_cycles * 2 / 3;
+
+  const std::string dir = ::testing::TempDir() + "/shared_ring";
+  std::filesystem::remove_all(dir);
+  EngineOptions options;
+  // Stride natural/10 and room for every entry: the first pass leaves
+  // entries from natural/10 up past the smallest full budget.
+  options.checkpoint_ring = {.dir = dir, .stride = natural / 10, .keep = 16};
+  const Engine ringed(Registry::builtins(), options);
+
+  EXPECT_EQ(scenario::to_csv(ringed.run(truncated)),
+            cold_csv(plain, truncated));
+  EXPECT_TRUE(
+      std::filesystem::exists(scenario::ring_run_dir(dir, 0) + "/MANIFEST"));
+  for (std::size_t i = 1; i < specs.size(); ++i) {
+    EXPECT_FALSE(std::filesystem::exists(scenario::ring_run_dir(dir, i))) << i;
+  }
+  const auto beyond = scenario::load_latest_ring_entry(
+      scenario::ring_run_dir(dir, 0), scenario::ring_identity(specs[0]),
+      natural);
+  ASSERT_TRUE(beyond.has_value());
+  EXPECT_GT(beyond->cycle, natural / 4);  // past the smallest full budget
+
+  EXPECT_EQ(scenario::to_csv(ringed.run(specs)), cold_csv(plain, specs));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SharedRuns, UnknownWorkloadFanOutGivesAnErrorRecordPerMember) {
   const Engine engine(Registry::builtins());
-  EXPECT_TRUE(engine.warm_groups(specs).empty());
-  EXPECT_EQ(scenario::to_csv(engine.run(specs)),
-            scenario::to_csv(engine.run(without_checkpoints(specs))));
+  std::vector<RunSpec> specs;
+  for (const std::uint64_t budget : {2'000u, 1'000u, 3'000u}) {
+    specs.push_back(budget_spec("no-such-kernel",
+                                scenario::DesignVariant::baseline(), budget));
+  }
+  const std::string cold = cold_csv(engine, specs);
+  EXPECT_EQ(scenario::to_csv(engine.run(specs)), cold);
+  // Run as one group, the failure still reaches every member.
+  const std::vector<std::size_t> members = {0, 1, 2};
+  const auto records = engine.run_shared(specs, members, 0);
+  EXPECT_EQ(scenario::to_csv(records), cold);
+  for (const scenario::RunRecord& record : records) {
+    EXPECT_EQ(record.status, "error");
+    EXPECT_FALSE(record.verify_error.empty());
+  }
 }
 
 // --- wide platforms (beyond the synchronizer's 8-core ceiling) --------------
@@ -507,24 +645,6 @@ TEST(WidePlatformSnapshots, LegacyPerCoreLayoutPreservedBelowEightCores) {
   const sim::Snapshot reparsed = sim::Snapshot::deserialize(bytes);
   EXPECT_EQ(reparsed, snap);
   EXPECT_EQ(reparsed.serialize(), bytes);
-}
-
-TEST(EngineWarmStart, MismatchedResumeStateSurfacesAsErrorRecord) {
-  const Engine engine(Registry::builtins(), EngineOptions{});
-  RunSpec donor;
-  donor.workload = "sqrt32";
-  donor.params.samples = kGoldenSamples;
-  const auto warm_state = engine.capture_warm_state(donor, kGoldenCycle);
-  ASSERT_NE(warm_state, nullptr);
-
-  RunSpec wrong;
-  wrong.workload = "mrpfltr";  // different program than the warm state's
-  wrong.params.samples = kGoldenSamples;
-  wrong.resume_from = warm_state;
-  const auto record = engine.run_one(wrong);
-  EXPECT_EQ(record.status, "error");
-  EXPECT_NE(record.verify_error.find("snapshot"), std::string::npos)
-      << record.verify_error;
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 //   --arbitration a,b   fixed-priority|oldest-first|round-robin
 //   --clocks f1,f2      operating-clock grid, MHz     (default 5,10,20,40,60,80)
 //   --rungs c1,c2,...   halving horizons, cycles      (default 8000,32000,5e8)
-//   --checkpoint-at N   shared warm prefix; 0 = half the first rung
 //   --target-mops X     knee throughput target        (default 16)
 //   --cap N             per-rung survivor cap; 0 off  (default 32)
 //   --jobs N            engine threads (never changes the frontier)
@@ -54,7 +53,6 @@ cli::FlagTable flag_table() {
           {"arbitration", "a,b", "fixed-priority|oldest-first|round-robin"},
           {"clocks", "f1,f2", "operating-clock grid, MHz"},
           {"rungs", "c1,c2", "halving horizons, cycles"},
-          {"checkpoint-at", "N", "shared warm prefix; 0 = half the first rung"},
           {"target-mops", "X", "knee throughput target (default 16)"},
           {"cap", "N", "per-rung survivor cap; 0 off (default 32)"},
           {"jobs", "N", "engine threads (never changes the frontier)"},
@@ -90,8 +88,6 @@ SearchOptions options_from_flags(const util::CliArgs& args) {
   if (args.has("rungs")) {
     options.rungs = cli::parse_u64_list(args.get("rungs", ""), "rungs");
   }
-  options.checkpoint_at = static_cast<std::uint64_t>(
-      args.get_int("checkpoint-at", static_cast<long>(options.checkpoint_at)));
   options.target_mops = args.get_double("target-mops", options.target_mops);
   options.survivor_cap = static_cast<std::size_t>(
       args.get_int("cap", static_cast<long>(options.survivor_cap)));
@@ -120,10 +116,11 @@ int main(int argc, char** argv) {
 
     util::write_file_atomic(out_path, frontier_csv(options.workload, result));
 
-    std::printf("design_search: %zu candidate(s), %zu run(s), "
-                "%zu warm-resumed, frontier %zu point(s) -> %s\n",
-                result.candidates, result.specs_executed, result.warm_resumed,
-                result.frontier.size(), out_path.c_str());
+    std::printf("design_search: %zu candidate(s), %zu record(s) from %zu "
+                "run(s) simulated, frontier %zu point(s) -> %s\n",
+                result.candidates, result.specs_executed,
+                result.runs_simulated, result.frontier.size(),
+                out_path.c_str());
     for (const RungStats& stats : result.rungs) {
       std::printf("  rung %9llu cycles: %zu -> %zu point(s)\n",
                   static_cast<unsigned long long>(stats.horizon),

@@ -7,9 +7,9 @@
 //                        machine; workers stream rows back over TCP
 //
 //   sweep_shard plan   --spool DIR [matrix flags] [--shards K] [--costs a,b]
-//       Expands the matrix and serializes it into shard bundles under DIR.
-//       Identical-prefix groups (--checkpoint-at + --horizons) ship one
-//       pre-simulated WarmState per group. --costs feeds measured per-run
+//       Expands the matrix and serializes it into shard bundles under DIR;
+//       simulates nothing. Each spec's --horizons fan-out stays on one
+//       shard, where a worker runs it once. --costs feeds measured per-run
 //       wall times (cost files or earlier spools) into the scheduler:
 //       shards are sized by predicted seconds instead of spec count and
 //       numbered heaviest-first, so workers claim the long poles first.
@@ -160,9 +160,8 @@ int cmd_plan(const util::CliArgs& args) {
   const PlanResult plan =
       plan_spool(spool, specs, Registry::builtins(), options);
   std::printf("planned %zu specs into %u shards at %s "
-              "(%zu warm state(s) shipped, fingerprint %016" PRIx64 ")\n",
-              plan.specs, plan.shards, spool.c_str(), plan.warm_states,
-              plan.fingerprint);
+              "(fingerprint %016" PRIx64 ")\n",
+              plan.specs, plan.shards, spool.c_str(), plan.fingerprint);
   if (!options.costs.empty()) {
     std::printf("cost-model schedule: %zu spec identit(ies), "
                 "%zu workload rate(s)\n",
@@ -221,10 +220,9 @@ int cmd_work(const util::CliArgs& args) {
       static_cast<std::size_t>(args.get_int("max-shards", 0)),
       manifest.campaign ? cli::jobs_from_flags(args, 1) : 1);
   std::printf("worker done: %zu shard(s), %zu %s executed, %zu row(s) "
-              "reused, %zu warm-resumed\n",
+              "reused\n",
               report.shards_completed, report.runs_executed,
-              manifest.campaign ? "trial(s)" : "run(s)", report.rows_reused,
-              report.warm_resumed);
+              manifest.campaign ? "trial(s)" : "row(s)", report.rows_reused);
   return 0;
 }
 
