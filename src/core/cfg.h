@@ -30,6 +30,7 @@ struct BasicBlock {
   std::vector<std::uint32_t> successors;    ///< block ids
   std::vector<std::uint32_t> predecessors;  ///< block ids
 
+  /// Index of the block's last instruction (its terminator, if any).
   [[nodiscard]] std::uint32_t last_instr() const { return end - 1; }
 };
 
@@ -49,6 +50,7 @@ struct FunctionCfg {
     std::uint32_t header = 0;
     std::vector<std::uint32_t> body;          ///< block ids, sorted
     std::vector<std::uint32_t> back_edge_srcs;///< blocks with edge to header
+    /// True when block id `block` is in the loop's body.
     [[nodiscard]] bool contains(std::uint32_t block) const;
   };
   std::vector<Loop> loops;
@@ -57,8 +59,15 @@ struct FunctionCfg {
   /// branch's flags is varying (data-dependent across cores).
   std::vector<bool> varying_branch;  ///< indexed by program instruction
 
+  /// True when block `a` dominates block `b` (every path from the entry
+  /// to `b` passes `a`; a block dominates itself).
   [[nodiscard]] bool dominates(std::uint32_t a, std::uint32_t b) const;
+  /// True when block `a` post-dominates block `b` (every path from `b` to
+  /// an exit passes `a`; a block post-dominates itself). False when `b`
+  /// reaches no exit.
   [[nodiscard]] bool post_dominates(std::uint32_t a, std::uint32_t b) const;
+  /// Id of the block holding program-relative instruction `instr`, or
+  /// 0xFFFFFFFF when no block of this function holds it.
   [[nodiscard]] std::uint32_t block_of(std::uint32_t instr) const;
 };
 
@@ -67,6 +76,7 @@ struct ProgramCfg {
   std::vector<FunctionCfg> functions;
   std::string error;  ///< non-empty if the program could not be analyzed
 
+  /// True when the analysis succeeded (`error` is empty).
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
 

@@ -32,12 +32,15 @@
 
 namespace ulpsync::core {
 
+/// Which region kinds the pass brackets, and how many it may number.
 struct InstrumentOptions {
   unsigned max_sync_points = 64;  ///< size of the DM checkpoint array
-  bool instrument_conditionals = true;
-  bool instrument_loops = true;
+  bool instrument_conditionals = true;  ///< bracket varying if/else diamonds
+  bool instrument_loops = true;  ///< bracket loops with varying trip counts
 };
 
+/// One bracketed region: its kind, its synchronization-point index and
+/// where the SINC and SDEC were inserted.
 struct InstrumentedRegion {
   enum class Kind : std::uint8_t { kConditional, kLoop };
   Kind kind = Kind::kConditional;
@@ -46,12 +49,14 @@ struct InstrumentedRegion {
   std::uint32_t checkout_before = 0; ///< original instruction index
 };
 
+/// The pass's output: the rewritten program and what was (not) bracketed.
 struct InstrumentResult {
   assembler::Program program;  ///< rewritten program (code + image + labels)
   std::vector<InstrumentedRegion> regions;
   std::vector<std::string> skipped;  ///< human-readable skip reasons
   std::string error;                 ///< non-empty on failure
 
+  /// True when the pass succeeded (`error` is empty).
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
 

@@ -3,24 +3,26 @@
 /// Lockstep residency analyzer: measures how synchronized the cores
 /// actually are — the quantity the paper's technique improves. Used by the
 /// evaluation harnesses to explain *why* the synchronized design wins
-/// (broadcast fraction up, PC spread down), and by tests to assert lockstep
-/// is restored after each region.
+/// (full-lockstep residency up), and by tests to assert lockstep is
+/// restored after each region.
 ///
 /// The analyzer registers its metrics block as the platform's lockstep
 /// sink (`sim::Platform::set_lockstep_sink`), and the platform accumulates
 /// the per-cycle observations itself, so measuring lockstep does not
 /// suppress the host-side region executor the way a per-cycle observer
-/// would. A naive tick observes in O(active cores). The region executor
-/// keeps a count of active cores per IM slot, so each PC change is O(1),
-/// and adds its cycles to the sink once per region; a straight-line step
-/// adds its cycles in one add. The accumulated values are bit-identical
-/// either way.
+/// would. A naive tick observes in one pass over the active cores. The
+/// region executor keeps one core mask per program slot, decides each
+/// cycle with one compare and adds its cycles to the sink once per region;
+/// a straight-line step adds its cycles in one add. The accumulated values
+/// are bit-identical either way.
 
 #include "core/lockstep_metrics.h"
 #include "sim/platform.h"
 
 namespace ulpsync::core {
 
+/// Owns one `LockstepMetrics` block and attaches it to a platform as its
+/// lockstep sink (see the file comment).
 class LockstepAnalyzer {
  public:
   using Metrics = LockstepMetrics;
@@ -31,7 +33,9 @@ class LockstepAnalyzer {
     platform.set_lockstep_sink(&metrics_);
   }
 
+  /// The totals accumulated since construction or the last `reset`.
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
+  /// Zeroes the totals; an attached platform keeps adding to them.
   void reset() { metrics_ = {}; }
   /// Resumes accumulation from previously captured metrics — used by
   /// runs resumed from a checkpoint-ring entry or a batch-lane boundary, so

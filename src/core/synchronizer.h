@@ -30,7 +30,9 @@ namespace ulpsync::core {
 class DataMemoryPort {
  public:
   virtual ~DataMemoryPort() = default;
+  /// Reads the DM word at `addr`.
   [[nodiscard]] virtual std::uint16_t read_word(std::uint32_t addr) = 0;
+  /// Writes `value` to the DM word at `addr`.
   virtual void write_word(std::uint32_t addr, std::uint16_t value) = 0;
   /// Bank index of an address (for the bank-lock model).
   [[nodiscard]] virtual unsigned bank_of(std::uint32_t addr) const = 0;
@@ -41,10 +43,12 @@ struct CheckpointWord {
   std::uint8_t flags = 0;
   std::uint8_t counter = 0;
 
+  /// Splits a DM word into its flags and counter fields.
   [[nodiscard]] static CheckpointWord unpack(std::uint16_t word) {
     return {static_cast<std::uint8_t>(word & 0xFF),
             static_cast<std::uint8_t>((word >> 8) & 0xF)};
   }
+  /// The DM word holding these fields (the counter keeps 4 bits).
   [[nodiscard]] std::uint16_t pack() const {
     return static_cast<std::uint16_t>(flags | ((counter & 0xF) << 8));
   }
@@ -81,6 +85,9 @@ struct SynchronizerState {
                          const SynchronizerState&) = default;
 };
 
+/// The synchronizer itself (see the file comment): merges the cycle's
+/// check-ins/check-outs per checkpoint word into one two-cycle
+/// read-modify-write and reports completions and wake-ups.
 class Synchronizer {
  public:
   /// Architectural ceiling: the checkpoint word has 8 identity flags, so a
@@ -124,7 +131,9 @@ class Synchronizer {
   /// True when an RMW is in flight (used for deadlock detection).
   [[nodiscard]] bool busy() const { return inflight_.active; }
 
+  /// Statistics accumulated since construction or `reset_stats`.
   [[nodiscard]] const SynchronizerStats& stats() const { return stats_; }
+  /// Zeroes the statistics; an RMW in flight is kept.
   void reset_stats() { stats_ = {}; }
 
   /// Between-cycle state capture for the snapshot subsystem. Must not be

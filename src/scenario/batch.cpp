@@ -242,7 +242,7 @@ void BatchEngine::run_group(const std::vector<RunSpec>& specs,
     const std::uint32_t slots =
         program.origin + static_cast<std::uint32_t>(program.code.size());
     sim::DecodedImage image(slots, 1, slots, 0);
-    image.load(program.origin, program.code);
+    (void)image.load(program.origin, program.code);  // sized to fit
 
     // One scratch platform serves every per-lane materialization in this
     // group — fallback continuation and follower finish. Loading
@@ -303,7 +303,7 @@ void BatchEngine::run_group(const std::vector<RunSpec>& specs,
       for (unsigned l = 0; l < n; ++l) {
         if (!lanes[l].live) continue;
         lane_state.begin_window(l);
-        lanes[l].drive->deposit_blocks(
+        lanes[l].drive->deposit(
             w, [&lane_state, l](std::uint32_t addr,
                                 std::span<const std::uint16_t> words) {
               lane_state.deposit_block(l, addr, words);
@@ -358,10 +358,7 @@ void BatchEngine::run_group(const std::vector<RunSpec>& specs,
       }
 
       // Real leader window — the exact `drive_windowed` sequencing.
-      leader_drive.deposit(
-          w, [&platform](std::uint32_t addr, std::uint16_t word) {
-            platform.dm_write(addr, word);
-          });
+      deposit_window(leader_drive, w, platform);
       const std::uint64_t before = platform.counters().cycles;
       platform.interrupt_all();
       run_result = platform.run(

@@ -17,7 +17,10 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr util::Magic kRingMagic = {'U', 'L', 'P', 'R', 'I', 'N', 'G', '\n'};
-constexpr std::uint32_t kRingVersion = 1;
+/// Version 2 dropped the nine PC-group histogram words of version 1. An
+/// entry of another version is refused like a corrupt one, so a run falls
+/// back to an older entry or starts cold.
+constexpr std::uint32_t kRingVersion = 2;
 constexpr std::string_view kManifestHeader = "ulpsync-ring v1";
 
 std::string entry_file_name(std::uint64_t cycle) {
@@ -102,7 +105,6 @@ std::vector<std::uint8_t> serialize_warm_state(const WarmState& state) {
   util::WireWriter w;
   w.u64(state.lockstep.observed_cycles);
   w.u64(state.lockstep.full_lockstep_cycles);
-  for (const std::uint64_t bin : state.lockstep.pc_group_histogram) w.u64(bin);
   w.blob(state.snapshot.serialize());
   return w.take();
 }
@@ -112,7 +114,6 @@ WarmState deserialize_warm_state(std::span<const std::uint8_t> bytes) {
   WarmState state;
   state.lockstep.observed_cycles = r.u64();
   state.lockstep.full_lockstep_cycles = r.u64();
-  for (std::uint64_t& bin : state.lockstep.pc_group_histogram) bin = r.u64();
   state.snapshot = sim::Snapshot::deserialize(r.blob());
   return state;
 }

@@ -48,8 +48,9 @@ struct WarmState {
   core::LockstepAnalyzer::Metrics lockstep;
 };
 
-/// Stable binary image of a `WarmState`: lockstep metrics followed by the
-/// snapshot's own wire format (`sim::Snapshot::serialize`).
+/// Stable binary image of a `WarmState`: the two lockstep counts (observed
+/// and full-lockstep cycles) followed by the snapshot's own wire format
+/// (`sim::Snapshot::serialize`).
 [[nodiscard]] std::vector<std::uint8_t> serialize_warm_state(
     const WarmState& state);
 /// Parses `serialize_warm_state` output. Throws std::invalid_argument on

@@ -55,15 +55,11 @@ class CheckpointSink {
                      const std::vector<std::uint64_t>& host_words) = 0;
 };
 
-/// Destination of one deposited data-memory word (a `Platform::dm_write`
-/// bound to a platform instance, or a write into a batch lane's private DM
-/// image — see sim/batch/).
-using DmWriteFn = std::function<void(std::uint32_t addr, std::uint16_t word)>;
-
 /// Destination of one contiguous run of deposited data-memory words,
-/// starting at `addr`. The bulk counterpart of `DmWriteFn`: a batched
-/// cohort deposits the same windows into hundreds of lane memories, where
-/// per-word closure dispatch dominates the copy itself.
+/// starting at `addr`: a platform (`deposit_window`) or a batch lane's
+/// private DM image (sim/batch/). Blocks, not words: a batched cohort
+/// deposits the same windows into hundreds of lane memories, where
+/// per-word closure dispatch would dominate the copy itself.
 using DmWriteBlockFn =
     std::function<void(std::uint32_t addr, std::span<const std::uint16_t>)>;
 
@@ -101,21 +97,9 @@ class WindowedDrive {
     return 10'000'000;
   }
 
-  /// Writes window `window`'s fresh samples through `write`.
-  virtual void deposit(unsigned window, const DmWriteFn& write) const = 0;
-
-  /// Writes window `window`'s fresh samples as contiguous runs. Same words
-  /// as `deposit` (addresses may arrive in a different order — window
-  /// deposits never overlap, so the final memory image is identical);
-  /// workloads whose windows are dense per-channel runs override this so a
-  /// batched cohort can block-copy into lane memories. The default adapts
-  /// `deposit` one word at a time.
-  virtual void deposit_blocks(unsigned window,
-                              const DmWriteBlockFn& write) const {
-    deposit(window, [&write](std::uint32_t addr, std::uint16_t word) {
-      write(addr, {&word, 1});
-    });
-  }
+  /// Writes window `window`'s fresh samples through `write`, as
+  /// contiguous runs that never overlap.
+  virtual void deposit(unsigned window, const DmWriteBlockFn& write) const = 0;
 
   /// Restores host-side progress from checkpoint words ({windows completed,
   /// busy cycles}); an empty span resets to a cold start.
@@ -128,6 +112,13 @@ class WindowedDrive {
   /// `busy_cycles` cycles.
   virtual void note_window(std::uint64_t busy_cycles) const = 0;
 };
+
+/// Deposits window `window` of `drive` into `platform`: each block's words
+/// through `Platform::dm_write`, in block order, so a recorded schedule
+/// holds one `kDmWrite` event per word. `drive_windowed` and the batch
+/// engine's leader lane both deposit through it.
+void deposit_window(const WindowedDrive& drive, unsigned window,
+                    sim::Platform& platform);
 
 /// Runs a windowed workload's host loop on one platform. With
 /// `resume_window` unset this is a cold start: host words are reset and the

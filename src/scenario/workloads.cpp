@@ -441,16 +441,7 @@ class WindowedWorkloadBase : public Workload, public WindowedDrive {
   [[nodiscard]] unsigned windows() const override {
     return std::max(1u, params_.samples / window_length());
   }
-  void deposit(unsigned window, const DmWriteFn& write) const override {
-    for (unsigned c = 0; c < num_cores(); ++c) {
-      const auto& samples = channel_samples(c);
-      for (unsigned i = 0; i < window_length(); ++i) {
-        write(channel_base(c) + i, samples[window * window_length() + i]);
-      }
-    }
-  }
-  void deposit_blocks(unsigned window,
-                      const DmWriteBlockFn& write) const override {
+  void deposit(unsigned window, const DmWriteBlockFn& write) const override {
     for (unsigned c = 0; c < num_cores(); ++c) {
       write(channel_base(c),
             std::span(channel_samples(c))
@@ -869,6 +860,16 @@ class SleepGenWorkload final : public WindowedWorkloadBase {
 
 }  // namespace
 
+// (See workload.h.)
+void deposit_window(const WindowedDrive& drive, unsigned window,
+                    sim::Platform& platform) {
+  drive.deposit(window, [&platform](std::uint32_t addr,
+                                    std::span<const std::uint16_t> words) {
+    for (std::size_t i = 0; i < words.size(); ++i)
+      platform.dm_write(addr + static_cast<std::uint32_t>(i), words[i]);
+  });
+}
+
 // (See workload.h.) The single source of truth for the duty-cycled window
 // sequencing: the scalar engine, the checkpoint-ring drive and the batch
 // engine's fallback path all run windows through this loop, which is what
@@ -894,9 +895,7 @@ sim::RunResult drive_windowed(const WindowedDrive& drive,
   }
   for (unsigned w = start_window; w < drive.windows(); ++w) {
     if (result.status != sim::RunResult::Status::kAllAsleep) return result;
-    drive.deposit(w, [&platform](std::uint32_t addr, std::uint16_t word) {
-      platform.dm_write(addr, word);
-    });
+    deposit_window(drive, w, platform);
     const std::uint64_t before = platform.counters().cycles;
     platform.interrupt_all();
     result = platform.run(std::min(max_cycles, before + drive.window_budget()));

@@ -66,13 +66,6 @@ void LaneGroup::begin_window(unsigned lane) {
                          halted_.begin() + base + cores_);
 }
 
-void LaneGroup::deposit(unsigned lane, std::uint32_t addr, std::uint16_t word) {
-  assert(addr < dm_words_);
-  std::uint16_t* mem = dm(lane);
-  journals_[lane].undo.emplace_back(addr, mem[addr]);
-  mem[addr] = word;
-}
-
 void LaneGroup::deposit_block(unsigned lane, std::uint32_t addr,
                               std::span<const std::uint16_t> words) {
   assert(addr + words.size() <= dm_words_);

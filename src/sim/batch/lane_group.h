@@ -138,12 +138,8 @@ class LaneGroup {
   /// the DM undo log so `rollback` can restore the boundary state exactly.
   void begin_window(unsigned lane);
 
-  /// Deposits one host word into `lane`'s DM (undo-logged). This is the
-  /// lane-side `scenario::DmWriteFn`.
-  void deposit(unsigned lane, std::uint32_t addr, std::uint16_t word);
-
-  /// Deposits a contiguous run of host words into `lane`'s DM (undo-logged
-  /// word by word, exactly as repeated `deposit` calls would). The
+  /// Deposits a contiguous run of host words into `lane`'s DM
+  /// (undo-logged, so `rollback` restores the words it overwrote). The
   /// lane-side `scenario::DmWriteBlockFn`: one call per channel run beats a
   /// closure dispatch per word across hundreds of lanes.
   void deposit_block(unsigned lane, std::uint32_t addr,

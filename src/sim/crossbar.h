@@ -2,8 +2,9 @@
 
 /// The crossbar conflict rules for one bank, as pure functions of the
 /// bank's requesters held in a 64-bit core mask (bit i = core i): the
-/// winner rule both crossbars share, the I-Xbar's served set, and the
-/// D-Xbar's served set and policy-group pick. `Platform::tick()` and the
+/// winner rule both crossbars share, the I-Xbar's served set and the
+/// same-PC scan `tick()` feeds it, and the D-Xbar's served set and
+/// policy-group pick. `Platform::tick()` and the
 /// region executor both arbitrate through them, so no two paths can
 /// disagree on who is served.
 
@@ -45,25 +46,38 @@ template <typename StallAge>
   return winner;
 }
 
+/// The cores of `requesters` whose PC (`pc_of`) equals `core`'s: a scan of
+/// one bank's requesters. `tick()` answers `fetch_served`'s `at_pc` with
+/// it; the region executor keeps one core mask per program slot instead.
+template <typename PcOf>
+[[nodiscard]] std::uint64_t requesters_at_pc(std::uint64_t requesters,
+                                             unsigned core, PcOf pc_of) {
+  const auto pc = pc_of(core);
+  std::uint64_t same = 0;
+  for (std::uint64_t rest = requesters; rest != 0; rest &= rest - 1) {
+    const auto other = static_cast<unsigned>(std::countr_zero(rest));
+    same |= std::uint64_t{pc_of(other) == pc} << other;
+  }
+  return same;
+}
+
 /// The cores of one IM bank's `requesters` (nonzero) that this cycle's
-/// bank read serves. `same` is the requesters at the conflict winner's PC.
-/// With fetch broadcast on, the read reaches all of `same` when per-core
-/// PC comparators exist (`ixbar_partial_broadcast`) or `same` is every
-/// requester; otherwise only the lowest core of `same`, which need not be
-/// the winner. A lone requester is simply served.
-template <typename StallAge, typename PcOf>
+/// bank read serves. `at_pc(core)` is a core mask holding every requester
+/// at `core`'s PC (it may hold other cores too), so `same`, the requesters
+/// at the conflict winner's PC, is one AND. With fetch broadcast on, the
+/// read reaches all of `same` when per-core PC comparators exist
+/// (`ixbar_partial_broadcast`) or `same` is every requester; otherwise only
+/// the lowest core of `same`, which need not be the winner. A lone
+/// requester is simply served.
+template <typename StallAge, typename AtPc>
 [[nodiscard]] std::uint64_t fetch_served(std::uint64_t requesters,
                                          const PlatformConfig& config,
                                          unsigned rr_pointer,
-                                         StallAge stall_age, PcOf pc_of) {
+                                         StallAge stall_age, AtPc at_pc) {
   if ((requesters & (requesters - 1)) == 0) return requesters;
-  const auto win_pc = pc_of(
-      conflict_winner(requesters, config.arbitration, rr_pointer, stall_age));
-  std::uint64_t same = 0;
-  for (std::uint64_t rest = requesters; rest != 0; rest &= rest - 1) {
-    const auto core = static_cast<unsigned>(std::countr_zero(rest));
-    same |= std::uint64_t{pc_of(core) == win_pc} << core;
-  }
+  const std::uint64_t same =
+      requesters & at_pc(conflict_winner(requesters, config.arbitration,
+                                         rr_pointer, stall_age));
   const bool broadcast =
       config.im_fetch_broadcast &&
       (config.features.ixbar_partial_broadcast || same == requesters);

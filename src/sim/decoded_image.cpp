@@ -113,23 +113,23 @@ void DecodedImage::refresh_tables() {
   }
 }
 
-void DecodedImage::load(std::uint32_t origin,
-                        std::span<const isa::Instruction> code) {
-  assert(origin + code.size() <= slots_);
+std::string DecodedImage::load(std::uint32_t origin,
+                               std::span<const isa::Instruction> code) {
+  if (origin + code.size() > slots_) {
+    return "image does not fit: origin " + std::to_string(origin) + " + " +
+           std::to_string(code.size()) + " words > " +
+           std::to_string(slots_) + " slots";
+  }
   code_.assign(code.begin(), code.end());
   begin_ = origin;
   end_ = origin + static_cast<std::uint32_t>(code.size());
   fingerprint_dirty_ = true;
   refresh_tables();
+  return {};
 }
 
 std::string DecodedImage::load_encoded(std::uint32_t origin,
                                        std::span<const std::uint32_t> image) {
-  if (origin + image.size() > slots_) {
-    return "image does not fit: origin " + std::to_string(origin) + " + " +
-           std::to_string(image.size()) + " words > " +
-           std::to_string(slots_) + " slots";
-  }
   std::vector<isa::Instruction> decoded;
   decoded.reserve(image.size());
   for (std::size_t i = 0; i < image.size(); ++i) {
@@ -142,8 +142,7 @@ std::string DecodedImage::load_encoded(std::uint32_t origin,
     }
     decoded.push_back(*instr);
   }
-  load(origin, decoded);
-  return {};
+  return load(origin, decoded);
 }
 
 }  // namespace ulpsync::sim

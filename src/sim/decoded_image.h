@@ -52,12 +52,15 @@ class DecodedImage {
                unsigned line_slots);
 
   /// Installs decoded code at `origin`; all other slots reset to HALT.
-  /// The loaded range must fit in the image.
-  void load(std::uint32_t origin, std::span<const isa::Instruction> code);
+  /// Returns an empty string on success, else why the code does not fit
+  /// the image (the image is left unmodified on failure). The one fit
+  /// check of both load paths.
+  [[nodiscard]] std::string load(std::uint32_t origin,
+                                 std::span<const isa::Instruction> code);
 
   /// Decodes an encoded word image and installs it at `origin`. Returns an
   /// empty string on success, else a description of the first undecodable
-  /// word (the image is left unmodified on failure).
+  /// word or of the misfit (the image is left unmodified on failure).
   [[nodiscard]] std::string load_encoded(std::uint32_t origin,
                                          std::span<const std::uint32_t> image);
 

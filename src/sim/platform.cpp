@@ -16,25 +16,6 @@ namespace {
 /// one bit per synchronizer-capable core.
 constexpr unsigned kSyncMaskBits = 16;
 
-/// Distinct-value counter clamped at 8 — the lockstep histogram's width —
-/// by linear probing into a fixed array. Beyond 8 distinct PCs the count
-/// pins at 8, which is exactly what the histogram bin needs.
-class DistinctPcProbe {
- public:
-  void add(std::uint32_t pc) {
-    bool seen = false;
-    for (std::size_t k = 0; k < distinct_; ++k) seen = seen || (pcs_[k] == pc);
-    if (!seen && distinct_ < pcs_.size()) pcs_[distinct_++] = pc;
-  }
-  [[nodiscard]] unsigned count() const {
-    return static_cast<unsigned>(distinct_);
-  }
-
- private:
-  std::array<std::uint32_t, 8> pcs_;
-  std::size_t distinct_ = 0;
-};
-
 }  // namespace
 
 std::string_view to_string(CoreStatus status) {
@@ -87,15 +68,17 @@ Platform::Platform(const PlatformConfig& config)
 }
 
 void Platform::load_program(const assembler::Program& program) {
-  assert(program.origin + program.code.size() <= im_.slots());
-  im_.load(program.origin, program.code);
-  reset();
+  finish_load(im_.load(program.origin, program.code));
 }
 
 void Platform::load_image(std::uint32_t origin,
                           std::span<const std::uint32_t> image) {
-  const std::string error = im_.load_encoded(origin, image);
+  finish_load(im_.load_encoded(origin, image));
+}
+
+void Platform::finish_load(const std::string& error) {
   if (!error.empty()) throw std::invalid_argument(error);
+  pc_cores_.assign(im_.end() - im_.begin(), 0);
   reset();
 }
 
@@ -182,35 +165,21 @@ void Platform::flush_sleep_accounting() const {
   }
 }
 
-void Platform::accumulate_lockstep(std::uint64_t cycles, unsigned ready,
-                                   unsigned live, unsigned pc_groups) {
-  if (lockstep_sink_ == nullptr || cycles == 0) return;
+void Platform::accumulate_lockstep(std::uint64_t cycles, bool full) {
+  if (lockstep_sink_ == nullptr) return;
   lockstep_sink_->observed_cycles += cycles;
-  lockstep_sink_->pc_group_histogram[std::min(pc_groups, 8u)] += cycles;
-  if (ready >= 2 && ready == live && pc_groups == 1)
-    lockstep_sink_->full_lockstep_cycles += cycles;
+  if (full) lockstep_sink_->full_lockstep_cycles += cycles;
 }
 
 void Platform::observe_lockstep_tick() {
   if (lockstep_sink_ == nullptr) return;
-  if (active_cores_.size() == 1) {
-    // One live non-sleeping core: one PC group when it is ready, zero
-    // otherwise; never full lockstep.
-    const bool ready = cores_[active_cores_[0]].status == CoreStatus::kReady;
-    lockstep_sink_->observed_cycles += 1;
-    lockstep_sink_->pc_group_histogram[ready ? 1 : 0] += 1;
-    return;
-  }
-  DistinctPcProbe probe;
   unsigned ready = 0;
+  bool one_pc = true;
   for (const unsigned i : active_cores_) {
-    const CoreSnapshot& c = cores_[i];
-    if (c.status != CoreStatus::kReady) continue;
-    ++ready;
-    probe.add(c.arch.pc);
+    ready += cores_[i].status == CoreStatus::kReady;
+    one_pc = one_pc && cores_[i].arch.pc == cores_[active_cores_[0]].arch.pc;
   }
-  accumulate_lockstep(1, ready, static_cast<unsigned>(active_cores_.size()),
-                      probe.count());
+  accumulate_lockstep(1, ready >= 2 && ready == active_cores_.size() && one_pc);
 }
 
 std::uint16_t Platform::dm_read(std::uint32_t addr) const { return dm_.read(addr); }
@@ -323,12 +292,12 @@ void Platform::phase_sync_writeback() {
   }
 }
 
-template <typename PcOf>
+template <typename AtPc>
 std::uint64_t Platform::serve_fetch_bank(std::uint64_t requesters,
-                                         PcOf pc_of) {
+                                         AtPc at_pc) {
   const std::uint64_t served = fetch_served(
       requesters, config_, rr_pointer_,
-      [&](unsigned core) { return cores_[core].stall_age; }, pc_of);
+      [&](unsigned core) { return cores_[core].stall_age; }, at_pc);
   const std::uint64_t losers = requesters & ~served;
   // Counted in the walks, not by std::popcount: without a popcount
   // instruction in the target flags that is a library call per bank.
@@ -434,10 +403,13 @@ void Platform::phase_fetch_and_execute() {
 
   // Arbitrate bank by bank, ascending: winners execute in (bank, core)
   // order, which decides which of two traps becomes the stop.
+  auto pc_of = [&](unsigned core) { return cores_[core].arch.pc; };
   for (; banks != 0; banks &= banks - 1) {
+    const std::uint64_t requesters = bank_cores[std::countr_zero(banks)];
     const std::uint64_t served =
-        serve_fetch_bank(bank_cores[std::countr_zero(banks)],
-                         [&](unsigned core) { return cores_[core].arch.pc; });
+        serve_fetch_bank(requesters, [&](unsigned core) {
+          return requesters_at_pc(requesters, core, pc_of);
+        });
     for (std::uint64_t rest = served; rest != 0; rest &= rest - 1)
       fetch_winners_.push_back(static_cast<unsigned>(std::countr_zero(rest)));
   }
@@ -778,10 +750,9 @@ std::uint64_t Platform::straight_step(std::uint64_t max_cycles) {
   } else {
     was_lockstep_ = true;  // a single fetcher is trivially in lockstep
   }
-  // End-of-tick lockstep observations: all cores Ready at constant distinct
-  // PC count throughout the step.
-  accumulate_lockstep(cycles, num_fetchers, num_fetchers,
-                      std::min(num_groups, 8u));
+  // End-of-tick lockstep observations: every core Ready throughout, so each
+  // cycle is in full lockstep exactly when the step is.
+  accumulate_lockstep(cycles, lockstep);
   burst_cycles_ += cycles;
   fast_forwarded_cycles_ += steps * (cpi - 1);  // the fetcherless bubbles
   return cycles;
@@ -793,6 +764,8 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
       status_counts_[static_cast<unsigned>(CoreStatus::kReady)] !=
           active_cores_.size())
     return 0;
+  assert(std::all_of(pc_cores_.begin(), pc_cores_.end(),
+                     [](std::uint64_t cores) { return cores == 0; }));
 
   // No core's status survives a cycle changed here: fetch-ready cores
   // execute only region-safe instructions (ALU/control flow retire in
@@ -809,7 +782,6 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
   // would fetch again — so every executed cycle is known safe in advance
   // and a bail never leaves half-applied state.
   const unsigned cpi_pad = config_.base_cpi - 1;
-  const bool observing = lockstep_sink_ != nullptr;
 
   // The fetch set: cores per IM bank (0 for a bank without one, over the
   // first im_banks entries), the occupied banks and the set's size.
@@ -830,6 +802,7 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
   unsigned num_idle = 0;
   std::uint64_t done = 0;
   std::uint64_t poison_deadline = ~0ull;
+  bool force_exit = false;  // ends the region after the current cycle
 
   auto join = [&](unsigned core) {
     const unsigned bank = bank_cache[core];
@@ -856,55 +829,60 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
     return false;
   };
 
-  // Lockstep bookkeeping, only with a sink attached. `pc_slot_cores_` counts
-  // the active cores per IM slot (PCs past the array pool in its last
-  // entry), `held[i]` is the entry core i is counted in, and `pc_groups` is
-  // the number of nonzero entries — so every PC change is O(1) and
-  // branch-free. Every cycle the regime holds, all `live` active cores are
-  // Ready, so only the group count varies: the cycles are binned by it in
-  // `observed` and reach the sink once, at exit.
+  // The same-PC sets: `pc_cores_` holds every active core's bit at its PC,
+  // moved at each PC change before the PC is written. The active set is
+  // constant while the regime holds (a trap ends the region), so "every
+  // active core at one PC" is one compare of the mask at any active core's
+  // PC. Every cycle the regime holds, all active cores are Ready, so that
+  // compare is also the cycle's lockstep observation; the region counts
+  // its observations and adds them to the sink once, at exit.
   const auto live = static_cast<unsigned>(active_cores_.size());
-  const auto pooled_slot =
-      static_cast<std::uint32_t>(observing ? pc_slot_cores_.size() - 1 : 0);
-  std::array<std::uint32_t, EventCounters::kMaxCores> held;
-  unsigned pc_groups = 0;
-  decltype(core::LockstepMetrics::pc_group_histogram) observed{};
-  auto count_in = [&](unsigned core, std::uint32_t pc) {
-    const std::uint32_t slot = std::min(pc, pooled_slot);
-    held[core] = slot;
-    pc_groups += (pc_slot_cores_[slot]++ == 0);
+  const unsigned lead = active_cores_.front();
+  std::uint64_t active = 0;
+  for (const unsigned i : active_cores_) active |= std::uint64_t{1} << i;
+  std::uint64_t observed = 0;
+  std::uint64_t full = 0;
+  auto cores_at = [&](std::uint32_t pc) -> std::uint64_t& {
+    return pc_cores_[pc - im_.begin()];
   };
-  auto count_out = [&](unsigned core) {
-    pc_groups -= (--pc_slot_cores_[held[core]] == 0);
+  auto all_at_one_pc = [&] { return cores_at(cores_[lead].arch.pc) == active; };
+  // Moves `core`'s bit to `next_pc`. A PC that leaves the program holds no
+  // bit and ends the region after this cycle, which observes generically.
+  auto move_pc = [&](unsigned core, std::uint32_t next_pc) {
+    cores_at(cores_[core].arch.pc) &= ~(std::uint64_t{1} << core);
+    if (im_.in_program(next_pc)) {
+      cores_at(next_pc) |= std::uint64_t{1} << core;
+    } else {
+      force_exit = true;
+    }
   };
-  auto count_move = [&](unsigned core, std::uint32_t pc) {
-    if (!observing) return;
-    count_out(core);
-    count_in(core, pc);
-  };
-  // Zeroes the entries the active cores hold (a trapped core counted itself
-  // out), restoring the all-zero state between regions.
-  auto release_counts = [&] {
-    if (pc_groups == 0) return;
-    for (const unsigned i : active_cores_) pc_slot_cores_[held[i]] = 0;
-    pc_groups = 0;
+  // Zeroes the slots the active cores hold: all masks are zero again (a
+  // trapping core cleared its own bit as it left the actives).
+  auto clear_masks = [&] {
+    for (const unsigned i : active_cores_)
+      if (im_.in_program(cores_[i].arch.pc)) cores_at(cores_[i].arch.pc) = 0;
   };
 
-  // Builds the fetch set and the idle list from the authoritative core
-  // state, on entry and after a straight-line step. False when a core about
-  // to fetch sits on a slot only the naive tick handles.
-  auto build = [&] {
+  // Builds the fetch set, the idle list and the masks from the
+  // authoritative core state, on entry and after a straight-line step.
+  // After a step every active core has advanced `moved` slots, so the
+  // slots it left are cleared first. False when an active PC is outside
+  // the program or a core about to fetch sits on a slot only the naive
+  // tick handles.
+  auto build = [&](std::uint32_t moved) {
     std::fill_n(bank_cores.begin(), config_.im_banks, 0);
     banks = 0;
     nf = 0;
     num_idle = 0;
     poison_deadline = ~0ull;
-    if (observing) {
-      release_counts();  // a straight-line step moved the counted PCs
-      for (const unsigned i : active_cores_) count_in(i, cores_[i].arch.pc);
+    if (moved != 0) {
+      for (const unsigned i : active_cores_)
+        cores_at(cores_[i].arch.pc - moved) = 0;
     }
     for (const unsigned i : active_cores_) {
       const CoreSnapshot& c = cores_[i];
+      if (!im_.in_program(c.arch.pc)) return false;
+      cores_at(c.arch.pc) |= std::uint64_t{1} << i;
       const std::uint64_t idle =
           static_cast<std::uint64_t>(c.bubble_cycles) + c.ramp_cycles;
       if (idle == 0) {
@@ -922,18 +900,21 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
   while (done < max_cycles) {
     // A straight-line step needs every active core at a fetch boundary:
     // possible on entry and whenever the idle list has drained. The lists
-    // are built on entry and rebuilt after a step.
+    // and masks are built on entry and follow a step that moved, before
+    // the budget may end the region.
     if (entry || num_idle == 0) {
       const std::uint64_t stepped = straight_step(max_cycles - done);
       done += stepped;
-      if ((entry || stepped != 0) && (done == max_cycles || !build())) break;
+      const auto moved =
+          static_cast<std::uint32_t>(entry ? 0 : stepped / config_.base_cpi);
+      if ((entry || stepped != 0) && (!build(moved) || done == max_cycles))
+        break;
       entry = false;
     }
     if (done >= poison_deadline) break;
 
     // One arbitrated cycle; with an empty fetch set it only counts the
     // idle cores down.
-    const unsigned eligible = static_cast<unsigned>(active_cores_.size());
     const unsigned fetchers = nf;
     counters_.cycles += 1;
     ++done;
@@ -965,17 +946,8 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
     num_idle = still_idle;
 
     // The cycle is in lockstep only when every eligible core fetches, all
-    // at one PC; cores on two banks are at two PCs. (A bit test, not
-    // std::has_single_bit, which is a popcount library call here.)
-    bool all_same_pc =
-        fetchers == eligible && banks != 0 && (banks & (banks - 1)) == 0;
-    if (all_same_pc) {
-      const std::uint64_t cores = bank_cores[std::countr_zero(banks)];
-      const std::uint32_t pc = pc_cache[std::countr_zero(cores)];
-      for (std::uint64_t rest = cores; rest != 0; rest &= rest - 1)
-        all_same_pc = all_same_pc && pc_cache[std::countr_zero(rest)] == pc;
-    }
-    count_fetch_cycle(fetchers, all_same_pc, eligible);
+    // at one PC.
+    count_fetch_cycle(fetchers, fetchers == live && all_at_one_pc(), live);
 
     // Per-bank arbitration, service and execution — the same decisions as
     // phase_fetch_and_execute, with the execute-action switch reduced to
@@ -983,11 +955,12 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
     // cores leave the fetch set at once; those that fetch again next cycle
     // (cpi 1, no redirect penalty) rejoin it after the cycle.
     unsigned num_mem = 0;
-    bool force_exit = false;
     for (std::uint64_t pending = banks; pending != 0; pending &= pending - 1) {
       const auto bank = static_cast<unsigned>(std::countr_zero(pending));
-      const std::uint64_t served = serve_fetch_bank(
-          bank_cores[bank], [&](unsigned core) { return pc_cache[core]; });
+      const std::uint64_t served =
+          serve_fetch_bank(bank_cores[bank], [&](unsigned core) {
+            return cores_at(pc_cache[core]);
+          });
       bank_cores[bank] &= ~served;
       if (bank_cores[bank] == 0) banks &= ~(1ull << bank);
       const std::uint32_t win_pc = pc_cache[std::countr_zero(served)];
@@ -999,7 +972,7 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
         switch (result.action) {
           case ExecAction::kAdvance: {
             const bool redirect = result.next_pc != win_pc + 1;
-            count_move(core_index, result.next_pc);
+            move_pc(core_index, result.next_pc);
             c.arch.pc = result.next_pc;
             const unsigned pad =
                 cpi_pad + (redirect ? config_.branch_taken_penalty : 0);
@@ -1022,7 +995,8 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
             // cannot double-count it.)
             mark_active(core_index);
             if (!dm_.in_range(result.mem_addr)) {
-              if (observing) count_out(core_index);  // leaves the actives
+              // The core leaves the actives: its bit leaves the masks.
+              cores_at(c.arch.pc) &= ~(std::uint64_t{1} << core_index);
               trap(core_index, TrapKind::kDmOutOfRange);
               force_exit = true;
               break;
@@ -1069,7 +1043,7 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
           const std::uint16_t value =
               access_dm_bank(std::uint64_t{1} << core_index);
           if (!c.mem_is_store) grant_load(core_index, value);
-          count_move(core_index, c.mem_next_pc);
+          move_pc(core_index, c.mem_next_pc);
           retire_mem(core_index);  // pc = mem_next_pc, bubble = cpi_pad
           if (cpi_pad > 0) {
             idle_list[num_idle++] = static_cast<std::uint8_t>(core_index);
@@ -1079,6 +1053,7 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
           }
         }
       } else {
+        clear_masks();  // the phase retires cores without moving their bits
         phase_dxbar();
         force_exit = true;  // the local fetch set and idle list are stale now
       }
@@ -1095,10 +1070,10 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
     }
 
     // Regime check: an unresolved DM conflict (kMemWait/kPolicyHold
-    // survivors), a trap, or a D-Xbar fallback ends the region; the
-    // generic loop takes over (and rebuilds on re-entry). The slot counts
-    // are only valid while the regime holds, so the break path observes
-    // generically.
+    // survivors), a trap, a D-Xbar fallback or a PC outside the program
+    // ends the region; the generic loop takes over (and rebuilds on
+    // re-entry). The masks are only valid while the regime holds, so the
+    // break path observes generically.
     if (force_exit ||
         status_counts_[static_cast<unsigned>(CoreStatus::kReady)] !=
             active_cores_.size() ||
@@ -1106,23 +1081,12 @@ std::uint64_t Platform::run_region(std::uint64_t max_cycles) {
       observe_lockstep_tick();
       break;
     }
-    if (observing) {
-      unsigned groups = pc_groups;
-      if (pc_slot_cores_[pooled_slot] != 0) {
-        // A core holds a PC past the slot array (a wild branch or jr; it
-        // traps when it fetches): the pooled entry may merge distinct PCs.
-        DistinctPcProbe probe;
-        for (const unsigned i : active_cores_) probe.add(cores_[i].arch.pc);
-        groups = probe.count();
-      }
-      observed[std::min(groups, 8u)] += 1;
-    }
+    ++observed;
+    if (live >= 2 && all_at_one_pc()) ++full;
   }
-  if (observing) {
-    release_counts();
-    for (unsigned groups = 0; groups < observed.size(); ++groups)
-      accumulate_lockstep(observed[groups], live, live, groups);
-  }
+  clear_masks();
+  accumulate_lockstep(observed - full, false);
+  accumulate_lockstep(full, true);
   return done;
 }
 

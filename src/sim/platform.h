@@ -45,7 +45,9 @@
 ///    group, every active core Ready — to one region executor. It runs
 ///    whole arbitrated cycles without the generic phase machinery, and when
 ///    every active core sits at a fetch boundary on a conflict-free
-///    straight-line run it retires whole runs in one batched step.
+///    straight-line run it retires whole runs in one batched step. One core
+///    mask per program slot holds the active cores at each PC, so a bank's
+///    same-PC set and the cycle's lockstep test are one AND or compare.
 /// The executor is exact: counters, final state, lockstep metrics and
 /// `RunResult` are bit-identical to the naive cycle-by-cycle loop. It
 /// disables itself while a per-cycle observer (trace/VCD) is attached, and
@@ -194,7 +196,8 @@ class Platform {
 
   /// Loads a program image into instruction memory and resets all cores to
   /// the program origin. Data memory is left untouched (the host preloads
-  /// inputs via `dm_write`).
+  /// inputs via `dm_write`). Throws std::invalid_argument on a program that
+  /// does not fit the IM.
   void load_program(const assembler::Program& program);
 
   /// Loads an *encoded* program image (e.g. `assembler::Program::image` or
@@ -320,18 +323,13 @@ class Platform {
 
   /// Attaches a lockstep-metrics sink the platform keeps up to date,
   /// bit-identical to a per-cycle observer's accumulation (which the sink,
-  /// unlike an observer, does not suppress). A naive tick observes in
-  /// O(active cores). The region executor keeps a count of active cores
-  /// per IM slot, so each PC change is O(1), and adds its cycles to the
-  /// sink once per region; a straight-line step adds its cycles in one
-  /// add. The first attach sizes that per-slot array, so a platform that
-  /// never observes never holds it. Pass nullptr to detach; the sink must
-  /// outlive every subsequent tick.
-  void set_lockstep_sink(core::LockstepMetrics* sink) {
-    lockstep_sink_ = sink;
-    if (sink != nullptr && pc_slot_cores_.empty())
-      pc_slot_cores_.assign(std::size_t{im_.slots()} + 1, 0);
-  }
+  /// unlike an observer, does not suppress). A naive tick observes in one
+  /// pass over the active cores. The region executor decides each cycle
+  /// with one compare of its per-slot core masks and adds its cycles to
+  /// the sink once per region; a straight-line step adds its cycles in one
+  /// add. Pass nullptr to detach; the sink must outlive every subsequent
+  /// tick.
+  void set_lockstep_sink(core::LockstepMetrics* sink) { lockstep_sink_ = sink; }
 
   // --- deterministic snapshots (sim/snapshot.h) ---
 
@@ -388,13 +386,17 @@ class Platform {
   /// `counters_.per_core_sleep` (aggregate sleep is always exact). Cheap
   /// when nothing is pending; called from every external observation point.
   void flush_sleep_accounting() const;
-  /// Accumulates `cycles` worth of identical per-cycle lockstep
-  /// observations into the attached sink (no-op without one).
-  void accumulate_lockstep(std::uint64_t cycles, unsigned ready, unsigned live,
-                           unsigned pc_groups);
-  /// Per-tick lockstep observation over the active list (no-op without a
-  /// sink).
+  /// Adds `cycles` observed cycles to the attached sink, and to its
+  /// full-lockstep cycles when `full` (no-op without a sink).
+  void accumulate_lockstep(std::uint64_t cycles, bool full);
+  /// Per-tick lockstep observation, one pass over the active list: full
+  /// lockstep when at least two cores are live and all of them are ready
+  /// at one PC (no-op without a sink).
   void observe_lockstep_tick();
+  /// Installs a loaded image: throws std::invalid_argument with `error`
+  /// when the load failed, else sizes the per-slot core masks to the
+  /// program and resets.
+  void finish_load(const std::string& error);
 
   /// Wake-up logic shared by `interrupt` and `interrupt_all` (which must
   /// notify the event sink once, as a broadcast, not per core).
@@ -426,11 +428,12 @@ class Platform {
   // Rules `tick()` and the region executor share, one definition each.
 
   /// One IM bank's fetch cycle: serves the bank's fetchers `requesters`
-  /// (a nonzero core mask, PCs from `pc_of`) by the I-Xbar rule of
-  /// sim/crossbar.h, zeroes the served cores' stall ages, ages the losers
-  /// and counts the bank access. Returns the served cores.
-  template <typename PcOf>
-  std::uint64_t serve_fetch_bank(std::uint64_t requesters, PcOf pc_of);
+  /// (a nonzero core mask; `at_pc(core)` holds every requester at `core`'s
+  /// PC) by the I-Xbar rule of sim/crossbar.h, zeroes the served cores'
+  /// stall ages, ages the losers and counts the bank access. Returns the
+  /// served cores.
+  template <typename AtPc>
+  std::uint64_t serve_fetch_bank(std::uint64_t requesters, AtPc at_pc);
   /// One DM bank access for `served` (a nonzero mask `access_served`
   /// returned: one store, or loads of one address): counts it with its
   /// grants and broadcast, and writes the store or reads the word. Returns
@@ -447,10 +450,11 @@ class Platform {
   void settle_cycle();
 
   /// The region executor. Entered when the synchronizer is idle, no policy
-  /// group is in flight and every active core is Ready; runs until that
-  /// regime breaks, a core is about to fetch a slot that is not
-  /// `region_safe` (sync, sleep, halt, a CSR access that may trap, or out
-  /// of program: `tick()` handles those), or `max_cycles` elapse. Each
+  /// group is in flight, every active core is Ready and every active PC is
+  /// in the program; runs until that regime breaks, a core's PC leaves the
+  /// program (the region ends after that cycle), a core is about to fetch
+  /// a slot that is not `region_safe` (sync, sleep, halt, a CSR access that
+  /// may trap: `tick()` handles those), or `max_cycles` elapse. Each
   /// iteration is a straight-line step when one applies, else one
   /// arbitrated cycle with exact I-Xbar arbitration and inline service of
   /// bank-disjoint loads/stores (a cycle with no fetcher counts bubbles
@@ -509,11 +513,11 @@ class Platform {
   /// and the list empty between uses.
   std::vector<std::uint64_t> dm_bank_requesters_;
   std::vector<unsigned> dm_banks_requested_;
-  /// The region executor's lockstep scratch: active cores per IM slot, the
-  /// last entry pooling every PC past the array (at most 64 cores, so a
-  /// byte holds any count). Empty until a lockstep sink is attached; all
-  /// zero whenever `run_region` is not on the stack. Not simulated state.
-  std::vector<std::uint8_t> pc_slot_cores_;
+  /// The region executor's same-PC sets: one core mask per slot of the
+  /// program range, holding the active cores at that PC. Sized at load;
+  /// all zero whenever `run_region` is not on the stack. Not simulated
+  /// state, so never in a snapshot.
+  std::vector<std::uint64_t> pc_cores_;
 };
 
 }  // namespace ulpsync::sim

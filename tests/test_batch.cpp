@@ -255,9 +255,11 @@ TEST(LaneGroup, RwDisjointCatchesCrossCoreOverlap) {
 TEST(LaneGroup, DepositAndRollbackRestoreTheBoundary) {
   sim::batch::LaneGroup group(2, 1, 64);
   group.begin_window(0);
-  group.deposit(0, 5, 111);
-  group.deposit(0, 5, 222);  // overlapping writes unwind in reverse
-  group.deposit(0, 6, 333);
+  // One-word blocks; the overlapping ones unwind in reverse.
+  const std::uint16_t words[] = {111, 222, 333};
+  group.deposit_block(0, 5, {&words[0], 1});
+  group.deposit_block(0, 5, {&words[1], 1});
+  group.deposit_block(0, 6, {&words[2], 1});
   EXPECT_EQ(group.dm(0)[5], 222);
   EXPECT_EQ(group.dm(0)[6], 333);
   group.rollback(0);

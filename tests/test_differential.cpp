@@ -607,8 +607,7 @@ std::string describe(const AxisPoint& p) {
 std::string describe(const core::LockstepMetrics& m) {
   std::ostringstream out;
   out << m.observed_cycles << " observed, " << m.full_lockstep_cycles
-      << " full lockstep, groups";
-  for (const std::uint64_t cycles : m.pc_group_histogram) out << " " << cycles;
+      << " full lockstep";
   return out.str();
 }
 
@@ -629,10 +628,11 @@ TEST(RegionExecutorAxes, GeneratedProgramsMatchNaiveLoopAtEveryWindow) {
       {64, kRr, 1, 0, 0, true, true},       {64, kOldest, 2, 2, 0, false, true},
   };
   // Per point: cycles its seeds ran in arbitrated and straight-line steps,
-  // and observed cycles with 8 or more PC groups (the histogram's last bin).
+  // and the observed cycles in and out of full lockstep.
   std::vector<std::uint64_t> arbitrated(std::size(points));
   std::vector<std::uint64_t> straight(std::size(points));
-  std::vector<std::uint64_t> clamped(std::size(points));
+  std::vector<std::uint64_t> in_lockstep(std::size(points));
+  std::vector<std::uint64_t> out_of_lockstep(std::size(points));
   for (std::size_t k = 0; k < 6 * std::size(points); ++k) {
     const AxisPoint& point = points[k % std::size(points)];
     const std::uint64_t seed = 100 + k;
@@ -704,8 +704,10 @@ TEST(RegionExecutorAxes, GeneratedProgramsMatchNaiveLoopAtEveryWindow) {
     EXPECT_TRUE(result.ok()) << describe(point) << ": " << result.to_string();
     arbitrated[k % std::size(points)] += fast.fetch_region_cycles();
     straight[k % std::size(points)] += fast.burst_cycles();
-    clamped[k % std::size(points)] +=
-        fast_lockstep.metrics().pc_group_histogram[8];
+    const core::LockstepMetrics& metrics = fast_lockstep.metrics();
+    in_lockstep[k % std::size(points)] += metrics.full_lockstep_cycles;
+    out_of_lockstep[k % std::size(points)] +=
+        metrics.observed_cycles - metrics.full_lockstep_cycles;
   }
   // The executor served every point (straight-line steps need fetch
   // broadcast unless diverged cores happen onto disjoint banks).
@@ -713,7 +715,8 @@ TEST(RegionExecutorAxes, GeneratedProgramsMatchNaiveLoopAtEveryWindow) {
     EXPECT_GT(arbitrated[k], 0u) << describe(points[k]);
     if (points[k].im_fetch_broadcast)
       EXPECT_GT(straight[k], 0u) << describe(points[k]);
-    if (points[k].cores > 8) EXPECT_GT(clamped[k], 0u) << describe(points[k]);
+    EXPECT_GT(in_lockstep[k], 0u) << describe(points[k]);
+    EXPECT_GT(out_of_lockstep[k], 0u) << describe(points[k]);
   }
 }
 

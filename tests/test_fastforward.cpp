@@ -80,12 +80,11 @@ RunSpec equivalence_spec(const std::string& workload, bool fast_forward) {
   return spec;
 }
 
-/// Every field of the lockstep metrics, all nine histogram bins included.
+/// Every field of the lockstep metrics.
 void expect_lockstep_equal(const core::LockstepMetrics& a,
                            const core::LockstepMetrics& b) {
   EXPECT_EQ(a.observed_cycles, b.observed_cycles);
   EXPECT_EQ(a.full_lockstep_cycles, b.full_lockstep_cycles);
-  EXPECT_EQ(a.pc_group_histogram, b.pc_group_histogram);
   EXPECT_TRUE(a == b);
 }
 
@@ -146,7 +145,7 @@ TEST_P(FastForwardEquivalence, CountersAndStatusIdentical) {
 
 TEST_P(FastForwardEquivalence, LockstepMetricsIdentical) {
   // With the analyzer attached as the platform's lockstep sink, which the
-  // executor keeps up to date itself: every histogram bin must match.
+  // executor keeps up to date itself: both counts must match.
   const PlatformDrive fast = drive_platform(GetParam(), true, true);
   const PlatformDrive naive = drive_platform(GetParam(), false, true);
   expect_drives_equal(fast, naive);
@@ -360,13 +359,13 @@ TEST(RegionExecutor, SuppressedByObserver) {
   EXPECT_EQ(observed, platform.counters().cycles);
 }
 
-TEST(RegionExecutor, LockstepCountsEveryPcPastTheSlotArray) {
+TEST(RegionExecutor, LockstepCountsEveryPcOutsideTheProgram) {
   // Cores 0 and 1 jump past the default 32 768-slot IM (to 0xFFFF and
   // 0xFFFE) and core 2 branches below slot 0. None traps before it fetches
   // there, so the branch penalty holds them idle at those PCs while cores
-  // 3-7 keep executing in the region. Each such PC is a PC group of its
-  // own, as the naive loop counts it, also when a window boundary falls
-  // among those cycles.
+  // 3-7 keep executing. A PC that leaves the program ends the region after
+  // its cycle, and the naive loop observes the cycles that follow, also
+  // when a window boundary falls among them.
   constexpr std::string_view kRunawayKernel = R"(
       csrr r1, #0
       cmpi r1, 3
@@ -417,9 +416,16 @@ TEST(RegionExecutor, LockstepCountsEveryPcPastTheSlotArray) {
 }
 
 TEST(RegionExecutor, LockstepCountsClearedAfterATrapInTheRegion) {
-  // Core 5 loads past the end of DM and traps inside the region. The
-  // executor's per-slot counts must be all zero when it exits, so a second
-  // run on the same platform observes exactly as the naive loop does.
+  // A core that traps inside the region leaves the executor's per-slot
+  // core masks, which must be all zero when the region exits, so a second
+  // run on the same platform observes and arbitrates exactly as the naive
+  // loop does.
+  auto config = sim::PlatformConfig::with_synchronizer();
+  config.start_stagger_cycles = 0;
+  auto naive_config = config;
+  naive_config.fast_forward = false;
+
+  // Core 5 loads past the end of DM while the others leave for `done`.
   constexpr std::string_view kTrapKernel = R"(
       csrr r1, #0
       movi r3, 12
@@ -435,31 +441,154 @@ TEST(RegionExecutor, LockstepCountsClearedAfterATrapInTheRegion) {
       addi r3, r3, 1
       halt
   )";
-  auto config = sim::PlatformConfig::with_synchronizer();
-  config.start_stagger_cycles = 0;
-  auto naive_config = config;
-  naive_config.fast_forward = false;
+  {
+    sim::Platform fast(config);
+    sim::Platform naive(naive_config);
+    fast.load_program(compile(kTrapKernel));
+    naive.load_program(compile(kTrapKernel));
+    core::LockstepAnalyzer fast_lockstep;
+    core::LockstepAnalyzer naive_lockstep;
+    fast_lockstep.attach(fast);
+    naive_lockstep.attach(naive);
+    for (int run = 0; run < 2; ++run) {
+      const auto result = fast.run(10'000);
+      ASSERT_EQ(result, naive.run(10'000)) << "run " << run;
+      EXPECT_EQ(result.status, sim::RunResult::Status::kTrap);
+      EXPECT_EQ(result.trap, sim::TrapKind::kDmOutOfRange);
+      EXPECT_EQ(result.trap_core, 5u);
+      EXPECT_GT(fast.fetch_region_cycles(), 0u);
+      expect_lockstep_equal(fast_lockstep.metrics(), naive_lockstep.metrics());
+      expect_counters_equal(fast.counters(), naive.counters());
+      fast.reset();
+      naive.reset();
+      fast_lockstep.reset();
+      naive_lockstep.reset();
+    }
+  }
+
+  // Core 5 alone at its PC when it traps. Each core loads, from its own DM
+  // bank, the address it visits at `probe` (0: skip it). The first run
+  // sends only core 5 there, with an address past DM; it traps in the
+  // region while the others loop in `skip`. After a reset every core but 5
+  // visits with a good address and core 5 skips, all on one IM bank, so a
+  // bit core 5 kept at `probe` would pull it into their broadcast fetch.
+  constexpr std::string_view kAloneKernel = R"(
+      csrr r1, #0
+      slli r6, r1, 11
+      ld   r2, [r6]
+      cmpi r2, 0
+      beq  skip
+    probe:
+      ld   r4, [r2]
+      halt
+    skip:
+      addi r5, r5, 1
+      cmpi r5, 8
+      blt  skip
+      halt
+  )";
+  config.arbitration = sim::ArbitrationPolicy::kFixedPriority;
+  naive_config.arbitration = config.arbitration;
   sim::Platform fast(config);
   sim::Platform naive(naive_config);
-  fast.load_program(compile(kTrapKernel));
-  naive.load_program(compile(kTrapKernel));
+  fast.load_program(compile(kAloneKernel));
+  naive.load_program(compile(kAloneKernel));
   core::LockstepAnalyzer fast_lockstep;
   core::LockstepAnalyzer naive_lockstep;
   fast_lockstep.attach(fast);
   naive_lockstep.attach(naive);
   for (int run = 0; run < 2; ++run) {
+    for (unsigned core = 0; core < config.num_cores; ++core) {
+      const std::uint32_t bank_base = core << 11;
+      const std::uint32_t visit = run == 0 ? (core == 5 ? 0xFFFF : 0)
+                                           : (core == 5 ? 0 : bank_base + 1);
+      fast.dm_write(bank_base, static_cast<std::uint16_t>(visit));
+      naive.dm_write(bank_base, static_cast<std::uint16_t>(visit));
+    }
     const auto result = fast.run(10'000);
-    ASSERT_EQ(result, naive.run(10'000)) << "run " << run;
-    EXPECT_EQ(result.status, sim::RunResult::Status::kTrap);
-    EXPECT_EQ(result.trap, sim::TrapKind::kDmOutOfRange);
-    EXPECT_EQ(result.trap_core, 5u);
+    ASSERT_EQ(result, naive.run(10'000)) << "alone, run " << run;
+    if (run == 0) {
+      EXPECT_EQ(result.status, sim::RunResult::Status::kTrap);
+      EXPECT_EQ(result.trap, sim::TrapKind::kDmOutOfRange);
+      EXPECT_EQ(result.trap_core, 5u);
+    } else {
+      EXPECT_TRUE(result.ok()) << result.to_string();
+    }
     EXPECT_GT(fast.fetch_region_cycles(), 0u);
     expect_lockstep_equal(fast_lockstep.metrics(), naive_lockstep.metrics());
     expect_counters_equal(fast.counters(), naive.counters());
+    ASSERT_TRUE(sim::snapshots_equal(fast.save_snapshot(),
+                                     naive.save_snapshot(),
+                                     sim::DivergenceScope::kFullState))
+        << "alone, run " << run << "\n"
+        << sim::diff_snapshots(fast.save_snapshot(), naive.save_snapshot());
     fast.reset();
     naive.reset();
     fast_lockstep.reset();
     naive_lockstep.reset();
+  }
+}
+
+TEST(RegionExecutor, StepCutByTheBudgetAfterAnArbitratedCycle) {
+  // On one IM bank (block mapping), the cores pass an arbitrated `beq`,
+  // then step through `block` in lockstep. First budgets from 1 to 12 end
+  // a run at every point of that stretch, five of them inside the step
+  // that follows the `beq`; each run then continues to the end. Core 0
+  // later runs `block` again while cores 1-7 loop in `others` on the same
+  // bank, so a core mask left at `block` by the step the budget cut would
+  // serve cores 1-7 `block`'s instruction.
+  constexpr std::string_view kKernel = R"(
+      csrr r1, #0
+      movi r3, 2
+      cmpi r1, 99
+      beq  out
+    block:
+      addi r4, r4, 1
+      addi r4, r4, 2
+      addi r4, r4, 3
+      addi r4, r4, 4
+      cmpi r1, 0
+      bne  others
+      addi r3, r3, -1
+      cmpi r3, 0
+      bne  block
+    out:
+      halt
+    others:
+      addi r5, r5, 1
+      cmpi r5, 30
+      blt  others
+      halt
+  )";
+  auto config = sim::PlatformConfig::with_synchronizer();
+  config.base_cpi = 1;
+  config.start_stagger_cycles = 0;
+  config.im_line_slots = 0;
+  config.arbitration = sim::ArbitrationPolicy::kFixedPriority;
+  auto naive_config = config;
+  naive_config.fast_forward = false;
+  for (std::uint64_t first = 1; first <= 12; ++first) {
+    sim::Platform fast(config);
+    sim::Platform naive(naive_config);
+    fast.load_program(compile(kKernel));
+    naive.load_program(compile(kKernel));
+    core::LockstepAnalyzer fast_lockstep;
+    core::LockstepAnalyzer naive_lockstep;
+    fast_lockstep.attach(fast);
+    naive_lockstep.attach(naive);
+    ASSERT_EQ(fast.run(first), naive.run(first)) << "first budget " << first;
+    const auto result = fast.run(10'000);
+    ASSERT_EQ(result, naive.run(10'000)) << "first budget " << first;
+    EXPECT_TRUE(result.ok()) << result.to_string();
+    EXPECT_GT(fast.burst_cycles(), 0u);
+    EXPECT_GT(fast.fetch_region_cycles(), 0u);
+    expect_lockstep_equal(fast_lockstep.metrics(), naive_lockstep.metrics());
+    expect_counters_equal(fast.counters(), naive.counters());
+    ASSERT_TRUE(sim::snapshots_equal(fast.save_snapshot(),
+                                     naive.save_snapshot(),
+                                     sim::DivergenceScope::kFullState))
+        << "first budget " << first << "\n"
+        << sim::diff_snapshots(fast.save_snapshot(), naive.save_snapshot());
   }
 }
 
@@ -529,7 +658,7 @@ TEST(DecodedImage, EncodedAndDecodedLoadsAgree) {
   const sim::PlatformConfig config;
   sim::DecodedImage from_code(config.im_slots(), config.im_banks,
                               config.im_bank_slots, config.im_line_slots);
-  from_code.load(program.origin, program.code);
+  ASSERT_EQ(from_code.load(program.origin, program.code), "");
   sim::DecodedImage from_image(config.im_slots(), config.im_banks,
                                config.im_bank_slots, config.im_line_slots);
   ASSERT_EQ(from_image.load_encoded(program.origin, program.image), "");
@@ -555,13 +684,13 @@ TEST(DecodedImage, BankTableMatchesMappingRule) {
       256, isa::Instruction{isa::Opcode::kHalt, 0, 0, 0, 0});
   {
     sim::DecodedImage lined(256, 8, 32, 16);  // line-interleaved
-    lined.load(0, filler);
+    ASSERT_EQ(lined.load(0, filler), "");
     for (std::uint32_t pc = 0; pc < 256; ++pc)
       EXPECT_EQ(lined.bank_of(pc), (pc / 16) % 8) << pc;
   }
   {
     sim::DecodedImage blocked(256, 8, 32, 0);  // pure block mapping
-    blocked.load(0, filler);
+    ASSERT_EQ(blocked.load(0, filler), "");
     for (std::uint32_t pc = 0; pc < 256; ++pc)
       EXPECT_EQ(blocked.bank_of(pc), pc / 32) << pc;
   }
@@ -581,7 +710,7 @@ TEST(DecodedImage, FingerprintIsFnvOverTheDocumentedFields) {
   for (const Geometry g : {Geometry{256, 8, 32, 16}, Geometry{300, 3, 100, 7},
                            Geometry{256, 8, 32, 0}, Geometry{96, 5, 20, 0}}) {
     sim::DecodedImage image(g.slots, g.banks, g.bank_slots, g.line_slots);
-    image.load(origin, program.code);
+    ASSERT_EQ(image.load(origin, program.code), "");
     std::vector<std::uint8_t> bytes;
     const auto put = [&bytes](std::uint64_t value) {
       for (unsigned byte = 0; byte < 8; ++byte)
@@ -627,6 +756,44 @@ TEST(Platform, LoadImageThrowsOnBadWord) {
   sim::Platform platform(sim::PlatformConfig::with_synchronizer());
   const std::uint32_t bad_word = 0xFFFFFFFFu;
   EXPECT_THROW(platform.load_image(0, {&bad_word, 1}), std::invalid_argument);
+}
+
+TEST(Platform, BothLoadPathsRefuseAProgramThatDoesNotFit) {
+  // A 2-bank x 16-slot IM with block mapping. A program one slot too long,
+  // and one whose `.org` puts its last slot past the IM, are refused by
+  // both load paths with one message, in every build type; a program that
+  // ends on the last slot loads.
+  auto config = sim::PlatformConfig::with_synchronizer();
+  config.im_banks = 2;
+  config.im_bank_slots = 16;
+  config.im_line_slots = 0;
+  std::string one_too_long;
+  for (int slot = 0; slot < 32; ++slot) one_too_long += "  movi r1, 1\n";
+  one_too_long += "  halt\n";
+  for (const std::string& source :
+       {one_too_long, std::string(".org 31\n  movi r1, 7\n  halt\n")}) {
+    const auto program = compile(source);
+    const std::string want =
+        "image does not fit: origin " + std::to_string(program.origin) +
+        " + " + std::to_string(program.code.size()) + " words > 32 slots";
+    sim::Platform platform(config);
+    try {
+      platform.load_program(program);
+      ADD_FAILURE() << "load_program accepted: " << want;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(error.what(), want);
+    }
+    try {
+      platform.load_image(program.origin, program.image);
+      ADD_FAILURE() << "load_image accepted: " << want;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(error.what(), want);
+    }
+  }
+  sim::Platform platform(config);
+  platform.load_program(compile(".org 30\n  movi r1, 7\n  halt\n"));
+  EXPECT_TRUE(platform.run(100).ok());
+  EXPECT_EQ(platform.core_reg(0, 1), 7u);
 }
 
 }  // namespace

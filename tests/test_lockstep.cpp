@@ -35,11 +35,12 @@ TEST(LockstepAnalyzer, FullLockstepOnStraightLineCode) {
   ASSERT_TRUE(platform.run(100).ok());
   const auto& metrics = analyzer.metrics();
   EXPECT_GT(metrics.lockstep_fraction(), 0.6);
-  EXPECT_EQ(metrics.pc_group_histogram[2], 0u) << "never two PC groups";
-  EXPECT_NEAR(metrics.mean_pc_groups(), 1.0, 1e-9);
+  EXPECT_EQ(metrics.observed_cycles, platform.counters().cycles);
+  // Every cycle but the last, in which the cores halt together.
+  EXPECT_EQ(metrics.full_lockstep_cycles, metrics.observed_cycles - 1);
 }
 
-TEST(LockstepAnalyzer, DivergenceShowsMultipleGroups) {
+TEST(LockstepAnalyzer, DivergenceEndsFullLockstep) {
   auto config = config_no_stagger();
   config.features = sim::SyncFeatures::disabled();
   sim::Platform platform(config);
@@ -61,8 +62,9 @@ TEST(LockstepAnalyzer, DivergenceShowsMultipleGroups) {
   analyzer.attach(platform);
   ASSERT_TRUE(platform.run(1000).ok());
   const auto& metrics = analyzer.metrics();
-  EXPECT_GT(metrics.pc_group_histogram[2], 0u);
-  EXPECT_GT(metrics.mean_pc_groups(), 1.0);
+  // In lockstep up to the branch, out of it once core 0 takes it.
+  EXPECT_GT(metrics.full_lockstep_cycles, 0u);
+  EXPECT_LT(2 * metrics.full_lockstep_cycles, metrics.observed_cycles);
 }
 
 TEST(LockstepAnalyzer, ResetClearsMetrics) {

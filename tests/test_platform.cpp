@@ -352,12 +352,23 @@ std::uint64_t reference_served(const BankRequest& r,
 }
 
 /// Checks the mask rule against the reference for one request under every
-/// policy and broadcast combination; reports and returns false on the
+/// policy and broadcast combination, with the same-PC sets answered both
+/// ways the platform answers them: `tick()`'s scan over the requesters, and
+/// a per-PC core mask over every core, requesters or not, as the region
+/// executor keeps one per program slot. Reports and returns false on the
 /// first mismatch.
 bool rule_matches_reference(const BankRequest& r, unsigned num_cores,
                             unsigned rr_pointer) {
   auto age_of = [&](unsigned core) { return r.age[core]; };
   auto pc_of = [&](unsigned core) { return r.pc[core]; };
+  auto scan_at_pc = [&](unsigned core) {
+    return requesters_at_pc(r.mask, core, pc_of);
+  };
+  const std::uint64_t every_core =
+      num_cores == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << num_cores) - 1;
+  auto slot_at_pc = [&](unsigned core) {
+    return requesters_at_pc(every_core, core, pc_of);
+  };
   for (const auto policy :
        {ArbitrationPolicy::kFixedPriority, ArbitrationPolicy::kOldestFirst,
         ArbitrationPolicy::kRoundRobin}) {
@@ -373,16 +384,21 @@ bool rule_matches_reference(const BankRequest& r, unsigned num_cores,
       const unsigned winner =
           conflict_winner(r.mask, policy, rr_pointer, age_of);
       const std::uint64_t served =
-          fetch_served(r.mask, config, rr_pointer, age_of, pc_of);
-      if (winner == want_winner && served == want_served) continue;
+          fetch_served(r.mask, config, rr_pointer, age_of, scan_at_pc);
+      const std::uint64_t served_by_slot =
+          fetch_served(r.mask, config, rr_pointer, age_of, slot_at_pc);
+      if (winner == want_winner && served == want_served &&
+          served_by_slot == want_served)
+        continue;
       ADD_FAILURE() << "mask 0x" << std::hex << r.mask << std::dec
                     << ", policy " << static_cast<int>(policy) << ", rr "
                     << rr_pointer << ", fetch broadcast "
                     << config.im_fetch_broadcast << ", partial "
                     << config.features.ixbar_partial_broadcast
                     << ": winner " << winner << " (reference " << want_winner
-                    << "), served 0x" << std::hex << served
-                    << " (reference 0x" << want_served << ")";
+                    << "), served 0x" << std::hex << served << ", by slot 0x"
+                    << served_by_slot << " (reference 0x" << want_served
+                    << ")";
       return false;
     }
   }

@@ -319,6 +319,24 @@ TEST(Engine, FixedAsmDescRejectsCoreCountSweep) {
   EXPECT_TRUE(swept.ok()) << swept.verify_error;
 }
 
+TEST(Engine, AsmProgramThatDoesNotFitTheImGivesAnErrorRecord) {
+  // The default IM holds 32 768 slots: a program whose `.org` puts its
+  // last slot past them is refused at load, as an "error" record.
+  Registry registry;
+  AsmWorkloadDesc desc;
+  desc.name = "oversized";
+  desc.source = ".org 32767\n  movi r1, 7\n  halt\n";
+  desc.load = [](sim::Platform&, const WorkloadParams&) {};
+  register_asm_workload(registry, desc);
+
+  RunSpec spec;
+  spec.workload = "oversized";
+  const auto record = Engine(registry).run_one(spec);
+  EXPECT_EQ(record.status, "error");
+  EXPECT_EQ(record.verify_error,
+            "image does not fit: origin 32767 + 2 words > 32768 slots");
+}
+
 TEST(Engine, AutoInstrumentedVariantVerifies) {
   RunSpec spec;
   spec.workload = "bandcount.auto";

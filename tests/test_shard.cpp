@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -560,6 +561,65 @@ TEST(CheckpointRing, CorruptNewestEntryFallsBackBitExact) {
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   out.close();
+
+  const RunRecord resumed = ring_engine(dir, 1500, 4).run_one(full);
+  EXPECT_EQ(to_csv_row(resumed), to_csv_row(straight));
+}
+
+TEST(CheckpointRing, VersionOneEntriesAreRefusedAndTheRunStartsCold) {
+  // Version 1 entries carried nine PC-group histogram words after the two
+  // lockstep counts. A ring whose entries are all version 1 is refused
+  // entry by entry, so the resumed run starts cold and gives the cold
+  // run's bytes.
+  const RunSpec full = streaming_spec(1250);
+  const Engine plain(Registry::builtins());
+  const RunRecord straight = plain.run_one(full);
+  ASSERT_TRUE(straight.ok()) << straight.verify_error;
+
+  const std::string dir = scratch_dir("ring_v1");
+  RunSpec truncated = full;
+  truncated.max_cycles = straight.cycles() / 2;
+  (void)ring_engine(dir, 1500, 4).run_one(truncated);
+
+  // Rewrite each entry in the version-1 layout, with the same identity,
+  // cycle, lockstep counts and snapshot, and its manifest hash to match.
+  const std::string run_dir = ring_run_dir(dir, 0);
+  const std::uint64_t identity = ring_identity(full);
+  constexpr util::Magic kRingMagic = {'U', 'L', 'P', 'R', 'I', 'N', 'G', '\n'};
+  std::ifstream manifest_in(run_dir + "/MANIFEST");
+  std::string manifest;
+  unsigned rewritten = 0;
+  for (std::string line; std::getline(manifest_in, line);) {
+    std::istringstream fields(line);
+    std::string tag, file;
+    std::uint64_t cycle = 0;
+    fields >> tag >> cycle >> file;
+    if (tag == "entry") {
+      const auto entry = load_latest_ring_entry(run_dir, identity, cycle);
+      ASSERT_TRUE(entry.has_value()) << cycle;
+      ASSERT_EQ(entry->cycle, cycle);
+      util::WireWriter state;
+      state.u64(entry->state.lockstep.observed_cycles);
+      state.u64(entry->state.lockstep.full_lockstep_cycles);
+      for (int bin = 0; bin < 9; ++bin) state.u64(0);
+      state.blob(entry->state.snapshot.serialize());
+      const std::vector<std::uint8_t> bytes =
+          util::seal(kRingMagic, 1, [&](util::WireWriter& w) {
+            w.u64(identity);
+            w.u64(cycle);
+            w.blob(state.bytes());
+          });
+      util::write_file_atomic(run_dir + "/" + file, bytes);
+      line = "entry " + std::to_string(cycle) + " " + file + " " +
+             util::hex64(util::fnv1a64(bytes));
+      ++rewritten;
+    }
+    manifest += line + "\n";
+  }
+  ASSERT_GE(rewritten, 1u);
+  util::write_file_atomic(run_dir + "/MANIFEST", manifest);
+  EXPECT_FALSE(
+      load_latest_ring_entry(run_dir, identity, full.max_cycles).has_value());
 
   const RunRecord resumed = ring_engine(dir, 1500, 4).run_one(full);
   EXPECT_EQ(to_csv_row(resumed), to_csv_row(straight));

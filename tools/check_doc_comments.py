@@ -29,7 +29,7 @@ import re
 import sys
 from pathlib import Path
 
-CHECKED_DIRS = ["src/sim", "src/scenario"]
+CHECKED_DIRS = ["src/core", "src/sim", "src/scenario"]
 
 # Lines that begin a documentable namespace-scope declaration.
 TYPE_RE = re.compile(r"^(template\s*<.*>\s*)?(class|struct|enum(\s+class)?|union)\s+[A-Za-z_]\w*")

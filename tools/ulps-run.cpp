@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "asm/assembler.h"
 #include "core/instrument.h"
@@ -57,7 +58,12 @@ int main(int argc, char** argv) {
   config.num_cores = static_cast<unsigned>(args.get_int("cores", 8));
 
   sim::Platform platform(config);
-  platform.load_program(program);
+  try {
+    platform.load_program(program);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return 1;
+  }
 
   sim::TimelineTracer tracer;
   core::LockstepAnalyzer analyzer;
